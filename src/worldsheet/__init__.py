@@ -18,9 +18,11 @@ from .grid import (
     apply_boundary,
     build_grid,
     finite_difference,
+    finite_difference_adjoint,
     interpolate,
     make_chart,
     mixed_second,
+    mixed_second_adjoint,
 )
 from .geometry import (
     ChartMetric,
@@ -29,6 +31,7 @@ from .geometry import (
     GeometryCache,
     GeometryError,
     MetricData,
+    NonUnitNormalError,
     NormalFrame,
     SignatureError,
     build_geometry,
@@ -49,6 +52,7 @@ from .energy import (
     QuadratureRule,
     SuperluminalMotionError,
     assemble_JK,
+    backward_JK,
     constraint_residuals,
     full_action,
     j1_curvature_energy,
@@ -99,4 +103,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -60,7 +60,6 @@ _KNOWN_KEYS = {
         "backtrack",
         "grad_tol",
         "max_iters",
-        "fd_step",
         "singular_tol",
         "optimize_fields",
         "check_slope",
@@ -318,7 +317,7 @@ def _penalty_config(sc: Scenario) -> PenaltyConfig:
     sched = sc.get("optimizer", "K_schedule")
     if sched:
         kwargs["k_schedule"] = tuple(_floats(sched))
-    for name in ("step_init", "armijo_c", "backtrack", "grad_tol", "fd_step", "singular_tol"):
+    for name in ("step_init", "armijo_c", "backtrack", "grad_tol", "singular_tol"):
         val = sc.get("optimizer", name)
         if val:
             kwargs[name] = float(val)
@@ -344,6 +343,7 @@ def _run_minimize(sc: Scenario, out_dir: Path) -> int:
     _write(out_dir / "minimize_report.csv", csv_text)
 
     lines = [report.summary_line()]
+    lines += [f"termination K={_fmt(rec.K)}: {rec.termination}" for rec in report.records]
     if report.theorem_range_notice:
         lines.append(report.theorem_range_notice)
     if report.stalled:
@@ -374,7 +374,23 @@ def _parse_queries(text: str) -> list[tuple[str, list[int]]]:
         if ":" not in tok:
             raise ScenarioError(f"query {tok!r} is not of the form op:indices")
         op, idx = tok.split(":", 1)
-        queries.append((op.strip(), [int(v) for v in idx.split(",") if v.strip()]))
+        try:
+            queries.append((op.strip(), [int(v) for v in idx.split(",") if v.strip()]))
+        except ValueError:
+            raise ScenarioError(f"query {tok!r}: event indices must be integers") from None
+    return queries
+
+
+def _causal_queries(sc: Scenario, n_events: int) -> list[tuple[str, list[int]]]:
+    """causal.queries parsed; every event index must name one of the n_events events."""
+    queries = _parse_queries(sc.get("causal", "queries", ""))
+    for op, idx in queries:
+        for i in idx:
+            if not 0 <= i < n_events:
+                raise ScenarioError(
+                    f"query {op}:{','.join(str(v) for v in idx)}: event index {i} "
+                    f"outside 0..{n_events - 1}"
+                )
     return queries
 
 
@@ -388,8 +404,8 @@ def _run_causal(sc: Scenario, out_dir: Path) -> int:
         return 1
     events = causal_mod.load_events(path, c=float(sc.get("constants", "c", "1.0")))
     radius = float(sc.get("causal", "radius", "1.0"))
+    queries = _causal_queries(sc, len(events))
     graph = causal_mod.build_graph(events, radius)
-    queries = _parse_queries(sc.get("causal", "queries", ""))
     seed = int(sc.get("causal", "seed", str(sc.seed)))
     samples_raw = sc.get("causal", "samples")
     samples = int(samples_raw) if samples_raw else None
@@ -477,6 +493,8 @@ def check(scenario_path: str | Path, overrides: Sequence[str] = ()) -> int:
             ev_file = sc.get("causal", "events")
             if ev_file is None or not (sc.base_dir / ev_file).exists():
                 raise ScenarioError(f"event file not found: {ev_file}")
+            events = causal_mod.load_events(sc.base_dir / ev_file, c=float(sc.get("constants", "c", "1.0")))
+            _causal_queries(sc, len(events))
     except (ScenarioError, GridError, OSError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import ChartMap, FieldSet, ParameterGrid, _node_str, finite_difference, interpolate
+from .grid import (
+    ChartMap,
+    FieldSet,
+    ParameterGrid,
+    _node_str,
+    finite_difference_adjoint,
+    interpolate,
+    mixed_second_adjoint,
+)
 from .geometry import (
     ChartMetric,
     GeometryCache,
@@ -71,13 +79,17 @@ def quadrature(values: np.ndarray, grid: ParameterGrid) -> float:
     return float(np.sum(values * _rule(grid).node_weights))
 
 
+def _spatial_weights(grid: ParameterGrid) -> np.ndarray:
+    """Trapezoid weights over D_1 (axes 1..m), shape counts[1:]."""
+    w = np.ones(())
+    for axw in _rule(grid).axis_weights[1:]:
+        w = np.multiply.outer(w, axw)
+    return w
+
+
 def slice_masses(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
     """Spatial integral over D_1 per u_0 slice; returns shape (counts[0],)."""
-    rule = _rule(grid)
-    w = np.ones(())
-    for axw in rule.axis_weights[1:]:
-        w = np.multiply.outer(w, axw)
-    return np.sum(values * w, axis=tuple(range(1, grid.ndim)))
+    return np.sum(values * _spatial_weights(grid), axis=tuple(range(1, grid.ndim)))
 
 
 def time_integral(values_t: np.ndarray, grid: ParameterGrid) -> float:
@@ -146,8 +158,9 @@ def s_tensor(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> np.nd
     """The mixed amplitude/connection tensor, index order [..., l, i, j, k].
 
     S^l_ijk = (dphi/du_j)(dphi*/du_i) delta_kl + (dphi/du_i) phi* Gamma^l_jk.
+    phi must be the amplitude geom was built from (dphi is read from geom).
     """
-    dphi = np.stack([finite_difference(phi, grid, axis=j) for j in range(grid.ndim)], axis=-1)
+    dphi = geom.dphi
     nd = grid.ndim
     eye = np.eye(nd)
     term1 = np.einsum("...j,...i,kl->...lijk", dphi, np.conj(dphi), eye)
@@ -167,8 +180,10 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
 
     dirichlet   = (1/2) int g^{jk} dphi/du_j dphi*/du_k sqrt(-g)
     christoffel = (1/4) int (dphi/du_l phi* + dphi*/du_l phi) Gamma^l_jk g^{jk} sqrt(-g)
+
+    phi must be the amplitude geom was built from (dphi is read from geom).
     """
-    dphi = np.stack([finite_difference(phi, grid, axis=j) for j in range(grid.ndim)], axis=-1)
+    dphi = geom.dphi
     dens_d = np.einsum("...jk,...j,...k->...", geom.g_inv, dphi, np.conj(dphi)).real
     dirichlet = 0.5 * quadrature(dens_d * geom.sqrt_neg_g, grid)
 
@@ -240,6 +255,101 @@ def assemble_JK(
         total_JK=total_JK,
         K=float(K),
     )
+
+
+def backward_JK(
+    fields: FieldSet,
+    grid: ParameterGrid,
+    K: float,
+    geom: GeometryCache,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reverse-mode derivative of assemble_JK(...).total_JK on every node.
+
+    geom is the forward pass's cache for fields; it is read, never rebuilt.
+    The adjoints run back through the per-node algebra (Gamma, b, b^l_j,
+    dphi, the penalty terms and the slice masses), through g^{-1} and
+    sqrt(-g) by d g^{-1} = -g^{-1} dg g^{-1} and d sqrt(-g) =
+    (1/2) sqrt(-g) g^{jk} dg_jk, and then to node fields through the
+    transposed stencils.  Returns (dJ/dr, dJ/dphi, dJ/dn) in node-field
+    shapes, boundary nodes included; the phi entry is dJ/d(Re phi) +
+    i dJ/d(Im phi).
+    """
+    phi, n = fields.phi, fields.n
+    signs = _signs(fields.r.shape[-1])
+    tangents, d2r, gamma = geom.tangents, geom.d2r, geom.gamma
+    g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, geom.dphi, geom.sqrt_neg_g
+    rule = _rule(grid)
+    w = rule.node_weights * sq
+
+    # Forward per-node densities, as assemble_JK forms them.
+    phi_sq = np.abs(phi) ** 2
+    curv = _curvature_density(geom)
+    dens_d = np.einsum("...jk,...j,...k->...", g_inv, dphi, np.conj(dphi)).real
+    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
+    gamma_c = np.einsum("...ljk,...jk->...l", gamma, g_inv)
+    dens_c = np.einsum("...l,...l->...", re_pair, gamma_c)
+    dots = np.einsum("...ja,...a,a->...j", tangents, n, signs)
+    nn = minkowski_dot(n, n)
+    mass = slice_masses(phi_sq * sq, grid)
+    # d[(K/2) norm] / d(|phi|^2 sqrt(-g)) per node.
+    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (mass - 1.0), _spatial_weights(grid))
+
+    dens = 0.5 * phi_sq * curv + 0.5 * dens_d + 0.25 * dens_c
+    dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
+    bar_sq = rule.node_weights * dens + mass_w * phi_sq
+    bar_phi = 2.0 * (0.5 * curv * w + mass_w * sq) * phi
+
+    # curvature density g^{jk} b_jl b^l_k with b^l_k = b_km g^{ml}
+    bar_curv = 0.5 * phi_sq * w
+    bar_b_up = np.einsum("...,...jk,...jl->...lk", bar_curv, g_inv, b)
+    bar_b = np.einsum("...,...jk,...lk->...jl", bar_curv, g_inv, b_up)
+    bar_b += np.einsum("...lj,...kl->...jk", bar_b_up, g_inv)
+    bar_g_inv = np.einsum("...,...jl,...lk->...jk", bar_curv, b, b_up)
+    bar_g_inv += np.einsum("...jk,...lj->...kl", b, bar_b_up)
+
+    # Dirichlet density Re g^{jk} dphi_j dphi*_k
+    bar_d = 0.5 * w
+    bar_g_inv += np.einsum("...,...j,...k->...jk", bar_d, dphi, np.conj(dphi)).real
+    bar_dphi = np.einsum("...,...jk,...k->...j", bar_d, g_inv + np.swapaxes(g_inv, -1, -2), dphi)
+
+    # Christoffel density re_pair_l Gamma^l_jk g^{jk}
+    bar_c = 0.25 * w
+    bar_pair = bar_c[..., None] * gamma_c
+    bar_dphi += 2.0 * bar_pair * phi[..., None]
+    bar_phi += 2.0 * np.einsum("...l,...l->...", bar_pair, dphi)
+    bar_gamma_c = bar_c[..., None] * re_pair
+    bar_gamma = np.einsum("...l,...jk->...ljk", bar_gamma_c, g_inv)
+    bar_g_inv += np.einsum("...l,...ljk->...jk", bar_gamma_c, gamma)
+
+    # Gamma^l_jk = g^{ls} (d2r_jk . t_s)
+    proj = np.einsum("...jka,...sa,a->...jks", d2r, tangents, signs)
+    bar_g_inv += np.einsum("...ljk,...jks->...ls", bar_gamma, proj)
+    bar_proj = np.einsum("...ljk,...ls->...jks", bar_gamma, g_inv)
+    bar_d2r = np.einsum("...jks,...sa,a->...jka", bar_proj, tangents, signs)
+    bar_t = np.einsum("...jks,...jka,a->...sa", bar_proj, d2r, signs)
+
+    # b_jk = d2r_jk . n, and the orth and unit penalties
+    bar_d2r += np.einsum("...jk,...a,a->...jka", bar_b, n, signs)
+    bar_n = np.einsum("...jk,...jka,a->...a", bar_b, d2r, signs)
+    bar_dots = K * w[..., None] * dots
+    bar_t += np.einsum("...j,...a,a->...ja", bar_dots, n, signs)
+    bar_n += np.einsum("...j,...ja,a->...a", bar_dots, tangents, signs)
+    bar_n += (2.0 * K * w * (nn - 1.0))[..., None] * n * signs
+
+    # g^{-1} and sqrt(-g) back to g_jk = t_j . t_k
+    bar_g = -np.einsum("...pj,...pq,...kq->...jk", g_inv, bar_g_inv, g_inv)
+    bar_g += np.einsum("...,...kj->...jk", 0.5 * bar_sq * sq, g_inv)
+    bar_t += np.einsum("...jk,...ka,a->...ja", bar_g + np.swapaxes(bar_g, -1, -2), tangents, signs)
+
+    # Transposed stencils back to node fields.
+    bar_r = np.zeros_like(fields.r)
+    for j in range(grid.ndim):
+        bar_r += finite_difference_adjoint(bar_t[..., j, :], grid, j)
+        bar_phi += finite_difference_adjoint(bar_dphi[..., j], grid, j)
+        for k in range(j, grid.ndim):
+            val = bar_d2r[..., j, k, :] if k == j else bar_d2r[..., j, k, :] + bar_d2r[..., k, j, :]
+            bar_r += mixed_second_adjoint(val, grid, j, k)
+    return bar_r, bar_phi, bar_n
 
 
 def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCache | None = None) -> tuple[float, float, float]:
@@ -327,9 +437,8 @@ def full_action(
     weight = interpolate(grid, geom.sqrt_neg_g, pts) * cmetric.sqrt_U
     phi_sq = interpolate(grid, np.abs(fields.phi) ** 2, pts)
 
-    dphi = np.stack([finite_difference(fields.phi, grid, axis=j) for j in range(grid.ndim)], axis=-1)
     g_inv_c = interpolate(grid, geom.g_inv, pts)
-    dphi_c = interpolate(grid, dphi, pts)
+    dphi_c = interpolate(grid, geom.dphi, pts)
     phi_c = interpolate(grid, fields.phi, pts)
     gamma_c = interpolate(grid, geom.gamma, pts)
 

@@ -34,6 +34,10 @@ class DegenerateFrameError(GeometryError):
     pass
 
 
+class NonUnitNormalError(GeometryError):
+    pass
+
+
 def _signs(dim: int) -> np.ndarray:
     s = np.ones(dim)
     s[0] = -1.0
@@ -234,7 +238,7 @@ def second_fundamental_form(
     off = np.abs(nn - 1.0) > unit_tol
     if off.any():
         node = tuple(np.argwhere(off)[0])
-        raise ValueError(f"normal is not unit at node {_node_str(node)} (n.n = {nn[tuple(np.argwhere(off)[0])]:.6g})")
+        raise NonUnitNormalError(f"normal is not unit at node {_node_str(node)} (n.n = {nn[node]:.6g})")
     b, b_up = _fundamental_form_raw(d2r, normal, metric_data)
     return b, b_up
 

@@ -11,7 +11,7 @@ are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -197,11 +197,48 @@ def finite_difference(values: np.ndarray, grid: ParameterGrid, axis: int, order:
     raise GridError(f"order must be 1 or 2, got {order}")
 
 
+@lru_cache(maxsize=64)
+def _stencil_matrix(count: int, h: float, order: int) -> np.ndarray:
+    """The count x count matrix of finite_difference along one axis of spacing h.
+
+    Built by differentiating the identity, so it is the stencil itself,
+    boundary rows and short-axis fallbacks included.
+    """
+    line = ParameterGrid(extents=((0.0, h * (count - 1)),), counts=(count,), spacings=(h,))
+    mat = finite_difference(np.eye(count), line, 0, order=order)
+    mat.flags.writeable = False
+    return mat
+
+
+def finite_difference_adjoint(values: np.ndarray, grid: ParameterGrid, axis: int, order: int = 1) -> np.ndarray:
+    """Exact transpose of finite_difference along one grid axis.
+
+    <finite_difference(x), y> == <x, finite_difference_adjoint(y)> for every
+    node field x, y of the same shape; trailing component axes and complex
+    values are handled componentwise, as in finite_difference.
+    """
+    if values.shape[: grid.ndim] != grid.counts:
+        raise GridError("field shape does not match grid counts")
+    if not 0 <= axis < grid.ndim:
+        raise GridError(f"axis {axis} out of range for {grid.ndim} grid axes")
+    if order not in (1, 2):
+        raise GridError(f"order must be 1 or 2, got {order}")
+    mat = _stencil_matrix(grid.counts[axis], grid.spacings[axis], order)
+    return np.moveaxis(np.tensordot(mat.T, values, axes=(1, axis)), 0, axis)
+
+
 def mixed_second(values: np.ndarray, grid: ParameterGrid, j: int, k: int) -> np.ndarray:
     """d^2 f / du_j du_k by composing first-derivative stencils (j != k)."""
     if j == k:
         return finite_difference(values, grid, j, order=2)
     return finite_difference(finite_difference(values, grid, j, order=1), grid, k, order=1)
+
+
+def mixed_second_adjoint(values: np.ndarray, grid: ParameterGrid, j: int, k: int) -> np.ndarray:
+    """Exact transpose of mixed_second: the composed stencils in reverse order."""
+    if j == k:
+        return finite_difference_adjoint(values, grid, j, order=2)
+    return finite_difference_adjoint(finite_difference_adjoint(values, grid, k, order=1), grid, j, order=1)
 
 
 @dataclass

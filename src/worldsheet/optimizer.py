@@ -1,9 +1,10 @@
 """Penalty-method minimization of J_K over the interior field degrees of freedom.
 
-The gradient contract is per-DOF central finite differences of the assembled
-J_K; descent is plain Armijo-backtracking gradient steps.  A continuation
-sweep drives K upward with warm starts and fits the log-log slope of the
-constraint residuals against K, which should sit near -1.
+The gradient is the exact derivative of the discrete J_K as assemble_JK
+computes it: one forward pass (geometry and energy) and one reverse-mode pass
+(energy.backward_JK).  Descent is plain Armijo-backtracking gradient steps.
+A continuation sweep drives K upward with warm starts and fits the log-log
+slope of the constraint residuals against K, which should sit near -1.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import FieldSet, ParameterGrid, _node_str, apply_boundary, finite_difference
+from .grid import FieldSet, ParameterGrid, apply_boundary, finite_difference
 from .geometry import GeometryError, build_geometry, minkowski_dot, _signs
-from .energy import NonFiniteValueError, assemble_JK, constraint_residuals, slice_masses
+from .energy import NonFiniteValueError, assemble_JK, backward_JK, constraint_residuals, slice_masses
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +38,6 @@ class PenaltyConfig:
     backtrack: float = 0.5
     grad_tol: float = 1e-6
     max_iters: int = 5000
-    fd_step: float = 1e-6
     singular_tol: float = 1e-10
     optimize_fields: tuple[str, ...] = ("r", "phi", "n")
 
@@ -45,7 +45,7 @@ class PenaltyConfig:
         ks = self.k_schedule
         if not ks or any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] <= 0:
             raise ValueError("k_schedule must be positive and strictly increasing")
-        for name in ("step_init", "armijo_c", "backtrack", "grad_tol", "fd_step"):
+        for name in ("step_init", "armijo_c", "backtrack", "grad_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if not 0 < self.armijo_c < 1 or not 0 < self.backtrack < 1:
@@ -57,7 +57,11 @@ class PenaltyConfig:
 
 @dataclass
 class KRecord:
-    """Outcome of one fixed-K minimization."""
+    """Outcome of one fixed-K minimization.
+
+    termination says why the descent stopped: converged, max_iters,
+    line_search_underflow or gradient_error.
+    """
 
     K: float
     iterations: int
@@ -69,6 +73,7 @@ class KRecord:
     grad_norm: float
     stalled: bool
     converged: bool
+    termination: str
     start_total_J: float = float("nan")
     min_slice_mass: float = float("nan")
     min_normal_sq: float = float("nan")
@@ -84,6 +89,7 @@ class KRecord:
         "res_unit",
         "grad_norm",
         "stalled",
+        "termination",
     )
 
     def csv_row(self) -> str:
@@ -97,6 +103,7 @@ class KRecord:
             f"{self.res_unit:.17g}",
             f"{self.grad_norm:.17g}",
             "1" if self.stalled else "0",
+            self.termination,
         ]
         return ",".join(vals)
 
@@ -136,34 +143,6 @@ def fit_loglog_slope(params: Sequence[float], residuals: Sequence[float]) -> flo
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _dof_entries(
-    grid: ParameterGrid,
-    n_components: int,
-    kinds: tuple[str, ...] = ("r", "phi", "n"),
-) -> list[tuple[str, tuple[int, ...], int]]:
-    """Deterministic DOF order: r block, phi block (Re, Im), n block.
-
-    Within a block, interior nodes run row-major; within a node, vector
-    components run in index order.  ``kinds`` restricts the blocks (used by
-    scenarios that relax only a subset of the fields).
-    """
-    interior_nodes = [tuple(idx) for idx in np.argwhere(grid.interior_mask)]
-    entries: list[tuple[str, tuple[int, ...], int]] = []
-    if "r" in kinds:
-        for node in interior_nodes:
-            for comp in range(n_components):
-                entries.append(("r", node, comp))
-    if "phi" in kinds:
-        for node in interior_nodes:
-            entries.append(("phi_re", node, 0))
-            entries.append(("phi_im", node, 0))
-    if "n" in kinds:
-        for node in interior_nodes:
-            for comp in range(n_components):
-                entries.append(("n", node, comp))
-    return entries
-
-
 def pack_interior(fields: FieldSet, grid: ParameterGrid) -> np.ndarray:
     """Flatten the interior DOFs in the canonical order."""
     interior = grid.interior_mask
@@ -198,64 +177,34 @@ def gradient_JK(
     fields: FieldSet,
     grid: ParameterGrid,
     K: float,
-    fd_step: float = 1e-6,
     singular_tol: float = 1e-10,
     kinds: tuple[str, ...] = ("r", "phi", "n"),
 ) -> FieldSet:
-    """Central finite-difference gradient of J_K over the interior DOFs.
+    """Exact gradient of J_K over the interior DOFs: one forward, one backward pass.
 
     Returned as a FieldSet-shaped object: boundary entries are zero, and the
     phi slot carries dJ/d(Re phi) + i dJ/d(Im phi).  ``kinds`` restricts the
-    probed blocks; entries outside them stay zero.
+    blocks; entries outside them stay zero.  A configuration where J_K cannot
+    be evaluated raises GradientProbeError naming the node.
     """
-    work = fields.copy()
+    try:
+        geom = build_geometry(fields, grid, singular_tol=singular_tol)
+        # Only its checks are needed: a non-finite integrand raises, naming the node.
+        assemble_JK(fields, grid, K, geom=geom)
+    except (GeometryError, NonFiniteValueError) as exc:
+        raise GradientProbeError(f"J_K not evaluable: {exc}") from exc
+    d_r, d_phi, d_n = backward_JK(fields, grid, K, geom)
+    zero = grid.boundary_mask
     grad = FieldSet(
-        r=np.zeros_like(fields.r),
-        phi=np.zeros_like(fields.phi),
-        n=np.zeros_like(fields.n),
+        r=d_r if "r" in kinds else np.zeros_like(fields.r),
+        phi=d_phi if "phi" in kinds else np.zeros_like(fields.phi),
+        n=d_n if "n" in kinds else np.zeros_like(fields.n),
         r_bc=np.zeros_like(fields.r_bc),
         phi_bc=np.zeros_like(fields.phi_bc),
         eps=fields.eps,
     )
-
-    def value() -> float:
-        return assemble_JK(work, grid, K, singular_tol=singular_tol).total_JK
-
-    for kind, node, comp in _dof_entries(grid, fields.r.shape[-1], kinds):
-        if kind == "r":
-            arr, idx = work.r, node + (comp,)
-        elif kind == "n":
-            arr, idx = work.n, node + (comp,)
-        else:
-            arr, idx = work.phi, node
-        old = arr[idx]
-        base = old.real if kind != "phi_im" else old.imag
-        h = fd_step * (1.0 + abs(base))
-        delta = h if kind != "phi_im" else 1j * h
-        try:
-            arr[idx] = old + delta
-            jp = value()
-            arr[idx] = old - delta
-            jm = value()
-        except (GeometryError, NonFiniteValueError) as exc:
-            raise GradientProbeError(
-                f"J_K not evaluable while probing {kind} at node {_node_str(node)} component {comp}: {exc}"
-            ) from exc
-        finally:
-            arr[idx] = old
-        if not (np.isfinite(jp) and np.isfinite(jm)):
-            raise GradientProbeError(
-                f"non-finite J_K while probing {kind} at node {_node_str(node)} component {comp}"
-            )
-        d = (jp - jm) / (2.0 * h)
-        if kind == "r":
-            grad.r[idx] = d
-        elif kind == "n":
-            grad.n[idx] = d
-        elif kind == "phi_re":
-            grad.phi[idx] += d
-        else:
-            grad.phi[idx] += 1j * d
+    for arr in (grad.r, grad.phi, grad.n):
+        arr[zero] = 0.0
     return grad
 
 
@@ -279,25 +228,23 @@ def minimize_fixed_K(
     stalled = False
     converged = False
     grad_norm = float("nan")
+    termination = "max_iters"
     iters = 0
 
     while iters < cfg.max_iters:
         try:
-            grad = gradient_JK(
-                x, grid, K,
-                fd_step=cfg.fd_step,
-                singular_tol=cfg.singular_tol,
-                kinds=cfg.optimize_fields,
-            )
+            grad = gradient_JK(x, grid, K, singular_tol=cfg.singular_tol, kinds=cfg.optimize_fields)
         except GradientProbeError:
-            # Probe stepped over the admissibility wall: the iterate sits at
-            # the edge of the feasible region; report a stall.
+            # J_K is not evaluable at the iterate: it sits at the edge of
+            # the admissible set; report a stall.
             stalled = True
+            termination = "gradient_error"
             break
         gvec = pack_interior(grad, grid)
         grad_norm = float(np.linalg.norm(gvec))
         if grad_norm <= cfg.grad_tol:
             converged = True
+            termination = "converged"
             break
         gsq = grad_norm * grad_norm
         alpha = step
@@ -315,6 +262,7 @@ def minimize_fixed_K(
             alpha *= cfg.backtrack
         if not accepted:
             stalled = True
+            termination = "line_search_underflow"
             break
         x = trial
         j_cur = j_trial
@@ -338,6 +286,7 @@ def minimize_fixed_K(
         grad_norm=grad_norm,
         stalled=stalled,
         converged=converged,
+        termination=termination,
         min_slice_mass=float(mass.min()),
         min_normal_sq=float(np.min(nn)),
         jk_trace=trace,

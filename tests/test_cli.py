@@ -118,6 +118,55 @@ def test_minimize_quick_scenario(tmp_path):
     assert "outside the existence theorem" in summary
 
 
+def test_minimize_termination_reported(tmp_path):
+    text = (SCENARIOS / "minimize_perturbed.scn").read_text()
+    text = text.replace("K_schedule = 10, 100, 1000, 10000", "K_schedule = 10, 100")
+    text = text.replace("max_iters = 800", "max_iters = 1")
+    text = text.replace("check_slope = true", "check_slope = false")
+    out = tmp_path / "out"
+    assert cli.run(write(tmp_path, text), out) == 0
+    rows = (out / "minimize_report.csv").read_text().splitlines()
+    assert rows[0].endswith(",stalled,termination")
+    assert [row.split(",")[-1] for row in rows[1:]] == ["max_iters", "max_iters"]
+    summary = (out / "minimize_summary.txt").read_text().splitlines()
+    assert "termination K=10: max_iters" in summary
+    assert "termination K=100: max_iters" in summary
+
+
+def test_minimize_fd_step_key_removed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "minimize_perturbed.scn", out, overrides=["optimizer.fd_step=1e-6"]) == 1
+    assert "optimizer.fd_step" in capsys.readouterr().err
+
+
+def test_geometry_check_non_unit_normal_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.run(SCENARIOS / "energy_flat.scn", out, overrides=["scenario.kind=geometry_check"])
+    assert code == 2
+    lines = (out / "geometry_report.csv").read_text().splitlines()
+    assert lines[0] == "quantity,value"
+    assert lines[1].startswith("error,normal is not unit at node (1, 1)")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("query, index", [("I+:-1", "-1"), ("J+:999", "999")])
+def test_causal_query_index_out_of_range(tmp_path, capsys, query, index):
+    out = tmp_path / "out"
+    code = cli.run(SCENARIOS / "causal_grid.scn", out, overrides=[f"causal.queries={query}"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert query in err[0] and f"event index {index} " in err[0]
+    assert not (out / "causal_report.txt").exists()
+    assert cli.check(SCENARIOS / "causal_grid.scn", overrides=[f"causal.queries={query}"]) == 1
+
+
+def test_causal_query_index_not_integer(tmp_path, capsys):
+    code = cli.run(SCENARIOS / "causal_grid.scn", tmp_path / "out", overrides=["causal.queries=J+:x"])
+    assert code == 1
+    assert "J+:x" in capsys.readouterr().err
+
+
 def test_causal_scenario_report(tmp_path):
     out = tmp_path / "out"
     assert cli.run(SCENARIOS / "causal_grid.scn", out) == 0

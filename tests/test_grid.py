@@ -6,9 +6,11 @@ from worldsheet import (
     apply_boundary,
     build_grid,
     finite_difference,
+    finite_difference_adjoint,
     interpolate,
     make_chart,
     mixed_second,
+    mixed_second_adjoint,
 )
 from worldsheet import presets
 
@@ -143,6 +145,53 @@ def test_mixed_partial_symmetry():
     d10 = mixed_second(f, g, 1, 0)
     scale = np.max(np.abs(d01))
     assert np.max(np.abs(d01 - d10)) <= 1e-12 * scale
+
+
+def _random_field(rng, shape, complex_values):
+    x = rng.standard_normal(shape)
+    if complex_values:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("count", [3, 4, 5, 7])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_fd_adjoint_dot_product(order, count, complex_values):
+    rng = np.random.default_rng(count * 10 + order)
+    g = build_grid([(0, 1.3), (-0.5, 0.5)], [count, 6])
+    for trailing in ((), (3,), (2, 3)):
+        for axis in range(2):
+            x = _random_field(rng, g.counts + trailing, complex_values)
+            y = _random_field(rng, g.counts + trailing, complex_values)
+            dx = finite_difference(x, g, axis, order=order)
+            dty = finite_difference_adjoint(y, g, axis, order=order)
+            assert dty.shape == y.shape
+            lhs, rhs = np.vdot(dx, y), np.vdot(x, dty)
+            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(dx) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("count", [3, 4, 5, 7])
+def test_mixed_second_adjoint_dot_product(count):
+    rng = np.random.default_rng(count)
+    g = build_grid([(0, 1), (0, 2), (0, 1)], [count, 5, 4])
+    for j in range(3):
+        for k in range(3):
+            x = _random_field(rng, g.counts + (2,), True)
+            y = _random_field(rng, g.counts + (2,), True)
+            dx = mixed_second(x, g, j, k)
+            lhs, rhs = np.vdot(dx, y), np.vdot(x, mixed_second_adjoint(y, g, j, k))
+            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(dx) * np.linalg.norm(y)
+
+
+def test_fd_adjoint_rejects_bad_input():
+    g = build_grid([(0, 1)], [5])
+    with pytest.raises(GridError):
+        finite_difference_adjoint(np.zeros(4), g, 0)
+    with pytest.raises(GridError):
+        finite_difference_adjoint(np.zeros(5), g, 0, order=3)
+    with pytest.raises(GridError):
+        finite_difference_adjoint(np.zeros(5), g, 1)
 
 
 def test_fd_shape_mismatch():

@@ -153,11 +153,34 @@ def test_minimize_jk_trace_monotone():
 
 
 def test_minimize_stall_reported_not_raised():
-    g, f = flat_admissible()
-    cfg = PenaltyConfig(grad_tol=1e-300, max_iters=10)
+    # A first step below the 1e-14 backtracking floor: no trial is accepted.
+    g, f = small_perturbed()
+    cfg = PenaltyConfig(step_init=1e-15, max_iters=10)
     _, rec = minimize_fixed_K(f, g, 100.0, cfg)
     assert rec.stalled
     assert not rec.converged
+    assert rec.termination == "line_search_underflow"
+
+
+def test_minimize_flat_start_exact_gradient_zero():
+    # Every constraint and curvature term vanishes on the admissible flat
+    # sheet, so the exact gradient is zero and descent stops at once.
+    g, f = flat_admissible()
+    cfg = PenaltyConfig(grad_tol=1e-300, max_iters=10)
+    _, rec = minimize_fixed_K(f, g, 100.0, cfg)
+    assert rec.converged and not rec.stalled
+    assert rec.iterations == 0
+    assert rec.grad_norm == 0.0
+    assert rec.termination == "converged"
+
+
+def test_minimize_max_iters_termination():
+    g, f = small_perturbed()
+    cfg = PenaltyConfig(max_iters=1, optimize_fields=("phi", "n"))
+    _, rec = minimize_fixed_K(f, g, 10.0, cfg)
+    assert rec.iterations == 1
+    assert not rec.converged and not rec.stalled
+    assert rec.termination == "max_iters"
 
 
 def test_minimize_preserves_phi_floor():
@@ -216,8 +239,10 @@ def test_continuation_csv_shape():
     cfg = PenaltyConfig(k_schedule=(10.0, 100.0), max_iters=20, optimize_fields=("phi", "n"))
     report = penalty_continuation(f, g, cfg)
     header = report.csv_header().split(",")
-    for row in report.csv_rows():
+    assert header[-1] == "termination"
+    for row, rec in zip(report.csv_rows(), report.records):
         assert len(row.split(",")) == len(header)
+        assert row.split(",")[-1] == rec.termination
 
 
 def test_theorem_range_notice():
