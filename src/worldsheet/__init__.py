@@ -103,4 +103,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

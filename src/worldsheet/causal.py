@@ -169,16 +169,19 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
     )
 
 
-def _closure(seeds: Iterable[int], adjacency: list[np.ndarray], n: int) -> np.ndarray:
-    visited = np.zeros(n, dtype=bool)
-    queue = deque(int(i) for i in seeds)
+def _reach(S: Iterable[int], adjacency: list[np.ndarray], include_seeds: bool) -> set[int]:
+    """Events reachable from S by paths of length >= 1 along adjacency, plus S if include_seeds."""
+    seeds = [int(s) for s in S]
+    visited = np.zeros(len(adjacency), dtype=bool)
+    queue = deque(seeds)
     while queue:
-        i = queue.popleft()
-        nxt = adjacency[i]
+        nxt = adjacency[queue.popleft()]
         fresh = nxt[~visited[nxt]]
         visited[fresh] = True
         queue.extend(int(j) for j in fresh)
-    return visited
+    if include_seeds:
+        visited[seeds] = True
+    return _as_set(visited)
 
 
 def _as_set(mask: np.ndarray) -> set[int]:
@@ -187,50 +190,22 @@ def _as_set(mask: np.ndarray) -> set[int]:
 
 def chronological_future(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """I+(S): events reachable from S by paths of time-like edges (length >= 1)."""
-    n = len(graph)
-    seeds: set[int] = set()
-    for s in S:
-        seeds.update(int(j) for j in graph.timelike_children[s])
-    visited = _closure(seeds, graph.timelike_children, n)
-    visited[list(seeds)] = True
-    return _as_set(visited)
+    return _reach(S, graph.timelike_children, include_seeds=False)
 
 
 def causal_future(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """J+(S): reachable by time-like or null edges; includes S itself."""
-    n = len(graph)
-    s_list = [int(s) for s in S]
-    seeds: set[int] = set()
-    for s in s_list:
-        seeds.update(int(j) for j in graph.children[s])
-    visited = _closure(seeds, graph.children, n)
-    visited[list(seeds)] = True
-    visited[s_list] = True
-    return _as_set(visited)
+    return _reach(S, graph.children, include_seeds=True)
 
 
 def chronological_past(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """I-(S): mirror of I+ on reversed edges."""
-    n = len(graph)
-    seeds: set[int] = set()
-    for s in S:
-        seeds.update(int(j) for j in graph.timelike_parents[s])
-    visited = _closure(seeds, graph.timelike_parents, n)
-    visited[list(seeds)] = True
-    return _as_set(visited)
+    return _reach(S, graph.timelike_parents, include_seeds=False)
 
 
 def causal_past(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """J-(S): mirror of J+ on reversed edges; includes S."""
-    n = len(graph)
-    s_list = [int(s) for s in S]
-    seeds: set[int] = set()
-    for s in s_list:
-        seeds.update(int(j) for j in graph.parents[s])
-    visited = _closure(seeds, graph.parents, n)
-    visited[list(seeds)] = True
-    visited[s_list] = True
-    return _as_set(visited)
+    return _reach(S, graph.parents, include_seeds=True)
 
 
 def pasts(S: Iterable[int], graph: CausalGraph) -> tuple[set[int], set[int]]:
@@ -281,38 +256,29 @@ def _topological_order(graph: CausalGraph) -> np.ndarray:
     return np.argsort(graph.events.events[:, 0], kind="stable")
 
 
+def _dependence(S: Iterable[int], graph: CausalGraph, preds: list[np.ndarray], order: np.ndarray) -> set[int]:
+    """Events in S, or with at least one pred and every pred already good, visiting in order."""
+    in_s = np.zeros(len(graph), dtype=bool)
+    in_s[[int(i) for i in S]] = True
+    good = np.zeros(len(graph), dtype=bool)
+    for i in order:
+        p = preds[i]
+        good[i] = in_s[i] or (p.size > 0 and bool(good[p].all()))
+    return _as_set(good)
+
+
 def future_dependence(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D+(S): events all of whose maximal backward causal paths meet S.
 
     Dynamic programming in topological order: good(p) = p in S, or p has
     in-edges and every in-neighbor is good.
     """
-    n = len(graph)
-    in_s = np.zeros(n, dtype=bool)
-    in_s[[int(i) for i in S]] = True
-    good = np.zeros(n, dtype=bool)
-    for i in _topological_order(graph):
-        if in_s[i]:
-            good[i] = True
-            continue
-        preds = graph.parents[i]
-        good[i] = preds.size > 0 and bool(good[preds].all())
-    return _as_set(good)
+    return _dependence(S, graph, graph.parents, _topological_order(graph))
 
 
 def past_dependence(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D-(S): mirror of D+ on reversed edges."""
-    n = len(graph)
-    in_s = np.zeros(n, dtype=bool)
-    in_s[[int(i) for i in S]] = True
-    good = np.zeros(n, dtype=bool)
-    for i in _topological_order(graph)[::-1]:
-        if in_s[i]:
-            good[i] = True
-            continue
-        succs = graph.children[i]
-        good[i] = succs.size > 0 and bool(good[succs].all())
-    return _as_set(good)
+    return _dependence(S, graph, graph.children, _topological_order(graph)[::-1])
 
 
 def dependence_domain(S: Iterable[int], graph: CausalGraph) -> set[int]:

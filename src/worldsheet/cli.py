@@ -10,6 +10,9 @@ fields use 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,11 +22,13 @@ import numpy as np
 
 from . import causal as causal_mod
 from . import presets
-from .energy import EnergyBreakdown, assemble_JK
+from .energy import EnergyBreakdown, NonFiniteValueError, assemble_JK
 from .geometry import (
     GeometryError,
+    _signs,
     build_geometry,
     gauss_residual,
+    metric,
     minkowski_dot,
     normal_frame,
     weingarten_residual,
@@ -33,7 +38,7 @@ from .optimizer import PenaltyConfig, penalty_continuation
 
 SCHEMA_VERSION = 1
 
-KINDS = ("geometry_check", "energy_eval", "minimize", "causal")
+_QUERY_OPS = ("I+", "I-", "J+", "J-", "D+", "D-", "boundary", "achronal", "cauchy", "intercept")
 
 _KNOWN_KEYS = {
     "scenario": {"schema", "kind", "seed"},
@@ -145,9 +150,11 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
     if int(scn["schema"]) != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {scn['schema']} (expected {SCHEMA_VERSION})")
     kind = scn.get("kind", "")
-    if kind not in KINDS:
-        raise ScenarioError(f"scenario.kind must be one of {KINDS}, got {kind!r}")
+    if kind not in _RUNNERS:
+        raise ScenarioError(f"scenario.kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
     seed = int(scn.get("seed", "0"))
+    if seed < 0:
+        raise ScenarioError(f"scenario.seed must be >= 0, got {seed}")
     return Scenario(kind=kind, seed=seed, sections=sections, base_dir=p.parent)
 
 
@@ -245,9 +252,7 @@ def _tabulated_fields(path: Path, grid: ParameterGrid, phi0: complex, eps: float
     phi = np.full(grid.counts, phi0, dtype=complex)
     n = np.zeros_like(r)
     fields = FieldSet(r=r, phi=phi, n=n, r_bc=r.copy(), phi_bc=phi.copy(), eps=eps)
-    from .geometry import metric as metric_op
-
-    frame = normal_frame(metric_op(fields, grid), fields)
+    frame = normal_frame(metric(fields, grid), fields)
     fields.n[...] = frame.vectors[..., 0, :]
     fields.r_bc[...] = fields.r
     return fields
@@ -262,49 +267,37 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _run_geometry_check(sc: Scenario, out_dir: Path) -> int:
-    grid = build_scenario_grid(sc)
-    fields = build_scenario_fields(sc, grid)
+def _csv_text(rows: Sequence[tuple[str, str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("quantity", "value"), *rows])
+    return buf.getvalue()
+
+
+def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) -> int:
     try:
         geom = build_geometry(fields, grid, with_riemann=True, with_frame=True, require_unit_normal=True)
     except GeometryError as exc:
-        _write(out_dir / "geometry_report.csv", f"quantity,value\nerror,{exc}\n")
+        _write(out_dir / "geometry_report.csv", _csv_text([("error", str(exc))]))
         print(f"geometry_check failed: {exc}", file=sys.stderr)
         return 2
     g_res = gauss_residual(geom.riemann, geom.b, geom.b_up)
     w_res, _ = weingarten_residual(fields, grid, geom.b_up, geom.metric, geom.frame)
     eye = np.eye(grid.ndim)
     inv_res = float(np.max(np.abs(np.einsum("...jk,...kl->...jl", geom.g, geom.g_inv) - eye)))
-    frame_orth = float(
-        np.max(
-            np.abs(
-                np.einsum("...qa,...pa,a->...qp", geom.frame.vectors, geom.frame.vectors, np.r_[-1.0, np.ones(fields.n_ambient)])
-                - np.eye(geom.frame.vectors.shape[-2])
-            )
-        )
-    )
-    frame_tan = float(
-        np.max(np.abs(minkowski_dot(geom.frame.vectors[..., None, :, :], geom.tangents[..., :, None, :])))
-    )
-    rows = [
-        ("gauss_residual", g_res),
-        ("weingarten_residual", w_res),
-        ("metric_inverse_residual", inv_res),
-        ("frame_orthonormality_residual", frame_orth),
-        ("frame_tangency_residual", frame_tan),
-    ]
-    text = "quantity,value\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in rows)
-    _write(out_dir / "geometry_report.csv", text)
+    frame = geom.frame.vectors
+    gram = np.einsum("...qa,...pa,a->...qp", frame, frame, _signs(fields.r.shape[-1]))
+    frame_orth = float(np.max(np.abs(gram - np.eye(frame.shape[-2]))))
+    frame_tan = float(np.max(np.abs(minkowski_dot(frame[..., None, :, :], geom.tangents[..., :, None, :]))))
+    rows = [("gauss_residual", g_res), ("weingarten_residual", w_res), ("metric_inverse_residual", inv_res),
+            ("frame_orthonormality_residual", frame_orth), ("frame_tangency_residual", frame_tan)]
+    _write(out_dir / "geometry_report.csv", _csv_text([(k, _fmt(v)) for k, v in rows]))
     return 0
 
 
-def _run_energy_eval(sc: Scenario, out_dir: Path) -> int:
-    grid = build_scenario_grid(sc)
-    fields = build_scenario_fields(sc, grid)
-    K = float(sc.get("energy", "K", "0.0"))
+def _run_energy_eval(out_dir: Path, grid: ParameterGrid, fields: FieldSet, K: float) -> int:
     try:
         breakdown = assemble_JK(fields, grid, K)
-    except GeometryError as exc:
+    except (GeometryError, NonFiniteValueError) as exc:
         print(f"energy_eval failed: {exc}", file=sys.stderr)
         return 2
     text = EnergyBreakdown.csv_header() + "\n" + breakdown.csv_row() + "\n"
@@ -330,13 +323,13 @@ def _penalty_config(sc: Scenario) -> PenaltyConfig:
     return PenaltyConfig(**kwargs)
 
 
-def _run_minimize(sc: Scenario, out_dir: Path) -> int:
-    grid = build_scenario_grid(sc)
-    fields = build_scenario_fields(sc, grid)
-    cfg = _penalty_config(sc)
+def _run_minimize(
+    out_dir: Path, grid: ParameterGrid, fields: FieldSet, cfg: PenaltyConfig, slope_band: Optional[tuple[float, float]]
+) -> int:
+    """slope_band is set when optimizer.check_slope is on."""
     try:
         report = penalty_continuation(fields, grid, cfg)
-    except GeometryError as exc:
+    except (GeometryError, NonFiniteValueError) as exc:
         print(f"minimize failed: {exc}", file=sys.stderr)
         return 2
     csv_text = report.csv_header() + "\n" + "\n".join(report.csv_rows()) + "\n"
@@ -350,9 +343,8 @@ def _run_minimize(sc: Scenario, out_dir: Path) -> int:
         lines.append("stalled: yes")
 
     ok = not report.stalled
-    if _bool(sc.get("optimizer", "check_slope", "false")):
-        band = _floats(sc.get("optimizer", "slope_band", "-1.3,-0.7"))
-        lo, hi = min(band), max(band)
+    if slope_band is not None:
+        lo, hi = slope_band
         for name, slope in report.slopes.items():
             if slope is None:
                 lines.append(f"slope_check {name}: skipped (residual at machine zero)")
@@ -365,51 +357,81 @@ def _run_minimize(sc: Scenario, out_dir: Path) -> int:
     return 0 if ok else 2
 
 
-def _parse_queries(text: str) -> list[tuple[str, list[int]]]:
+def _causal_queries(sc: Scenario, n_events: int) -> list[tuple[str, list[int]]]:
+    """causal.queries as (op, indices); every op must be known and every index name one of the n_events events."""
     queries = []
-    for tok in text.split(";"):
+    for tok in sc.get("causal", "queries", "").split(";"):
         tok = tok.strip()
         if not tok:
             continue
         if ":" not in tok:
             raise ScenarioError(f"query {tok!r} is not of the form op:indices")
         op, idx = tok.split(":", 1)
+        op = op.strip()
         try:
-            queries.append((op.strip(), [int(v) for v in idx.split(",") if v.strip()]))
+            idx = [int(v) for v in idx.split(",") if v.strip()]
         except ValueError:
             raise ScenarioError(f"query {tok!r}: event indices must be integers") from None
-    return queries
-
-
-def _causal_queries(sc: Scenario, n_events: int) -> list[tuple[str, list[int]]]:
-    """causal.queries parsed; every event index must name one of the n_events events."""
-    queries = _parse_queries(sc.get("causal", "queries", ""))
-    for op, idx in queries:
+        if op not in _QUERY_OPS:
+            raise ScenarioError(f"unknown causal query op {op!r}")
         for i in idx:
             if not 0 <= i < n_events:
                 raise ScenarioError(
-                    f"query {op}:{','.join(str(v) for v in idx)}: event index {i} "
-                    f"outside 0..{n_events - 1}"
+                    f"query {op}:{','.join(str(v) for v in idx)}: event index {i} outside 0..{n_events - 1}"
                 )
+        queries.append((op, idx))
     return queries
 
 
-def _run_causal(sc: Scenario, out_dir: Path) -> int:
-    ev_file = sc.get("causal", "events")
-    if ev_file is None:
-        raise ScenarioError("causal.events is required")
-    path = sc.base_dir / ev_file
-    if not path.exists():
-        print(f"event file not found: {path}", file=sys.stderr)
-        return 1
-    events = causal_mod.load_events(path, c=float(sc.get("constants", "c", "1.0")))
-    radius = float(sc.get("causal", "radius", "1.0"))
-    queries = _causal_queries(sc, len(events))
-    graph = causal_mod.build_graph(events, radius)
-    seed = int(sc.get("causal", "seed", str(sc.seed)))
-    samples_raw = sc.get("causal", "samples")
-    samples = int(samples_raw) if samples_raw else None
+def _number(sc: Scenario, section: str, key: str, default: str, kind=float, positive: bool = False):
+    """A finite scenario number, > 0 when positive, else >= 0."""
+    text = sc.get(section, key, default)
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ScenarioError(f"{section}.{key} = {text!r} is not a valid {kind.__name__}") from None
+    if not (value > 0 if positive else value >= 0) or not math.isfinite(value):
+        raise ScenarioError(f"{section}.{key} = {text!r} must be finite and {'>' if positive else '>='} 0")
+    return value
 
+
+def _build_inputs(sc: Scenario) -> dict:
+    """Everything the scenario's kind reads, built, validated and keyed as its runner's arguments."""
+    if sc.kind == "causal":
+        ev_file = sc.get("causal", "events")
+        if ev_file is None:
+            raise ScenarioError("causal.events is required")
+        path = sc.base_dir / ev_file
+        if not path.exists():
+            raise ScenarioError(f"event file not found: {path}")
+        events = causal_mod.load_events(path, c=_number(sc, "constants", "c", "1.0", positive=True))
+        samples = sc.get("causal", "samples")
+        return dict(
+            events=events,
+            radius=_number(sc, "causal", "radius", "1.0", positive=True),
+            seed=_number(sc, "causal", "seed", str(sc.seed), int),
+            samples=_number(sc, "causal", "samples", samples, int, positive=True) if samples else None,
+            queries=_causal_queries(sc, len(events)),
+        )
+    grid = build_scenario_grid(sc)
+    inputs = dict(grid=grid, fields=build_scenario_fields(sc, grid))
+    if sc.kind == "energy_eval":
+        inputs["K"] = _number(sc, "energy", "K", "0.0")
+    if sc.kind == "minimize":
+        inputs["cfg"] = _penalty_config(sc)
+        inputs["slope_band"] = None
+        if _bool(sc.get("optimizer", "check_slope", "false")):
+            band = _floats(sc.get("optimizer", "slope_band", "-1.3,-0.7"))
+            if not band:
+                raise ScenarioError("optimizer.slope_band needs at least one value")
+            inputs["slope_band"] = (min(band), max(band))
+    return inputs
+
+
+def _run_causal(
+    out_dir: Path, events: causal_mod.EventSet, radius: float, seed: int, samples: Optional[int], queries: list
+) -> int:
+    graph = causal_mod.build_graph(events, radius)
     ops = {
         "I+": causal_mod.chronological_future,
         "I-": causal_mod.chronological_past,
@@ -422,81 +444,67 @@ def _run_causal(sc: Scenario, out_dir: Path) -> int:
     lines = []
     counts = []
     for op, idx in queries:
+        label = f"{op}:{','.join(str(i) for i in idx)} -> "
         if op in ops:
             result = sorted(ops[op](idx, graph))
-            lines.append(f"{op}:{','.join(str(i) for i in idx)} -> " + " ".join(str(i) for i in result))
+            lines.append(label + " ".join(str(i) for i in result))
             counts.append(f"{op}={len(result)}")
         elif op == "achronal":
             val = causal_mod.is_achronal(idx, graph)
-            lines.append(f"achronal:{','.join(str(i) for i in idx)} -> {str(val).lower()}")
+            lines.append(label + str(val).lower())
             counts.append(f"achronal={'1' if val else '0'}")
         elif op == "cauchy":
             verdict = causal_mod.is_cauchy_surface(idx, graph)
             answer = str(verdict.is_cauchy).lower()
             if not verdict.is_cauchy:
                 answer += f" witness={verdict.witness_kind}:{verdict.witness}"
-            lines.append(f"cauchy:{','.join(str(i) for i in idx)} -> {answer}")
+            lines.append(label + answer)
             counts.append(f"cauchy={'1' if verdict.is_cauchy else '0'}")
-        elif op == "intercept":
-            rep = causal_mod.intercept_check(idx, graph, samples=samples, seed=seed)
-            lines.append(
-                f"intercept:{','.join(str(i) for i in idx)} -> "
-                f"paths={rep.paths_checked} violations={len(rep.violations)}"
-            )
-            counts.append(f"intercept_violations={len(rep.violations)}")
         else:
-            raise ScenarioError(f"unknown causal query op {op!r}")
-    lines.append("summary: events=%d edges=%d %s" % (
-        len(graph),
-        sum(a.size for a in graph.children),
-        " ".join(counts),
-    ))
+            rep = causal_mod.intercept_check(idx, graph, samples=samples, seed=seed)
+            lines.append(label + f"paths={rep.paths_checked} violations={len(rep.violations)}")
+            counts.append(f"intercept_violations={len(rep.violations)}")
+    edges = sum(a.size for a in graph.children)
+    lines.append(f"summary: events={len(graph)} edges={edges} {' '.join(counts)}")
     _write(out_dir / "causal_report.txt", "\n".join(lines) + "\n")
     return 0
+
+
+_RUNNERS = {
+    "geometry_check": _run_geometry_check,
+    "energy_eval": _run_energy_eval,
+    "minimize": _run_minimize,
+    "causal": _run_causal,
+}
+
+
+def _load(scenario_path: str | Path, overrides: Sequence[str]) -> Optional[tuple[str, dict]]:
+    """The scenario's kind and runner inputs, or None once the input error is printed."""
+    try:
+        sc = load_scenario(scenario_path, overrides)
+        return sc.kind, _build_inputs(sc)
+    except (ScenarioError, GridError, OSError, ValueError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return None
 
 
 def run(scenario_path: str | Path, out_dir: str | Path, overrides: Sequence[str] = ()) -> int:
     """Execute a scenario; returns the process exit code.
 
-    0 on success, 2 on validation failures (degenerate geometry, stalled or
-    out-of-band slope fits), 1 on usage or I/O errors.
+    0 on success, 2 on validation failures (degenerate geometry, a non-finite
+    energy integrand, stalled or out-of-band slope fits), 1 on usage or I/O
+    errors.  Inputs are built and checked before any computation starts.
     """
-    try:
-        sc = load_scenario(scenario_path, overrides)
-    except (ScenarioError, OSError, ValueError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    loaded = _load(scenario_path, overrides)
+    if loaded is None:
         return 1
-    out = Path(out_dir)
-    try:
-        if sc.kind == "geometry_check":
-            return _run_geometry_check(sc, out)
-        if sc.kind == "energy_eval":
-            return _run_energy_eval(sc, out)
-        if sc.kind == "minimize":
-            return _run_minimize(sc, out)
-        return _run_causal(sc, out)
-    except (ScenarioError, GridError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
+    kind, inputs = loaded
+    return _RUNNERS[kind](Path(out_dir), **inputs)
 
 
 def check(scenario_path: str | Path, overrides: Sequence[str] = ()) -> int:
-    """Validate a scenario without running it."""
-    try:
-        sc = load_scenario(scenario_path, overrides)
-        if sc.kind in ("geometry_check", "energy_eval", "minimize"):
-            grid = build_scenario_grid(sc)
-            build_scenario_fields(sc, grid)
-            if sc.kind == "minimize":
-                _penalty_config(sc)
-        else:
-            ev_file = sc.get("causal", "events")
-            if ev_file is None or not (sc.base_dir / ev_file).exists():
-                raise ScenarioError(f"event file not found: {ev_file}")
-            events = causal_mod.load_events(sc.base_dir / ev_file, c=float(sc.get("constants", "c", "1.0")))
-            _causal_queries(sc, len(events))
-    except (ScenarioError, GridError, OSError, ValueError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    """Validate a scenario without running it: the same input step as run."""
+    if _load(scenario_path, overrides) is None:
         return 1
     print("scenario ok")
     return 0

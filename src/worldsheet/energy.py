@@ -10,6 +10,7 @@ action additionally carries sqrt(U).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,15 +144,79 @@ class EnergyBreakdown:
         return ",".join(f"{v:.17g}" for v in vals)
 
 
-def _curvature_density(geom: GeometryCache) -> np.ndarray:
+def _curvature_density(g_inv: np.ndarray, b: np.ndarray, b_up: np.ndarray) -> np.ndarray:
     """g^{jk} b_jl b^l_k per node."""
-    return np.einsum("...jk,...jl,...lk->...", geom.g_inv, geom.b, geom.b_up)
+    return np.einsum("...jk,...jl,...lk->...", g_inv, b, b_up)
+
+
+def _dirichlet_density(g_inv: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """Re g^{jk} dphi_j dphi*_k per node."""
+    return np.einsum("...jk,...j,...k->...", g_inv, dphi, np.conj(dphi)).real
+
+
+def _christoffel_density(phi, dphi, gamma, g_inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """re_pair_l gamma_c^l per node, with its factors re_pair_l = dphi_l phi* +
+    dphi*_l phi and gamma_c^l = Gamma^l_jk g^{jk}."""
+    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
+    gamma_c = np.einsum("...ljk,...jk->...l", gamma, g_inv)
+    return np.einsum("...l,...l->...", re_pair, gamma_c), re_pair, gamma_c
+
+
+def _constraint_densities(phi_sq, n, geom: GeometryCache, grid: ParameterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slice masses int_{D_1} |phi|^2 sqrt(-g), dr/du_j . n and n.n: the penalty factors."""
+    dots = np.einsum("...ja,...a,a->...j", geom.tangents, n, _signs(n.shape[-1]))
+    return slice_masses(phi_sq * geom.sqrt_neg_g, grid), dots, minkowski_dot(n, n)
+
+
+# Every per-node density of J_K on one configuration, formed once by _densities.
+_Densities = namedtuple("_Densities", "phi_sq curvature dirichlet christoffel re_pair gamma_c mass dots nn")
+
+
+def _densities(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> _Densities:
+    phi_sq = np.abs(fields.phi) ** 2
+    curvature = _curvature_density(geom.g_inv, geom.b, geom.b_up)
+    christoffel = _christoffel_density(fields.phi, geom.dphi, geom.gamma, geom.g_inv)
+    penalty = _constraint_densities(phi_sq, fields.n, geom, grid)
+    return _Densities(phi_sq, curvature, _dirichlet_density(geom.g_inv, geom.dphi), *christoffel, *penalty)
+
+
+# The integrals of the densities against a volume weight w: sqrt(-g) on the
+# parameter grid, sqrt(-g) sqrt(U) on a chart grid.
+def _j1(phi_sq, curvature, w, grid: ParameterGrid) -> float:
+    return 0.5 * quadrature(phi_sq * curvature * w, grid)
+
+
+def _j2(dirichlet, christoffel, w, grid: ParameterGrid) -> tuple[float, float]:
+    return 0.5 * quadrature(dirichlet * w, grid), 0.25 * quadrature(christoffel * w, grid)
+
+
+def _penalties(mass, dots, nn, w, grid: ParameterGrid) -> tuple[float, float, float]:
+    norm = time_integral((mass - 1.0) ** 2, grid)
+    orth = quadrature(np.sum(dots**2, axis=-1) * w, grid)
+    unit = quadrature((nn - 1.0) ** 2 * w, grid)
+    return norm, orth, unit
+
+
+def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float) -> EnergyBreakdown:
+    """J_K from its densities; a non-finite integrand raises NonFiniteValueError naming the node."""
+    if K < 0:
+        raise ValueError(f"penalty weight K must be >= 0, got {K}")
+    w = geom.sqrt_neg_g
+    j1 = _j1(d.phi_sq, d.curvature, w, grid)
+    j2d, j2c = _j2(d.dirichlet, d.christoffel, w, grid)
+    p_norm, p_orth, p_unit = _penalties(d.mass, d.dots, d.nn, w, grid)
+    total_J = j1 + j2d + j2c
+    return EnergyBreakdown(
+        kinetic=0.0, j1_curvature=j1, j2_dirichlet=j2d, j2_christoffel=j2c,
+        penalty_norm=p_norm, penalty_orth=p_orth, penalty_unit=p_unit,
+        total_J=total_J, total_JK=total_J + 0.5 * K * (p_norm + p_orth + p_unit), K=float(K),
+    )
 
 
 def j1_curvature_energy(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> float:
     """(1/2) integral of |phi|^2 g^{jk} b_jl b^l_k sqrt(-g)."""
-    dens = np.abs(fields.phi) ** 2 * _curvature_density(geom) * geom.sqrt_neg_g
-    return 0.5 * quadrature(dens, grid)
+    curvature = _curvature_density(geom.g_inv, geom.b, geom.b_up)
+    return _j1(np.abs(fields.phi) ** 2, curvature, geom.sqrt_neg_g, grid)
 
 
 def s_tensor(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> np.ndarray:
@@ -183,15 +248,8 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
 
     phi must be the amplitude geom was built from (dphi is read from geom).
     """
-    dphi = geom.dphi
-    dens_d = np.einsum("...jk,...j,...k->...", geom.g_inv, dphi, np.conj(dphi)).real
-    dirichlet = 0.5 * quadrature(dens_d * geom.sqrt_neg_g, grid)
-
-    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real  # dphi_l phi* + dphi*_l phi
-    gamma_c = np.einsum("...ljk,...jk->...l", geom.gamma, geom.g_inv)
-    dens_c = np.einsum("...l,...l->...", re_pair, gamma_c)
-    christoffel = 0.25 * quadrature(dens_c * geom.sqrt_neg_g, grid)
-    return dirichlet, christoffel
+    christoffel = _christoffel_density(phi, geom.dphi, geom.gamma, geom.g_inv)[0]
+    return _j2(_dirichlet_density(geom.g_inv, geom.dphi), christoffel, geom.sqrt_neg_g, grid)
 
 
 def reduced_action(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> float:
@@ -210,16 +268,8 @@ def penalty_terms(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) ->
 
     The volume weight is sqrt(-g) uniformly in all three terms.
     """
-    mass = slice_masses(np.abs(fields.phi) ** 2 * geom.sqrt_neg_g, grid)
-    norm = time_integral((mass - 1.0) ** 2, grid)
-
-    signs = _signs(fields.r.shape[-1])
-    dots = np.einsum("...ja,...a,a->...j", geom.tangents, fields.n, signs)
-    orth = quadrature(np.sum(dots**2, axis=-1) * geom.sqrt_neg_g, grid)
-
-    nn = minkowski_dot(fields.n, fields.n)
-    unit = quadrature((nn - 1.0) ** 2 * geom.sqrt_neg_g, grid)
-    return norm, orth, unit
+    factors = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
+    return _penalties(*factors, geom.sqrt_neg_g, grid)
 
 
 def assemble_JK(
@@ -234,27 +284,9 @@ def assemble_JK(
     singular_tol is the metric-degeneracy threshold below which the
     configuration is rejected as outside the admissible set.
     """
-    if K < 0:
-        raise ValueError(f"penalty weight K must be >= 0, got {K}")
     if geom is None:
         geom = build_geometry(fields, grid, singular_tol=singular_tol)
-    j1 = j1_curvature_energy(fields, geom, grid)
-    j2d, j2c = j2_energy(fields.phi, geom, grid)
-    p_norm, p_orth, p_unit = penalty_terms(fields, geom, grid)
-    total_J = j1 + j2d + j2c
-    total_JK = total_J + 0.5 * K * (p_norm + p_orth + p_unit)
-    return EnergyBreakdown(
-        kinetic=0.0,
-        j1_curvature=j1,
-        j2_dirichlet=j2d,
-        j2_christoffel=j2c,
-        penalty_norm=p_norm,
-        penalty_orth=p_orth,
-        penalty_unit=p_unit,
-        total_J=total_J,
-        total_JK=total_JK,
-        K=float(K),
-    )
+    return _breakdown(_densities(fields, geom, grid), geom, grid, K)
 
 
 def backward_JK(
@@ -273,28 +305,23 @@ def backward_JK(
     transposed stencils.  Returns (dJ/dr, dJ/dphi, dJ/dn) in node-field
     shapes, boundary nodes included; the phi entry is dJ/d(Re phi) +
     i dJ/d(Im phi).
+
+    The densities are integrated as assemble_JK integrates them first, so a
+    non-finite integrand raises NonFiniteValueError naming the node.
     """
     phi, n = fields.phi, fields.n
     signs = _signs(fields.r.shape[-1])
     tangents, d2r, gamma = geom.tangents, geom.d2r, geom.gamma
     g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, geom.dphi, geom.sqrt_neg_g
+    d = _densities(fields, geom, grid)
+    _breakdown(d, geom, grid, K)
+    phi_sq, curv, re_pair, gamma_c, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.gamma_c, d.dots, d.nn
     rule = _rule(grid)
     w = rule.node_weights * sq
-
-    # Forward per-node densities, as assemble_JK forms them.
-    phi_sq = np.abs(phi) ** 2
-    curv = _curvature_density(geom)
-    dens_d = np.einsum("...jk,...j,...k->...", g_inv, dphi, np.conj(dphi)).real
-    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
-    gamma_c = np.einsum("...ljk,...jk->...l", gamma, g_inv)
-    dens_c = np.einsum("...l,...l->...", re_pair, gamma_c)
-    dots = np.einsum("...ja,...a,a->...j", tangents, n, signs)
-    nn = minkowski_dot(n, n)
-    mass = slice_masses(phi_sq * sq, grid)
     # d[(K/2) norm] / d(|phi|^2 sqrt(-g)) per node.
-    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (mass - 1.0), _spatial_weights(grid))
+    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), _spatial_weights(grid))
 
-    dens = 0.5 * phi_sq * curv + 0.5 * dens_d + 0.25 * dens_c
+    dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
     dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
     bar_sq = rule.node_weights * dens + mass_w * phi_sq
     bar_phi = 2.0 * (0.5 * curv * w + mass_w * sq) * phi
@@ -361,10 +388,14 @@ def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCa
     """
     if geom is None:
         geom = build_geometry(fields, grid)
-    mass = slice_masses(np.abs(fields.phi) ** 2 * geom.sqrt_neg_g, grid)
-    res_norm = time_integral(np.abs(mass - 1.0), grid)
-    _, p_orth, p_unit = penalty_terms(fields, geom, grid)
-    return res_norm, float(np.sqrt(p_orth)), float(np.sqrt(p_unit))
+    mass, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
+    _, p_orth, p_unit = _penalties(mass, dots, nn, geom.sqrt_neg_g, grid)
+    return _residuals(mass, p_orth, p_unit, grid)
+
+
+def _residuals(mass: np.ndarray, p_orth: float, p_unit: float, grid: ParameterGrid) -> tuple[float, float, float]:
+    """constraint_residuals from the slice masses and the orth and unit penalties."""
+    return time_integral(np.abs(mass - 1.0), grid), float(np.sqrt(p_orth)), float(np.sqrt(p_unit))
 
 
 def _chart_fields(
@@ -394,8 +425,12 @@ def kinetic_energy(
 
     The motion must be time-like: -g_jk udot_j udot_k > 0 at every chart node.
     """
-    geom = build_geometry(fields, grid)
-    at = _chart_fields(fields, grid, chart, geom)
+    at = _chart_fields(fields, grid, chart, build_geometry(fields, grid))
+    return _kinetic(at, chart, cmetric, mass, c)
+
+
+def _kinetic(at: dict[str, np.ndarray], chart: ChartMap, cmetric: ChartMetric, mass: float, c: float) -> float:
+    """kinetic_energy on the chart-interpolated factors of _chart_fields."""
     udot = chart.derivatives()[..., 0, :]
     speed_sq = -np.einsum("...jk,...j,...k->...", at["g"], udot, udot)
     bad = speed_sq <= 0.0
@@ -428,47 +463,38 @@ def full_action(
     E may be a scalar or a per-time-slice array; lam_tangent a scalar or a
     length m+1 vector; lam_unit a scalar or per-chart-node array.  None of the
     multipliers are ever optimized over.
+
+    The curvature density, dr/du_j . n and n.n are formed on nodes and then
+    interpolated; the Dirichlet and Christoffel densities are formed from the
+    interpolated g^{-1}, dphi, phi and Gamma.
     """
     geom = build_geometry(fields, grid)
     cmetric = chart_metric(chart)
-    kin = kinetic_energy(fields, grid, chart, cmetric, mass, c)
+    at = _chart_fields(fields, grid, chart, geom)
+    kin = _kinetic(at, chart, cmetric, mass, c)
 
     pts = chart.u
-    weight = interpolate(grid, geom.sqrt_neg_g, pts) * cmetric.sqrt_U
-    phi_sq = interpolate(grid, np.abs(fields.phi) ** 2, pts)
+    weight = at["sqrt_neg_g"] * cmetric.sqrt_U
+    phi_sq = at["phi_sq"]
+    curvature = interpolate(grid, _curvature_density(geom.g_inv, geom.b, geom.b_up), pts)
+    j1 = _j1(phi_sq, curvature, weight, chart.grid)
 
     g_inv_c = interpolate(grid, geom.g_inv, pts)
     dphi_c = interpolate(grid, geom.dphi, pts)
     phi_c = interpolate(grid, fields.phi, pts)
-    gamma_c = interpolate(grid, geom.gamma, pts)
-
-    curv = interpolate(grid, _curvature_density(geom), pts)
-    j1 = 0.5 * quadrature(phi_sq * curv * weight, chart.grid)
-
-    dens_d = np.einsum("...jk,...j,...k->...", g_inv_c, dphi_c, np.conj(dphi_c)).real
-    j2d = 0.5 * quadrature(dens_d * weight, chart.grid)
-
-    re_pair = 2.0 * (dphi_c * np.conj(phi_c)[..., None]).real
-    gamma_tr = np.einsum("...ljk,...jk->...l", gamma_c, g_inv_c)
-    dens_c = np.einsum("...l,...l->...", re_pair, gamma_tr)
-    j2c = 0.25 * quadrature(dens_c * weight, chart.grid)
+    christoffel = _christoffel_density(phi_c, dphi_c, interpolate(grid, geom.gamma, pts), g_inv_c)[0]
+    j2d, j2c = _j2(_dirichlet_density(g_inv_c, dphi_c), christoffel, weight, chart.grid)
 
     # Normalization multiplier: spatial mass per lab-time slice on the chart.
-    rule = _rule(chart.grid)
-    w_sp = np.ones(())
-    for axw in rule.axis_weights[1:]:
-        w_sp = np.multiply.outer(w_sp, axw)
-    mass_t = np.sum(phi_sq * weight * w_sp, axis=(1, 2, 3))
+    mass_t = slice_masses(phi_sq * weight, chart.grid)
     e_arr = np.broadcast_to(np.asarray(E, dtype=float), mass_t.shape)
-    e_term = -float(np.sum(e_arr * (mass_t - 1.0) * rule.axis_weights[0]))
+    e_term = -time_integral(e_arr * (mass_t - 1.0), chart.grid)
 
-    signs = _signs(fields.r.shape[-1])
-    dots = np.einsum("...ja,...a,a->...j", geom.tangents, fields.n, signs)
+    _, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
     dots_c = interpolate(grid, dots, pts)
     lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots_c.shape[-1:])
     orth_term = quadrature(np.einsum("...j,j->...", dots_c, lam_t) * weight, chart.grid)
 
-    nn = minkowski_dot(fields.n, fields.n)
     nn_c = interpolate(grid, np.asarray(nn), pts)
     lam_u = np.asarray(lam_unit, dtype=float)
     unit_term = quadrature(lam_u * (nn_c - 1.0) * weight, chart.grid)

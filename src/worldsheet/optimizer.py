@@ -16,8 +16,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import FieldSet, ParameterGrid, apply_boundary, finite_difference
-from .geometry import GeometryError, build_geometry, minkowski_dot, _signs
-from .energy import NonFiniteValueError, assemble_JK, backward_JK, constraint_residuals, slice_masses
+from .geometry import GeometryError, build_geometry, _signs
+from .energy import (
+    NonFiniteValueError,
+    _constraint_densities,
+    _curvature_density,
+    _residuals,
+    assemble_JK,
+    backward_JK,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -189,11 +196,9 @@ def gradient_JK(
     """
     try:
         geom = build_geometry(fields, grid, singular_tol=singular_tol)
-        # Only its checks are needed: a non-finite integrand raises, naming the node.
-        assemble_JK(fields, grid, K, geom=geom)
+        d_r, d_phi, d_n = backward_JK(fields, grid, K, geom)
     except (GeometryError, NonFiniteValueError) as exc:
         raise GradientProbeError(f"J_K not evaluable: {exc}") from exc
-    d_r, d_phi, d_n = backward_JK(fields, grid, K, geom)
     zero = grid.boundary_mask
     grad = FieldSet(
         r=d_r if "r" in kinds else np.zeros_like(fields.r),
@@ -272,9 +277,8 @@ def minimize_fixed_K(
 
     geom = build_geometry(x, grid, singular_tol=cfg.singular_tol)
     breakdown = assemble_JK(x, grid, K, geom=geom)
-    res_norm, res_orth, res_unit = constraint_residuals(x, grid, geom=geom)
-    mass = slice_masses(np.abs(x.phi) ** 2 * geom.sqrt_neg_g, grid)
-    nn = minkowski_dot(x.n, x.n)
+    mass, _, nn = _constraint_densities(np.abs(x.phi) ** 2, x.n, geom, grid)
+    res_norm, res_orth, res_unit = _residuals(mass, breakdown.penalty_orth, breakdown.penalty_unit, grid)
     record = KRecord(
         K=float(K),
         iterations=iters,
@@ -326,14 +330,9 @@ def penalty_continuation(
         records.append(rec)
 
     slopes: dict[str, Optional[float]] = {}
-    for name, getter in (
-        ("norm", lambda r: r.res_norm),
-        ("orth", lambda r: r.res_orth),
-        ("unit", lambda r: r.res_unit),
-    ):
-        ks = [rec.K for rec in records if getter(rec) > 1e-12]
-        rs = [getter(rec) for rec in records if getter(rec) > 1e-12]
-        slopes[name] = fit_loglog_slope(ks, rs) if len(ks) >= 2 else None
+    for name in ("norm", "orth", "unit"):
+        kept = [(rec.K, getattr(rec, "res_" + name)) for rec in records if getattr(rec, "res_" + name) > 1e-12]
+        slopes[name] = fit_loglog_slope(*zip(*kept)) if len(kept) >= 2 else None
     return MinimizeReport(
         records=records, slopes=slopes, theorem_range_notice=notice, final_fields=x
     )
@@ -382,7 +381,7 @@ def coercivity_check(
     margin_a = eigs[..., 0] - c0
     node_a = tuple(int(i) for i in np.unravel_index(np.argmin(margin_a), grid.counts))
 
-    lhs = np.abs(fields.phi) ** 2 * np.einsum("...jk,...jl,...lk->...", geom.g_inv, geom.b, geom.b_up)
+    lhs = np.abs(fields.phi) ** 2 * _curvature_density(geom.g_inv, geom.b, geom.b_up)
     dn = np.stack([finite_difference(fields.n, grid, axis=j) for j in range(grid.ndim)], axis=-2)
     signs = _signs(fields.n.shape[-1])
     dn_sq = np.einsum("...ja,...ja,a->...", dn, dn, signs)

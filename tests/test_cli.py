@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -143,10 +145,55 @@ def test_geometry_check_non_unit_normal_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.run(SCENARIOS / "energy_flat.scn", out, overrides=["scenario.kind=geometry_check"])
     assert code == 2
-    lines = (out / "geometry_report.csv").read_text().splitlines()
-    assert lines[0] == "quantity,value"
-    assert lines[1].startswith("error,normal is not unit at node (1, 1)")
-    assert "Traceback" not in capsys.readouterr().err
+    rows = list(csv.reader(io.StringIO((out / "geometry_report.csv").read_text())))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    message = err.strip().removeprefix("geometry_check failed: ")
+    assert message.startswith("normal is not unit at node (1, 1)")
+    assert rows == [["quantity", "value"], ["error", message]]
+
+
+def test_energy_eval_non_finite_integrand_exits_2(tmp_path, capsys):
+    code = cli.run(SCENARIOS / "energy_flat.scn", tmp_path / "out", overrides=["fields.phi0=nan"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["energy_eval failed: non-finite integrand at node (0, 0)"]
+
+
+# Inputs that are read only once the computation starts: each must fail in
+# the shared input step, under run and check alike.  (scenario, overrides,
+# event file text or None for the scenario's own)
+BAD_INPUTS = {
+    "duplicate_event": ("causal_grid.scn", [], "0 0\n1 0\n0 0\n"),
+    "non_finite_event": ("causal_grid.scn", [], "0 0\n1 nan\n"),
+    "radius_zero": ("causal_grid.scn", ["causal.radius=0"], None),
+    "radius_text": ("causal_grid.scn", ["causal.radius=abc"], None),
+    "samples_text": ("causal_grid.scn", ["causal.samples=abc"], None),
+    "seed_text": ("causal_grid.scn", ["causal.seed=x"], None),
+    "step_init_negative": ("minimize_perturbed.scn", ["optimizer.step_init=-1"], None),
+    "optimize_fields_unknown": ("minimize_perturbed.scn", ["optimizer.optimize_fields=q"], None),
+    "K_negative": ("energy_flat.scn", ["energy.K=-1"], None),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, case, command):
+    name, overrides, events = BAD_INPUTS[case]
+    scenario = SCENARIOS / name
+    if events is not None:
+        (tmp_path / "events.txt").write_text(events)
+        scenario = write(tmp_path, scenario.read_text().replace("events_flat.txt", "events.txt"))
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    out = tmp_path / "out"
+    argv = ["run", str(scenario), "--out", str(out)] if command == "run" else ["check", str(scenario)]
+    assert cli.main(argv + sets) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("scenario error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("query, index", [("I+:-1", "-1"), ("J+:999", "999")])

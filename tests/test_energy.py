@@ -315,6 +315,29 @@ def test_full_action_multiplier_terms_vanish_on_admissible():
     assert abs(loaded - base) < 1e-12 * max(1.0, abs(base))
 
 
+def test_full_action_multiplier_terms_off_admissible():
+    # Identity chart at c = 1 over the unit box: sqrt(U) = sqrt(-g) = 1 on a
+    # flat sheet, so each multiplier term integrates its constraint exactly.
+    chart, pg = identity_chart(1.0)
+    s, a, tau, E, lam_u = 1.3, 1.2, 0.3, 3.7, -4.1
+    lam_t = np.array([2.2, 0.5, -0.7, 1.1])
+
+    def term(f, **multipliers):
+        return full_action(f, pg, chart, mass=1.0, c=1.0, **multipliers) - full_action(f, pg, chart, mass=1.0, c=1.0)
+
+    # Slice mass s^2 on every lab-time slice: -int E (s^2 - 1) dt.
+    f = presets.flat(pg, n_ambient=4, phi0=s)
+    assert abs(term(f, E=E) - (-E * (s**2 - 1.0))) < 1e-12
+    # n = a e_4: n.n - 1 = a^2 - 1 everywhere.
+    f = presets.flat(pg, n_ambient=4)
+    f.n *= a
+    assert abs(term(f, lam_unit=lam_u) - lam_u * (a**2 - 1.0)) < 1e-12
+    # n = e_4 + tau e_0: dr/du_0 . n = -tau, and dr/du_j . n = 0 for j >= 1.
+    f = presets.flat(pg, n_ambient=4)
+    f.n[..., 0] = tau
+    assert abs(term(f, lam_tangent=lam_t) - (-lam_t[0] * tau)) < 1e-12
+
+
 def test_full_action_zero_multipliers_default():
     c = 1.0
     chart, pg = identity_chart(c)
