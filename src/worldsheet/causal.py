@@ -19,6 +19,7 @@ tolerance there.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -123,7 +124,9 @@ class CausalGraph:
         return len(self.events)
 
     def is_edge(self, i: int, j: int) -> bool:
-        return bool(np.isin(j, self.children[i]).item())
+        row = self.children[i]
+        k = np.searchsorted(row, j)
+        return bool(k < row.size and row[k] == j)
 
     def sources(self) -> list[int]:
         return [i for i in range(len(self)) if self.parents[i].size == 0]
@@ -133,40 +136,60 @@ class CausalGraph:
 
 
 def build_graph(events: EventSet, radius: float) -> CausalGraph:
-    """Connect p -> q when q is within the Euclidean radius and causally future of p."""
+    """Connect p -> q when q is within the Euclidean radius and causally future of p.
+
+    Candidates come from a uniform cell list (Allen & Tildesley), never an n x n
+    array: time O(n * occupancy), memory O(n + edges).
+    """
     if radius <= 0:
         raise ValueError("neighbor radius must be > 0")
     ev = events.events
-    n = len(events)
+    n, dim = ev.shape
     c = events.c
-    dt = ev[None, :, 0] - ev[:, None, 0]
-    dx = ev[None, :, 1:] - ev[:, None, 1:]
-    xpart = np.einsum("ijk,ijk->ij", dx, dx)
-    tpart = (c * dt) ** 2
-    eucl_sq = dt**2 + xpart
-    scale = tpart + xpart
-    interval = xpart - tpart
-    with np.errstate(invalid="ignore"):
-        near = eucl_sq <= radius * radius
-        future = dt > 0
-        is_null = np.abs(interval) <= NULL_TOL * scale
-        is_timelike = ~is_null & (interval < 0)
-    t_edges = near & future & is_timelike
-    n_edges = near & future & is_null
-    timelike_children = [np.flatnonzero(t_edges[i]) for i in range(n)]
-    null_children = [np.flatnonzero(n_edges[i]) for i in range(n)]
-    children = [np.flatnonzero(t_edges[i] | n_edges[i]) for i in range(n)]
-    timelike_parents = [np.flatnonzero(t_edges[:, i]) for i in range(n)]
-    parents = [np.flatnonzero(t_edges[:, i] | n_edges[:, i]) for i in range(n)]
+    rel = ev - ev.min(axis=0, initial=np.inf)
+    span = float(rel.max(initial=0.0))
+    # A hair wider than radius and the rounding of rel / side, so a pair within radius is never
+    # two cells apart; a spread over 2**62 cells gets wider cells, which only adds candidates.
+    side = max(radius * (1 + 1e-9) + 1e-14 * span, span / (2 ** (62 / dim) - 3))
+    cell = np.floor(rel / side).astype(np.int64) + 1
+    shape = cell.max(axis=0, initial=0) + 2  # a free layer of cells on each side
+    strides = np.cumprod(np.r_[shape[1:], 1][::-1])[::-1]
+    key = cell @ strides
+    order = np.argsort(key, kind="stable")
+    key, ev = key[order], ev[order]  # events in cell order: a cell's candidates are contiguous
+    found = []
+    # Children are later, so only neighbour cells at time offset 0 or +1 are searched.
+    for off in np.array(list(itertools.product((0, 1), *[(-1, 0, 1)] * (dim - 1)))) @ strides:
+        start = np.searchsorted(key, key + off, "left")
+        count = np.searchsorted(key, key + off, "right") - start
+        i = np.repeat(np.arange(n), count)
+        j = np.arange(i.size) + np.repeat(start - np.cumsum(count) + count, count)
+        d = ev.take(j, axis=0) - ev.take(i, axis=0)
+        dt, dx = d[:, 0], d[:, 1:]
+        xpart = np.einsum("ik,ik->i", dx, dx)
+        tpart = (c * dt) ** 2
+        interval = xpart - tpart
+        is_null = np.abs(interval) <= NULL_TOL * (tpart + xpart)
+        edge = (dt**2 + xpart <= radius * radius) & (dt > 0) & (is_null | (interval < 0))
+        found.append((order[i[edge]], order[j[edge]], is_null[edge]))
+    src, dst, null = (np.concatenate(a) for a in zip(*found))
     return CausalGraph(
         events=events,
         neighbor_radius=float(radius),
-        timelike_children=timelike_children,
-        null_children=null_children,
-        children=children,
-        timelike_parents=timelike_parents,
-        parents=parents,
+        timelike_children=_rows(src[~null], dst[~null], n),
+        null_children=_rows(src[null], dst[null], n),
+        children=_rows(src, dst, n),
+        timelike_parents=_rows(dst[~null], src[~null], n),
+        parents=_rows(dst, src, n),
     )
+
+
+def _rows(heads: np.ndarray, tails: np.ndarray, n: int) -> list[np.ndarray]:
+    """For each of the n events, the tails of its edges heads -> tails, sorted by index."""
+    order = np.argsort(heads * n + tails)
+    bounds = np.searchsorted(heads[order], np.arange(n + 1)).tolist()
+    tails = tails[order]
+    return [tails[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _reach(S: Iterable[int], adjacency: list[np.ndarray], include_seeds: bool) -> set[int]:
@@ -314,6 +337,14 @@ def is_cauchy_surface(sigma: Iterable[int], graph: CausalGraph) -> CauchyResult:
     return CauchyResult(True)
 
 
+class NotCauchySurfaceError(ValueError):
+    """intercept_check was given a set that is not a Cauchy surface."""
+
+
+class PathLimitError(RuntimeError):
+    """An exhaustive intercept_check found more maximal paths than its limit."""
+
+
 @dataclass
 class InterceptReport:
     paths_checked: int
@@ -328,25 +359,25 @@ def _iter_maximal_paths(graph: CausalGraph, limit: int):
     """All maximal causal paths (source to sink), depth-first, index order."""
     count = 0
     for src in graph.sources():
-        stack: list[tuple[int, list[int]]] = [(src, [src])]
+        stack = [(src, 0)]  # (node, depth): path[depth - 1] is the node's parent
+        path: list[int] = []
         while stack:
-            node, path = stack.pop()
+            node, depth = stack.pop()
+            del path[depth:]
+            path.append(node)
             succs = graph.children[node]
             if succs.size == 0:
                 count += 1
                 if count > limit:
-                    raise RuntimeError(
-                        f"more than {limit} maximal paths; use sampling instead"
-                    )
+                    raise PathLimitError(f"more than {limit} maximal paths; use sampling instead")
                 yield tuple(path)
                 continue
-            for j in succs[::-1]:
-                stack.append((int(j), path + [int(j)]))
+            stack.extend((int(j), depth + 1) for j in succs[::-1])
 
 
-def sample_maximal_path(graph: CausalGraph, rng: np.random.Generator) -> tuple[int, ...]:
-    """One maximal causal path drawn by a uniform forward walk from a random source."""
-    sources = graph.sources()
+def sample_maximal_path(graph: CausalGraph, rng: np.random.Generator, sources=None) -> tuple[int, ...]:
+    """One maximal causal path by a uniform forward walk from a random source (graph.sources() if None)."""
+    sources = graph.sources() if sources is None else sources
     node = int(sources[rng.integers(len(sources))])
     path = [node]
     while graph.children[node].size > 0:
@@ -371,7 +402,7 @@ def intercept_check(
     s_set = set(int(i) for i in sigma)
     verdict = is_cauchy_surface(s_set, graph)
     if not verdict.is_cauchy:
-        raise ValueError(
+        raise NotCauchySurfaceError(
             f"intercept_check precondition failed: sigma is not a Cauchy surface "
             f"({verdict.witness_kind} witness {verdict.witness})"
         )
@@ -398,8 +429,9 @@ def intercept_check(
                 violations.append((path, miss))
     else:
         rng = np.random.default_rng(seed)
+        sources = graph.sources()
         for _ in range(samples):
-            path = sample_maximal_path(graph, rng)
+            path = sample_maximal_path(graph, rng, sources)
             checked += 1
             miss = check(path)
             if miss:

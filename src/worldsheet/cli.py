@@ -310,10 +310,12 @@ def _penalty_config(sc: Scenario) -> PenaltyConfig:
     sched = sc.get("optimizer", "K_schedule")
     if sched:
         kwargs["k_schedule"] = tuple(_floats(sched))
+        if not all(math.isfinite(k) for k in kwargs["k_schedule"]):
+            raise ScenarioError(f"optimizer.K_schedule = {sched!r} must be finite")
     for name in ("step_init", "armijo_c", "backtrack", "grad_tol", "singular_tol"):
         val = sc.get("optimizer", name)
         if val:
-            kwargs[name] = float(val)
+            kwargs[name] = _number(sc, "optimizer", name, val, positive=True)
     iters = sc.get("optimizer", "max_iters")
     if iters:
         kwargs["max_iters"] = int(iters)
@@ -461,7 +463,11 @@ def _run_causal(
             lines.append(label + answer)
             counts.append(f"cauchy={'1' if verdict.is_cauchy else '0'}")
         else:
-            rep = causal_mod.intercept_check(idx, graph, samples=samples, seed=seed)
+            try:
+                rep = causal_mod.intercept_check(idx, graph, samples=samples, seed=seed)
+            except (causal_mod.NotCauchySurfaceError, causal_mod.PathLimitError) as exc:
+                print(f"causal query {label.removesuffix(' -> ')} failed: {exc}", file=sys.stderr)
+                return 2
             lines.append(label + f"paths={rep.paths_checked} violations={len(rep.violations)}")
             counts.append(f"intercept_violations={len(rep.violations)}")
     edges = sum(a.size for a in graph.children)

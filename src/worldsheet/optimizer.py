@@ -50,11 +50,11 @@ class PenaltyConfig:
 
     def __post_init__(self):
         ks = self.k_schedule
-        if not ks or any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] <= 0:
-            raise ValueError("k_schedule must be positive and strictly increasing")
-        for name in ("step_init", "armijo_c", "backtrack", "grad_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if not ks or not all(0 < k < np.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValueError("k_schedule must be finite, positive and strictly increasing")
+        for name in ("step_init", "armijo_c", "backtrack", "grad_tol", "singular_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0 < self.armijo_c < 1 or not 0 < self.backtrack < 1:
             raise ValueError("armijo_c and backtrack must lie in (0, 1)")
         bad = set(self.optimize_fields) - {"r", "phi", "n"}

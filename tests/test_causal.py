@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from worldsheet.causal import (
     CausalGraph,
     EventSet,
+    NULL_TOL,
     IntervalKind,
+    NotCauchySurfaceError,
+    PathLimitError,
     build_graph,
     causal_future,
     causal_past,
@@ -24,7 +29,45 @@ from worldsheet.causal import (
     past_dependence,
     pasts,
     sample_maximal_path,
+    _iter_maximal_paths,
 )
+
+
+def dense_build_graph(events: EventSet, radius: float) -> CausalGraph:
+    """The all-pairs build that build_graph replaced, kept as its oracle."""
+    if radius <= 0:
+        raise ValueError("neighbor radius must be > 0")
+    ev = events.events
+    n = len(events)
+    c = events.c
+    dt = ev[None, :, 0] - ev[:, None, 0]
+    dx = ev[None, :, 1:] - ev[:, None, 1:]
+    xpart = np.einsum("ijk,ijk->ij", dx, dx)
+    tpart = (c * dt) ** 2
+    eucl_sq = dt**2 + xpart
+    scale = tpart + xpart
+    interval = xpart - tpart
+    with np.errstate(invalid="ignore"):
+        near = eucl_sq <= radius * radius
+        future = dt > 0
+        is_null = np.abs(interval) <= NULL_TOL * scale
+        is_timelike = ~is_null & (interval < 0)
+    t_edges = near & future & is_timelike
+    n_edges = near & future & is_null
+    timelike_children = [np.flatnonzero(t_edges[i]) for i in range(n)]
+    null_children = [np.flatnonzero(n_edges[i]) for i in range(n)]
+    children = [np.flatnonzero(t_edges[i] | n_edges[i]) for i in range(n)]
+    timelike_parents = [np.flatnonzero(t_edges[:, i]) for i in range(n)]
+    parents = [np.flatnonzero(t_edges[:, i] | n_edges[:, i]) for i in range(n)]
+    return CausalGraph(
+        events=events,
+        neighbor_radius=float(radius),
+        timelike_children=timelike_children,
+        null_children=null_children,
+        children=children,
+        timelike_parents=timelike_parents,
+        parents=parents,
+    )
 
 
 def covering_graph(nt, nx, c=1.0, t1=None, x1=None):
@@ -366,3 +409,121 @@ def test_load_events_with_comments(tmp_path):
     ev = load_events(p, c=1.0)
     assert len(ev) == 3
     assert ev.events[1, 1] == 0.5
+
+
+EDGE_LISTS = ("timelike_children", "null_children", "children", "timelike_parents", "parents")
+
+
+def _sprinkling(seed, n, dim, c=1.0):
+    return EventSet(np.random.default_rng(seed).uniform(0.0, 1.0, (n, dim)), c=c)
+
+
+def _lattice(nt, nx):
+    return flat_grid_events((0.0, nt - 1.0), (0.0, nx - 1.0), nt, nx)
+
+
+# (events, radius); sprinkling radii give a mean out-degree of about 7.
+ORACLE_CASES = {
+    "sprinkling_1+1": lambda: (_sprinkling(1, 600, 2), 0.05),
+    "sprinkling_2+1_a": lambda: (_sprinkling(71, 1500, 3), 0.215),
+    "sprinkling_2+1_b": lambda: (_sprinkling(72, 1500, 3), 0.215),
+    "sprinkling_3+1": lambda: (_sprinkling(3, 800, 4), 0.3),
+    "sprinkling_c_2.5": lambda: (_sprinkling(4, 600, 2, c=2.5), 0.05),
+    "sprinkling_c_0.4": lambda: (_sprinkling(5, 700, 3, c=0.4), 0.25),
+    "lattice_radius_is_spacing": lambda: (_lattice(30, 50), 1.0),
+    # 300 cells along t: cells narrower than radius would put some neighbours two cells apart.
+    "world_line_radius_is_spacing": lambda: (EventSet(np.column_stack([np.arange(300.0), np.zeros(300)])), 1.0),
+    "lattice_radius_1.5": lambda: (_lattice(30, 50), 1.5),
+    "lattice_radius_2.0": lambda: (_lattice(30, 50), 2.0),
+    # The last two events are exactly radius apart, in time-cells 0 and 1.
+    "pair_at_radius_across_cells": lambda: (EventSet(np.array([[0.0, 0.0], [0.25, 0.0], [0.75, 0.0]])), 0.5),
+    # Null steps of Euclidean length radius, the second across a time-cell boundary.
+    "null_pair_at_radius": lambda: (EventSet(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])), float(np.sqrt(2.0))),
+    # A pair within radius that cells of side exactly radius would put two cells
+    # apart, through the rounding of t - min(t) (found by a search over floats).
+    "pair_split_by_rounding": lambda: (
+        EventSet(np.array([[-14.924557170706166, 0.0], [50.82972618594669, 0.0], [51.62194646735214, 0.0]])),
+        0.7922202814054561,
+    ),
+    "single_event": lambda: (EventSet(np.array([[0.5, 0.5, 0.5]])), 1.0),
+    "no_events": lambda: (EventSet(np.zeros((0, 3))), 1.0),
+    "equal_times": lambda: (EventSet(np.column_stack([np.zeros(50), np.linspace(0.0, 1.0, 50)])), 0.3),
+    "far_apart_clusters": lambda: (EventSet(np.array([[0.0, 0.0], [1.0, 0.5], [1e7, 1e7], [1e7 + 1.0, 1e7]])), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_build_graph_matches_dense_oracle(case):
+    events, radius = ORACLE_CASES[case]()
+    got, want = build_graph(events, radius), dense_build_graph(events, radius)
+    for name in EDGE_LISTS:
+        rows, expected = getattr(got, name), getattr(want, name)
+        assert len(rows) == len(expected) == len(events)
+        for i, (row, exp) in enumerate(zip(rows, expected)):
+            assert row.dtype == exp.dtype and np.array_equal(row, exp), f"{name}[{i}]"
+    edges = sum(r.size for r in want.children)
+    if case in ("pair_at_radius_across_cells", "null_pair_at_radius"):
+        assert edges == 2
+    if case == "pair_split_by_rounding":
+        assert edges == 1
+    if case in ("single_event", "no_events", "equal_times"):
+        assert edges == 0
+
+
+def test_build_graph_memory_is_linear():
+    # 4,000 (2+1)-D events at mean out-degree about 7: the all-pairs build
+    # peaks near 1.3 GB here.
+    events = _sprinkling(8, 4000, 3)
+    tracemalloc.start()
+    try:
+        graph = build_graph(events, 0.155)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 5.0 < sum(r.size for r in graph.children) / len(events) < 9.0
+    assert peak < 25 * 2**20
+
+
+def test_is_edge_matches_children():
+    ev, g = row_adjacent_graph(4, 5)
+    for i in range(len(ev)):
+        for j in range(len(ev)):
+            assert g.is_edge(i, j) == (j in set(g.children[i].tolist()))
+
+
+def _maximal_paths_by_copying(graph):
+    """Depth-first maximal paths in index order, each stack entry carrying its own path."""
+    out = []
+    for src in graph.sources():
+        stack = [(src, [src])]
+        while stack:
+            node, path = stack.pop()
+            if graph.children[node].size == 0:
+                out.append(tuple(path))
+            for j in graph.children[node][::-1]:
+                stack.append((int(j), path + [int(j)]))
+    return out
+
+
+def test_maximal_paths_order_and_limit():
+    ev, g = row_adjacent_graph(5, 4)
+    paths = _maximal_paths_by_copying(g)
+    assert list(_iter_maximal_paths(g, len(paths))) == paths
+    with pytest.raises(PathLimitError, match=f"more than {len(paths) - 1} maximal paths"):
+        list(_iter_maximal_paths(g, len(paths) - 1))
+    assert issubclass(PathLimitError, RuntimeError)
+    assert issubclass(NotCauchySurfaceError, ValueError)
+
+
+def test_intercept_sampling_scans_sources_once(monkeypatch):
+    ev, g = row_adjacent_graph(10, 10)
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    sources = g.sources()
+    for _ in range(20):
+        assert sample_maximal_path(g, a, sources) == sample_maximal_path(g, b)
+    calls = []
+    original = CausalGraph.sources
+    monkeypatch.setattr(CausalGraph, "sources", lambda self: calls.append(1) or original(self))
+    mid = [5 * 10 + j for j in range(10)]
+    assert intercept_check(mid, g, samples=50, seed=4).ok
+    assert len(calls) == 1

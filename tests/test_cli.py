@@ -171,6 +171,12 @@ BAD_INPUTS = {
     "samples_text": ("causal_grid.scn", ["causal.samples=abc"], None),
     "seed_text": ("causal_grid.scn", ["causal.seed=x"], None),
     "step_init_negative": ("minimize_perturbed.scn", ["optimizer.step_init=-1"], None),
+    "step_init_nan": ("minimize_perturbed.scn", ["optimizer.step_init=nan"], None),
+    "step_init_inf": ("minimize_perturbed.scn", ["optimizer.step_init=inf"], None),
+    "grad_tol_nan": ("minimize_perturbed.scn", ["optimizer.grad_tol=nan"], None),
+    "singular_tol_nan": ("minimize_perturbed.scn", ["optimizer.singular_tol=nan"], None),
+    "K_schedule_nan": ("minimize_perturbed.scn", ["optimizer.K_schedule=10,nan"], None),
+    "K_schedule_inf": ("minimize_perturbed.scn", ["optimizer.K_schedule=10,inf"], None),
     "optimize_fields_unknown": ("minimize_perturbed.scn", ["optimizer.optimize_fields=q"], None),
     "K_negative": ("energy_flat.scn", ["energy.K=-1"], None),
 }
@@ -192,6 +198,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, case, command):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("scenario error: ")
     assert "Traceback" not in captured.err
+    for item in overrides:  # the message names the key it rejects
+        assert item.split("=")[0].split(".")[-1] in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -226,6 +234,28 @@ def test_causal_scenario_report(tmp_path):
     assert "achronal:14,15,16,17,18,19,20 -> true" in text
     assert "cauchy:14,15,16,17,18,19,20 -> true" in text
     assert "violations=0" in text
+
+
+def test_intercept_on_non_cauchy_set_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "causal_grid.scn", out, overrides=["causal.queries=intercept:0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "causal query intercept:0 failed: intercept_check precondition failed: "
+        "sigma is not a Cauchy surface (uncovered witness (1,))"
+    ]
+    assert not (out / "causal_report.txt").exists()
+
+
+def test_exhaustive_intercept_over_path_limit_exits_2(tmp_path, capsys):
+    # A 16x16 lattice at radius 1.6 has far more than 200,000 maximal paths.
+    (tmp_path / "events.txt").write_text("".join(f"{t} {x}\n" for t in range(16) for x in range(16)))
+    row = ",".join(str(8 * 16 + x) for x in range(16))
+    text = (SCENARIOS / "causal_grid.scn").read_text().replace("events_flat.txt", "events.txt")
+    scenario = write(tmp_path, text)
+    assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out"), "--set", f"causal.queries=intercept:{row}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"causal query intercept:{row} failed: more than 200000 maximal paths; use sampling instead"]
 
 
 def test_causal_missing_event_file(tmp_path, capsys):

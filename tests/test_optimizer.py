@@ -43,6 +43,24 @@ def test_config_validation():
     assert cfg.k_schedule == (10.0, 100.0, 1000.0, 10000.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grad_tol": float("nan")},
+        {"step_init": float("nan")},
+        {"step_init": float("inf")},
+        {"singular_tol": float("nan")},
+        {"singular_tol": 0.0},
+        {"k_schedule": (10.0, float("nan"))},
+        {"k_schedule": (float("nan"), 10.0)},
+        {"k_schedule": (10.0, float("inf"))},
+    ],
+)
+def test_config_rejects_non_finite_settings(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        PenaltyConfig(**kwargs)
+
+
 def test_gradient_near_zero_at_admissible_flat():
     g, f = flat_admissible()
     grad = gradient_JK(f, g, 100.0)
