@@ -21,8 +21,6 @@ from .grid import (
     finite_difference_adjoint,
     interpolate,
     make_chart,
-    mixed_second,
-    mixed_second_adjoint,
 )
 from .geometry import (
     ChartMetric,

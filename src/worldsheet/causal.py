@@ -131,9 +131,6 @@ class CausalGraph:
     def sources(self) -> list[int]:
         return [i for i in range(len(self)) if self.parents[i].size == 0]
 
-    def sinks(self) -> list[int]:
-        return [i for i in range(len(self)) if self.children[i].size == 0]
-
 
 def build_graph(events: EventSet, radius: float) -> CausalGraph:
     """Connect p -> q when q is within the Euclidean radius and causally future of p.
@@ -328,8 +325,7 @@ def is_cauchy_surface(sigma: Iterable[int], graph: CausalGraph) -> CauchyResult:
     clash = sorted(future & s_set)
     if clash:
         q = clash[0]
-        p = next(p for p in sorted(s_set) if q in chronological_future({p}, graph))
-        return CauchyResult(False, "chronology", (p, q))
+        return CauchyResult(False, "chronology", (min(chronological_past({q}, graph) & s_set), q))
     covered = dependence_domain(s_set, graph)
     for i in range(len(graph)):
         if i not in covered:

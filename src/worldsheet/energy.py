@@ -23,11 +23,11 @@ from .grid import (
     _node_str,
     finite_difference_adjoint,
     interpolate,
-    mixed_second_adjoint,
 )
 from .geometry import (
     ChartMetric,
     GeometryCache,
+    _second_derivatives_adjoint,
     _signs,
     build_geometry,
     chart_metric,
@@ -369,14 +369,9 @@ def backward_JK(
     bar_t += np.einsum("...jk,...ka,a->...ja", bar_g + np.swapaxes(bar_g, -1, -2), tangents, signs)
 
     # Transposed stencils back to node fields.
-    bar_r = np.zeros_like(fields.r)
     for j in range(grid.ndim):
-        bar_r += finite_difference_adjoint(bar_t[..., j, :], grid, j)
         bar_phi += finite_difference_adjoint(bar_dphi[..., j], grid, j)
-        for k in range(j, grid.ndim):
-            val = bar_d2r[..., j, k, :] if k == j else bar_d2r[..., j, k, :] + bar_d2r[..., k, j, :]
-            bar_r += mixed_second_adjoint(val, grid, j, k)
-    return bar_r, bar_phi, bar_n
+    return _second_derivatives_adjoint(bar_t, bar_d2r, grid), bar_phi, bar_n
 
 
 def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCache | None = None) -> tuple[float, float, float]:

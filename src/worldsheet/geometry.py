@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import FieldSet, ParameterGrid, ChartMap, _node_str, finite_difference, mixed_second
+from .grid import FieldSet, ParameterGrid, ChartMap, _node_str, finite_difference, finite_difference_adjoint
 
 
 class GeometryError(ValueError):
@@ -119,8 +119,8 @@ def normal_frame(
     The tangent span is pseudo-orthonormalized first; candidate basis vectors
     are then projected onto its complement in fixed order.  Candidates whose
     residual is (Euclidean) negligible are skipped as linearly dependent; a
-    non-negligible residual with |v.v| below null_tol means the complement
-    contains a null direction and the frame is degenerate.
+    non-negligible residual v with |v.v| <= null_tol * |v|_E^2 means the
+    complement contains a null direction and the frame is degenerate.
     """
     tangents = metric_data.tangents
     counts = tangents.shape[:-2]
@@ -169,7 +169,7 @@ def normal_frame(
         nu = np.einsum("...a,...a,a->...", v, v, signs)
         skip = eucl < skip_tol**2
         candidate = active & ~skip
-        null_bad = candidate & (np.abs(nu) < null_tol)
+        null_bad = candidate & (np.abs(nu) <= null_tol * eucl)
         if null_bad.any():
             node = tuple(np.argwhere(null_bad)[0])
             raise DegenerateFrameError(
@@ -196,20 +196,40 @@ def normal_frame(
     return NormalFrame(vectors=frame, n_normal=n_normal)
 
 
-def second_derivatives(r: np.ndarray, grid: ParameterGrid) -> np.ndarray:
+def second_derivatives(r: np.ndarray, tangents: np.ndarray, grid: ParameterGrid) -> np.ndarray:
     """d^2 r / du_j du_k per node, shape (*counts, m+1, m+1, N+1).
 
-    Mixed entries are computed once for j < k and mirrored, so the array is
-    symmetric in (j, k) bit-for-bit.
+    tangents are metric's dr/du_j.  Mixed entries differentiate them once
+    more, D_k t_j for j < k, and are mirrored, so the array is symmetric in
+    (j, k) bit-for-bit; the diagonal is the second-order stencil of r.
     """
     nd = grid.ndim
     d2 = np.empty(grid.counts + (nd, nd) + r.shape[grid.ndim :], dtype=float)
-    for j in range(nd):
-        for k in range(j, nd):
-            val = mixed_second(r, grid, j, k)
-            d2[..., j, k, :] = val
-            d2[..., k, j, :] = val
+    for k in range(nd):
+        d2[..., k, k, :] = finite_difference(r, grid, k, order=2)
+        if k:
+            mixed = finite_difference(tangents[..., :k, :], grid, k)
+            d2[..., :k, k, :] = mixed
+            d2[..., k, :k, :] = mixed
     return d2
+
+
+def _second_derivatives_adjoint(bar_t: np.ndarray, bar_d2r: np.ndarray, grid: ParameterGrid) -> np.ndarray:
+    """Transpose of r -> (tangents, second_derivatives(r, tangents, grid)).
+
+    Returns the node field x with <x, dr> = <bar_t, dt> + <bar_d2r, d d2r>
+    for every perturbation dr; the mixed entries run back through the
+    tangent stack, as they were formed.
+    """
+    bar_t = bar_t.copy()
+    for k in range(1, grid.ndim):
+        sym = bar_d2r[..., :k, k, :] + bar_d2r[..., k, :k, :]
+        bar_t[..., :k, :] += finite_difference_adjoint(sym, grid, k)
+    return sum(
+        finite_difference_adjoint(bar_t[..., j, :], grid, j)
+        + finite_difference_adjoint(bar_d2r[..., j, j, :], grid, j, order=2)
+        for j in range(grid.ndim)
+    )
 
 
 def christoffel(d2r: np.ndarray, metric_data: MetricData) -> np.ndarray:
@@ -366,7 +386,7 @@ def build_geometry(
 ) -> GeometryCache:
     """Assemble the immutable geometry cache for a field configuration."""
     md = metric(fields, grid, singular_tol=singular_tol)
-    d2r = second_derivatives(fields.r, grid)
+    d2r = second_derivatives(fields.r, md.tangents, grid)
     gamma = christoffel(d2r, md)
     if require_unit_normal:
         b, b_up = second_fundamental_form(d2r, fields.n, md)

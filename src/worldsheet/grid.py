@@ -227,20 +227,6 @@ def finite_difference_adjoint(values: np.ndarray, grid: ParameterGrid, axis: int
     return np.moveaxis(np.tensordot(mat.T, values, axes=(1, axis)), 0, axis)
 
 
-def mixed_second(values: np.ndarray, grid: ParameterGrid, j: int, k: int) -> np.ndarray:
-    """d^2 f / du_j du_k by composing first-derivative stencils (j != k)."""
-    if j == k:
-        return finite_difference(values, grid, j, order=2)
-    return finite_difference(finite_difference(values, grid, j, order=1), grid, k, order=1)
-
-
-def mixed_second_adjoint(values: np.ndarray, grid: ParameterGrid, j: int, k: int) -> np.ndarray:
-    """Exact transpose of mixed_second: the composed stencils in reverse order."""
-    if j == k:
-        return finite_difference_adjoint(values, grid, j, order=2)
-    return finite_difference_adjoint(finite_difference_adjoint(values, grid, k, order=1), grid, j, order=1)
-
-
 @dataclass
 class FieldSet:
     """The unknowns (r, phi, n) on grid nodes plus their prescribed boundary data.
@@ -269,22 +255,6 @@ class FieldSet:
     def n_ambient(self) -> int:
         """Ambient spatial dimension N (r maps into R^{N+1})."""
         return self.r.shape[-1] - 1
-
-    @property
-    def r_hat0(self) -> np.ndarray:
-        return self.r_bc[0]
-
-    @property
-    def r_hat1(self) -> np.ndarray:
-        return self.r_bc[-1]
-
-    @property
-    def phi_hat0(self) -> np.ndarray:
-        return self.phi_bc[0]
-
-    @property
-    def phi_hat1(self) -> np.ndarray:
-        return self.phi_bc[-1]
 
     def copy(self) -> "FieldSet":
         return FieldSet(

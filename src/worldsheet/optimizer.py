@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import FieldSet, ParameterGrid, apply_boundary, finite_difference
-from .geometry import GeometryError, build_geometry, _signs
+from .geometry import GeometryCache, GeometryError, build_geometry, _signs
 from .energy import (
     NonFiniteValueError,
     _constraint_densities,
@@ -66,8 +66,8 @@ class PenaltyConfig:
 class KRecord:
     """Outcome of one fixed-K minimization.
 
-    termination says why the descent stopped: converged, max_iters,
-    line_search_underflow or gradient_error.
+    termination says why the descent stopped: converged, max_iters or
+    line_search_underflow; stalled and converged are read from it.
     """
 
     K: float
@@ -78,8 +78,6 @@ class KRecord:
     res_orth: float
     res_unit: float
     grad_norm: float
-    stalled: bool
-    converged: bool
     termination: str
     start_total_J: float = float("nan")
     min_slice_mass: float = float("nan")
@@ -98,6 +96,14 @@ class KRecord:
         "stalled",
         "termination",
     )
+
+    @property
+    def stalled(self) -> bool:
+        return self.termination == "line_search_underflow"
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
 
     def csv_row(self) -> str:
         vals = [
@@ -196,21 +202,19 @@ def gradient_JK(
     """
     try:
         geom = build_geometry(fields, grid, singular_tol=singular_tol)
-        d_r, d_phi, d_n = backward_JK(fields, grid, K, geom)
+        return _interior_gradient(fields, grid, K, geom, kinds)
     except (GeometryError, NonFiniteValueError) as exc:
         raise GradientProbeError(f"J_K not evaluable: {exc}") from exc
-    zero = grid.boundary_mask
-    grad = FieldSet(
-        r=d_r if "r" in kinds else np.zeros_like(fields.r),
-        phi=d_phi if "phi" in kinds else np.zeros_like(fields.phi),
-        n=d_n if "n" in kinds else np.zeros_like(fields.n),
-        r_bc=np.zeros_like(fields.r_bc),
-        phi_bc=np.zeros_like(fields.phi_bc),
-        eps=fields.eps,
-    )
-    for arr in (grad.r, grad.phi, grad.n):
-        arr[zero] = 0.0
-    return grad
+
+
+def _interior_gradient(
+    fields: FieldSet, grid: ParameterGrid, K: float, geom: GeometryCache, kinds: tuple[str, ...]
+) -> FieldSet:
+    """gradient_JK on geom, the forward pass's cache for fields."""
+    grad = dict(zip(("r", "phi", "n"), backward_JK(fields, grid, K, geom)))
+    for kind, arr in grad.items():
+        arr[grid.boundary_mask if kind in kinds else ...] = 0.0
+    return FieldSet(**grad, r_bc=np.zeros_like(fields.r_bc), phi_bc=np.zeros_like(fields.phi_bc), eps=fields.eps)
 
 
 def minimize_fixed_K(
@@ -223,74 +227,60 @@ def minimize_fixed_K(
 
     Accepted iterates never increase J_K; phi is radially clamped back to the
     admissible set after every step.  Step underflow is recorded as a stall,
-    not raised.
+    not raised.  Each configuration gets one forward pass: an accepted
+    trial's geometry and breakdown serve its gradient and the K record.
     """
     x = apply_boundary(fields, grid)
     _clamp_phi(x)
-    j_cur = assemble_JK(x, grid, K, singular_tol=cfg.singular_tol).total_JK
-    trace = [j_cur]
+    geom = build_geometry(x, grid, singular_tol=cfg.singular_tol)
+    cur = assemble_JK(x, grid, K, geom=geom)
+    start_J, trace = cur.total_J, [cur.total_JK]
     step = cfg.step_init
-    stalled = False
-    converged = False
     grad_norm = float("nan")
     termination = "max_iters"
     iters = 0
 
     while iters < cfg.max_iters:
-        try:
-            grad = gradient_JK(x, grid, K, singular_tol=cfg.singular_tol, kinds=cfg.optimize_fields)
-        except GradientProbeError:
-            # J_K is not evaluable at the iterate: it sits at the edge of
-            # the admissible set; report a stall.
-            stalled = True
-            termination = "gradient_error"
-            break
-        gvec = pack_interior(grad, grid)
-        grad_norm = float(np.linalg.norm(gvec))
+        grad = _interior_gradient(x, grid, K, geom, cfg.optimize_fields)
+        grad_norm = float(np.linalg.norm(pack_interior(grad, grid)))
         if grad_norm <= cfg.grad_tol:
-            converged = True
             termination = "converged"
             break
         gsq = grad_norm * grad_norm
         alpha = step
-        accepted = False
         while alpha >= 1e-14:
             trial = _add_scaled(x, grad, -alpha, grid)
             _clamp_phi(trial)
             try:
-                j_trial = assemble_JK(trial, grid, K, singular_tol=cfg.singular_tol).total_JK
+                trial_geom = build_geometry(trial, grid, singular_tol=cfg.singular_tol)
+                trial_cur = assemble_JK(trial, grid, K, geom=trial_geom)
+                j_trial = trial_cur.total_JK
             except GeometryError:
                 j_trial = float("inf")
-            if np.isfinite(j_trial) and j_trial <= j_cur - cfg.armijo_c * alpha * gsq:
-                accepted = True
+            if np.isfinite(j_trial) and j_trial <= cur.total_JK - cfg.armijo_c * alpha * gsq:
                 break
             alpha *= cfg.backtrack
-        if not accepted:
-            stalled = True
+        else:
             termination = "line_search_underflow"
             break
-        x = trial
-        j_cur = j_trial
-        trace.append(j_cur)
+        x, geom, cur = trial, trial_geom, trial_cur
+        trace.append(cur.total_JK)
         step = min(2.0 * alpha, cfg.step_init)
         iters += 1
 
-    geom = build_geometry(x, grid, singular_tol=cfg.singular_tol)
-    breakdown = assemble_JK(x, grid, K, geom=geom)
     mass, _, nn = _constraint_densities(np.abs(x.phi) ** 2, x.n, geom, grid)
-    res_norm, res_orth, res_unit = _residuals(mass, breakdown.penalty_orth, breakdown.penalty_unit, grid)
+    res_norm, res_orth, res_unit = _residuals(mass, cur.penalty_orth, cur.penalty_unit, grid)
     record = KRecord(
         K=float(K),
         iterations=iters,
-        total_J=breakdown.total_J,
-        total_JK=breakdown.total_JK,
+        total_J=cur.total_J,
+        total_JK=cur.total_JK,
         res_norm=res_norm,
         res_orth=res_orth,
         res_unit=res_unit,
         grad_norm=grad_norm,
-        stalled=stalled,
-        converged=converged,
         termination=termination,
+        start_total_J=start_J,
         min_slice_mass=float(mass.min()),
         min_normal_sq=float(np.min(nn)),
         jk_trace=trace,
@@ -324,9 +314,7 @@ def penalty_continuation(
     x = fields
     records: list[KRecord] = []
     for K in cfg.k_schedule:
-        start_J = assemble_JK(x, grid, K).total_J
         x, rec = minimize_fixed_K(x, grid, K, cfg)
-        rec.start_total_J = start_J
         records.append(rec)
 
     slopes: dict[str, Optional[float]] = {}

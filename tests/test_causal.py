@@ -355,6 +355,25 @@ def test_cauchy_surface_non_achronal():
     assert q in chronological_future([p], g)
 
 
+def chronology_witness_by_search(sigma, graph):
+    """The first clash q in I+(sigma) & sigma and the least p in sigma with q in I+(p),
+    one search per event of sigma: the oracle for is_cauchy_surface's witness."""
+    s_set = set(sigma)
+    q = min(chronological_future(s_set, graph) & s_set)
+    return next(p for p in sorted(s_set) if q in chronological_future({p}, graph)), q
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cauchy_chronology_witness_matches_search(seed):
+    events = _sprinkling(40 + seed, 1000, 3)
+    graph = build_graph(events, 0.25)
+    t = events.events[:, 0]
+    sigma = [int(i) for i in np.flatnonzero((t > 0.4) & (t < 0.6))]
+    verdict = is_cauchy_surface(sigma, graph)
+    assert verdict.witness_kind == "chronology"
+    assert verdict.witness == chronology_witness_by_search(sigma, graph)
+
+
 def test_intercept_exhaustive_small_grid():
     ev, g = row_adjacent_graph(4, 3)
     nx = 3

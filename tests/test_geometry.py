@@ -9,15 +9,18 @@ from worldsheet import (
     build_geometry,
     build_grid,
     chart_metric,
+    finite_difference,
     gauss_residual,
     make_chart,
     metric,
     minkowski_dot,
     normal_frame,
+    second_derivatives,
     second_fundamental_form,
     weingarten_residual,
 )
 from worldsheet import presets
+from worldsheet.geometry import _second_derivatives_adjoint
 
 RHO = 1.5
 
@@ -154,6 +157,27 @@ def test_normal_frame_invariants_random_embedding():
         assert np.max(np.abs(tangency)) < 1e-10
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_normal_frame_accepts_candidate_near_tangent_span(seed):
+    # A slow 0.02 r mode in u_0 leaves canonical candidates a short, but
+    # space-like, distance from the tangent span.
+    ext = [(0, 1), (0.6, np.pi - 0.6), (0.2, 1.2)]
+    g = build_grid(ext, [17, 17, 17])
+    u = g.coordinates
+    s = [(u[..., a] - lo) / (hi - lo) for a, (lo, hi) in enumerate(ext)]
+    f = presets.sphere_product(g, n_ambient=3)
+    rng = np.random.default_rng(seed)
+    for comp in range(1, 4):
+        a, b, c = rng.uniform(-1.0, 1.0, 3)
+        f.r[..., comp] += 0.02 * a * np.sin(np.pi * s[0] + c) * np.cos(np.pi * s[1] + b)
+    geom = build_geometry(f, g, with_frame=True)
+    signs = np.array([-1.0, 1, 1, 1])
+    vec = geom.frame.vectors
+    gram = np.einsum("...qa,...pa,a->...qp", vec, vec, signs)
+    assert np.max(np.abs(gram - np.eye(vec.shape[-2]))) < 1e-12
+    assert np.max(np.abs(np.einsum("...qa,...ja,a->...qj", vec, geom.tangents, signs))) < 1e-8
+
+
 def test_normal_frame_null_complement_error():
     # Hand-built tangents containing a null direction: (1, 0, 1) and (0, 1, 0).
     counts = (3, 3)
@@ -172,6 +196,56 @@ def test_normal_frame_null_complement_error():
     f = presets.flat(g, n_ambient=2)
     with pytest.raises(DegenerateFrameError):
         normal_frame(md, f)
+
+
+def composed_second_derivatives(r, grid):
+    """d^2 r from stencils on r for every (j, k), j <= k, mirrored: the oracle for second_derivatives."""
+    nd = grid.ndim
+    d2 = np.empty(grid.counts + (nd, nd) + r.shape[nd:])
+    for j in range(nd):
+        for k in range(j, nd):
+            if j == k:
+                val = finite_difference(r, grid, j, order=2)
+            else:
+                val = finite_difference(finite_difference(r, grid, j), grid, k)
+            d2[..., j, k, :] = d2[..., k, j, :] = val
+    return d2
+
+
+def _tangent_stack(r, grid):
+    return np.stack([finite_difference(r, grid, j) for j in range(grid.ndim)], axis=-2)
+
+
+@pytest.mark.parametrize("counts", [(3, 7), (9, 5), (5, 4, 3), (3, 6, 4)])
+def test_second_derivatives_bitwise_equal_to_composed_stencils(counts):
+    rng = np.random.default_rng(sum(counts))
+    g = build_grid([(0, 1.0 + 0.3 * a) for a in range(len(counts))], counts)
+    r = rng.standard_normal(g.counts + (4,))
+    assert np.array_equal(second_derivatives(r, _tangent_stack(r, g), g), composed_second_derivatives(r, g))
+
+
+def test_build_geometry_d2r_bitwise_equal_to_composed_stencils():
+    g = build_grid([(0, 2), (0, 1)], [3, 7])
+    f = presets.perturbed_flat(g, shear_amp=0.06)
+    assert np.array_equal(build_geometry(f, g).d2r, composed_second_derivatives(f.r, g))
+    g, f = sphere_setup(9)
+    assert np.array_equal(build_geometry(f, g).d2r, composed_second_derivatives(f.r, g))
+
+
+@pytest.mark.parametrize("count", [3, 4, 5, 7])
+def test_second_derivatives_adjoint_dot_product(count):
+    rng = np.random.default_rng(count)
+    g = build_grid([(0, 1), (0, 2), (0, 1)], [count, 5, 4])
+    for _ in range(3):
+        x = rng.standard_normal(g.counts + (2,))
+        t = _tangent_stack(x, g)
+        d2 = second_derivatives(x, t, g)
+        y_t, y_d2 = rng.standard_normal(t.shape), rng.standard_normal(d2.shape)
+        adj = _second_derivatives_adjoint(y_t, y_d2, g)
+        assert adj.shape == x.shape
+        lhs, rhs = np.vdot(t, y_t) + np.vdot(d2, y_d2), np.vdot(x, adj)
+        scale = np.hypot(np.linalg.norm(t), np.linalg.norm(d2)) * np.hypot(np.linalg.norm(y_t), np.linalg.norm(y_d2))
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_christoffel_flat_zero():

@@ -13,7 +13,7 @@ from worldsheet import (
     minimize_fixed_K,
     penalty_continuation,
 )
-from worldsheet import presets
+from worldsheet import energy, optimizer, presets
 from worldsheet.optimizer import pack_interior, theorem_range_notice
 
 
@@ -199,6 +199,32 @@ def test_minimize_max_iters_termination():
     assert rec.iterations == 1
     assert not rec.converged and not rec.stalled
     assert rec.termination == "max_iters"
+
+
+def test_minimize_evaluates_each_configuration_once(monkeypatch):
+    # Every configuration, start and trials alike, gets one build_geometry and
+    # one assemble_JK; the next gradient runs backward on the accepted cache.
+    calls = {"build_geometry": 0, "assemble_JK": 0, "backward_JK": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (energy, optimizer):
+        counting(module, "build_geometry")
+    counting(optimizer, "assemble_JK")
+    counting(optimizer, "backward_JK")
+    g, f = small_perturbed()
+    cfg = PenaltyConfig(max_iters=12, optimize_fields=("phi", "n"))
+    _, rec = minimize_fixed_K(f, g, 30.0, cfg)
+    assert rec.termination == "max_iters" and rec.iterations == 12
+    assert calls["build_geometry"] == calls["assemble_JK"] > 12
+    assert calls["backward_JK"] == 12
 
 
 def test_minimize_preserves_phi_floor():
