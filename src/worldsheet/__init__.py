@@ -77,6 +77,7 @@ from .optimizer import (
 from .causal import (
     CausalGraph,
     CauchyResult,
+    Edges,
     EventSet,
     IntervalKind,
     InterceptReport,

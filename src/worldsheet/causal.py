@@ -9,6 +9,10 @@ chronological/causal futures and pasts, achronality, boundaries, domains of
 dependence, and Cauchy-surface checks run against this graph, with an exact
 flat-space cone oracle for validation.
 
+The graph keeps each edge once per direction as compressed sparse rows (CSR:
+indptr, indices, is_null; Saad, Iterative Methods for Sparse Linear Systems,
+3.4), and every set-valued query expands a whole frontier of events per step.
+
 The discrete stand-in for the future boundary of I+(S) is J+(S) \\ I+(S).
 On a flat event set whose radius covers every pair, two boundary events can
 never be chronologically related: a time-like displacement composed with a
@@ -20,11 +24,11 @@ tolerance there.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,21 +108,41 @@ def flat_cone_oracle(p: Sequence[float], q: Sequence[float], c: float) -> str:
     return "neither"
 
 
+class Edges(NamedTuple):
+    """CSR edge rows: row i is indices[indptr[i]:indptr[i + 1]], sorted, and is_null flags each edge."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    is_null: np.ndarray
+
+
+def _split(edges: Edges, null: Optional[bool]) -> list[np.ndarray]:
+    """Per event, its row of edges: every edge, or only the null (True) or time-like (False) ones."""
+    keep = np.ones_like(edges.is_null) if null is None else edges.is_null == null
+    bounds = np.r_[0, np.cumsum(keep)][edges.indptr].tolist()
+    kept = edges.indices[keep]
+    return [kept[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class CausalGraph:
     """Future-directed typed adjacency over an event set.
 
     Acyclic by construction: every edge strictly increases the time
-    coordinate.  Edge lists are sorted by event index.
+    coordinate.  forward holds the out-edges and backward the same edges
+    reversed, the only edge storage; the row lists are derived on first read.
     """
 
     events: EventSet
     neighbor_radius: float
-    timelike_children: list[np.ndarray]
-    null_children: list[np.ndarray]
-    children: list[np.ndarray]
-    timelike_parents: list[np.ndarray]
-    parents: list[np.ndarray]
+    forward: Edges
+    backward: Edges
+
+    children = cached_property(lambda self: _split(self.forward, None))
+    timelike_children = cached_property(lambda self: _split(self.forward, False))
+    null_children = cached_property(lambda self: _split(self.forward, True))
+    parents = cached_property(lambda self: _split(self.backward, None))
+    timelike_parents = cached_property(lambda self: _split(self.backward, False))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -129,7 +153,7 @@ class CausalGraph:
         return bool(k < row.size and row[k] == j)
 
     def sources(self) -> list[int]:
-        return [i for i in range(len(self)) if self.parents[i].size == 0]
+        return np.flatnonzero(np.diff(self.backward.indptr) == 0).tolist()
 
 
 def build_graph(events: EventSet, radius: float) -> CausalGraph:
@@ -157,10 +181,7 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
     found = []
     # Children are later, so only neighbour cells at time offset 0 or +1 are searched.
     for off in np.array(list(itertools.product((0, 1), *[(-1, 0, 1)] * (dim - 1)))) @ strides:
-        start = np.searchsorted(key, key + off, "left")
-        count = np.searchsorted(key, key + off, "right") - start
-        i = np.repeat(np.arange(n), count)
-        j = np.arange(i.size) + np.repeat(start - np.cumsum(count) + count, count)
+        i, j = _gather(np.searchsorted(key, key + off, "left"), np.searchsorted(key, key + off, "right"))
         d = ev.take(j, axis=0) - ev.take(i, axis=0)
         dt, dx = d[:, 0], d[:, 1:]
         xpart = np.einsum("ik,ik->i", dx, dx)
@@ -170,62 +191,69 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
         edge = (dt**2 + xpart <= radius * radius) & (dt > 0) & (is_null | (interval < 0))
         found.append((order[i[edge]], order[j[edge]], is_null[edge]))
     src, dst, null = (np.concatenate(a) for a in zip(*found))
-    return CausalGraph(
-        events=events,
-        neighbor_radius=float(radius),
-        timelike_children=_rows(src[~null], dst[~null], n),
-        null_children=_rows(src[null], dst[null], n),
-        children=_rows(src, dst, n),
-        timelike_parents=_rows(dst[~null], src[~null], n),
-        parents=_rows(dst, src, n),
-    )
+    return CausalGraph(events, float(radius), _csr(src, dst, null, n), _csr(dst, src, null, n))
 
 
-def _rows(heads: np.ndarray, tails: np.ndarray, n: int) -> list[np.ndarray]:
-    """For each of the n events, the tails of its edges heads -> tails, sorted by index."""
+def _csr(heads: np.ndarray, tails: np.ndarray, is_null: np.ndarray, n: int) -> Edges:
+    """The edges heads -> tails as CSR rows over n events, by one sort."""
     order = np.argsort(heads * n + tails)
-    bounds = np.searchsorted(heads[order], np.arange(n + 1)).tolist()
-    tails = tails[order]
-    return [tails[a:b] for a, b in zip(bounds, bounds[1:])]
+    return Edges(np.r_[0, np.cumsum(np.bincount(heads, minlength=n))], tails[order], is_null[order])
 
 
-def _reach(S: Iterable[int], adjacency: list[np.ndarray], include_seeds: bool) -> set[int]:
-    """Events reachable from S by paths of length >= 1 along adjacency, plus S if include_seeds."""
-    seeds = [int(s) for s in S]
-    visited = np.zeros(len(adjacency), dtype=bool)
-    queue = deque(seeds)
-    while queue:
-        nxt = adjacency[queue.popleft()]
-        fresh = nxt[~visited[nxt]]
-        visited[fresh] = True
-        queue.extend(int(j) for j in fresh)
-    if include_seeds:
+def _gather(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position in the ranges start[k] .. stop[k] - 1, concatenated, and the k of each."""
+    count = stop - start
+    k = np.repeat(np.arange(count.size), count)
+    return k, np.arange(k.size) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _event_array(S: Iterable[int], n: int) -> np.ndarray:
+    """S as an index array; an index outside 0..n-1 raises (numpy would wrap -1 to n - 1)."""
+    idx = np.fromiter(S, dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise ValueError(f"event index {bad[0]} outside 0..{n - 1}")
+    return idx
+
+
+def _reach(S: Iterable[int], edges: Edges, chronological: bool, avoid: Optional[np.ndarray] = None) -> set[int]:
+    """Events reachable from S by paths of length >= 1 along edges that never enter avoid, a
+    whole frontier per step: time-like edges only if chronological, else every edge and S itself."""
+    n = edges.indptr.size - 1
+    seeds = frontier = _event_array(S, n)
+    visited = np.zeros(n, dtype=bool) if avoid is None else avoid.copy()
+    while frontier.size:
+        pos = _gather(edges.indptr[frontier], edges.indptr[frontier + 1])[1]
+        if chronological:
+            pos = pos[~edges.is_null[pos]]
+        nxt = edges.indices[pos]
+        frontier = np.unique(nxt[~visited[nxt]])
+        visited[frontier] = True
+    if not chronological:
         visited[seeds] = True
-    return _as_set(visited)
-
-
-def _as_set(mask: np.ndarray) -> set[int]:
-    return set(int(i) for i in np.flatnonzero(mask))
+    if avoid is not None:
+        visited &= ~avoid
+    return set(np.flatnonzero(visited).tolist())
 
 
 def chronological_future(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """I+(S): events reachable from S by paths of time-like edges (length >= 1)."""
-    return _reach(S, graph.timelike_children, include_seeds=False)
+    return _reach(S, graph.forward, chronological=True)
 
 
 def causal_future(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """J+(S): reachable by time-like or null edges; includes S itself."""
-    return _reach(S, graph.children, include_seeds=True)
+    return _reach(S, graph.forward, chronological=False)
 
 
 def chronological_past(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """I-(S): mirror of I+ on reversed edges."""
-    return _reach(S, graph.timelike_parents, include_seeds=False)
+    return _reach(S, graph.backward, chronological=True)
 
 
 def causal_past(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """J-(S): mirror of J+ on reversed edges; includes S."""
-    return _reach(S, graph.parents, include_seeds=True)
+    return _reach(S, graph.backward, chronological=False)
 
 
 def pasts(S: Iterable[int], graph: CausalGraph) -> tuple[set[int], set[int]]:
@@ -236,7 +264,7 @@ def pasts(S: Iterable[int], graph: CausalGraph) -> tuple[set[int], set[int]]:
 
 def is_achronal(S: Iterable[int], graph: CausalGraph) -> bool:
     """True iff no event of S lies in the chronological future of S."""
-    s_set = set(int(i) for i in S)
+    s_set = set(_event_array(S, len(graph)).tolist())
     return not (chronological_future(s_set, graph) & s_set)
 
 
@@ -256,49 +284,32 @@ def null_boundary_check(path: Sequence[int], graph: CausalGraph) -> float:
     Small values certify the discrete null-geodesic property of curves inside
     the future boundary.  A step that is not a graph edge raises.
     """
-    if len(path) < 2:
-        return 0.0
-    ev = graph.events.events
-    c = graph.events.c
-    worst = 0.0
     for a, b in zip(path, path[1:]):
         if not graph.is_edge(int(a), int(b)):
             raise ValueError(f"path step {a} -> {b} is not a graph edge")
-        d = ev[int(b)] - ev[int(a)]
-        interval = float(np.dot(d[1:], d[1:]) - (c * d[0]) ** 2)
-        worst = max(worst, abs(interval))
-    return worst
+    d = np.diff(graph.events.events[np.asarray(path, dtype=int)], axis=0)
+    interval = np.einsum("ij,ij->i", d[:, 1:], d[:, 1:]) - (graph.events.c * d[:, 0]) ** 2
+    return float(np.abs(interval).max(initial=0.0))
 
 
-def _topological_order(graph: CausalGraph) -> np.ndarray:
-    # Edges strictly increase the time coordinate, so sorting by it is a
-    # topological order (ties carry no edges between them).
-    return np.argsort(graph.events.events[:, 0], kind="stable")
-
-
-def _dependence(S: Iterable[int], graph: CausalGraph, preds: list[np.ndarray], order: np.ndarray) -> set[int]:
-    """Events in S, or with at least one pred and every pred already good, visiting in order."""
-    in_s = np.zeros(len(graph), dtype=bool)
-    in_s[[int(i) for i in S]] = True
-    good = np.zeros(len(graph), dtype=bool)
-    for i in order:
-        p = preds[i]
-        good[i] = in_s[i] or (p.size > 0 and bool(good[p].all()))
-    return _as_set(good)
+def _dependence(S: Iterable[int], preds: Edges, succs: Edges) -> set[int]:
+    """Events all of whose maximal paths along preds meet S: all but those that the
+    sources (no preds) outside S reach along succs without entering S."""
+    n = preds.indptr.size - 1
+    in_s = np.zeros(n, dtype=bool)
+    in_s[_event_array(S, n)] = True
+    sources = np.flatnonzero((np.diff(preds.indptr) == 0) & ~in_s)
+    return set(range(n)) - _reach(sources, succs, chronological=False, avoid=in_s)
 
 
 def future_dependence(S: Iterable[int], graph: CausalGraph) -> set[int]:
-    """D+(S): events all of whose maximal backward causal paths meet S.
-
-    Dynamic programming in topological order: good(p) = p in S, or p has
-    in-edges and every in-neighbor is good.
-    """
-    return _dependence(S, graph, graph.parents, _topological_order(graph))
+    """D+(S): events all of whose maximal backward causal paths meet S."""
+    return _dependence(S, graph.backward, graph.forward)
 
 
 def past_dependence(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D-(S): mirror of D+ on reversed edges."""
-    return _dependence(S, graph, graph.children, _topological_order(graph)[::-1])
+    return _dependence(S, graph.forward, graph.backward)
 
 
 def dependence_domain(S: Iterable[int], graph: CausalGraph) -> set[int]:
@@ -320,16 +331,14 @@ def is_cauchy_surface(sigma: Iterable[int], graph: CausalGraph) -> CauchyResult:
     On failure the result carries a witness: a chronologically related pair
     inside sigma, or an event outside D(sigma).
     """
-    s_set = set(int(i) for i in sigma)
-    future = chronological_future(s_set, graph)
-    clash = sorted(future & s_set)
+    s_set = set(_event_array(sigma, len(graph)).tolist())
+    clash = chronological_future(s_set, graph) & s_set
     if clash:
-        q = clash[0]
+        q = min(clash)
         return CauchyResult(False, "chronology", (min(chronological_past({q}, graph) & s_set), q))
-    covered = dependence_domain(s_set, graph)
-    for i in range(len(graph)):
-        if i not in covered:
-            return CauchyResult(False, "uncovered", (i,))
+    uncovered = set(range(len(graph))) - dependence_domain(s_set, graph)
+    if uncovered:
+        return CauchyResult(False, "uncovered", (min(uncovered),))
     return CauchyResult(True)
 
 
@@ -353,6 +362,7 @@ class InterceptReport:
 
 def _iter_maximal_paths(graph: CausalGraph, limit: int):
     """All maximal causal paths (source to sink), depth-first, index order."""
+    indptr, indices = graph.forward.indptr.tolist(), graph.forward.indices.tolist()
     count = 0
     for src in graph.sources():
         stack = [(src, 0)]  # (node, depth): path[depth - 1] is the node's parent
@@ -361,25 +371,27 @@ def _iter_maximal_paths(graph: CausalGraph, limit: int):
             node, depth = stack.pop()
             del path[depth:]
             path.append(node)
-            succs = graph.children[node]
-            if succs.size == 0:
+            lo, hi = indptr[node], indptr[node + 1]
+            if lo == hi:
                 count += 1
                 if count > limit:
                     raise PathLimitError(f"more than {limit} maximal paths; use sampling instead")
                 yield tuple(path)
                 continue
-            stack.extend((int(j), depth + 1) for j in succs[::-1])
+            stack.extend((j, depth + 1) for j in reversed(indices[lo:hi]))
 
 
 def sample_maximal_path(graph: CausalGraph, rng: np.random.Generator, sources=None) -> tuple[int, ...]:
     """One maximal causal path by a uniform forward walk from a random source (graph.sources() if None)."""
     sources = graph.sources() if sources is None else sources
+    indptr, indices, _ = graph.forward
     node = int(sources[rng.integers(len(sources))])
     path = [node]
-    while graph.children[node].size > 0:
-        succs = graph.children[node]
-        node = int(succs[rng.integers(succs.size)])
+    lo, hi = indptr.item(node), indptr.item(node + 1)  # Python ints: no numpy scalar per step
+    while hi > lo:
+        node = indices.item(lo + int(rng.integers(hi - lo)))
         path.append(node)
+        lo, hi = indptr.item(node), indptr.item(node + 1)
     return tuple(path)
 
 
@@ -395,7 +407,7 @@ def intercept_check(
     Exhaustive when samples is None (desk-scale graphs), otherwise a seeded
     sample of maximal paths.  Requires sigma to be a Cauchy surface.
     """
-    s_set = set(int(i) for i in sigma)
+    s_set = set(_event_array(sigma, len(graph)).tolist())
     verdict = is_cauchy_surface(s_set, graph)
     if not verdict.is_cauchy:
         raise NotCauchySurfaceError(
@@ -405,33 +417,21 @@ def intercept_check(
     i_plus = chronological_future(s_set, graph)
     i_minus = chronological_past(s_set, graph)
 
-    def check(path: tuple[int, ...]) -> Optional[str]:
-        nodes = set(path)
-        if not (nodes & s_set):
-            return "misses_sigma"
-        if not (nodes & i_plus):
-            return "misses_I+"
-        if not (nodes & i_minus):
-            return "misses_I-"
-        return None
-
-    violations: list[tuple[tuple[int, ...], str]] = []
-    checked = 0
     if samples is None:
-        for path in _iter_maximal_paths(graph, path_limit):
-            checked += 1
-            miss = check(path)
-            if miss:
-                violations.append((path, miss))
+        paths = _iter_maximal_paths(graph, path_limit)
     else:
         rng = np.random.default_rng(seed)
         sources = graph.sources()
-        for _ in range(samples):
-            path = sample_maximal_path(graph, rng, sources)
-            checked += 1
-            miss = check(path)
-            if miss:
-                violations.append((path, miss))
+        paths = (sample_maximal_path(graph, rng, sources) for _ in range(samples))
+    violations: list[tuple[tuple[int, ...], str]] = []
+    checked = 0
+    for checked, path in enumerate(paths, 1):
+        if s_set.isdisjoint(path):
+            violations.append((path, "misses_sigma"))
+        elif i_plus.isdisjoint(path):
+            violations.append((path, "misses_I+"))
+        elif i_minus.isdisjoint(path):
+            violations.append((path, "misses_I-"))
     return InterceptReport(paths_checked=checked, violations=violations)
 
 

@@ -10,9 +10,9 @@ fields use 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,10 +158,6 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
     return Scenario(kind=kind, seed=seed, sections=sections, base_dir=p.parent)
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _extents(text: str) -> list[tuple[float, float]]:
     out = []
     for tok in text.split(","):
@@ -188,34 +184,35 @@ def build_scenario_grid(sc: Scenario) -> ParameterGrid:
     cts = sc.get("grid", "counts")
     if ext is None or cts is None:
         raise ScenarioError("grid.extents and grid.counts are required")
-    return build_grid(_extents(ext), [int(v) for v in _floats(cts)])
+    return build_grid(_extents(ext), _numbers(sc, "grid", "counts", cts, int, positive=True))
 
 
 def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
     embedding = sc.get("fields", "embedding", "flat")
-    eps = float(sc.get("constants", "epsilon", "1e-4"))
+    eps = _number(sc, "constants", "epsilon", "1e-4", positive=True)
     phi0_raw = sc.get("fields", "phi0")
     normalize = _bool(sc.get("fields", "normalize_phi", "false"))
-    phi0 = complex(phi0_raw) if phi0_raw is not None else 1.0 + 0.0j
+    phi0 = _number(sc, "fields", "phi0", "1", complex, positive=None)
     if normalize:
         phi0 = presets.normalized_phi0(grid) + 0.0j
 
     if embedding == "flat":
         n_amb = sc.get("fields", "n_ambient")
-        return presets.flat(grid, n_ambient=int(n_amb) if n_amb else None, phi0=phi0, eps=eps)
+        n_amb = _number(sc, "fields", "n_ambient", n_amb, int, positive=True) if n_amb else None
+        return presets.flat(grid, n_ambient=n_amb, phi0=phi0, eps=eps)
     if embedding == "cylinder":
         return presets.cylinder(
             grid,
-            radius=float(sc.get("fields", "radius", "1.0")),
-            n_ambient=int(sc.get("fields", "n_ambient", "2")),
+            radius=_number(sc, "fields", "radius", "1.0", positive=True),
+            n_ambient=_number(sc, "fields", "n_ambient", "2", int, positive=True),
             phi0=phi0,
             eps=eps,
         )
     if embedding == "sphere_product":
         return presets.sphere_product(
             grid,
-            radius=float(sc.get("fields", "radius", "1.0")),
-            n_ambient=int(sc.get("fields", "n_ambient", "3")),
+            radius=_number(sc, "fields", "radius", "1.0", positive=True),
+            n_ambient=_number(sc, "fields", "n_ambient", "3", int, positive=True),
             phi0=phi0,
             eps=eps,
         )
@@ -225,11 +222,11 @@ def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
             kwargs["phi0"] = phi0
         return presets.perturbed_flat(
             grid,
-            n_ambient=int(sc.get("fields", "n_ambient", "2")),
-            bump_amp=float(sc.get("fields", "bump_amp", "0.3")),
-            shear_amp=float(sc.get("fields", "shear_amp", "0.0")),
-            n_scale=float(sc.get("fields", "n_scale", "1.4")),
-            n_tilt=float(sc.get("fields", "n_tilt", "0.25")),
+            n_ambient=_number(sc, "fields", "n_ambient", "2", int, positive=True),
+            bump_amp=_number(sc, "fields", "bump_amp", "0.3", positive=None),
+            shear_amp=_number(sc, "fields", "shear_amp", "0.0", positive=None),
+            n_scale=_number(sc, "fields", "n_scale", "1.4", positive=None),
+            n_tilt=_number(sc, "fields", "n_tilt", "0.25", positive=None),
             mass_normalized=_bool(sc.get("fields", "mass_normalized", "false")),
             eps=eps,
             **kwargs,
@@ -309,16 +306,14 @@ def _penalty_config(sc: Scenario) -> PenaltyConfig:
     kwargs = {}
     sched = sc.get("optimizer", "K_schedule")
     if sched:
-        kwargs["k_schedule"] = tuple(_floats(sched))
-        if not all(math.isfinite(k) for k in kwargs["k_schedule"]):
-            raise ScenarioError(f"optimizer.K_schedule = {sched!r} must be finite")
+        kwargs["k_schedule"] = tuple(_numbers(sc, "optimizer", "K_schedule", sched, positive=True))
     for name in ("step_init", "armijo_c", "backtrack", "grad_tol", "singular_tol"):
         val = sc.get("optimizer", name)
         if val:
             kwargs[name] = _number(sc, "optimizer", name, val, positive=True)
     iters = sc.get("optimizer", "max_iters")
     if iters:
-        kwargs["max_iters"] = int(iters)
+        kwargs["max_iters"] = _number(sc, "optimizer", "max_iters", iters, int, positive=True)
     opt_fields = sc.get("optimizer", "optimize_fields")
     if opt_fields:
         kwargs["optimize_fields"] = tuple(tok.strip() for tok in opt_fields.split(",") if tok.strip())
@@ -385,16 +380,28 @@ def _causal_queries(sc: Scenario, n_events: int) -> list[tuple[str, list[int]]]:
     return queries
 
 
-def _number(sc: Scenario, section: str, key: str, default: str, kind=float, positive: bool = False):
-    """A finite scenario number, > 0 when positive, else >= 0."""
+def _numbers(sc: Scenario, section: str, key: str, default: str, kind=float, positive: Optional[bool] = False) -> list:
+    """A scenario value as comma-separated finite numbers of one kind: each > 0 when positive,
+    >= 0 when positive is False, of either sign when it is None."""
     text = sc.get(section, key, default)
     try:
-        value = kind(text)
-    except ValueError:
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        finite = all(cmath.isfinite(v) for v in values)
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
         raise ScenarioError(f"{section}.{key} = {text!r} is not a valid {kind.__name__}") from None
-    if not (value > 0 if positive else value >= 0) or not math.isfinite(value):
-        raise ScenarioError(f"{section}.{key} = {text!r} must be finite and {'>' if positive else '>='} 0")
-    return value
+    if not finite:
+        raise ScenarioError(f"{section}.{key} = {text!r} must be finite")
+    if positive is not None and not all(v > 0 if positive else v >= 0 for v in values):
+        raise ScenarioError(f"{section}.{key} = {text!r} must be {'>' if positive else '>='} 0")
+    return values
+
+
+def _number(sc: Scenario, section: str, key: str, default: str, kind=float, positive: Optional[bool] = False):
+    """A scenario value as one finite number (see _numbers)."""
+    values = _numbers(sc, section, key, default, kind, positive)
+    if len(values) != 1:
+        raise ScenarioError(f"{section}.{key} = {sc.get(section, key, default)!r} must be one number")
+    return values[0]
 
 
 def _build_inputs(sc: Scenario) -> dict:
@@ -423,7 +430,7 @@ def _build_inputs(sc: Scenario) -> dict:
         inputs["cfg"] = _penalty_config(sc)
         inputs["slope_band"] = None
         if _bool(sc.get("optimizer", "check_slope", "false")):
-            band = _floats(sc.get("optimizer", "slope_band", "-1.3,-0.7"))
+            band = _numbers(sc, "optimizer", "slope_band", "-1.3,-0.7", positive=None)
             if not band:
                 raise ScenarioError("optimizer.slope_band needs at least one value")
             inputs["slope_band"] = (min(band), max(band))
@@ -470,7 +477,7 @@ def _run_causal(
                 return 2
             lines.append(label + f"paths={rep.paths_checked} violations={len(rep.violations)}")
             counts.append(f"intercept_violations={len(rep.violations)}")
-    edges = sum(a.size for a in graph.children)
+    edges = graph.forward.indices.size
     lines.append(f"summary: events={len(graph)} edges={edges} {' '.join(counts)}")
     _write(out_dir / "causal_report.txt", "\n".join(lines) + "\n")
     return 0

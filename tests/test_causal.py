@@ -1,10 +1,12 @@
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
 from worldsheet.causal import (
     CausalGraph,
+    Edges,
     EventSet,
     NULL_TOL,
     IntervalKind,
@@ -38,7 +40,6 @@ def dense_build_graph(events: EventSet, radius: float) -> CausalGraph:
     if radius <= 0:
         raise ValueError("neighbor radius must be > 0")
     ev = events.events
-    n = len(events)
     c = events.c
     dt = ev[None, :, 0] - ev[:, None, 0]
     dx = ev[None, :, 1:] - ev[:, None, 1:]
@@ -54,20 +55,13 @@ def dense_build_graph(events: EventSet, radius: float) -> CausalGraph:
         is_timelike = ~is_null & (interval < 0)
     t_edges = near & future & is_timelike
     n_edges = near & future & is_null
-    timelike_children = [np.flatnonzero(t_edges[i]) for i in range(n)]
-    null_children = [np.flatnonzero(n_edges[i]) for i in range(n)]
-    children = [np.flatnonzero(t_edges[i] | n_edges[i]) for i in range(n)]
-    timelike_parents = [np.flatnonzero(t_edges[:, i]) for i in range(n)]
-    parents = [np.flatnonzero(t_edges[:, i] | n_edges[:, i]) for i in range(n)]
-    return CausalGraph(
-        events=events,
-        neighbor_radius=float(radius),
-        timelike_children=timelike_children,
-        null_children=null_children,
-        children=children,
-        timelike_parents=timelike_parents,
-        parents=parents,
-    )
+
+    def csr(edges, null):
+        heads, tails = np.nonzero(edges)
+        return Edges(np.r_[0, np.cumsum(edges.sum(axis=1))], tails, null[heads, tails])
+
+    edges = t_edges | n_edges
+    return CausalGraph(events, float(radius), csr(edges, n_edges), csr(edges.T, n_edges.T))
 
 
 def covering_graph(nt, nx, c=1.0, t1=None, x1=None):
@@ -306,15 +300,7 @@ def test_future_dependence_matches_bruteforce_random():
         S = list(rng.choice(len(ev), size=k, replace=False))
         assert future_dependence(S, g) == brute_future_dependence(S, g)
         past = past_dependence(S, g)
-        rev = CausalGraph(
-            events=ev,
-            neighbor_radius=g.neighbor_radius,
-            timelike_children=g.timelike_parents,
-            null_children=[np.array([], dtype=int)] * len(ev),
-            children=g.parents,
-            timelike_parents=g.timelike_children,
-            parents=g.children,
-        )
+        rev = CausalGraph(events=ev, neighbor_radius=g.neighbor_radius, forward=g.backward, backward=g.forward)
         assert past == brute_future_dependence(S, rev)
 
 
@@ -546,3 +532,74 @@ def test_intercept_sampling_scans_sources_once(monkeypatch):
     mid = [5 * 10 + j for j in range(10)]
     assert intercept_check(mid, g, samples=50, seed=4).ok
     assert len(calls) == 1
+
+
+def deque_reach(S, adjacency, include_seeds):
+    """The per-event breadth-first search the frontier kernel replaced, kept as its oracle."""
+    seeds = [int(s) for s in S]
+    visited = np.zeros(len(adjacency), dtype=bool)
+    queue = deque(seeds)
+    while queue:
+        nxt = adjacency[queue.popleft()]
+        fresh = nxt[~visited[nxt]]
+        visited[fresh] = True
+        queue.extend(int(j) for j in fresh)
+    if include_seeds:
+        visited[seeds] = True
+    return set(int(i) for i in np.flatnonzero(visited))
+
+
+def ordered_dependence(S, preds, order):
+    """The per-event dependence pass the frontier kernel replaced: events in S, or with at
+    least one pred and every pred already good, visited in a topological order."""
+    in_s = np.zeros(len(preds), dtype=bool)
+    in_s[[int(i) for i in S]] = True
+    good = np.zeros(len(preds), dtype=bool)
+    for i in order:
+        p = preds[i]
+        good[i] = in_s[i] or (p.size > 0 and bool(good[p].all()))
+    return set(int(i) for i in np.flatnonzero(good))
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_frontier_kernels_match_per_event_oracles(case):
+    events, radius = ORACLE_CASES[case]()
+    g = build_graph(events, radius)
+    n = len(events)
+    # Edges strictly increase the time coordinate, so sorting by it is a topological order.
+    order = np.argsort(events.events[:, 0], kind="stable")
+    rng = np.random.default_rng(sorted(ORACLE_CASES).index(case))
+    event_sets = [[], list(range(n))]
+    if n:
+        repeated = [0, n - 1, 0, n - 1]
+        event_sets += [repeated, rng.integers(0, n, 6).tolist(), rng.choice(n, n // 10, replace=False).tolist()]
+    for S in event_sets:
+        assert chronological_future(S, g) == deque_reach(S, g.timelike_children, False)
+        assert chronological_past(S, g) == deque_reach(S, g.timelike_parents, False)
+        assert causal_future(S, g) == deque_reach(S, g.children, True)
+        assert causal_past(S, g) == deque_reach(S, g.parents, True)
+        assert future_dependence(S, g) == ordered_dependence(S, g.parents, order)
+        assert past_dependence(S, g) == ordered_dependence(S, g.children, order[::-1])
+
+
+OUT_OF_RANGE_QUERIES = (
+    chronological_future,
+    chronological_past,
+    causal_future,
+    causal_past,
+    future_dependence,
+    past_dependence,
+    future_boundary,
+    is_achronal,
+    is_cauchy_surface,
+    intercept_check,
+)
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+@pytest.mark.parametrize("query", OUT_OF_RANGE_QUERIES, ids=lambda f: f.__name__)
+def test_queries_reject_event_index_out_of_range(query, bad):
+    # numpy indexing would answer -1 as event 15 and fail on 16 with an IndexError
+    ev, g = covering_graph(4, 4)
+    with pytest.raises(ValueError, match=f"^event index {bad} outside 0..15$"):
+        query([3, bad], g)

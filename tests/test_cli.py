@@ -1,5 +1,6 @@
 import csv
 import io
+import time
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,8 @@ def test_geometry_check_non_unit_normal_exits_2(tmp_path, capsys):
 
 
 def test_energy_eval_non_finite_integrand_exits_2(tmp_path, capsys):
-    code = cli.run(SCENARIOS / "energy_flat.scn", tmp_path / "out", overrides=["fields.phi0=nan"])
+    # A finite phi0 whose |phi|^2 overflows: a NaN phi0 is an input error (exit 1).
+    code = cli.run(SCENARIOS / "energy_flat.scn", tmp_path / "out", overrides=["fields.phi0=1e200"])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["energy_eval failed: non-finite integrand at node (0, 0)"]
@@ -179,6 +181,14 @@ BAD_INPUTS = {
     "K_schedule_inf": ("minimize_perturbed.scn", ["optimizer.K_schedule=10,inf"], None),
     "optimize_fields_unknown": ("minimize_perturbed.scn", ["optimizer.optimize_fields=q"], None),
     "K_negative": ("energy_flat.scn", ["energy.K=-1"], None),
+    "counts_inf": ("minimize_perturbed.scn", ["grid.counts=inf,5"], None),
+    "counts_fraction": ("minimize_perturbed.scn", ["grid.counts=3.7,5"], None),
+    "bump_amp_inf": ("minimize_perturbed.scn", ["fields.bump_amp=inf"], None),
+    "phi0_nan": ("minimize_perturbed.scn", ["fields.phi0=nan"], None),
+    "epsilon_nan": ("minimize_perturbed.scn", ["constants.epsilon=nan"], None),
+    "epsilon_negative": ("minimize_perturbed.scn", ["constants.epsilon=-1"], None),
+    "max_iters_negative": ("minimize_perturbed.scn", ["optimizer.max_iters=-5"], None),
+    "slope_band_nan": ("minimize_perturbed.scn", ["optimizer.slope_band=nan"], None),
 }
 
 
@@ -323,3 +333,33 @@ def test_tabulated_embedding(tmp_path):
     lines = (out / "geometry_report.csv").read_text().splitlines()
     table_vals = dict(line.split(",") for line in lines[1:])
     assert float(table_vals["frame_tangency_residual"]) < 1e-9
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e400", "3.7", "abc", "")
+# The scenario each section's keys are fuzzed on; the overrides keep a minimize run short.
+FUZZ_SCENARIOS = {"causal": ("causal_grid.scn", []), "energy": ("energy_flat.scn", [])}
+FUZZ_DEFAULT = ("minimize_perturbed.scn", ["optimizer.K_schedule=10,100", "optimizer.max_iters=3"])
+
+
+def test_set_fuzz_never_crashes(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    start = time.perf_counter()
+    for section, keys in sorted(cli._KNOWN_KEYS.items()):
+        name, base = FUZZ_SCENARIOS.get(section, FUZZ_DEFAULT)
+        for key in sorted(keys):
+            for value in rng.choice(FUZZ_VALUES, 3, replace=False):
+                item = f"{section}.{key}={value}"
+                sets = [arg for override in (*base, item) for arg in ("--set", override)]
+                codes = {}
+                for command in ("check", "run"):
+                    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+                    try:
+                        codes[command] = cli.main([command, str(SCENARIOS / name), *out, *sets])
+                    except Exception as exc:  # in-process, a traceback surfaces as an exception
+                        pytest.fail(f"{command} --set {item}: {exc!r}")
+                    err = capsys.readouterr().err
+                    assert codes[command] in (0, 1, 2), f"{command} --set {item}: exit {codes[command]}"
+                    assert "Traceback" not in err, f"{command} --set {item}: {err}"
+                if codes["run"] == 1:
+                    assert codes["check"] == 1, f"--set {item}: run exits 1 but check passes"
+    assert time.perf_counter() - start < 5.0
