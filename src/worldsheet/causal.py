@@ -347,7 +347,12 @@ class NotCauchySurfaceError(ValueError):
 
 
 class PathLimitError(RuntimeError):
-    """An exhaustive intercept_check found more maximal paths than its limit."""
+    """An exhaustive intercept_check found more maximal paths than PATH_LIMIT."""
+
+
+# Beyond this many maximal paths an exhaustive intercept_check gives up: larger
+# graphs are checked by sampling.
+PATH_LIMIT = 200000
 
 
 @dataclass
@@ -400,7 +405,6 @@ def intercept_check(
     graph: CausalGraph,
     samples: Optional[int] = None,
     seed: int = 0,
-    path_limit: int = 200000,
 ) -> InterceptReport:
     """Verify every maximal causal path meets sigma, I+(sigma), and I-(sigma).
 
@@ -418,7 +422,7 @@ def intercept_check(
     i_minus = chronological_past(s_set, graph)
 
     if samples is None:
-        paths = _iter_maximal_paths(graph, path_limit)
+        paths = _iter_maximal_paths(graph, PATH_LIMIT)
     else:
         rng = np.random.default_rng(seed)
         sources = graph.sources()
@@ -453,4 +457,6 @@ def flat_grid_events(
 def load_events(path: str | Path, c: float = 1.0) -> EventSet:
     """Event file: one event per line, whitespace-separated, '#' comments."""
     data = np.loadtxt(path, comments="#", ndmin=2)
+    if not data.size:
+        raise ValueError(f"event file {path} has no events")
     return EventSet(events=data, c=c)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import io
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -48,7 +50,6 @@ _KNOWN_KEYS = {
         "phi0",
         "radius",
         "n_ambient",
-        "normalize_phi",
         "bump_amp",
         "shear_amp",
         "n_scale",
@@ -61,11 +62,8 @@ _KNOWN_KEYS = {
     "optimizer": {
         "K_schedule",
         "step_init",
-        "armijo_c",
-        "backtrack",
         "grad_tol",
         "max_iters",
-        "singular_tol",
         "optimize_fields",
         "check_slope",
         "slope_band",
@@ -190,11 +188,7 @@ def build_scenario_grid(sc: Scenario) -> ParameterGrid:
 def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
     embedding = sc.get("fields", "embedding", "flat")
     eps = _number(sc, "constants", "epsilon", "1e-4", positive=True)
-    phi0_raw = sc.get("fields", "phi0")
-    normalize = _bool(sc.get("fields", "normalize_phi", "false"))
     phi0 = _number(sc, "fields", "phi0", "1", complex, positive=None)
-    if normalize:
-        phi0 = presets.normalized_phi0(grid) + 0.0j
 
     if embedding == "flat":
         n_amb = sc.get("fields", "n_ambient")
@@ -217,9 +211,6 @@ def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
             eps=eps,
         )
     if embedding == "perturbed_flat":
-        kwargs = {}
-        if phi0_raw is not None or normalize:
-            kwargs["phi0"] = phi0
         return presets.perturbed_flat(
             grid,
             n_ambient=_number(sc, "fields", "n_ambient", "2", int, positive=True),
@@ -227,9 +218,9 @@ def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
             shear_amp=_number(sc, "fields", "shear_amp", "0.0", positive=None),
             n_scale=_number(sc, "fields", "n_scale", "1.4", positive=None),
             n_tilt=_number(sc, "fields", "n_tilt", "0.25", positive=None),
+            phi0=None if sc.get("fields", "phi0") is None else phi0,
             mass_normalized=_bool(sc.get("fields", "mass_normalized", "false")),
             eps=eps,
-            **kwargs,
         )
     if embedding == "table":
         table = sc.get("fields", "table")
@@ -307,7 +298,7 @@ def _penalty_config(sc: Scenario) -> PenaltyConfig:
     sched = sc.get("optimizer", "K_schedule")
     if sched:
         kwargs["k_schedule"] = tuple(_numbers(sc, "optimizer", "K_schedule", sched, positive=True))
-    for name in ("step_init", "armijo_c", "backtrack", "grad_tol", "singular_tol"):
+    for name in ("step_init", "grad_tol"):
         val = sc.get("optimizer", name)
         if val:
             kwargs[name] = _number(sc, "optimizer", name, val, positive=True)
@@ -406,6 +397,8 @@ def _number(sc: Scenario, section: str, key: str, default: str, kind=float, posi
 
 def _build_inputs(sc: Scenario) -> dict:
     """Everything the scenario's kind reads, built, validated and keyed as its runner's arguments."""
+    c = _number(sc, "constants", "c", "1.0", positive=True)
+    _number(sc, "constants", "mass", "1.0", positive=True)  # no runner reads it; it is checked all the same
     if sc.kind == "causal":
         ev_file = sc.get("causal", "events")
         if ev_file is None:
@@ -413,7 +406,7 @@ def _build_inputs(sc: Scenario) -> dict:
         path = sc.base_dir / ev_file
         if not path.exists():
             raise ScenarioError(f"event file not found: {path}")
-        events = causal_mod.load_events(path, c=_number(sc, "constants", "c", "1.0", positive=True))
+        events = causal_mod.load_events(path, c=c)
         samples = sc.get("causal", "samples")
         return dict(
             events=events,
@@ -501,6 +494,16 @@ def _load(scenario_path: str | Path, overrides: Sequence[str]) -> Optional[tuple
         return None
 
 
+@contextlib.contextmanager
+def _quiet():
+    """No numpy floating-point or loadtxt warnings on stderr: the conditions behind them
+    end in a one-line error once the scenario runs (non-finite integrand, empty event file)."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt", UserWarning)
+        yield
+
+
+@_quiet()
 def run(scenario_path: str | Path, out_dir: str | Path, overrides: Sequence[str] = ()) -> int:
     """Execute a scenario; returns the process exit code.
 
@@ -515,6 +518,7 @@ def run(scenario_path: str | Path, out_dir: str | Path, overrides: Sequence[str]
     return _RUNNERS[kind](Path(out_dir), **inputs)
 
 
+@_quiet()
 def check(scenario_path: str | Path, overrides: Sequence[str] = ()) -> int:
     """Validate a scenario without running it: the same input step as run."""
     if _load(scenario_path, overrides) is None:

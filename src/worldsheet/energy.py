@@ -102,7 +102,6 @@ def time_integral(values_t: np.ndarray, grid: ParameterGrid) -> float:
 class EnergyBreakdown:
     """Itemized values of the energy pieces; total_JK = total_J + (K/2) * penalties."""
 
-    kinetic: float
     j1_curvature: float
     j2_dirichlet: float
     j2_christoffel: float
@@ -207,7 +206,7 @@ def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float
     p_norm, p_orth, p_unit = _penalties(d.mass, d.dots, d.nn, w, grid)
     total_J = j1 + j2d + j2c
     return EnergyBreakdown(
-        kinetic=0.0, j1_curvature=j1, j2_dirichlet=j2d, j2_christoffel=j2c,
+        j1_curvature=j1, j2_dirichlet=j2d, j2_christoffel=j2c,
         penalty_norm=p_norm, penalty_orth=p_orth, penalty_unit=p_unit,
         total_J=total_J, total_JK=total_J + 0.5 * K * (p_norm + p_orth + p_unit), K=float(K),
     )
@@ -277,15 +276,10 @@ def assemble_JK(
     grid: ParameterGrid,
     K: float,
     geom: GeometryCache | None = None,
-    singular_tol: float = 1e-10,
 ) -> EnergyBreakdown:
-    """Full breakdown of J_K = J + (K/2)(norm + orth + unit).
-
-    singular_tol is the metric-degeneracy threshold below which the
-    configuration is rejected as outside the admissible set.
-    """
+    """Full breakdown of J_K = J + (K/2)(norm + orth + unit)."""
     if geom is None:
-        geom = build_geometry(fields, grid, singular_tol=singular_tol)
+        geom = build_geometry(fields, grid)
     return _breakdown(_densities(fields, geom, grid), geom, grid, K)
 
 

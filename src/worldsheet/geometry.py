@@ -18,6 +18,13 @@ import numpy as np
 from .grid import FieldSet, ParameterGrid, ChartMap, _node_str, finite_difference, finite_difference_adjoint
 
 
+# Admissibility thresholds of the induced geometry.
+SINGULAR_TOL = 1e-10  # |det g| below it: degenerate metric
+FRAME_NULL_TOL = 1e-8  # |v.v| <= it * |v|_E^2: a null normal-frame candidate v
+FRAME_SKIP_TOL = 1e-8  # |v|_E below it: a linearly dependent candidate, skipped
+UNIT_TOL = 1e-8  # |n.n - 1| above it: the normal is not unit
+
+
 class GeometryError(ValueError):
     """Base for degenerate-geometry failures."""
 
@@ -71,10 +78,10 @@ class MetricData:
     sqrt_neg_g: np.ndarray  # (*counts,)
 
 
-def metric(fields: FieldSet, grid: ParameterGrid, singular_tol: float = 1e-10) -> MetricData:
+def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     """Tangents by finite differences, g_jk by Minkowski products, inverse per node.
 
-    Raises DegenerateMetricError when |det g| < singular_tol and SignatureError
+    Raises DegenerateMetricError when |det g| < SINGULAR_TOL and SignatureError
     when det g > 0 (the sheet lost its time-like direction), naming the node.
     """
     tangents = np.stack(
@@ -83,10 +90,10 @@ def metric(fields: FieldSet, grid: ParameterGrid, singular_tol: float = 1e-10) -
     signs = _signs(fields.r.shape[-1])
     g = np.einsum("...ja,...ka,a->...jk", tangents, tangents, signs)
     det = np.linalg.det(g)
-    near_singular = np.abs(det) < singular_tol
+    near_singular = np.abs(det) < SINGULAR_TOL
     if near_singular.any():
         node = tuple(np.argwhere(near_singular)[0])
-        raise DegenerateMetricError(f"metric determinant below {singular_tol} at node {_node_str(node)}")
+        raise DegenerateMetricError(f"metric determinant below {SINGULAR_TOL} at node {_node_str(node)}")
     wrong_sign = det > 0
     if wrong_sign.any():
         node = tuple(np.argwhere(wrong_sign)[0])
@@ -108,18 +115,13 @@ class NormalFrame:
     n_normal: np.ndarray  # (*counts, N+1), projection of fields.n onto the normal space
 
 
-def normal_frame(
-    metric_data: MetricData,
-    fields: FieldSet,
-    null_tol: float = 1e-8,
-    skip_tol: float = 1e-8,
-) -> NormalFrame:
+def normal_frame(metric_data: MetricData, fields: FieldSet) -> NormalFrame:
     """Gram-Schmidt normal frame seeded from the canonical basis e_0..e_N.
 
     The tangent span is pseudo-orthonormalized first; candidate basis vectors
     are then projected onto its complement in fixed order.  Candidates whose
     residual is (Euclidean) negligible are skipped as linearly dependent; a
-    non-negligible residual v with |v.v| <= null_tol * |v|_E^2 means the
+    non-negligible residual v with |v.v| <= FRAME_NULL_TOL * |v|_E^2 means the
     complement contains a null direction and the frame is degenerate.
     """
     tangents = metric_data.tangents
@@ -140,7 +142,7 @@ def normal_frame(
             coef = np.einsum("...a,...a,a->...", w, tau[..., b, :], signs) * sigma[..., b]
             w -= coef[..., None] * tau[..., b, :]
         nu = np.einsum("...a,...a,a->...", w, w, signs)
-        bad = np.abs(nu) < null_tol
+        bad = np.abs(nu) < FRAME_NULL_TOL
         if bad.any():
             node = tuple(np.argwhere(bad)[0][: len(counts)])
             raise DegenerateFrameError(
@@ -167,9 +169,9 @@ def normal_frame(
             v -= coef[..., None] * frame[..., q, :]
         eucl = np.einsum("...a,...a->...", v, v)
         nu = np.einsum("...a,...a,a->...", v, v, signs)
-        skip = eucl < skip_tol**2
+        skip = eucl < FRAME_SKIP_TOL**2
         candidate = active & ~skip
-        null_bad = candidate & (np.abs(nu) <= null_tol * eucl)
+        null_bad = candidate & (np.abs(nu) <= FRAME_NULL_TOL * eucl)
         if null_bad.any():
             node = tuple(np.argwhere(null_bad)[0])
             raise DegenerateFrameError(
@@ -244,18 +246,15 @@ def christoffel(d2r: np.ndarray, metric_data: MetricData) -> np.ndarray:
 
 
 def second_fundamental_form(
-    d2r: np.ndarray,
-    normal: np.ndarray,
-    metric_data: MetricData,
-    unit_tol: float = 1e-8,
+    d2r: np.ndarray, normal: np.ndarray, metric_data: MetricData
 ) -> tuple[np.ndarray, np.ndarray]:
     """b_jk = d^2 r/du_j du_k . n and the raised form b^l_j = b_jk g^{kl}.
 
-    The normal must be unit to within unit_tol in the Minkowski norm.
+    The normal must be unit to within UNIT_TOL in the Minkowski norm.
     """
     signs = _signs(d2r.shape[-1])
     nn = np.einsum("...a,...a,a->...", normal, normal, signs)
-    off = np.abs(nn - 1.0) > unit_tol
+    off = np.abs(nn - 1.0) > UNIT_TOL
     if off.any():
         node = tuple(np.argwhere(off)[0])
         raise NonUnitNormalError(f"normal is not unit at node {_node_str(node)} (n.n = {nn[node]:.6g})")
@@ -382,10 +381,9 @@ def build_geometry(
     with_riemann: bool = False,
     with_frame: bool = False,
     require_unit_normal: bool = False,
-    singular_tol: float = 1e-10,
 ) -> GeometryCache:
     """Assemble the immutable geometry cache for a field configuration."""
-    md = metric(fields, grid, singular_tol=singular_tol)
+    md = metric(fields, grid)
     d2r = second_derivatives(fields.r, md.tangents, grid)
     gamma = christoffel(d2r, md)
     if require_unit_normal:

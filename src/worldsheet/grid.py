@@ -346,7 +346,11 @@ class ChartMap:
         )
 
 
-def make_chart(chart_grid: ParameterGrid, u: np.ndarray, c: float, gauge_tol: float = 1e-12) -> ChartMap:
+# The gauge u_0 = c*t must hold to GAUGE_TOL relative to max(1, max |c t|).
+GAUGE_TOL = 1e-12
+
+
+def make_chart(chart_grid: ParameterGrid, u: np.ndarray, c: float) -> ChartMap:
     """Validate and wrap chart data; enforces the u_0 = c*t gauge."""
     if chart_grid.ndim != 4:
         raise GridError("chart grid must have four axes (t, x_1, x_2, x_3)")
@@ -354,6 +358,6 @@ def make_chart(chart_grid: ParameterGrid, u: np.ndarray, c: float, gauge_tol: fl
         raise GridError("chart sample shape does not match chart grid")
     t = chart_grid.coordinates[..., 0]
     scale = max(1.0, float(np.abs(c * t).max()))
-    if np.max(np.abs(u[..., 0] - c * t)) > gauge_tol * scale:
+    if np.max(np.abs(u[..., 0] - c * t)) > GAUGE_TOL * scale:
         raise GridError("chart violates the gauge condition u_0(x, t) = c*t")
     return ChartMap(grid=chart_grid, u=np.asarray(u, dtype=float), c=float(c))

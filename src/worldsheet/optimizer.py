@@ -19,16 +19,24 @@ from .grid import FieldSet, ParameterGrid, apply_boundary, finite_difference
 from .geometry import GeometryCache, GeometryError, build_geometry, _signs
 from .energy import (
     NonFiniteValueError,
-    _constraint_densities,
     _curvature_density,
     _residuals,
     assemble_JK,
     backward_JK,
+    slice_masses,
 )
 
 logger = logging.getLogger(__name__)
 
 THEOREM_M_RANGE = (5, 8)
+
+# Backtracking line search: a trial step alpha is accepted on sufficient
+# decrease J_K(x - alpha grad) <= J_K(x) - ARMIJO_C alpha |grad|^2 (Nocedal &
+# Wright, Numerical Optimization, 3.1), else shrunk by BACKTRACK; below
+# MIN_STEP the leg stops as line_search_underflow.
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MIN_STEP = 1e-14
 
 
 class GradientProbeError(RuntimeError):
@@ -41,22 +49,17 @@ class PenaltyConfig:
 
     k_schedule: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
     step_init: float = 0.1
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     grad_tol: float = 1e-6
     max_iters: int = 5000
-    singular_tol: float = 1e-10
     optimize_fields: tuple[str, ...] = ("r", "phi", "n")
 
     def __post_init__(self):
         ks = self.k_schedule
         if not ks or not all(0 < k < np.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("k_schedule must be finite, positive and strictly increasing")
-        for name in ("step_init", "armijo_c", "backtrack", "grad_tol", "singular_tol"):
+        for name in ("step_init", "grad_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if not 0 < self.armijo_c < 1 or not 0 < self.backtrack < 1:
-            raise ValueError("armijo_c and backtrack must lie in (0, 1)")
         bad = set(self.optimize_fields) - {"r", "phi", "n"}
         if bad or not self.optimize_fields:
             raise ValueError(f"optimize_fields must be a nonempty subset of r, phi, n (got {self.optimize_fields})")
@@ -80,8 +83,6 @@ class KRecord:
     grad_norm: float
     termination: str
     start_total_J: float = float("nan")
-    min_slice_mass: float = float("nan")
-    min_normal_sq: float = float("nan")
     jk_trace: list[float] = dc_field(default_factory=list)
 
     CSV_FIELDS = (
@@ -190,7 +191,6 @@ def gradient_JK(
     fields: FieldSet,
     grid: ParameterGrid,
     K: float,
-    singular_tol: float = 1e-10,
     kinds: tuple[str, ...] = ("r", "phi", "n"),
 ) -> FieldSet:
     """Exact gradient of J_K over the interior DOFs: one forward, one backward pass.
@@ -201,7 +201,7 @@ def gradient_JK(
     be evaluated raises GradientProbeError naming the node.
     """
     try:
-        geom = build_geometry(fields, grid, singular_tol=singular_tol)
+        geom = build_geometry(fields, grid)
         return _interior_gradient(fields, grid, K, geom, kinds)
     except (GeometryError, NonFiniteValueError) as exc:
         raise GradientProbeError(f"J_K not evaluable: {exc}") from exc
@@ -232,7 +232,7 @@ def minimize_fixed_K(
     """
     x = apply_boundary(fields, grid)
     _clamp_phi(x)
-    geom = build_geometry(x, grid, singular_tol=cfg.singular_tol)
+    geom = build_geometry(x, grid)
     cur = assemble_JK(x, grid, K, geom=geom)
     start_J, trace = cur.total_J, [cur.total_JK]
     step = cfg.step_init
@@ -248,18 +248,18 @@ def minimize_fixed_K(
             break
         gsq = grad_norm * grad_norm
         alpha = step
-        while alpha >= 1e-14:
+        while alpha >= MIN_STEP:
             trial = _add_scaled(x, grad, -alpha, grid)
             _clamp_phi(trial)
             try:
-                trial_geom = build_geometry(trial, grid, singular_tol=cfg.singular_tol)
+                trial_geom = build_geometry(trial, grid)
                 trial_cur = assemble_JK(trial, grid, K, geom=trial_geom)
                 j_trial = trial_cur.total_JK
             except GeometryError:
                 j_trial = float("inf")
-            if np.isfinite(j_trial) and j_trial <= cur.total_JK - cfg.armijo_c * alpha * gsq:
+            if np.isfinite(j_trial) and j_trial <= cur.total_JK - ARMIJO_C * alpha * gsq:
                 break
-            alpha *= cfg.backtrack
+            alpha *= BACKTRACK
         else:
             termination = "line_search_underflow"
             break
@@ -268,7 +268,7 @@ def minimize_fixed_K(
         step = min(2.0 * alpha, cfg.step_init)
         iters += 1
 
-    mass, _, nn = _constraint_densities(np.abs(x.phi) ** 2, x.n, geom, grid)
+    mass = slice_masses(np.abs(x.phi) ** 2 * geom.sqrt_neg_g, grid)
     res_norm, res_orth, res_unit = _residuals(mass, cur.penalty_orth, cur.penalty_unit, grid)
     record = KRecord(
         K=float(K),
@@ -281,8 +281,6 @@ def minimize_fixed_K(
         grad_norm=grad_norm,
         termination=termination,
         start_total_J=start_J,
-        min_slice_mass=float(mass.min()),
-        min_normal_sq=float(np.min(nn)),
         jk_trace=trace,
     )
     return x, record

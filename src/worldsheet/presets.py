@@ -170,11 +170,3 @@ def perturbed_flat(
         # is uniform at the start, to quadrature accuracy.
         phi = phi / np.sqrt(md.sqrt_neg_g).astype(complex)
     return _assemble(grid, r, phi, n, eps)
-
-
-PRESETS = {
-    "flat": flat,
-    "cylinder": cylinder,
-    "sphere_product": sphere_product,
-    "perturbed_flat": perturbed_flat,
-}

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -189,6 +192,16 @@ BAD_INPUTS = {
     "epsilon_negative": ("minimize_perturbed.scn", ["constants.epsilon=-1"], None),
     "max_iters_negative": ("minimize_perturbed.scn", ["optimizer.max_iters=-5"], None),
     "slope_band_nan": ("minimize_perturbed.scn", ["optimizer.slope_band=nan"], None),
+    "mass_nan": ("minimize_perturbed.scn", ["constants.mass=nan"], None),
+    "mass_inf": ("minimize_perturbed.scn", ["constants.mass=inf"], None),
+    "mass_negative": ("minimize_perturbed.scn", ["constants.mass=-1"], None),
+    "mass_text": ("minimize_perturbed.scn", ["constants.mass=abc"], None),
+    "mass_empty": ("minimize_perturbed.scn", ["constants.mass="], None),
+    "c_nan": ("minimize_perturbed.scn", ["constants.c=nan"], None),
+    # Settings that became constants are unknown keys.
+    "armijo_c_removed": ("minimize_perturbed.scn", ["optimizer.armijo_c=0.5"], None),
+    "backtrack_removed": ("minimize_perturbed.scn", ["optimizer.backtrack=0.5"], None),
+    "normalize_phi_removed": ("minimize_perturbed.scn", ["fields.normalize_phi=true"], None),
 }
 
 
@@ -212,6 +225,45 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, case, command):
         assert item.split("=")[0].split(".")[-1] in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def _cli(*args, cwd):
+    """python -m worldsheet in a fresh process, whose stderr pytest does not capture."""
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "worldsheet", *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, scenario, item, code, err",
+    [
+        ("run", "energy_flat.scn", "fields.phi0=1e200", 2, "energy_eval failed: non-finite integrand at node (0, 0)"),
+        ("run", "energy_flat.scn", "fields.bump_amp=1e200", 2, "energy_eval failed: non-finite integrand at node (0, 0)"),
+        ("check", "energy_flat.scn", "fields.bump_amp=1e200", 0, None),
+        ("run", "causal_grid.scn", "causal.events=empty.txt", 1, "scenario error: event file {} has no events"),
+        ("check", "causal_grid.scn", "causal.events=empty.txt", 1, "scenario error: event file {} has no events"),
+    ],
+    ids=["run-phi0_overflow", "run-bump_amp_overflow", "check-bump_amp_overflow", "run-empty_events", "check-empty_events"],
+)
+def test_cli_output_is_one_line_without_warnings(tmp_path, command, scenario, item, code, err):
+    # Overflowing inputs and an empty event file made numpy warn on stderr
+    # before the one-line message (or before "scenario ok").
+    (tmp_path / "empty.txt").write_text("# no events\n")
+    path = write(tmp_path, (SCENARIOS / scenario).read_text())
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    proc = _cli(command, str(path), *out, "--set", item, cwd=tmp_path)
+    assert proc.returncode == code
+    if err is None:
+        assert (proc.stdout, proc.stderr) == ("scenario ok\n", "")
+    else:
+        assert (proc.stdout, proc.stderr) == ("", err.format(tmp_path / "empty.txt") + "\n")
 
 
 @pytest.mark.parametrize("query, index", [("I+:-1", "-1"), ("J+:999", "999")])

@@ -5,13 +5,19 @@ from worldsheet import (
     GradientProbeError,
     PenaltyConfig,
     assemble_JK,
+    build_geometry,
     build_grid,
     coercivity_check,
     constraint_residuals,
     fit_loglog_slope,
     gradient_JK,
+    intercept_check,
+    make_chart,
+    metric,
     minimize_fixed_K,
+    normal_frame,
     penalty_continuation,
+    second_fundamental_form,
 )
 from worldsheet import energy, optimizer, presets
 from worldsheet.optimizer import pack_interior, theorem_range_notice
@@ -34,8 +40,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PenaltyConfig(k_schedule=(10.0, 10.0))
     with pytest.raises(ValueError):
-        PenaltyConfig(armijo_c=1.5)
-    with pytest.raises(ValueError):
         PenaltyConfig(step_init=-1.0)
     with pytest.raises(ValueError):
         PenaltyConfig(optimize_fields=("r", "bogus"))
@@ -49,8 +53,8 @@ def test_config_validation():
         {"grad_tol": float("nan")},
         {"step_init": float("nan")},
         {"step_init": float("inf")},
-        {"singular_tol": float("nan")},
-        {"singular_tol": 0.0},
+        {"grad_tol": float("inf")},
+        {"grad_tol": 0.0},
         {"k_schedule": (10.0, float("nan"))},
         {"k_schedule": (float("nan"), 10.0)},
         {"k_schedule": (10.0, float("inf"))},
@@ -59,6 +63,32 @@ def test_config_validation():
 def test_config_rejects_non_finite_settings(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         PenaltyConfig(**kwargs)
+
+
+# Settings that became module constants: (callable, positional argument
+# count, removed keyword).  The call binds its arguments before reading any.
+REMOVED_KEYWORDS = [
+    (PenaltyConfig, 0, "armijo_c"),
+    (PenaltyConfig, 0, "backtrack"),
+    (PenaltyConfig, 0, "singular_tol"),
+    (metric, 2, "singular_tol"),
+    (build_geometry, 2, "singular_tol"),
+    (assemble_JK, 3, "singular_tol"),
+    (gradient_JK, 3, "singular_tol"),
+    (normal_frame, 2, "null_tol"),
+    (normal_frame, 2, "skip_tol"),
+    (second_fundamental_form, 3, "unit_tol"),
+    (make_chart, 3, "gauge_tol"),
+    (intercept_check, 2, "path_limit"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, n_args, keyword", REMOVED_KEYWORDS, ids=[f"{f.__name__}-{k}" for f, _, k in REMOVED_KEYWORDS]
+)
+def test_removed_settings_are_not_keywords(func, n_args, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        func(*[None] * n_args, **{keyword: 1e-3})
 
 
 def test_gradient_near_zero_at_admissible_flat():
