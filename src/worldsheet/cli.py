@@ -240,7 +240,7 @@ def _tabulated_fields(path: Path, grid: ParameterGrid, phi0: complex, eps: float
     phi = np.full(grid.counts, phi0, dtype=complex)
     n = np.zeros_like(r)
     fields = FieldSet(r=r, phi=phi, n=n, r_bc=r.copy(), phi_bc=phi.copy(), eps=eps)
-    frame = normal_frame(metric(fields, grid), fields)
+    frame = normal_frame(metric(fields, grid))
     fields.n[...] = frame.vectors[..., 0, :]
     fields.r_bc[...] = fields.r
     return fields
@@ -416,7 +416,10 @@ def _build_inputs(sc: Scenario) -> dict:
             queries=_causal_queries(sc, len(events)),
         )
     grid = build_scenario_grid(sc)
-    inputs = dict(grid=grid, fields=build_scenario_fields(sc, grid))
+    try:
+        inputs = dict(grid=grid, fields=build_scenario_fields(sc, grid))
+    except GeometryError as exc:  # e.g. a finite amplitude whose metric overflows
+        raise ScenarioError(f"[fields] embedding {sc.get('fields', 'embedding', 'flat')}: {exc}") from None
     if sc.kind == "energy_eval":
         inputs["K"] = _number(sc, "energy", "K", "0.0")
     if sc.kind == "minimize":

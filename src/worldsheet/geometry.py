@@ -19,7 +19,7 @@ from .grid import FieldSet, ParameterGrid, ChartMap, _node_str, finite_differenc
 
 
 # Admissibility thresholds of the induced geometry.
-SINGULAR_TOL = 1e-10  # |det g| below it: degenerate metric
+SINGULAR_TOL = 1e-10  # |det g| <= it * prod_j |t_j|_E^2: degenerate metric
 FRAME_NULL_TOL = 1e-8  # |v.v| <= it * |v|_E^2: a null normal-frame candidate v
 FRAME_SKIP_TOL = 1e-8  # |v|_E below it: a linearly dependent candidate, skipped
 UNIT_TOL = 1e-8  # |n.n - 1| above it: the normal is not unit
@@ -81,19 +81,25 @@ class MetricData:
 def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     """Tangents by finite differences, g_jk by Minkowski products, inverse per node.
 
-    Raises DegenerateMetricError when |det g| < SINGULAR_TOL and SignatureError
-    when det g > 0 (the sheet lost its time-like direction), naming the node.
+    The one non-degeneracy test of the tangent span, free of the units of r:
+    DegenerateMetricError when |det g| <= SINGULAR_TOL * prod_j |t_j|_E^2, the
+    Cauchy-Binet and Hadamard bound on |det g| (so a zero tangent raises too).
+    GeometryError when a tangent's square is not finite, SignatureError when
+    det g > 0 (the sheet lost its time-like direction); each names the node.
     """
     tangents = np.stack(
         [finite_difference(fields.r, grid, axis=j) for j in range(grid.ndim)], axis=-2
     )
     signs = _signs(fields.r.shape[-1])
     g = np.einsum("...ja,...ka,a->...jk", tangents, tangents, signs)
+    hadamard = np.einsum("...ja,...ja->...j", tangents, tangents).prod(-1)
     det = np.linalg.det(g)
-    near_singular = np.abs(det) < SINGULAR_TOL
-    if near_singular.any():
-        node = tuple(np.argwhere(near_singular)[0])
-        raise DegenerateMetricError(f"metric determinant below {SINGULAR_TOL} at node {_node_str(node)}")
+    sound = np.abs(det) > SINGULAR_TOL * hadamard  # False on the NaN of an overflowed tangent too
+    if not sound.all():
+        node = tuple(np.argwhere(~sound)[0])
+        if not np.isfinite(hadamard[node]):
+            raise GeometryError(f"metric is not finite at node {_node_str(node)}")
+        raise DegenerateMetricError(f"|det g| <= {SINGULAR_TOL} x its Hadamard bound at node {_node_str(node)}")
     wrong_sign = det > 0
     if wrong_sign.any():
         node = tuple(np.argwhere(wrong_sign)[0])
@@ -109,47 +115,30 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
 
 @dataclass
 class NormalFrame:
-    """Orthonormal space-like normal frame and the candidate normal's projection."""
+    """Orthonormal space-like normal frame."""
 
-    vectors: np.ndarray   # (*counts, s, N+1), minkowski-orthonormal, orthogonal to tangents
-    n_normal: np.ndarray  # (*counts, N+1), projection of fields.n onto the normal space
+    vectors: np.ndarray  # (*counts, s, N+1), minkowski-orthonormal, orthogonal to tangents
 
 
-def normal_frame(metric_data: MetricData, fields: FieldSet) -> NormalFrame:
+def normal_frame(metric_data: MetricData) -> NormalFrame:
     """Gram-Schmidt normal frame seeded from the canonical basis e_0..e_N.
 
-    The tangent span is pseudo-orthonormalized first; candidate basis vectors
-    are then projected onto its complement in fixed order.  Candidates whose
-    residual is (Euclidean) negligible are skipped as linearly dependent; a
+    The candidates are the columns P e_i of the Minkowski projector onto the
+    normal space, P = I - T^T g^-1 T S (T the tangent rows, S the signature),
+    which needs only the g^-1 that metric has certified.  They are
+    orthonormalized in fixed order.  Candidates whose residual is
+    (Euclidean) negligible are skipped as linearly dependent; a
     non-negligible residual v with |v.v| <= FRAME_NULL_TOL * |v|_E^2 means the
     complement contains a null direction and the frame is degenerate.
     """
     tangents = metric_data.tangents
     counts = tangents.shape[:-2]
-    n_par = tangents.shape[-2]
     dim = tangents.shape[-1]
-    s_normals = dim - n_par
+    s_normals = dim - tangents.shape[-2]
     if s_normals < 1:
         raise DegenerateFrameError("no normal directions: ambient dimension too small")
     signs = _signs(dim)
-
-    # Pseudo-orthonormal tangent basis tau_a with tau_a . tau_a = sigma_a = +-1.
-    tau = np.zeros(counts + (n_par, dim))
-    sigma = np.zeros(counts + (n_par,))
-    for a in range(n_par):
-        w = tangents[..., a, :].copy()
-        for b in range(a):
-            coef = np.einsum("...a,...a,a->...", w, tau[..., b, :], signs) * sigma[..., b]
-            w -= coef[..., None] * tau[..., b, :]
-        nu = np.einsum("...a,...a,a->...", w, w, signs)
-        bad = np.abs(nu) < FRAME_NULL_TOL
-        if bad.any():
-            node = tuple(np.argwhere(bad)[0][: len(counts)])
-            raise DegenerateFrameError(
-                f"null direction in tangent span at node {_node_str(node)}"
-            )
-        sigma[..., a] = np.sign(nu)
-        tau[..., a, :] = w / np.sqrt(np.abs(nu))[..., None]
+    proj = np.eye(dim) - np.swapaxes(tangents, -1, -2) @ (metric_data.g_inv @ (tangents * signs))
 
     frame = np.zeros(counts + (s_normals, dim))
     filled = np.zeros(counts, dtype=np.intp)
@@ -157,11 +146,7 @@ def normal_frame(metric_data: MetricData, fields: FieldSet) -> NormalFrame:
         active = filled < s_normals
         if not active.any():
             break
-        v = np.zeros(counts + (dim,))
-        v[..., i] = 1.0
-        for a in range(n_par):
-            coef = sigma[..., a] * tau[..., a, i] * signs[i]
-            v -= coef[..., None] * tau[..., a, :]
+        v = proj[..., i].copy()
         # Unfilled frame slots are zero rows, so projecting against all s
         # slots is a no-op for them.
         for q in range(s_normals):
@@ -192,10 +177,7 @@ def normal_frame(metric_data: MetricData, fields: FieldSet) -> NormalFrame:
     if incomplete.any():
         node = tuple(np.argwhere(incomplete)[0])
         raise DegenerateFrameError(f"normal frame incomplete at node {_node_str(node)}")
-
-    coeffs = np.einsum("...a,...qa,a->...q", fields.n, frame, signs)
-    n_normal = np.einsum("...q,...qa->...a", coeffs, frame)
-    return NormalFrame(vectors=frame, n_normal=n_normal)
+    return NormalFrame(vectors=frame)
 
 
 def second_derivatives(r: np.ndarray, tangents: np.ndarray, grid: ParameterGrid) -> np.ndarray:
@@ -397,5 +379,5 @@ def build_geometry(
     if with_riemann:
         cache.riemann = riemann(gamma, grid)
     if with_frame:
-        cache.frame = normal_frame(md, fields)
+        cache.frame = normal_frame(md)
     return cache

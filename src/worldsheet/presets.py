@@ -157,7 +157,7 @@ def perturbed_flat(
     phi = np.full(grid.counts, phi0, dtype=complex)
     probe = _assemble(grid, r, phi, n_analytic, eps)
     md = metric_op(probe, grid)
-    frame = normal_frame(md, probe)
+    frame = normal_frame(md)
     n = frame.vectors[..., 0, :].copy()
     sign = np.sign(np.einsum("...a,...a->...", n, n_analytic))
     n *= sign[..., None]

@@ -4,6 +4,7 @@ import pytest
 from worldsheet import (
     DegenerateFrameError,
     DegenerateMetricError,
+    GeometryError,
     MetricData,
     SignatureError,
     build_geometry,
@@ -20,7 +21,7 @@ from worldsheet import (
     weingarten_residual,
 )
 from worldsheet import presets
-from worldsheet.geometry import _second_derivatives_adjoint
+from worldsheet.geometry import _node_str, _second_derivatives_adjoint
 
 RHO = 1.5
 
@@ -103,6 +104,30 @@ def test_metric_degenerate_error_names_node():
         metric(f, g)
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e4])
+def test_metric_degeneracy_test_is_scale_free(scale):
+    # |det g| scales as scale^4 here; the test compares it with the tangents'
+    # Hadamard bound, so neither unit is degenerate (1e-4 was, as det g = -1e-16).
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    f = presets.flat(g)
+    f.r *= scale
+    f.r_bc *= scale
+    geom = build_geometry(f, g, with_riemann=True, with_frame=True, require_unit_normal=True)
+    assert np.max(np.abs(geom.metric.det_g + scale**4)) <= 1e-14 * scale**4
+    f.r[..., 1] = 0.0
+    with pytest.raises(DegenerateMetricError, match=r"\(0, 0\)"):
+        metric(f, g)
+
+
+def test_metric_overflow_is_not_a_small_determinant():
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    f = presets.flat(g)
+    f.r[..., 1] *= 1e200
+    with np.errstate(over="ignore"), pytest.raises(GeometryError, match=r"not finite at node \(0, 0\)") as info:
+        metric(f, g)
+    assert not isinstance(info.value, DegenerateMetricError)
+
+
 def test_metric_signature_error():
     g = build_grid([(0, 1), (0, 1)], [5, 5])
     f = presets.flat(g)
@@ -117,16 +142,14 @@ def test_metric_signature_error():
 def test_normal_frame_flat():
     g = build_grid([(0, 1), (0, 1)], [5, 5])
     f = presets.flat(g)
-    frame = normal_frame(metric(f, g), f)
+    frame = normal_frame(metric(f, g))
     assert frame.vectors.shape == g.counts + (1, 3)
     assert np.max(np.abs(np.abs(frame.vectors[..., 0, 2]) - 1.0)) < 1e-12
-    # candidate n is already normal, projection is the identity on it
-    assert np.max(np.abs(frame.n_normal - f.n)) < 1e-12
 
 
 def test_normal_frame_cylinder():
     g, f = cylinder_setup(33)
-    frame = normal_frame(metric(f, g), f)
+    frame = normal_frame(metric(f, g))
     ang = g.coordinates[..., 1] / RHO
     want = np.stack([np.zeros_like(ang), np.cos(ang), np.sin(ang)], axis=-1)
     got = frame.vectors[..., 0, :]
@@ -134,7 +157,8 @@ def test_normal_frame_cylinder():
     assert np.max(np.abs(np.abs(align) - 1.0)) < 5e-3
 
 
-def test_normal_frame_invariants_random_embedding():
+def random_embeddings():
+    """Five bent 7x7 sheets with s = 2 normal directions."""
     rng = np.random.default_rng(7)
     g = build_grid([(0, 1), (0, 1)], [7, 7])
     u = g.coordinates
@@ -143,8 +167,28 @@ def test_normal_frame_invariants_random_embedding():
         f = presets.flat(g, n_ambient=3)
         f.r[..., 2] = a * np.sin(u[..., 1] + u[..., 0])
         f.r[..., 3] = b * np.cos(2 * u[..., 1])
+        yield g, f
+
+
+def near_span_sheet(seed):
+    """A 17^3 sphere product whose slow 0.02 r mode in u_0 leaves canonical
+    candidates a short, but space-like, distance from the tangent span."""
+    ext = [(0, 1), (0.6, np.pi - 0.6), (0.2, 1.2)]
+    g = build_grid(ext, [17, 17, 17])
+    u = g.coordinates
+    s = [(u[..., a] - lo) / (hi - lo) for a, (lo, hi) in enumerate(ext)]
+    f = presets.sphere_product(g, n_ambient=3)
+    rng = np.random.default_rng(seed)
+    for comp in range(1, 4):
+        a, b, c = rng.uniform(-1.0, 1.0, 3)
+        f.r[..., comp] += 0.02 * a * np.sin(np.pi * s[0] + c) * np.cos(np.pi * s[1] + b)
+    return g, f
+
+
+def test_normal_frame_invariants_random_embedding():
+    for g, f in random_embeddings():
         md = metric(f, g)
-        frame = normal_frame(md, f)
+        frame = normal_frame(md)
         s = frame.vectors.shape[-2]
         assert s == 2
         gram = np.einsum(
@@ -159,17 +203,7 @@ def test_normal_frame_invariants_random_embedding():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_normal_frame_accepts_candidate_near_tangent_span(seed):
-    # A slow 0.02 r mode in u_0 leaves canonical candidates a short, but
-    # space-like, distance from the tangent span.
-    ext = [(0, 1), (0.6, np.pi - 0.6), (0.2, 1.2)]
-    g = build_grid(ext, [17, 17, 17])
-    u = g.coordinates
-    s = [(u[..., a] - lo) / (hi - lo) for a, (lo, hi) in enumerate(ext)]
-    f = presets.sphere_product(g, n_ambient=3)
-    rng = np.random.default_rng(seed)
-    for comp in range(1, 4):
-        a, b, c = rng.uniform(-1.0, 1.0, 3)
-        f.r[..., comp] += 0.02 * a * np.sin(np.pi * s[0] + c) * np.cos(np.pi * s[1] + b)
+    g, f = near_span_sheet(seed)
     geom = build_geometry(f, g, with_frame=True)
     signs = np.array([-1.0, 1, 1, 1])
     vec = geom.frame.vectors
@@ -179,7 +213,9 @@ def test_normal_frame_accepts_candidate_near_tangent_span(seed):
 
 
 def test_normal_frame_null_complement_error():
-    # Hand-built tangents containing a null direction: (1, 0, 1) and (0, 1, 0).
+    # Hand-built tangents containing a null direction, (1, 0, 1) and (0, 1, 0),
+    # which metric would reject.  g_inv is the inverse of no g: it is chosen so
+    # that the first candidate, P e_0 = (1/2, 0, -1/2), is null.
     counts = (3, 3)
     tang = np.zeros(counts + (2, 3))
     tang[..., 0, 0] = 1.0
@@ -188,14 +224,91 @@ def test_normal_frame_null_complement_error():
     md = MetricData(
         tangents=tang,
         g=np.zeros(counts + (2, 2)),
-        g_inv=np.zeros(counts + (2, 2)),
+        g_inv=np.broadcast_to(np.diag([-0.5, 1.0]), counts + (2, 2)),
         det_g=np.zeros(counts),
         sqrt_neg_g=np.zeros(counts),
     )
-    g = build_grid([(0, 1), (0, 1)], [3, 3])
-    f = presets.flat(g, n_ambient=2)
-    with pytest.raises(DegenerateFrameError):
-        normal_frame(md, f)
+    with pytest.raises(DegenerateFrameError, match=r"null direction in the tangent complement at node \(0, 0\)"):
+        normal_frame(md)
+
+
+def tangent_gram_schmidt_frame(tangents):
+    """Normal frame by pseudo-orthonormalizing the tangents, then projecting
+    e_0..e_N onto their complement in fixed order: the oracle for normal_frame."""
+    counts = tangents.shape[:-2]
+    n_par = tangents.shape[-2]
+    dim = tangents.shape[-1]
+    s_normals = dim - n_par
+    signs = np.ones(dim)
+    signs[0] = -1.0
+    tau = np.zeros(counts + (n_par, dim))
+    sigma = np.zeros(counts + (n_par,))
+    for a in range(n_par):
+        w = tangents[..., a, :].copy()
+        for b in range(a):
+            coef = np.einsum("...a,...a,a->...", w, tau[..., b, :], signs) * sigma[..., b]
+            w -= coef[..., None] * tau[..., b, :]
+        nu = np.einsum("...a,...a,a->...", w, w, signs)
+        bad = np.abs(nu) < 1e-8
+        if bad.any():
+            node = tuple(np.argwhere(bad)[0][: len(counts)])
+            raise DegenerateFrameError(f"null direction in tangent span at node {_node_str(node)}")
+        sigma[..., a] = np.sign(nu)
+        tau[..., a, :] = w / np.sqrt(np.abs(nu))[..., None]
+    frame = np.zeros(counts + (s_normals, dim))
+    filled = np.zeros(counts, dtype=np.intp)
+    for i in range(dim):
+        active = filled < s_normals
+        v = np.zeros(counts + (dim,))
+        v[..., i] = 1.0
+        for a in range(n_par):
+            v -= (sigma[..., a] * tau[..., a, i] * signs[i])[..., None] * tau[..., a, :]
+        for q in range(s_normals):
+            v -= np.einsum("...a,...a,a->...", v, frame[..., q, :], signs)[..., None] * frame[..., q, :]
+        eucl = np.einsum("...a,...a->...", v, v)
+        nu = np.einsum("...a,...a,a->...", v, v, signs)
+        candidate = active & (eucl >= 1e-16)
+        assert not (candidate & (nu <= 1e-8 * eucl)).any()
+        where = np.nonzero(candidate)
+        frame[where + (filled[where],)] = (v / np.sqrt(np.where(candidate, nu, 1.0))[..., None])[where]
+        filled[where] += 1
+    assert (filled == s_normals).all()
+    return frame
+
+
+def perturbed_flat_setup():
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    return g, presets.perturbed_flat(g, bump_amp=0.1, shear_amp=0.05, n_scale=1.2, n_tilt=0.1)
+
+
+FRAME_ORACLE_INPUTS = {
+    **{f"random-{k}": lambda k=k: list(random_embeddings())[k] for k in range(5)},
+    "cylinder": lambda: cylinder_setup(33),
+    "perturbed_flat": perturbed_flat_setup,
+    **{f"near_span-{seed}": lambda seed=seed: near_span_sheet(seed) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", FRAME_ORACLE_INPUTS)
+def test_normal_frame_matches_tangent_gram_schmidt(name):
+    g, f = FRAME_ORACLE_INPUTS[name]()
+    md = metric(f, g)
+    assert np.max(np.abs(normal_frame(md).vectors - tangent_gram_schmidt_frame(md.tangents))) <= 1e-9
+
+
+def test_normal_frame_null_coordinate_tangent():
+    # r = (u_0, u_0 + u_1, u_1): t_0 = (1, 1, 0) is null, yet det g = -1.
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    f = presets.flat(g)
+    u = g.coordinates
+    f.r[...] = np.stack([u[..., 0], u[..., 0] + u[..., 1], u[..., 1]], axis=-1)
+    md = metric(f, g)
+    assert np.max(np.abs(md.det_g + 1.0)) <= 1e-14
+    vec = normal_frame(md).vectors
+    signs = np.array([-1.0, 1, 1])
+    gram = np.einsum("...qa,...pa,a->...qp", vec, vec, signs)
+    assert np.max(np.abs(gram - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.einsum("...qa,...ja,a->...qj", vec, md.tangents, signs))) <= 1e-12
 
 
 def composed_second_derivatives(r, grid):

@@ -75,8 +75,8 @@ REMOVED_KEYWORDS = [
     (build_geometry, 2, "singular_tol"),
     (assemble_JK, 3, "singular_tol"),
     (gradient_JK, 3, "singular_tol"),
-    (normal_frame, 2, "null_tol"),
-    (normal_frame, 2, "skip_tol"),
+    (normal_frame, 1, "null_tol"),
+    (normal_frame, 1, "skip_tol"),
     (second_fundamental_form, 3, "unit_tol"),
     (make_chart, 3, "gauge_tol"),
     (intercept_check, 2, "path_limit"),
