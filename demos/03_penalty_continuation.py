@@ -2,14 +2,14 @@
 
 A bent sheet starts with its normal off unit length, off orthogonality, and
 its amplitude off normalization.  Sweeping the penalty weight K upward with
-warm starts, Armijo gradient descent settles each stage near a critical point
+warm starts, L-BFGS descent settles each stage near a critical point
 where the residual of every violated constraint balances the action's pull at
 size ~ 1/K.  The fitted log-log slopes land near -1.
 
 The geometry is held fixed here and the amplitude and normal relax: that is
 the coercive branch on which the curvature form stays positive, matching the
 hypotheses under which the 1/K estimates hold (see the coercivity report at
-the end).  The run takes about half a minute.
+the end).  The run takes under a second.
 """
 
 import numpy as np

@@ -102,4 +102,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.2.2"
+__version__ = "0.3.0"

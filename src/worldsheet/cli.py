@@ -325,6 +325,11 @@ def _run_minimize(
 
     lines = [report.summary_line()]
     lines += [f"termination K={_fmt(rec.K)}: {rec.termination}" for rec in report.records]
+    lines += [
+        f"descent K={_fmt(rec.K)}: iterations {rec.iterations}, evaluations {rec.evaluations}, "
+        f"resets {rec.resets}, fallbacks {rec.fallbacks}"
+        for rec in report.records
+    ]
     if report.theorem_range_notice:
         lines.append(report.theorem_range_notice)
     if report.stalled:

@@ -288,36 +288,32 @@ def backward_JK(
     grid: ParameterGrid,
     K: float,
     geom: GeometryCache,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse-mode derivative of assemble_JK(...).total_JK on every node.
+    kinds: tuple[str, ...] = ("r", "phi", "n"),
+) -> tuple[EnergyBreakdown, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """J_K and its reverse-mode derivative on every node: one value-and-gradient pass.
 
     geom is the forward pass's cache for fields; it is read, never rebuilt.
-    The adjoints run back through the per-node algebra (Gamma, b, b^l_j,
-    dphi, the penalty terms and the slice masses), through g^{-1} and
-    sqrt(-g) by d g^{-1} = -g^{-1} dg g^{-1} and d sqrt(-g) =
-    (1/2) sqrt(-g) g^{jk} dg_jk, and then to node fields through the
-    transposed stencils.  Returns (dJ/dr, dJ/dphi, dJ/dn) in node-field
-    shapes, boundary nodes included; the phi entry is dJ/d(Re phi) +
-    i dJ/d(Im phi).
-
-    The densities are integrated as assemble_JK integrates them first, so a
-    non-finite integrand raises NonFiniteValueError naming the node.
+    The densities are integrated first, as assemble_JK integrates them: the
+    breakdown equals assemble_JK(..., geom=geom), and a non-finite integrand
+    raises NonFiniteValueError naming the node.  The adjoints then run back
+    through the per-node algebra (Gamma, b, b^l_j, dphi, the penalty terms
+    and the slice masses), through g^{-1} and sqrt(-g), and to node fields
+    through the transposed stencils.  Returns (breakdown, (dJ/dr, dJ/dphi,
+    dJ/dn)) in node-field shapes, boundary nodes included; the phi entry is
+    dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and
+    without "r" the r chain (bars of g^{-1}, Gamma and d2r) is skipped.
     """
     phi, n = fields.phi, fields.n
     signs = _signs(fields.r.shape[-1])
     tangents, d2r, gamma = geom.tangents, geom.d2r, geom.gamma
     g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, geom.dphi, geom.sqrt_neg_g
     d = _densities(fields, geom, grid)
-    _breakdown(d, geom, grid, K)
+    breakdown = _breakdown(d, geom, grid, K)
     phi_sq, curv, re_pair, gamma_c, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.gamma_c, d.dots, d.nn
     rule = _rule(grid)
     w = rule.node_weights * sq
     # d[(K/2) norm] / d(|phi|^2 sqrt(-g)) per node.
     mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), _spatial_weights(grid))
-
-    dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
-    dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
-    bar_sq = rule.node_weights * dens + mass_w * phi_sq
     bar_phi = 2.0 * (0.5 * curv * w + mass_w * sq) * phi
 
     # curvature density g^{jk} b_jl b^l_k with b^l_k = b_km g^{ml}
@@ -325,12 +321,9 @@ def backward_JK(
     bar_b_up = np.einsum("...,...jk,...jl->...lk", bar_curv, g_inv, b)
     bar_b = np.einsum("...,...jk,...lk->...jl", bar_curv, g_inv, b_up)
     bar_b += np.einsum("...lj,...kl->...jk", bar_b_up, g_inv)
-    bar_g_inv = np.einsum("...,...jl,...lk->...jk", bar_curv, b, b_up)
-    bar_g_inv += np.einsum("...jk,...lj->...kl", b, bar_b_up)
 
     # Dirichlet density Re g^{jk} dphi_j dphi*_k
     bar_d = 0.5 * w
-    bar_g_inv += np.einsum("...,...j,...k->...jk", bar_d, dphi, np.conj(dphi)).real
     bar_dphi = np.einsum("...,...jk,...k->...j", bar_d, g_inv + np.swapaxes(g_inv, -1, -2), dphi)
 
     # Christoffel density re_pair_l Gamma^l_jk g^{jk}
@@ -338,6 +331,28 @@ def backward_JK(
     bar_pair = bar_c[..., None] * gamma_c
     bar_dphi += 2.0 * bar_pair * phi[..., None]
     bar_phi += 2.0 * np.einsum("...l,...l->...", bar_pair, dphi)
+
+    # b_jk = d2r_jk . n, and the orth and unit penalties
+    bar_n = np.einsum("...jk,...jka,a->...a", bar_b, d2r, signs)
+    bar_dots = K * w[..., None] * dots
+    bar_n += np.einsum("...j,...ja,a->...a", bar_dots, tangents, signs)
+    bar_n += (2.0 * K * w * (nn - 1.0))[..., None] * n * signs
+
+    # Transposed stencils back to node fields.
+    for j in range(grid.ndim):
+        bar_phi += finite_difference_adjoint(bar_dphi[..., j], grid, j)
+    grads = [np.zeros_like(fields.r), bar_phi if "phi" in kinds else np.zeros_like(phi)]
+    grads.append(bar_n if "n" in kinds else np.zeros_like(n))
+    if "r" not in kinds:
+        return breakdown, tuple(grads)
+
+    # The r chain: every density also reaches r through g^{-1}, sqrt(-g) and d2r.
+    dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
+    dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
+    bar_sq = rule.node_weights * dens + mass_w * phi_sq
+    bar_g_inv = np.einsum("...,...jl,...lk->...jk", bar_curv, b, b_up)
+    bar_g_inv += np.einsum("...jk,...lj->...kl", b, bar_b_up)
+    bar_g_inv += np.einsum("...,...j,...k->...jk", bar_d, dphi, np.conj(dphi)).real
     bar_gamma_c = bar_c[..., None] * re_pair
     bar_gamma = np.einsum("...l,...jk->...ljk", bar_gamma_c, g_inv)
     bar_g_inv += np.einsum("...l,...ljk->...jk", bar_gamma_c, gamma)
@@ -348,24 +363,15 @@ def backward_JK(
     bar_proj = np.einsum("...ljk,...ls->...jks", bar_gamma, g_inv)
     bar_d2r = np.einsum("...jks,...sa,a->...jka", bar_proj, tangents, signs)
     bar_t = np.einsum("...jks,...jka,a->...sa", bar_proj, d2r, signs)
-
-    # b_jk = d2r_jk . n, and the orth and unit penalties
     bar_d2r += np.einsum("...jk,...a,a->...jka", bar_b, n, signs)
-    bar_n = np.einsum("...jk,...jka,a->...a", bar_b, d2r, signs)
-    bar_dots = K * w[..., None] * dots
     bar_t += np.einsum("...j,...a,a->...ja", bar_dots, n, signs)
-    bar_n += np.einsum("...j,...ja,a->...a", bar_dots, tangents, signs)
-    bar_n += (2.0 * K * w * (nn - 1.0))[..., None] * n * signs
 
-    # g^{-1} and sqrt(-g) back to g_jk = t_j . t_k
+    # g^{-1}, sqrt(-g) back to g_jk = t_j . t_k: dg^{-1} = -g^{-1} dg g^{-1}, dsqrt(-g) = sqrt(-g) g^{jk} dg_jk / 2
     bar_g = -np.einsum("...pj,...pq,...kq->...jk", g_inv, bar_g_inv, g_inv)
     bar_g += np.einsum("...,...kj->...jk", 0.5 * bar_sq * sq, g_inv)
     bar_t += np.einsum("...jk,...ka,a->...ja", bar_g + np.swapaxes(bar_g, -1, -2), tangents, signs)
-
-    # Transposed stencils back to node fields.
-    for j in range(grid.ndim):
-        bar_phi += finite_difference_adjoint(bar_dphi[..., j], grid, j)
-    return _second_derivatives_adjoint(bar_t, bar_d2r, grid), bar_phi, bar_n
+    grads[0] = _second_derivatives_adjoint(bar_t, bar_d2r, grid)
+    return breakdown, tuple(grads)
 
 
 def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCache | None = None) -> tuple[float, float, float]:

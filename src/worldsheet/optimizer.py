@@ -1,8 +1,8 @@
 """Penalty-method minimization of J_K over the interior field degrees of freedom.
 
-The gradient is the exact derivative of the discrete J_K as assemble_JK
-computes it: one forward pass (geometry and energy) and one reverse-mode pass
-(energy.backward_JK).  Descent is plain Armijo-backtracking gradient steps.
+Descent is L-BFGS with Armijo backtracking (Nocedal & Wright, Numerical
+Optimization, Alg. 7.4); each configuration it tries gets one forward pass and
+one value-and-gradient pass (energy.backward_JK), J_K and its exact gradient.
 A continuation sweep drives K upward with warm starts and fits the log-log
 slope of the constraint residuals against K, which should sit near -1.
 """
@@ -10,33 +10,31 @@ slope of the constraint residuals against K, which should sit near -1.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .grid import FieldSet, ParameterGrid, apply_boundary, finite_difference
-from .geometry import GeometryCache, GeometryError, build_geometry, _signs
-from .energy import (
-    NonFiniteValueError,
-    _curvature_density,
-    _residuals,
-    assemble_JK,
-    backward_JK,
-    slice_masses,
-)
+from .geometry import GeometryError, build_geometry, _signs
+from .energy import NonFiniteValueError, _curvature_density, _residuals, backward_JK, slice_masses
 
 logger = logging.getLogger(__name__)
 
 THEOREM_M_RANGE = (5, 8)
 
-# Backtracking line search: a trial step alpha is accepted on sufficient
-# decrease J_K(x - alpha grad) <= J_K(x) - ARMIJO_C alpha |grad|^2 (Nocedal &
-# Wright, Numerical Optimization, 3.1), else shrunk by BACKTRACK; below
-# MIN_STEP the leg stops as line_search_underflow.
+# Backtracking line search along a descent direction d: a trial step alpha
+# is accepted on sufficient decrease J_K(x + alpha d) <= J_K(x) + ARMIJO_C
+# alpha grad.d (Nocedal & Wright, 3.1), else shrunk by BACKTRACK; below
+# MIN_STEP the leg stops as line_search_underflow.  L-BFGS keeps the last
+# MEMORY pairs (s, y) of step and gradient change, and skips a pair whose
+# curvature s.y <= CURVATURE_TOL |s| |y|.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MIN_STEP = 1e-14
+MEMORY = 8
+CURVATURE_TOL = 1e-12
 
 
 class GradientProbeError(RuntimeError):
@@ -71,6 +69,8 @@ class KRecord:
 
     termination says why the descent stopped: converged, max_iters or
     line_search_underflow; stalled and converged are read from it.
+    evaluations counts the start and every line-search trial; resets and
+    fallbacks count the L-BFGS memory clears (see minimize_fixed_K).
     """
 
     K: float
@@ -82,6 +82,9 @@ class KRecord:
     res_unit: float
     grad_norm: float
     termination: str
+    evaluations: int
+    resets: int
+    fallbacks: int
     start_total_J: float = float("nan")
     jk_trace: list[float] = dc_field(default_factory=list)
 
@@ -167,17 +170,20 @@ def pack_interior(fields: FieldSet, grid: ParameterGrid) -> np.ndarray:
     return np.concatenate([r_block, phi_block, n_block])
 
 
-def _add_scaled(fields: FieldSet, direction: FieldSet, alpha: float, grid: ParameterGrid) -> FieldSet:
+def _add_scaled(fields: FieldSet, d: np.ndarray, alpha: float, grid: ParameterGrid) -> FieldSet:
+    """fields plus alpha times the packed interior direction d."""
     out = fields.copy()
     interior = grid.interior_mask
-    out.r[interior] += alpha * direction.r[interior]
-    out.phi[interior] += alpha * direction.phi[interior]
-    out.n[interior] += alpha * direction.n[interior]
+    n_r, n_phi = out.r[interior].size, 2 * out.phi[interior].size
+    out.r[interior] += alpha * d[:n_r].reshape(-1, out.r.shape[-1])
+    phi = d[n_r : n_r + n_phi].reshape(-1, 2)
+    out.phi[interior] += alpha * (phi[:, 0] + 1j * phi[:, 1])
+    out.n[interior] += alpha * d[n_r + n_phi :].reshape(-1, out.n.shape[-1])
     return out
 
 
-def _clamp_phi(fields: FieldSet) -> None:
-    """Radial projection back to |phi|^2 >= eps, preserving phase."""
+def _clamp_phi(fields: FieldSet) -> bool:
+    """Radial projection back to |phi|^2 >= eps, preserving phase; True if a node moved."""
     mag_sq = np.abs(fields.phi) ** 2
     low = mag_sq < fields.eps
     if low.any():
@@ -185,6 +191,7 @@ def _clamp_phi(fields: FieldSet) -> None:
         mag = np.sqrt(mag_sq[low])
         vals = fields.phi[low]
         fields.phi[low] = np.where(mag > 0, vals * (target / np.where(mag > 0, mag, 1.0)), target)
+    return bool(low.any())
 
 
 def gradient_JK(
@@ -201,20 +208,30 @@ def gradient_JK(
     be evaluated raises GradientProbeError naming the node.
     """
     try:
-        geom = build_geometry(fields, grid)
-        return _interior_gradient(fields, grid, K, geom, kinds)
+        _, grads = backward_JK(fields, grid, K, build_geometry(fields, grid), kinds)
     except (GeometryError, NonFiniteValueError) as exc:
         raise GradientProbeError(f"J_K not evaluable: {exc}") from exc
+    for arr in grads:
+        arr[grid.boundary_mask] = 0.0
+    return FieldSet(*grads, r_bc=np.zeros_like(fields.r_bc), phi_bc=np.zeros_like(fields.phi_bc), eps=fields.eps)
 
 
-def _interior_gradient(
-    fields: FieldSet, grid: ParameterGrid, K: float, geom: GeometryCache, kinds: tuple[str, ...]
-) -> FieldSet:
-    """gradient_JK on geom, the forward pass's cache for fields."""
-    grad = dict(zip(("r", "phi", "n"), backward_JK(fields, grid, K, geom)))
-    for kind, arr in grad.items():
-        arr[grid.boundary_mask if kind in kinds else ...] = 0.0
-    return FieldSet(**grad, r_bc=np.zeros_like(fields.r_bc), phi_bc=np.zeros_like(fields.phi_bc), eps=fields.eps)
+def _lbfgs_direction(grad: np.ndarray, memory: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """-H grad by the two-loop recursion over the (s, y) pairs, oldest first.
+
+    H is the BFGS inverse Hessian from H_0 = (s.y / y.y) I of the newest pair.
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(memory):
+        alphas.append((s @ q) / (s @ y))
+        q -= alphas[-1] * y
+    if memory:
+        s, y = memory[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y), a in zip(memory, reversed(alphas)):
+        q += (a - (y @ q) / (s @ y)) * s
+    return -q
 
 
 def minimize_fixed_K(
@@ -223,49 +240,67 @@ def minimize_fixed_K(
     K: float,
     cfg: PenaltyConfig,
 ) -> tuple[FieldSet, KRecord]:
-    """Armijo-backtracking gradient descent on J_K at fixed K.
+    """L-BFGS with Armijo backtracking on J_K at fixed K.
 
-    Accepted iterates never increase J_K; phi is radially clamped back to the
-    admissible set after every step.  Step underflow is recorded as a stall,
-    not raised.  Each configuration gets one forward pass: an accepted
-    trial's geometry and breakdown serve its gradient and the K record.
+    The line search starts at alpha = 1, or at cfg.step_init while the memory
+    is empty (a leg's first step, after a reset or a fallback).  Accepted
+    iterates never increase J_K.  phi is clamped back to the admissible set
+    after every step; a clamp that moves a node clears the memory (a reset),
+    as does a direction that is not one of descent, replaced by -grad (a
+    fallback).  Step underflow is recorded as a stall, not raised.
     """
+
+    def evaluate(x):
+        geom = build_geometry(x, grid)
+        cur, grads = backward_JK(x, grid, K, geom, cfg.optimize_fields)
+        return geom, cur, pack_interior(FieldSet(*grads, x.r_bc, x.phi_bc), grid)
+
     x = apply_boundary(fields, grid)
     _clamp_phi(x)
-    geom = build_geometry(x, grid)
-    cur = assemble_JK(x, grid, K, geom=geom)
+    geom, cur, grad = evaluate(x)
     start_J, trace = cur.total_J, [cur.total_JK]
-    step = cfg.step_init
-    grad_norm = float("nan")
+    memory: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)
     termination = "max_iters"
-    iters = 0
+    iters = resets = fallbacks = 0
+    evaluations = 1
 
-    while iters < cfg.max_iters:
-        grad = _interior_gradient(x, grid, K, geom, cfg.optimize_fields)
-        grad_norm = float(np.linalg.norm(pack_interior(grad, grid)))
+    while True:
+        grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= cfg.grad_tol:
             termination = "converged"
             break
-        gsq = grad_norm * grad_norm
-        alpha = step
+        if iters == cfg.max_iters:
+            break
+        d = _lbfgs_direction(grad, memory)
+        slope = float(grad @ d)
+        if not slope < 0.0:
+            memory.clear()
+            fallbacks += 1
+            d, slope = -grad, -grad_norm * grad_norm
+        alpha = 1.0 if memory else cfg.step_init
         while alpha >= MIN_STEP:
-            trial = _add_scaled(x, grad, -alpha, grid)
-            _clamp_phi(trial)
+            trial = _add_scaled(x, d, alpha, grid)
+            clamped = _clamp_phi(trial)
+            evaluations += 1
             try:
-                trial_geom = build_geometry(trial, grid)
-                trial_cur = assemble_JK(trial, grid, K, geom=trial_geom)
-                j_trial = trial_cur.total_JK
+                trial_geom, trial_cur, trial_grad = evaluate(trial)
             except GeometryError:
-                j_trial = float("inf")
-            if np.isfinite(j_trial) and j_trial <= cur.total_JK - ARMIJO_C * alpha * gsq:
+                trial_cur = None
+            if trial_cur is not None and trial_cur.total_JK <= cur.total_JK + ARMIJO_C * alpha * slope:
                 break
             alpha *= BACKTRACK
         else:
             termination = "line_search_underflow"
             break
-        x, geom, cur = trial, trial_geom, trial_cur
+        if clamped:
+            memory.clear()
+            resets += 1
+        else:
+            s, y = alpha * d, trial_grad - grad
+            if s @ y > CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
+                memory.append((s, y))
+        x, geom, cur, grad = trial, trial_geom, trial_cur, trial_grad
         trace.append(cur.total_JK)
-        step = min(2.0 * alpha, cfg.step_init)
         iters += 1
 
     mass = slice_masses(np.abs(x.phi) ** 2 * geom.sqrt_neg_g, grid)
@@ -280,6 +315,9 @@ def minimize_fixed_K(
         res_unit=res_unit,
         grad_norm=grad_norm,
         termination=termination,
+        evaluations=evaluations,
+        resets=resets,
+        fallbacks=fallbacks,
         start_total_J=start_J,
         jk_trace=trace,
     )

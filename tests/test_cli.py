@@ -139,6 +139,20 @@ def test_minimize_termination_reported(tmp_path):
     assert "termination K=100: max_iters" in summary
 
 
+def test_minimize_demo_converges_every_leg(tmp_path):
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "minimize_perturbed.scn", out) == 0
+    summary = (out / "minimize_summary.txt").read_text().splitlines()
+    terminations = [line for line in summary if line.startswith("termination K=")]
+    assert len(terminations) == 4
+    assert all(line.endswith(": converged") for line in terminations)
+    assert sum(line.startswith("slope_check ") and line.endswith(" -> ok") for line in summary) == 3
+    descents = [line for line in summary if line.startswith("descent K=")]
+    assert len(descents) == 4
+    assert all(line.endswith("resets 0, fallbacks 0") for line in descents)
+    assert summary[-1] == "exit: 0"
+
+
 def test_minimize_fd_step_key_removed(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.run(SCENARIOS / "minimize_perturbed.scn", out, overrides=["optimizer.fd_step=1e-6"]) == 1

@@ -2,8 +2,12 @@
 
 The oracle below is the optimizer's former gradient: two full assemble_JK
 calls per interior degree of freedom.  It is far too slow for descent but
-independent of the backward pass, so it stays here as the reference.
+independent of the backward pass, so it stays here as the reference.  The
+L-BFGS two-loop direction is checked against the dense BFGS inverse update.
 """
+
+import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,9 +15,12 @@ import pytest
 from worldsheet import (
     PenaltyConfig,
     assemble_JK,
+    backward_JK,
+    build_geometry,
     build_grid,
     gradient_JK,
     minimize_fixed_K,
+    optimizer,
     presets,
 )
 from worldsheet.optimizer import pack_interior
@@ -127,3 +134,67 @@ def test_descent_all_fields_9x17_monotone():
     assert rec.termination == "max_iters"
     assert np.all(np.diff(trace) <= 0.0)
     assert trace[-1] < trace[0]
+
+
+def _perturbed_flat(counts):
+    g = build_grid([(0, 2), (0, 1)], counts)
+    f = presets.perturbed_flat(
+        g, bump_amp=0.12, shear_amp=0.06, n_scale=1.25, n_tilt=0.1, mass_normalized=True
+    )
+    return g, f
+
+
+@pytest.mark.parametrize("counts", [(3, 7), (9, 17)])
+def test_backward_without_r_matches_full_pass(counts):
+    g, f = _perturbed_flat(counts)
+    geom = build_geometry(f, g)
+    _, (r_full, phi_full, n_full) = backward_JK(f, g, 30.0, geom)
+    _, (r_part, phi_part, n_part) = backward_JK(f, g, 30.0, geom, kinds=("phi", "n"))
+    assert np.any(r_full != 0.0)
+    assert np.all(r_part == 0.0) and r_part.shape == r_full.shape
+    assert np.array_equal(phi_part, phi_full)
+    assert np.array_equal(n_part, n_full)
+
+
+@pytest.mark.parametrize("counts", [(3, 7), (9, 17)])
+def test_backward_breakdown_equals_assemble(counts):
+    g, f = _perturbed_flat(counts)
+    geom = build_geometry(f, g)
+    want = assemble_JK(f, g, 30.0, geom=geom)
+    for kinds in (("r", "phi", "n"), ("phi", "n")):
+        got, _ = backward_JK(f, g, 30.0, geom, kinds=kinds)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+def _dense_bfgs_direction(grad, pairs):
+    """-H grad with H from the dense BFGS inverse update over the pairs, oldest first.
+
+    H_0 = (s.y / y.y) I of the newest pair; with no pairs, H = I.
+    """
+    eye = np.eye(grad.size)
+    h = (pairs[-1][0] @ pairs[-1][1]) / (pairs[-1][1] @ pairs[-1][1]) * eye if pairs else eye
+    for s, y in pairs:
+        rho = 1.0 / (s @ y)
+        h = (eye - rho * np.outer(s, y)) @ h @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
+    return -h @ grad
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 3, optimizer.MEMORY, optimizer.MEMORY + 4])
+def test_two_loop_equals_dense_bfgs(n_pairs):
+    # Pairs from a random SPD quadratic (y = A s); past MEMORY pairs only the
+    # newest MEMORY are kept, so the oracle sees those alone.
+    rng = np.random.default_rng(n_pairs)
+    dim = 12
+    q = rng.standard_normal((dim, dim))
+    a = q @ q.T + 0.5 * np.eye(dim)
+    memory = deque(maxlen=optimizer.MEMORY)
+    pairs = []
+    for _ in range(n_pairs):
+        s = rng.standard_normal(dim)
+        pairs.append((s, a @ s))
+        memory.append(pairs[-1])
+    grad = rng.standard_normal(dim)
+    got = optimizer._lbfgs_direction(grad, memory)
+    want = _dense_bfgs_direction(grad, pairs[-optimizer.MEMORY :])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert grad @ got < 0.0

@@ -233,7 +233,7 @@ def test_minimize_max_iters_termination():
 
 def test_minimize_evaluates_each_configuration_once(monkeypatch):
     # Every configuration, start and trials alike, gets one build_geometry and
-    # one assemble_JK; the next gradient runs backward on the accepted cache.
+    # one backward_JK, which returns J_K with the gradient: no assemble_JK.
     calls = {"build_geometry": 0, "assemble_JK": 0, "backward_JK": 0}
 
     def counting(module, name):
@@ -247,14 +247,15 @@ def test_minimize_evaluates_each_configuration_once(monkeypatch):
 
     for module in (energy, optimizer):
         counting(module, "build_geometry")
-    counting(optimizer, "assemble_JK")
+    counting(energy, "assemble_JK")
     counting(optimizer, "backward_JK")
+    assert not hasattr(optimizer, "assemble_JK")
     g, f = small_perturbed()
     cfg = PenaltyConfig(max_iters=12, optimize_fields=("phi", "n"))
     _, rec = minimize_fixed_K(f, g, 30.0, cfg)
     assert rec.termination == "max_iters" and rec.iterations == 12
-    assert calls["build_geometry"] == calls["assemble_JK"] > 12
-    assert calls["backward_JK"] == 12
+    assert calls["build_geometry"] == calls["backward_JK"] == rec.evaluations > 12
+    assert calls["assemble_JK"] == 0
 
 
 def test_minimize_preserves_phi_floor():
@@ -263,8 +264,11 @@ def test_minimize_preserves_phi_floor():
     interior = g.interior_mask
     f.phi[interior] = 0.1 + 0.0j
     cfg = PenaltyConfig(max_iters=3, step_init=0.05)
-    out, _ = minimize_fixed_K(f, g, 10.0, cfg)
+    out, rec = minimize_fixed_K(f, g, 10.0, cfg)
     assert np.all(np.abs(out.phi[interior]) ** 2 >= 0.25 * (1 - 1e-12))
+    # Every accepted step is clamped, so every one clears the L-BFGS memory.
+    assert rec.iterations == rec.resets == 3
+    assert rec.fallbacks == 0
 
 
 def test_continuation_slopes_near_minus_one():
