@@ -39,6 +39,7 @@ from .geometry import (
     metric,
     minkowski_dot,
     normal_frame,
+    refresh_geometry,
     riemann,
     second_derivatives,
     second_fundamental_form,
@@ -102,4 +103,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"

@@ -35,7 +35,7 @@ from .geometry import (
     normal_frame,
     weingarten_residual,
 )
-from .grid import FieldSet, GridError, ParameterGrid, build_grid
+from .grid import FieldSet, GridError, ParameterGrid, _node_str, build_grid
 from .optimizer import PenaltyConfig, penalty_continuation
 
 SCHEMA_VERSION = 1
@@ -425,6 +425,11 @@ def _build_inputs(sc: Scenario) -> dict:
         inputs = dict(grid=grid, fields=build_scenario_fields(sc, grid))
     except GeometryError as exc:  # e.g. a finite amplitude whose metric overflows
         raise ScenarioError(f"[fields] embedding {sc.get('fields', 'embedding', 'flat')}: {exc}") from None
+    n = inputs["fields"].n  # unit, but for perturbed_flat's finite n_scale and n_tilt, which may overflow
+    bad = np.argwhere(~np.isfinite((minkowski_dot(n, n) - 1.0) ** 2))
+    if bad.size:
+        raise ScenarioError(f"fields.n_scale and fields.n_tilt give a normal whose (n.n - 1)^2"
+                            f" is not finite at node {_node_str(tuple(bad[0]))}")
     if sc.kind == "energy_eval":
         inputs["K"] = _number(sc, "energy", "K", "0.0")
     if sc.kind == "minimize":

@@ -27,6 +27,7 @@ from .grid import (
 from .geometry import (
     ChartMetric,
     GeometryCache,
+    _christoffel_adjoint,
     _second_derivatives_adjoint,
     _signs,
     build_geometry,
@@ -358,11 +359,8 @@ def backward_JK(
     bar_g_inv += np.einsum("...l,...ljk->...jk", bar_gamma_c, gamma)
 
     # Gamma^l_jk = g^{ls} (d2r_jk . t_s)
-    proj = np.einsum("...jka,...sa,a->...jks", d2r, tangents, signs)
-    bar_g_inv += np.einsum("...ljk,...jks->...ls", bar_gamma, proj)
-    bar_proj = np.einsum("...ljk,...ls->...jks", bar_gamma, g_inv)
-    bar_d2r = np.einsum("...jks,...sa,a->...jka", bar_proj, tangents, signs)
-    bar_t = np.einsum("...jks,...jka,a->...sa", bar_proj, d2r, signs)
+    bar_g_inv_gamma, bar_d2r, bar_t = _christoffel_adjoint(bar_gamma, d2r, geom.metric)
+    bar_g_inv += bar_g_inv_gamma
     bar_d2r += np.einsum("...jk,...a,a->...jka", bar_b, n, signs)
     bar_t += np.einsum("...j,...a,a->...ja", bar_dots, n, signs)
 

@@ -10,7 +10,7 @@ signature (-,+,...,+) Minkowski form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -216,15 +216,35 @@ def _second_derivatives_adjoint(bar_t: np.ndarray, bar_d2r: np.ndarray, grid: Pa
     )
 
 
+def _tangential_projection(d2r: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """d^2 r/du_j du_k . t_s per node as a batched matmul over the (j, k) pairs, shape [..., jk, s]."""
+    nd, dim = d2r.shape[-2:]
+    flat = d2r.reshape(d2r.shape[:-3] + (nd * nd, dim))
+    return flat @ np.swapaxes(tangents * _signs(dim), -1, -2)
+
+
 def christoffel(d2r: np.ndarray, metric_data: MetricData) -> np.ndarray:
     """Christoffel symbols as the tangential projection of d^2 r.
 
     Gamma^l_jk = g^{ls} (d^2 r/du_j du_k . g_s); returned with index order
-    [..., l, j, k], symmetric in (j, k).
+    [..., l, j, k], symmetric in (j, k).  Matmuls fix the contraction order.
     """
+    proj = _tangential_projection(d2r, metric_data.tangents)
+    gamma = metric_data.g_inv @ np.swapaxes(proj, -1, -2)
+    return gamma.reshape(gamma.shape[:-1] + d2r.shape[-3:-1])
+
+
+def _christoffel_adjoint(
+    bar_gamma: np.ndarray, d2r: np.ndarray, metric_data: MetricData
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reverse mode of christoffel: the bars of g^{-1}, d2r and the tangents from Gamma's, by the same matmuls."""
     signs = _signs(d2r.shape[-1])
-    proj = np.einsum("...jka,...sa,a->...jks", d2r, metric_data.tangents, signs)
-    return np.einsum("...ls,...jks->...ljk", metric_data.g_inv, proj)
+    proj = _tangential_projection(d2r, metric_data.tangents)  # [..., jk, s]
+    bar_pairs = bar_gamma.reshape(bar_gamma.shape[:-2] + proj.shape[-2:-1])  # [..., l, jk]
+    bar_proj = np.swapaxes(bar_pairs, -1, -2) @ metric_data.g_inv  # [..., jk, s]
+    bar_d2r = bar_proj @ (metric_data.tangents * signs)
+    bar_t = (np.swapaxes(bar_proj, -1, -2) @ d2r.reshape(bar_d2r.shape)) * signs
+    return bar_pairs @ proj, bar_d2r.reshape(d2r.shape), bar_t
 
 
 def second_fundamental_form(
@@ -234,14 +254,16 @@ def second_fundamental_form(
 
     The normal must be unit to within UNIT_TOL in the Minkowski norm.
     """
-    signs = _signs(d2r.shape[-1])
-    nn = np.einsum("...a,...a,a->...", normal, normal, signs)
+    _require_unit(normal)
+    return _fundamental_form_raw(d2r, normal, metric_data)
+
+
+def _require_unit(normal: np.ndarray) -> None:
+    nn = np.einsum("...a,...a,a->...", normal, normal, _signs(normal.shape[-1]))
     off = np.abs(nn - 1.0) > UNIT_TOL
     if off.any():
         node = tuple(np.argwhere(off)[0])
         raise NonUnitNormalError(f"normal is not unit at node {_node_str(node)} (n.n = {nn[node]:.6g})")
-    b, b_up = _fundamental_form_raw(d2r, normal, metric_data)
-    return b, b_up
 
 
 def _fundamental_form_raw(
@@ -369,15 +391,23 @@ def build_geometry(
     d2r = second_derivatives(fields.r, md.tangents, grid)
     gamma = christoffel(d2r, md)
     if require_unit_normal:
-        b, b_up = second_fundamental_form(d2r, fields.n, md)
-    else:
-        b, b_up = _fundamental_form_raw(d2r, fields.n, md)
-    dphi = np.stack(
-        [finite_difference(fields.phi, grid, axis=j) for j in range(grid.ndim)], axis=-1
-    )
-    cache = GeometryCache(metric=md, d2r=d2r, gamma=gamma, b=b, b_up=b_up, dphi=dphi)
+        _require_unit(fields.n)
+    cache = refresh_geometry(GeometryCache(md, d2r, gamma, b=None, b_up=None, dphi=None), fields, grid)
     if with_riemann:
         cache.riemann = riemann(gamma, grid)
     if with_frame:
         cache.frame = normal_frame(md)
     return cache
+
+
+def refresh_geometry(base: GeometryCache, fields: FieldSet, grid: ParameterGrid) -> GeometryCache:
+    """base with the entries that read n and phi rebuilt from fields: b, b^l_j and dphi.
+
+    The r part of base (metric, d2r, Gamma, and riemann and frame if present)
+    is shared, not recomputed, so fields.r must be the r base was built from.
+    """
+    b, b_up = _fundamental_form_raw(base.d2r, fields.n, base.metric)
+    dphi = np.stack(
+        [finite_difference(fields.phi, grid, axis=j) for j in range(grid.ndim)], axis=-1
+    )
+    return replace(base, b=b, b_up=b_up, dphi=dphi)

@@ -1,8 +1,9 @@
 """Penalty-method minimization of J_K over the interior field degrees of freedom.
 
 Descent is L-BFGS with Armijo backtracking (Nocedal & Wright, Numerical
-Optimization, Alg. 7.4); each configuration it tries gets one forward pass and
+Optimization, Alg. 7.4); each configuration it tries gets one geometry cache and
 one value-and-gradient pass (energy.backward_JK), J_K and its exact gradient.
+With r frozen, the r part of the cache is built once per K and shared.
 A continuation sweep drives K upward with warm starts and fits the log-log
 slope of the constraint residuals against K, which should sit near -1.
 """
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import FieldSet, ParameterGrid, apply_boundary, finite_difference
-from .geometry import GeometryError, build_geometry, _signs
+from .geometry import GeometryError, build_geometry, refresh_geometry, _signs
 from .energy import NonFiniteValueError, _curvature_density, _residuals, backward_JK, slice_masses
 
 logger = logging.getLogger(__name__)
@@ -248,16 +249,20 @@ def minimize_fixed_K(
     after every step; a clamp that moves a node clears the memory (a reset),
     as does a direction that is not one of descent, replaced by -grad (a
     fallback).  Step underflow is recorded as a stall, not raised.
+    With "r" optimised every configuration gets its own build_geometry.
+    With r frozen every direction's r block is zero, so each trial shares the
+    start's metric, d2r and Gamma and refreshes only b, b^l_j and dphi.
     """
 
-    def evaluate(x):
-        geom = build_geometry(x, grid)
+    def evaluate(x, base=None):
+        geom = build_geometry(x, grid) if base is None else refresh_geometry(base, x, grid)
         cur, grads = backward_JK(x, grid, K, geom, cfg.optimize_fields)
         return geom, cur, pack_interior(FieldSet(*grads, x.r_bc, x.phi_bc), grid)
 
     x = apply_boundary(fields, grid)
     _clamp_phi(x)
     geom, cur, grad = evaluate(x)
+    base = None if "r" in cfg.optimize_fields else geom
     start_J, trace = cur.total_J, [cur.total_JK]
     memory: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)
     termination = "max_iters"
@@ -283,7 +288,7 @@ def minimize_fixed_K(
             clamped = _clamp_phi(trial)
             evaluations += 1
             try:
-                trial_geom, trial_cur, trial_grad = evaluate(trial)
+                trial_geom, trial_cur, trial_grad = evaluate(trial, base)
             except GeometryError:
                 trial_cur = None
             if trial_cur is not None and trial_cur.total_JK <= cur.total_JK + ARMIJO_C * alpha * slope:

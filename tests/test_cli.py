@@ -257,6 +257,10 @@ def _cli(*args, cwd):
 
 # A finite amplitude whose metric overflows is an input error, named in the input step.
 BUMP_OVERFLOW = "scenario error: [fields] embedding perturbed_flat: metric is not finite at node (0, 0)"
+# A finite normal scale whose unit penalty overflows is named there too, not blamed on the integrand.
+N_SCALE_OVERFLOW = (
+    "scenario error: fields.n_scale and fields.n_tilt give a normal whose (n.n - 1)^2 is not finite at node (1, 1)"
+)
 
 
 @pytest.mark.parametrize(
@@ -265,10 +269,20 @@ BUMP_OVERFLOW = "scenario error: [fields] embedding perturbed_flat: metric is no
         ("run", "energy_flat.scn", "fields.phi0=1e200", 2, "energy_eval failed: non-finite integrand at node (0, 0)"),
         ("run", "energy_flat.scn", "fields.bump_amp=1e200", 1, BUMP_OVERFLOW),
         ("check", "energy_flat.scn", "fields.bump_amp=1e200", 1, BUMP_OVERFLOW),
+        ("run", "minimize_perturbed.scn", "fields.n_scale=1e200", 1, N_SCALE_OVERFLOW),
+        ("check", "minimize_perturbed.scn", "fields.n_scale=1e200", 1, N_SCALE_OVERFLOW),
         ("run", "causal_grid.scn", "causal.events=empty.txt", 1, "scenario error: event file {} has no events"),
         ("check", "causal_grid.scn", "causal.events=empty.txt", 1, "scenario error: event file {} has no events"),
     ],
-    ids=["run-phi0_overflow", "run-bump_amp_overflow", "check-bump_amp_overflow", "run-empty_events", "check-empty_events"],
+    ids=[
+        "run-phi0_overflow",
+        "run-bump_amp_overflow",
+        "check-bump_amp_overflow",
+        "run-n_scale_overflow",
+        "check-n_scale_overflow",
+        "run-empty_events",
+        "check-empty_events",
+    ],
 )
 def test_cli_output_is_one_line_without_warnings(tmp_path, command, scenario, item, code, err):
     # Overflowing inputs and an empty event file made numpy warn on stderr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from worldsheet import (
+    GeometryError,
     GradientProbeError,
     PenaltyConfig,
     assemble_JK,
@@ -232,30 +233,45 @@ def test_minimize_max_iters_termination():
 
 
 def test_minimize_evaluates_each_configuration_once(monkeypatch):
-    # Every configuration, start and trials alike, gets one build_geometry and
-    # one backward_JK, which returns J_K with the gradient: no assemble_JK.
-    calls = {"build_geometry": 0, "assemble_JK": 0, "backward_JK": 0}
+    # Every configuration, start and trials alike, gets one geometry cache and,
+    # unless its geometry is degenerate, one backward_JK, which returns J_K
+    # with the gradient: no assemble_JK.  A phi/n leg builds the geometry once
+    # and every trial refreshes that cache; with r optimised each
+    # configuration gets its own build_geometry.
+    calls = {}
 
     def counting(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            try:
+                return fn(*args, **kwargs)
+            except GeometryError:
+                calls["raised"] += 1
+                raise
 
         monkeypatch.setattr(module, name, wrapper)
 
     for module in (energy, optimizer):
         counting(module, "build_geometry")
+    counting(optimizer, "refresh_geometry")
     counting(energy, "assemble_JK")
     counting(optimizer, "backward_JK")
     assert not hasattr(optimizer, "assemble_JK")
     g, f = small_perturbed()
-    cfg = PenaltyConfig(max_iters=12, optimize_fields=("phi", "n"))
-    _, rec = minimize_fixed_K(f, g, 30.0, cfg)
-    assert rec.termination == "max_iters" and rec.iterations == 12
-    assert calls["build_geometry"] == calls["backward_JK"] == rec.evaluations > 12
-    assert calls["assemble_JK"] == 0
+    for fields in (("phi", "n"), ("r", "phi", "n")):
+        calls.update(build_geometry=0, refresh_geometry=0, assemble_JK=0, backward_JK=0, raised=0)
+        _, rec = minimize_fixed_K(f, g, 30.0, PenaltyConfig(max_iters=12, optimize_fields=fields))
+        assert rec.termination == "max_iters" and rec.iterations == 12
+        assert calls["backward_JK"] == rec.evaluations - calls["raised"]
+        if "r" in fields:
+            assert calls["build_geometry"] == rec.evaluations > 12
+            assert calls["refresh_geometry"] == 0
+        else:
+            assert calls["build_geometry"] == 1 and calls["raised"] == 0
+            assert calls["refresh_geometry"] == rec.evaluations - 1 > 12
+        assert calls["assemble_JK"] == 0
 
 
 def test_minimize_preserves_phi_floor():
