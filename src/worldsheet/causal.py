@@ -331,15 +331,20 @@ def is_cauchy_surface(sigma: Iterable[int], graph: CausalGraph) -> CauchyResult:
     On failure the result carries a witness: a chronologically related pair
     inside sigma, or an event outside D(sigma).
     """
-    s_set = set(_event_array(sigma, len(graph)).tolist())
-    clash = chronological_future(s_set, graph) & s_set
+    return _cauchy_verdict(set(_event_array(sigma, len(graph)).tolist()), graph)[0]
+
+
+def _cauchy_verdict(s_set: set[int], graph: CausalGraph) -> tuple[CauchyResult, set[int]]:
+    """is_cauchy_surface's result for the event set s_set, with the I+(s_set) it walked."""
+    i_plus = chronological_future(s_set, graph)
+    clash = i_plus & s_set
     if clash:
         q = min(clash)
-        return CauchyResult(False, "chronology", (min(chronological_past({q}, graph) & s_set), q))
+        return CauchyResult(False, "chronology", (min(chronological_past({q}, graph) & s_set), q)), i_plus
     uncovered = set(range(len(graph))) - dependence_domain(s_set, graph)
     if uncovered:
-        return CauchyResult(False, "uncovered", (min(uncovered),))
-    return CauchyResult(True)
+        return CauchyResult(False, "uncovered", (min(uncovered),)), i_plus
+    return CauchyResult(True), i_plus
 
 
 class NotCauchySurfaceError(ValueError):
@@ -412,13 +417,12 @@ def intercept_check(
     sample of maximal paths.  Requires sigma to be a Cauchy surface.
     """
     s_set = set(_event_array(sigma, len(graph)).tolist())
-    verdict = is_cauchy_surface(s_set, graph)
+    verdict, i_plus = _cauchy_verdict(s_set, graph)
     if not verdict.is_cauchy:
         raise NotCauchySurfaceError(
             f"intercept_check precondition failed: sigma is not a Cauchy surface "
             f"({verdict.witness_kind} witness {verdict.witness})"
         )
-    i_plus = chronological_future(s_set, graph)
     i_minus = chronological_past(s_set, graph)
 
     if samples is None:

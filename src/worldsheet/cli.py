@@ -271,9 +271,9 @@ def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) ->
     g_res = gauss_residual(geom.riemann, geom.b, geom.b_up)
     w_res, _ = weingarten_residual(fields, grid, geom.b_up, geom.metric, geom.frame)
     eye = np.eye(grid.ndim)
-    inv_res = float(np.max(np.abs(np.einsum("...jk,...kl->...jl", geom.g, geom.g_inv) - eye)))
+    inv_res = float(np.max(np.abs(geom.g @ geom.g_inv - eye)))
     frame = geom.frame.vectors
-    gram = np.einsum("...qa,...pa,a->...qp", frame, frame, _signs(fields.r.shape[-1]))
+    gram = (frame * _signs(fields.r.shape[-1])) @ np.swapaxes(frame, -1, -2)
     frame_orth = float(np.max(np.abs(gram - np.eye(frame.shape[-2]))))
     frame_tan = float(np.max(np.abs(minkowski_dot(frame[..., None, :, :], geom.tangents[..., :, None, :]))))
     rows = [("gauss_residual", g_res), ("weingarten_residual", w_res), ("metric_inverse_residual", inv_res),

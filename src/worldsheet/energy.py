@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,10 +46,12 @@ class SuperluminalMotionError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite trapezoid weights; per-node weight is the per-axis product."""
+    """Composite trapezoid weights; per-node weight is the per-axis product,
+    spatial_weights the product over D_1 (axes 1..m), shape counts[1:]."""
 
     axis_weights: tuple[np.ndarray, ...]
     node_weights: np.ndarray
+    spatial_weights: np.ndarray
 
     @classmethod
     def from_grid(cls, grid: ParameterGrid) -> "QuadratureRule":
@@ -59,10 +61,11 @@ class QuadratureRule:
             w = np.full(grid.counts[axis], h)
             w[0] = w[-1] = 0.5 * h
             axis_w.append(w)
-        node_w = axis_w[0]
-        for w in axis_w[1:]:
-            node_w = np.multiply.outer(node_w, w)
-        return cls(axis_weights=tuple(axis_w), node_weights=node_w)
+        return cls(
+            axis_weights=tuple(axis_w),
+            node_weights=reduce(np.multiply.outer, axis_w),
+            spatial_weights=reduce(np.multiply.outer, axis_w[1:], np.ones(())),
+        )
 
 
 @lru_cache(maxsize=64)
@@ -81,17 +84,9 @@ def quadrature(values: np.ndarray, grid: ParameterGrid) -> float:
     return float(np.sum(values * _rule(grid).node_weights))
 
 
-def _spatial_weights(grid: ParameterGrid) -> np.ndarray:
-    """Trapezoid weights over D_1 (axes 1..m), shape counts[1:]."""
-    w = np.ones(())
-    for axw in _rule(grid).axis_weights[1:]:
-        w = np.multiply.outer(w, axw)
-    return w
-
-
 def slice_masses(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
     """Spatial integral over D_1 per u_0 slice; returns shape (counts[0],)."""
-    return np.sum(values * _spatial_weights(grid), axis=tuple(range(1, grid.ndim)))
+    return np.sum(values * _rule(grid).spatial_weights, axis=tuple(range(1, grid.ndim)))
 
 
 def time_integral(values_t: np.ndarray, grid: ParameterGrid) -> float:
@@ -144,27 +139,37 @@ class EnergyBreakdown:
         return ",".join(f"{v:.17g}" for v in vals)
 
 
+# Per-node contractions are batched matmuls over reshaped index pairs or
+# broadcast products, so the contraction order is fixed.
 def _curvature_density(g_inv: np.ndarray, b: np.ndarray, b_up: np.ndarray) -> np.ndarray:
     """g^{jk} b_jl b^l_k per node."""
-    return np.einsum("...jk,...jl,...lk->...", g_inv, b, b_up)
+    return (g_inv * (b @ b_up)).sum((-2, -1))
+
+
+def _re_im(z: np.ndarray) -> np.ndarray:
+    """z as real (Re, Im) columns, shape z.shape + (2,)."""
+    return np.stack([z.real, z.imag], axis=-1)
 
 
 def _dirichlet_density(g_inv: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-    """Re g^{jk} dphi_j dphi*_k per node."""
-    return np.einsum("...jk,...j,...k->...", g_inv, dphi, np.conj(dphi)).real
+    """Re g^{jk} dphi_j dphi*_k per node, as x.g^{-1}x + y.g^{-1}y for dphi = x + iy."""
+    xy = _re_im(dphi)
+    return (xy * (g_inv @ xy)).sum((-2, -1))
 
 
 def _christoffel_density(phi, dphi, gamma, g_inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """re_pair_l gamma_c^l per node, with its factors re_pair_l = dphi_l phi* +
     dphi*_l phi and gamma_c^l = Gamma^l_jk g^{jk}."""
     re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
-    gamma_c = np.einsum("...ljk,...jk->...l", gamma, g_inv)
-    return np.einsum("...l,...l->...", re_pair, gamma_c), re_pair, gamma_c
+    nd = gamma.shape[-1]
+    pairs = gamma.reshape(gamma.shape[:-2] + (nd * nd,))  # [..., l, jk]
+    gamma_c = (pairs @ g_inv.reshape(g_inv.shape[:-2] + (nd * nd, 1)))[..., 0]
+    return (re_pair * gamma_c).sum(-1), re_pair, gamma_c
 
 
 def _constraint_densities(phi_sq, n, geom: GeometryCache, grid: ParameterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slice masses int_{D_1} |phi|^2 sqrt(-g), dr/du_j . n and n.n: the penalty factors."""
-    dots = np.einsum("...ja,...a,a->...j", geom.tangents, n, _signs(n.shape[-1]))
+    dots = (geom.tangents @ (n * _signs(n.shape[-1]))[..., None])[..., 0]
     return slice_masses(phi_sq * geom.sqrt_neg_g, grid), dots, minkowski_dot(n, n)
 
 
@@ -226,18 +231,15 @@ def s_tensor(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> np.nd
     phi must be the amplitude geom was built from (dphi is read from geom).
     """
     dphi = geom.dphi
-    nd = grid.ndim
-    eye = np.eye(nd)
-    term1 = np.einsum("...j,...i,kl->...lijk", dphi, np.conj(dphi), eye)
-    term2 = np.einsum("...i,...,...ljk->...lijk", dphi, np.conj(phi), geom.gamma.astype(complex))
+    term1 = np.conj(dphi)[..., None, :, None, None] * dphi[..., None, None, :, None] * np.eye(grid.ndim)[:, None, None, :]
+    term2 = (dphi * np.conj(phi)[..., None])[..., None, :, None, None] * geom.gamma[..., :, None, :, :]
     return term1 + term2
 
 
 def s_tensor_contracted(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> np.ndarray:
     """g^{jk} Re[S^l_jlk] per node, the contracted form behind the second energy part."""
-    s = s_tensor(phi, geom, grid)
-    traced = np.einsum("...ljlk->...jk", s)
-    return np.einsum("...jk,...jk->...", geom.g_inv, traced).real
+    traced = np.trace(s_tensor(phi, geom, grid).real, axis1=-4, axis2=-2)
+    return (geom.g_inv * traced).sum((-2, -1))
 
 
 def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tuple[float, float]:
@@ -314,30 +316,34 @@ def backward_JK(
     rule = _rule(grid)
     w = rule.node_weights * sq
     # d[(K/2) norm] / d(|phi|^2 sqrt(-g)) per node.
-    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), _spatial_weights(grid))
+    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), rule.spatial_weights)
     bar_phi = 2.0 * (0.5 * curv * w + mass_w * sq) * phi
 
     # curvature density g^{jk} b_jl b^l_k with b^l_k = b_km g^{ml}
     bar_curv = 0.5 * phi_sq * w
-    bar_b_up = np.einsum("...,...jk,...jl->...lk", bar_curv, g_inv, b)
-    bar_b = np.einsum("...,...jk,...lk->...jl", bar_curv, g_inv, b_up)
-    bar_b += np.einsum("...lj,...kl->...jk", bar_b_up, g_inv)
+    g_inv_t = np.swapaxes(g_inv, -1, -2)
+    bar_b_up = bar_curv[..., None, None] * (np.swapaxes(b, -1, -2) @ g_inv)
+    bar_b = bar_curv[..., None, None] * (g_inv @ np.swapaxes(b_up, -1, -2))
+    bar_b += np.swapaxes(g_inv @ bar_b_up, -1, -2)
 
     # Dirichlet density Re g^{jk} dphi_j dphi*_k
     bar_d = 0.5 * w
-    bar_dphi = np.einsum("...,...jk,...k->...j", bar_d, g_inv + np.swapaxes(g_inv, -1, -2), dphi)
+    dphi_xy = _re_im(dphi)
+    bar_xy = bar_d[..., None, None] * ((g_inv + g_inv_t) @ dphi_xy)
+    bar_dphi = bar_xy[..., 0] + 1j * bar_xy[..., 1]
 
     # Christoffel density re_pair_l Gamma^l_jk g^{jk}
     bar_c = 0.25 * w
     bar_pair = bar_c[..., None] * gamma_c
     bar_dphi += 2.0 * bar_pair * phi[..., None]
-    bar_phi += 2.0 * np.einsum("...l,...l->...", bar_pair, dphi)
+    bar_phi += 2.0 * (bar_pair * dphi).sum(-1)
 
     # b_jk = d2r_jk . n, and the orth and unit penalties
-    bar_n = np.einsum("...jk,...jka,a->...a", bar_b, d2r, signs)
+    nd, dim = d2r.shape[-2:]
     bar_dots = K * w[..., None] * dots
-    bar_n += np.einsum("...j,...ja,a->...a", bar_dots, tangents, signs)
-    bar_n += (2.0 * K * w * (nn - 1.0))[..., None] * n * signs
+    bar_n = bar_b.reshape(bar_b.shape[:-2] + (1, nd * nd)) @ d2r.reshape(d2r.shape[:-3] + (nd * nd, dim))
+    bar_n += bar_dots[..., None, :] @ tangents
+    bar_n = (bar_n[..., 0, :] + (2.0 * K * w * (nn - 1.0))[..., None] * n) * signs
 
     # Transposed stencils back to node fields.
     for j in range(grid.ndim):
@@ -351,23 +357,23 @@ def backward_JK(
     dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
     dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
     bar_sq = rule.node_weights * dens + mass_w * phi_sq
-    bar_g_inv = np.einsum("...,...jl,...lk->...jk", bar_curv, b, b_up)
-    bar_g_inv += np.einsum("...jk,...lj->...kl", b, bar_b_up)
-    bar_g_inv += np.einsum("...,...j,...k->...jk", bar_d, dphi, np.conj(dphi)).real
+    bar_g_inv = bar_curv[..., None, None] * (b @ b_up)
+    bar_g_inv += np.swapaxes(bar_b_up @ b, -1, -2)
+    bar_g_inv += bar_d[..., None, None] * (dphi_xy @ np.swapaxes(dphi_xy, -1, -2))
     bar_gamma_c = bar_c[..., None] * re_pair
-    bar_gamma = np.einsum("...l,...jk->...ljk", bar_gamma_c, g_inv)
-    bar_g_inv += np.einsum("...l,...ljk->...jk", bar_gamma_c, gamma)
+    bar_gamma = bar_gamma_c[..., :, None, None] * g_inv[..., None, :, :]
+    bar_g_inv += (bar_gamma_c[..., None, :] @ gamma.reshape(gamma.shape[:-2] + (nd * nd,))).reshape(g_inv.shape)
 
     # Gamma^l_jk = g^{ls} (d2r_jk . t_s)
     bar_g_inv_gamma, bar_d2r, bar_t = _christoffel_adjoint(bar_gamma, d2r, geom.metric)
     bar_g_inv += bar_g_inv_gamma
-    bar_d2r += np.einsum("...jk,...a,a->...jka", bar_b, n, signs)
-    bar_t += np.einsum("...j,...a,a->...ja", bar_dots, n, signs)
+    n_s = n * signs
+    bar_d2r += bar_b[..., None] * n_s[..., None, None, :]
+    bar_t += bar_dots[..., None] * n_s[..., None, :]
 
     # g^{-1}, sqrt(-g) back to g_jk = t_j . t_k: dg^{-1} = -g^{-1} dg g^{-1}, dsqrt(-g) = sqrt(-g) g^{jk} dg_jk / 2
-    bar_g = -np.einsum("...pj,...pq,...kq->...jk", g_inv, bar_g_inv, g_inv)
-    bar_g += np.einsum("...,...kj->...jk", 0.5 * bar_sq * sq, g_inv)
-    bar_t += np.einsum("...jk,...ka,a->...ja", bar_g + np.swapaxes(bar_g, -1, -2), tangents, signs)
+    bar_g = (0.5 * bar_sq * sq)[..., None, None] * g_inv_t - g_inv_t @ bar_g_inv @ g_inv_t
+    bar_t += ((bar_g + np.swapaxes(bar_g, -1, -2)) @ tangents) * signs
     grads[0] = _second_derivatives_adjoint(bar_t, bar_d2r, grid)
     return breakdown, tuple(grads)
 
@@ -425,7 +431,7 @@ def kinetic_energy(
 def _kinetic(at: dict[str, np.ndarray], chart: ChartMap, cmetric: ChartMetric, mass: float, c: float) -> float:
     """kinetic_energy on the chart-interpolated factors of _chart_fields."""
     udot = chart.derivatives()[..., 0, :]
-    speed_sq = -np.einsum("...jk,...j,...k->...", at["g"], udot, udot)
+    speed_sq = -((at["g"] @ udot[..., None])[..., 0] * udot).sum(-1)
     bad = speed_sq <= 0.0
     if bad.any():
         node = tuple(np.argwhere(bad)[0])
@@ -486,7 +492,7 @@ def full_action(
     _, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
     dots_c = interpolate(grid, dots, pts)
     lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots_c.shape[-1:])
-    orth_term = quadrature(np.einsum("...j,j->...", dots_c, lam_t) * weight, chart.grid)
+    orth_term = quadrature((dots_c @ lam_t) * weight, chart.grid)
 
     nn_c = interpolate(grid, np.asarray(nn), pts)
     lam_u = np.asarray(lam_unit, dtype=float)

@@ -90,9 +90,8 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     tangents = np.stack(
         [finite_difference(fields.r, grid, axis=j) for j in range(grid.ndim)], axis=-2
     )
-    signs = _signs(fields.r.shape[-1])
-    g = np.einsum("...ja,...ka,a->...jk", tangents, tangents, signs)
-    hadamard = np.einsum("...ja,...ja->...j", tangents, tangents).prod(-1)
+    g = (tangents * _signs(fields.r.shape[-1])) @ np.swapaxes(tangents, -1, -2)
+    hadamard = (tangents * tangents).sum(-1).prod(-1)
     det = np.linalg.det(g)
     sound = np.abs(det) > SINGULAR_TOL * hadamard  # False on the NaN of an overflowed tangent too
     if not sound.all():
@@ -150,10 +149,10 @@ def normal_frame(metric_data: MetricData) -> NormalFrame:
         # Unfilled frame slots are zero rows, so projecting against all s
         # slots is a no-op for them.
         for q in range(s_normals):
-            coef = np.einsum("...a,...a,a->...", v, frame[..., q, :], signs)
+            coef = (v * frame[..., q, :]) @ signs
             v -= coef[..., None] * frame[..., q, :]
-        eucl = np.einsum("...a,...a->...", v, v)
-        nu = np.einsum("...a,...a,a->...", v, v, signs)
+        vv = v * v
+        eucl, nu = vv.sum(-1), vv @ signs
         skip = eucl < FRAME_SKIP_TOL**2
         candidate = active & ~skip
         null_bad = candidate & (np.abs(nu) <= FRAME_NULL_TOL * eucl)
@@ -259,7 +258,7 @@ def second_fundamental_form(
 
 
 def _require_unit(normal: np.ndarray) -> None:
-    nn = np.einsum("...a,...a,a->...", normal, normal, _signs(normal.shape[-1]))
+    nn = minkowski_dot(normal, normal)
     off = np.abs(nn - 1.0) > UNIT_TOL
     if off.any():
         node = tuple(np.argwhere(off)[0])
@@ -270,10 +269,10 @@ def _fundamental_form_raw(
     d2r: np.ndarray, normal: np.ndarray, metric_data: MetricData
 ) -> tuple[np.ndarray, np.ndarray]:
     # b is linear in the normal; no unit check so penalized candidates work too.
-    signs = _signs(d2r.shape[-1])
-    b = np.einsum("...jka,...a,a->...jk", d2r, normal, signs)
-    b_up = np.einsum("...jk,...kl->...lj", b, metric_data.g_inv)
-    return b, b_up
+    nd, dim = d2r.shape[-2:]
+    pairs = d2r.reshape(d2r.shape[:-3] + (nd * nd, dim))
+    b = (pairs @ (normal * _signs(dim))[..., None]).reshape(d2r.shape[:-1])
+    return b, np.swapaxes(b @ metric_data.g_inv, -1, -2)
 
 
 def riemann(gamma: np.ndarray, grid: ParameterGrid) -> np.ndarray:
@@ -284,13 +283,14 @@ def riemann(gamma: np.ndarray, grid: ParameterGrid) -> np.ndarray:
     returned with index order [..., l, i, j, k].  Computed as W - W.swap(i, j),
     so the antisymmetry in (i, j) is exact.
     """
-    dgamma = np.stack(
-        [finite_difference(gamma, grid, axis=i) for i in range(grid.ndim)], axis=-4
-    )
-    # dgamma[..., i, l, j, k] -> half[..., l, i, j, k]
-    half = np.swapaxes(dgamma, -4, -3)
-    half = half + np.einsum("...pjk,...lpi->...lijk", gamma, gamma)
-    return half - np.swapaxes(half, -3, -2)
+    # W[..., l, i, j, k]: Gamma^l_pi Gamma^p_jk as one (l i, p) @ (p, j k) matmul, plus d Gamma^l_jk/du_i.
+    nd = grid.ndim
+    lead = gamma.shape[:-3]
+    w = np.swapaxes(gamma, -1, -2).reshape(lead + (nd * nd, nd)) @ gamma.reshape(lead + (nd, nd * nd))
+    w = w.reshape(gamma.shape + (nd,))
+    for i in range(nd):
+        w[..., i, :, :] += finite_difference(gamma, grid, axis=i)
+    return w - np.swapaxes(w, -3, -2)
 
 
 def gauss_residual(riemann_tensor: np.ndarray, b: np.ndarray, b_up: np.ndarray) -> float:
@@ -298,9 +298,10 @@ def gauss_residual(riemann_tensor: np.ndarray, b: np.ndarray, b_up: np.ndarray) 
 
     Meaningful in codimension one, where the single normal carries all of b.
     """
-    lhs = np.einsum("...jk,...li->...lijk", b, b_up)
-    rhs = np.einsum("...ik,...lj->...lijk", b, b_up) + riemann_tensor
-    return float(np.max(np.abs(lhs - rhs)))
+    w = b_up[..., :, :, None, None] * b[..., None, None, :, :]  # b_jk b^l_i at [..., l, i, j, k]
+    resid = w - np.swapaxes(w, -3, -2)
+    resid -= riemann_tensor
+    return float(np.abs(resid, out=resid).max())
 
 
 def weingarten_residual(
@@ -319,12 +320,9 @@ def weingarten_residual(
     dn = np.stack(
         [finite_difference(fields.n, grid, axis=j) for j in range(grid.ndim)], axis=-2
     )
-    e = np.einsum("...ja,...qa,a->...jq", dn, frame.vectors, signs)
-    model = -np.einsum("...lj,...la->...ja", b_up, metric_data.tangents)
-    model += np.einsum("...jq,...qa->...ja", e, frame.vectors)
-    resid = dn - model
-    max_norm = float(np.sqrt(np.einsum("...ja,...ja->...j", resid, resid).max()))
-    return max_norm, e
+    e = (dn * signs) @ np.swapaxes(frame.vectors, -1, -2)
+    resid = dn - (e @ frame.vectors - np.swapaxes(b_up, -1, -2) @ metric_data.tangents)
+    return float(np.sqrt((resid * resid).sum(-1).max())), e
 
 
 @dataclass
@@ -339,7 +337,7 @@ class ChartMetric:
 def chart_metric(chart: ChartMap) -> ChartMetric:
     """U_ij = du/dx_i . du/dx_j with the Euclidean dot on parameter space."""
     du = chart.derivatives()
-    U_ij = np.einsum("...ia,...ja->...ij", du, du)
+    U_ij = du @ np.swapaxes(du, -1, -2)
     U = np.abs(np.linalg.det(U_ij))
     return ChartMetric(U_ij=U_ij, U=U, sqrt_U=np.sqrt(U))
 

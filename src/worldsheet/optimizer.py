@@ -412,12 +412,11 @@ def coercivity_check(
 
     lhs = np.abs(fields.phi) ** 2 * _curvature_density(geom.g_inv, geom.b, geom.b_up)
     dn = np.stack([finite_difference(fields.n, grid, axis=j) for j in range(grid.ndim)], axis=-2)
-    signs = _signs(fields.n.shape[-1])
-    dn_sq = np.einsum("...ja,...ja,a->...", dn, dn, signs)
+    dn_sq = (dn * dn * _signs(fields.n.shape[-1])).sum((-2, -1))
     margin_b = lhs - c1 * dn_sq
     node_b = tuple(int(i) for i in np.unravel_index(np.argmin(margin_b), grid.counts))
 
-    d2_sq = np.einsum("...ija,...ija->...ij", geom.d2r, geom.d2r)
+    d2_sq = (geom.d2r * geom.d2r).sum(-1)
     margin_c = lhs[..., None, None] - c2 * d2_sq
     flat = np.argmin(margin_c.reshape(grid.counts + (-1,)).min(axis=-1))
     node_c = tuple(int(i) for i in np.unravel_index(flat, grid.counts))

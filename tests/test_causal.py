@@ -534,6 +534,20 @@ def test_intercept_sampling_scans_sources_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_intercept_walks_i_plus_once(monkeypatch):
+    from worldsheet import causal
+
+    ev, g = row_adjacent_graph(10, 10)
+    mid = [5 * 10 + j for j in range(10)]
+    calls = []
+    original = causal.chronological_future
+    monkeypatch.setattr(causal, "chronological_future", lambda s, graph: calls.append(1) or original(s, graph))
+    report = intercept_check(mid, g, samples=50, seed=4)
+    assert report.ok and report.paths_checked == 50
+    assert len(calls) == 1
+    assert is_cauchy_surface(mid, g).is_cauchy and len(calls) == 2
+
+
 def deque_reach(S, adjacency, include_seeds):
     """The per-event breadth-first search the frontier kernel replaced, kept as its oracle."""
     seeds = [int(s) for s in S]

@@ -1,19 +1,55 @@
-"""The Christoffel contractions against their einsum forms.
+"""The per-node contractions against their einsum forms.
 
-christoffel and its adjoint in backward_JK contract over the (j, k) pairs with
-batched matmuls.  The einsum code they replaced stays here as the oracle: the
-forward Gamma, the adjoint's three bars, and the full backward pass built on
-the oracle must agree to rounding (1e-14 relative) on curved, noisy starts.
+geometry, energy, optimizer and the CLI contract per node with batched
+matmuls over reshaped index pairs or with broadcast products.  The einsum
+code they replaced stays here as the oracle, one per rewritten function:
+each result, and the full backward pass built on the oracles, must agree to
+rounding (1e-14 relative) on curved, noisy starts, one of them inside the
+existence theorem's range (m = 5, N = 6).
 """
+
+import csv
 
 import numpy as np
 import pytest
 
-from worldsheet import backward_JK, build_geometry, build_grid, christoffel, geometry, presets
-from worldsheet import energy
-from worldsheet.geometry import _christoffel_adjoint, _signs
+from worldsheet import backward_JK, build_geometry, build_grid, christoffel, geometry, make_chart, presets
+from worldsheet import cli, energy, optimizer
+from worldsheet.geometry import FRAME_SKIP_TOL, MetricData, _christoffel_adjoint, _second_derivatives_adjoint, _signs
+from worldsheet.grid import finite_difference, finite_difference_adjoint
 
 REL = 1e-14
+
+
+def einsum_metric(fields, grid):
+    tangents = np.stack([finite_difference(fields.r, grid, axis=j) for j in range(grid.ndim)], axis=-2)
+    g = np.einsum("...ja,...ka,a->...jk", tangents, tangents, _signs(fields.r.shape[-1]))
+    det = np.linalg.det(g)
+    return MetricData(tangents=tangents, g=g, g_inv=np.linalg.inv(g), det_g=det, sqrt_neg_g=np.sqrt(-det))
+
+
+def einsum_normal_frame(metric_data):
+    """normal_frame's Gram-Schmidt without its admissibility checks."""
+    tangents = metric_data.tangents
+    dim = tangents.shape[-1]
+    s_normals = dim - tangents.shape[-2]
+    signs = _signs(dim)
+    proj = np.eye(dim) - np.swapaxes(tangents, -1, -2) @ (metric_data.g_inv @ (tangents * signs))
+    frame = np.zeros(tangents.shape[:-2] + (s_normals, dim))
+    filled = np.zeros(tangents.shape[:-2], dtype=np.intp)
+    for i in range(dim):
+        v = proj[..., i].copy()
+        for q in range(s_normals):
+            coef = np.einsum("...a,...a,a->...", v, frame[..., q, :], signs)
+            v -= coef[..., None] * frame[..., q, :]
+        eucl = np.einsum("...a,...a->...", v, v)
+        nu = np.einsum("...a,...a,a->...", v, v, signs)
+        take = (filled < s_normals) & (eucl >= FRAME_SKIP_TOL**2)
+        unit = v / np.sqrt(np.where(take, nu, 1.0))[..., None]
+        where = np.nonzero(take)
+        frame[where + (filled[where],)] = unit[where]
+        filled[where] += 1
+    return frame
 
 
 def einsum_christoffel(d2r, metric_data):
@@ -33,17 +69,181 @@ def einsum_christoffel_adjoint(bar_gamma, d2r, metric_data):
     return bar_g_inv, bar_d2r, bar_t
 
 
+def einsum_fundamental_form(d2r, normal, metric_data):
+    b = np.einsum("...jka,...a,a->...jk", d2r, normal, _signs(d2r.shape[-1]))
+    return b, np.einsum("...jk,...kl->...lj", b, metric_data.g_inv)
+
+
+def einsum_riemann(gamma, grid):
+    dgamma = np.stack([finite_difference(gamma, grid, axis=i) for i in range(grid.ndim)], axis=-4)
+    half = np.swapaxes(dgamma, -4, -3) + np.einsum("...pjk,...lpi->...lijk", gamma, gamma)
+    return half - np.swapaxes(half, -3, -2)
+
+
+def einsum_gauss_residual(riemann_tensor, b, b_up):
+    lhs = np.einsum("...jk,...li->...lijk", b, b_up)
+    rhs = np.einsum("...ik,...lj->...lijk", b, b_up) + riemann_tensor
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def einsum_weingarten_residual(fields, grid, b_up, metric_data, frame):
+    signs = _signs(fields.r.shape[-1])
+    dn = np.stack([finite_difference(fields.n, grid, axis=j) for j in range(grid.ndim)], axis=-2)
+    e = np.einsum("...ja,...qa,a->...jq", dn, frame.vectors, signs)
+    model = -np.einsum("...lj,...la->...ja", b_up, metric_data.tangents)
+    model += np.einsum("...jq,...qa->...ja", e, frame.vectors)
+    resid = dn - model
+    return float(np.sqrt(np.einsum("...ja,...ja->...j", resid, resid).max())), e
+
+
+def einsum_chart_metric(chart):
+    du = chart.derivatives()
+    U_ij = np.einsum("...ia,...ja->...ij", du, du)
+    U = np.abs(np.linalg.det(U_ij))
+    return geometry.ChartMetric(U_ij=U_ij, U=U, sqrt_U=np.sqrt(U))
+
+
+def einsum_curvature_density(g_inv, b, b_up):
+    return np.einsum("...jk,...jl,...lk->...", g_inv, b, b_up)
+
+
+def einsum_dirichlet_density(g_inv, dphi):
+    return np.einsum("...jk,...j,...k->...", g_inv, dphi, np.conj(dphi)).real
+
+
+def einsum_christoffel_density(phi, dphi, gamma, g_inv):
+    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
+    gamma_c = np.einsum("...ljk,...jk->...l", gamma, g_inv)
+    return np.einsum("...l,...l->...", re_pair, gamma_c), re_pair, gamma_c
+
+
+def einsum_constraint_densities(phi_sq, n, geom, grid):
+    dots = np.einsum("...ja,...a,a->...j", geom.tangents, n, _signs(n.shape[-1]))
+    nn = np.einsum("...a,...a,a->...", n, n, _signs(n.shape[-1]))
+    return energy.slice_masses(phi_sq * geom.sqrt_neg_g, grid), dots, nn
+
+
+def einsum_s_tensor(phi, geom, grid):
+    eye = np.eye(grid.ndim)
+    term1 = np.einsum("...j,...i,kl->...lijk", geom.dphi, np.conj(geom.dphi), eye)
+    term2 = np.einsum("...i,...,...ljk->...lijk", geom.dphi, np.conj(phi), geom.gamma.astype(complex))
+    return term1 + term2
+
+
+def einsum_s_tensor_contracted(phi, geom, grid):
+    traced = np.einsum("...ljlk->...jk", einsum_s_tensor(phi, geom, grid))
+    return np.einsum("...jk,...jk->...", geom.g_inv, traced).real
+
+
+def einsum_kinetic(at, chart, cmetric, mass, c):
+    udot = chart.derivatives()[..., 0, :]
+    speed_sq = -np.einsum("...jk,...j,...k->...", at["g"], udot, udot)
+    integrand = mass * c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U
+    return energy.quadrature(integrand, chart.grid)
+
+
+def einsum_densities(fields, geom, grid):
+    phi_sq = np.abs(fields.phi) ** 2
+    curvature = einsum_curvature_density(geom.g_inv, geom.b, geom.b_up)
+    christoffel_parts = einsum_christoffel_density(fields.phi, geom.dphi, geom.gamma, geom.g_inv)
+    penalty = einsum_constraint_densities(phi_sq, fields.n, geom, grid)
+    dirichlet = einsum_dirichlet_density(geom.g_inv, geom.dphi)
+    return energy._Densities(phi_sq, curvature, dirichlet, *christoffel_parts, *penalty)
+
+
+def einsum_backward_JK(fields, grid, K, geom):
+    """backward_JK's einsum form on all three blocks, on the einsum densities and Christoffel adjoint."""
+    phi, n = fields.phi, fields.n
+    signs = _signs(fields.r.shape[-1])
+    tangents, d2r, gamma = geom.tangents, geom.d2r, geom.gamma
+    g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, geom.dphi, geom.sqrt_neg_g
+    d = einsum_densities(fields, geom, grid)
+    breakdown = energy._breakdown(d, geom, grid, K)
+    phi_sq, curv, re_pair, gamma_c, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.gamma_c, d.dots, d.nn
+    rule = energy.QuadratureRule.from_grid(grid)
+    w = rule.node_weights * sq
+    spatial = np.ones(())
+    for axw in rule.axis_weights[1:]:
+        spatial = np.multiply.outer(spatial, axw)
+    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), spatial)
+    bar_phi = 2.0 * (0.5 * curv * w + mass_w * sq) * phi
+
+    bar_curv = 0.5 * phi_sq * w
+    bar_b_up = np.einsum("...,...jk,...jl->...lk", bar_curv, g_inv, b)
+    bar_b = np.einsum("...,...jk,...lk->...jl", bar_curv, g_inv, b_up)
+    bar_b += np.einsum("...lj,...kl->...jk", bar_b_up, g_inv)
+    bar_d = 0.5 * w
+    bar_dphi = np.einsum("...,...jk,...k->...j", bar_d, g_inv + np.swapaxes(g_inv, -1, -2), dphi)
+    bar_c = 0.25 * w
+    bar_pair = bar_c[..., None] * gamma_c
+    bar_dphi += 2.0 * bar_pair * phi[..., None]
+    bar_phi += 2.0 * np.einsum("...l,...l->...", bar_pair, dphi)
+    bar_n = np.einsum("...jk,...jka,a->...a", bar_b, d2r, signs)
+    bar_dots = K * w[..., None] * dots
+    bar_n += np.einsum("...j,...ja,a->...a", bar_dots, tangents, signs)
+    bar_n += (2.0 * K * w * (nn - 1.0))[..., None] * n * signs
+    for j in range(grid.ndim):
+        bar_phi += finite_difference_adjoint(bar_dphi[..., j], grid, j)
+
+    dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
+    dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
+    bar_sq = rule.node_weights * dens + mass_w * phi_sq
+    bar_g_inv = np.einsum("...,...jl,...lk->...jk", bar_curv, b, b_up)
+    bar_g_inv += np.einsum("...jk,...lj->...kl", b, bar_b_up)
+    bar_g_inv += np.einsum("...,...j,...k->...jk", bar_d, dphi, np.conj(dphi)).real
+    bar_gamma_c = bar_c[..., None] * re_pair
+    bar_gamma = np.einsum("...l,...jk->...ljk", bar_gamma_c, g_inv)
+    bar_g_inv += np.einsum("...l,...ljk->...jk", bar_gamma_c, gamma)
+    bar_g_inv_gamma, bar_d2r, bar_t = einsum_christoffel_adjoint(bar_gamma, d2r, geom.metric)
+    bar_g_inv += bar_g_inv_gamma
+    bar_d2r += np.einsum("...jk,...a,a->...jka", bar_b, n, signs)
+    bar_t += np.einsum("...j,...a,a->...ja", bar_dots, n, signs)
+    bar_g = -np.einsum("...pj,...pq,...kq->...jk", g_inv, bar_g_inv, g_inv)
+    bar_g += np.einsum("...,...kj->...jk", 0.5 * bar_sq * sq, g_inv)
+    bar_t += np.einsum("...jk,...ka,a->...ja", bar_g + np.swapaxes(bar_g, -1, -2), tangents, signs)
+    return breakdown, (_second_derivatives_adjoint(bar_t, bar_d2r, grid), bar_phi, bar_n)
+
+
+# Where the library looks each contraction up, and its oracle.
+ORACLES = [
+    (geometry, "metric", einsum_metric),
+    (geometry, "christoffel", einsum_christoffel),
+    (geometry, "_fundamental_form_raw", einsum_fundamental_form),
+    (energy, "chart_metric", einsum_chart_metric),
+    (energy, "_curvature_density", einsum_curvature_density),
+    (optimizer, "_curvature_density", einsum_curvature_density),
+    (energy, "_dirichlet_density", einsum_dirichlet_density),
+    (energy, "_christoffel_density", einsum_christoffel_density),
+    (energy, "_constraint_densities", einsum_constraint_densities),
+    (energy, "_kinetic", einsum_kinetic),
+]
+
+
+def use_oracles(monkeypatch):
+    for module, name, oracle in ORACLES:
+        monkeypatch.setattr(module, name, oracle)
+
+
 def _start(name):
     rng = np.random.default_rng(11)
-    if name == "cylinder":
+    if name.startswith("cylinder"):
         g = build_grid([(0, 1), (0, 2 * np.pi)], [5, 7])
-        f = presets.cylinder(g, radius=1.0)
+        f = presets.cylinder(g, radius=1.0, n_ambient=3 if name == "cylinder_N3" else 2)
     elif name == "sphere_product":
         g = build_grid([(0, 1), (0.8, np.pi - 0.8), (0.4, np.pi - 0.4)], [3, 5, 4])
         f = presets.sphere_product(g, radius=1.0)
-    else:
+    elif name == "noisy_5x7x6":
         g = build_grid([(0, 1), (0.8, np.pi - 0.8), (0.4, np.pi - 0.4)], [5, 7, 6])
         f = presets.sphere_product(g, radius=1.0)
+    else:
+        # m = 5, N = 6 on 3^6 nodes: a bent flat sheet, noisy on every node.
+        g = build_grid([(0, 1)] * 6, [3] * 6)
+        f = presets.flat(g)
+        f.r[..., 6] += 0.2 * np.prod(np.cos(np.pi * (g.coordinates[..., 1:] - 0.5)), axis=-1)
+        f.r += 0.01 * rng.standard_normal(f.r.shape)
+        f.n += 0.05 * rng.standard_normal(f.n.shape)
+        f.phi = f.phi + 0.03 * (rng.standard_normal(f.phi.shape) + 1j * rng.standard_normal(f.phi.shape))
+        return g, f
     interior = g.interior_mask
     shape = f.phi[interior].shape
     f.r[interior] += 0.01 * rng.standard_normal(f.r[interior].shape)
@@ -52,12 +252,31 @@ def _start(name):
     return g, f
 
 
-def _close(got, want):
+def _close(got, want, scale=None):
+    got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= REL * np.max(np.abs(want))
+    scale = np.max(np.abs(want)) if scale is None else scale
+    assert np.max(np.abs(got - want)) <= REL * scale
 
 
-STARTS = ["cylinder", "sphere_product", "noisy_5x7x6"]
+STARTS = ["cylinder", "sphere_product", "noisy_5x7x6", "m5_3^6"]
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_metric_matches_einsum(name):
+    g, f = _start(name)
+    got, want = geometry.metric(f, g), einsum_metric(f, g)
+    _close(got.g, want.g)
+    _close(got.g_inv, want.g_inv)
+    _close(got.det_g, want.det_g)
+    assert np.array_equal(got.g, np.swapaxes(got.g, -1, -2))
+
+
+@pytest.mark.parametrize("name", STARTS + ["cylinder_N3"])
+def test_normal_frame_matches_einsum(name):
+    g, f = _start(name)
+    md = geometry.metric(f, g)
+    _close(geometry.normal_frame(md).vectors, einsum_normal_frame(md))
 
 
 @pytest.mark.parametrize("name", STARTS)
@@ -80,18 +299,134 @@ def test_christoffel_adjoint_matches_einsum(name):
 
 
 @pytest.mark.parametrize("name", STARTS)
+def test_fundamental_form_matches_einsum(name):
+    g, f = _start(name)
+    geom = build_geometry(f, g)
+    for a, b in zip((geom.b, geom.b_up), einsum_fundamental_form(geom.d2r, f.n, geom.metric)):
+        _close(a, b)
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_riemann_and_gauss_residual_match_einsum(name):
+    g, f = _start(name)
+    geom = build_geometry(f, g)
+    want = einsum_riemann(geom.gamma, g)
+    got = geometry.riemann(geom.gamma, g)
+    _close(got, want)
+    assert np.array_equal(got, -np.swapaxes(got, -3, -2))
+    # The residual is a difference of O(1) products: rounding is relative to them.
+    scale = np.max(np.abs(geom.b_up)) * np.max(np.abs(geom.b)) + np.max(np.abs(want))
+    want_res = einsum_gauss_residual(want, geom.b, geom.b_up)
+    assert abs(geometry.gauss_residual(want, geom.b, geom.b_up) - want_res) <= REL * scale
+    # Against R = 0 both forms take the same difference of the same products.
+    zero = np.zeros_like(want)
+    assert geometry.gauss_residual(zero, geom.b, geom.b_up) == einsum_gauss_residual(zero, geom.b, geom.b_up)
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_weingarten_residual_matches_einsum(name):
+    g, f = _start(name)
+    geom = build_geometry(f, g, with_frame=True)
+    got = geometry.weingarten_residual(f, g, geom.b_up, geom.metric, geom.frame)
+    want = einsum_weingarten_residual(f, g, geom.b_up, geom.metric, geom.frame)
+    _close(got[1], want[1])
+    assert abs(got[0] - want[0]) <= REL * np.max(np.abs(geom.b_up)) * np.max(np.abs(geom.tangents))
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_densities_match_einsum(name):
+    g, f = _start(name)
+    geom = build_geometry(f, g)
+    got, want = energy._densities(f, geom, g), einsum_densities(f, geom, g)
+    assert got._fields == want._fields
+    for a, b in zip(got, want):
+        _close(a, b)
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_s_tensor_matches_einsum(name):
+    g, f = _start(name)
+    geom = build_geometry(f, g)
+    _close(energy.s_tensor(f.phi, geom, g), einsum_s_tensor(f.phi, geom, g))
+    _close(energy.s_tensor_contracted(f.phi, geom, g), einsum_s_tensor_contracted(f.phi, geom, g))
+
+
+@pytest.mark.parametrize("name", STARTS)
 def test_backward_matches_einsum_pass(monkeypatch, name):
     g, f = _start(name)
     got_jk, got = backward_JK(f, g, 50.0, build_geometry(f, g))
-    used = []
-
-    def oracle(fn):
-        return lambda *args: used.append(fn) or fn(*args)
-
-    monkeypatch.setattr(geometry, "christoffel", oracle(einsum_christoffel))
-    monkeypatch.setattr(energy, "_christoffel_adjoint", oracle(einsum_christoffel_adjoint))
-    want_jk, want = backward_JK(f, g, 50.0, build_geometry(f, g))
-    assert used == [einsum_christoffel, einsum_christoffel_adjoint]
-    assert abs(got_jk.total_JK - want_jk.total_JK) <= REL * abs(want_jk.total_JK)
+    use_oracles(monkeypatch)
+    want_jk, want = einsum_backward_JK(f, g, 50.0, build_geometry(f, g))
+    for field in ("total_J", "total_JK", "penalty_norm", "penalty_orth", "penalty_unit"):
+        assert abs(getattr(got_jk, field) - getattr(want_jk, field)) <= REL * abs(want_jk.total_JK)
     for a, b in zip(got, want):
         _close(a, b)
+
+
+def _chart_start():
+    """A chart that moves the sheet along x_1 over a noisy flat sheet, m = 3."""
+    cg = build_grid([(0, 1)] * 4, (3, 4, 3, 3))
+    x = cg.coordinates
+    u = x.copy()
+    u[..., 1] += 0.05 * np.sin(np.pi * x[..., 1]) * np.sin(np.pi * x[..., 2]) * (1.0 + x[..., 0])
+    pg = build_grid([(0, 1)] * 4, (4, 5, 4, 4))
+    f = presets.flat(pg)
+    rng = np.random.default_rng(2)
+    f.r += 0.01 * rng.standard_normal(f.r.shape)
+    f.n += 0.05 * rng.standard_normal(f.n.shape)
+    f.phi = f.phi + 0.03 * (rng.standard_normal(f.phi.shape) + 1j * rng.standard_normal(f.phi.shape))
+    return make_chart(cg, u, 1.0), pg, f
+
+
+def test_chart_metric_kinetic_and_full_action_match_einsum(monkeypatch):
+    chart, pg, f = _chart_start()
+    got_metric = geometry.chart_metric(chart)
+    got_kin = energy.kinetic_energy(f, pg, chart, got_metric, mass=1.3, c=1.0)
+    lam_t = np.array([0.7, -1.1, 0.4, 2.0])
+    got = energy.full_action(f, pg, chart, mass=1.3, c=1.0, E=0.8, lam_tangent=lam_t, lam_unit=-0.6)
+    got_no_lam_t = energy.full_action(f, pg, chart, mass=1.3, c=1.0, E=0.8, lam_unit=-0.6)
+    use_oracles(monkeypatch)
+    want_metric = einsum_chart_metric(chart)
+    _close(got_metric.U_ij, want_metric.U_ij)
+    _close(got_metric.U, want_metric.U)
+    want_kin = energy.kinetic_energy(f, pg, chart, want_metric, mass=1.3, c=1.0)
+    assert abs(got_kin - want_kin) <= REL * abs(want_kin)
+    want = energy.full_action(f, pg, chart, mass=1.3, c=1.0, E=0.8, lam_unit=-0.6)
+    geom = build_geometry(f, pg)
+    at = energy._chart_fields(f, pg, chart, geom)
+    dots_c = energy.interpolate(pg, einsum_constraint_densities(np.abs(f.phi) ** 2, f.n, geom, pg)[1], chart.u)
+    weight = at["sqrt_neg_g"] * want_metric.sqrt_U
+    want += energy.quadrature(np.einsum("...j,j->...", dots_c, lam_t) * weight, chart.grid)
+    assert abs(got_no_lam_t - got) > 1e-6
+    assert abs(got - want) <= REL * max(abs(want), want_kin)
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_coercivity_check_matches_einsum(monkeypatch, name):
+    g, f = _start(name)
+    got = optimizer.coercivity_check(f, g, c0=0.5, c1=0.3, c2=0.2)
+    use_oracles(monkeypatch)
+    geom = build_geometry(f, g)
+    lhs = np.abs(f.phi) ** 2 * einsum_curvature_density(geom.g_inv, geom.b, geom.b_up)
+    dn = np.stack([finite_difference(f.n, g, axis=j) for j in range(g.ndim)], axis=-2)
+    dn_sq = np.einsum("...ja,...ja,a->...", dn, dn, _signs(f.n.shape[-1]))
+    d2_sq = np.einsum("...ija,...ija->...ij", geom.d2r, geom.d2r)
+    want_b = (lhs - 0.3 * dn_sq).min()
+    want_c = (lhs[..., None, None] - 0.2 * d2_sq).min()
+    assert abs(got.margin_normal_grad - want_b) <= REL * max(np.abs(lhs).max(), np.abs(0.3 * dn_sq).max())
+    assert abs(got.margin_second_deriv - want_c) <= REL * max(np.abs(lhs).max(), np.abs(0.2 * d2_sq).max())
+
+
+@pytest.mark.parametrize("name", STARTS)
+def test_geometry_check_report_matches_einsum(tmp_path, name):
+    g, f = _start(name)
+    f.n = geometry.normal_frame(geometry.metric(f, g)).vectors[..., 0, :].copy()
+    assert cli._run_geometry_check(tmp_path, g, f) == 0
+    with open(tmp_path / "geometry_report.csv") as fh:
+        got = {k: float(v) for k, v in list(csv.reader(fh))[1:]}
+    md = einsum_metric(f, g)
+    frame = einsum_normal_frame(md)
+    inv_res = np.max(np.abs(np.einsum("...jk,...kl->...jl", md.g, md.g_inv) - np.eye(g.ndim)))
+    gram = np.einsum("...qa,...pa,a->...qp", frame, frame, _signs(f.r.shape[-1]))
+    assert abs(got["metric_inverse_residual"] - inv_res) <= REL * np.max(np.abs(md.g)) * np.max(np.abs(md.g_inv))
+    assert abs(got["frame_orthonormality_residual"] - np.max(np.abs(gram - 1.0))) <= REL * np.max(np.abs(frame)) ** 2

@@ -79,6 +79,17 @@ def test_quadrature_weights_sum_to_volume():
     assert abs(rule.node_weights.sum() - 6.0) < 1e-13
 
 
+def test_quadrature_rule_holds_spatial_weights():
+    g = build_grid([(0, 2), (0, 3), (1, 2)], [5, 9, 4])
+    rule = QuadratureRule.from_grid(g)
+    w0, w1, w2 = rule.axis_weights
+    assert np.array_equal(rule.spatial_weights, np.multiply.outer(w1, w2))
+    assert np.array_equal(rule.node_weights, np.multiply.outer(np.multiply.outer(w0, w1), w2))
+    assert abs(rule.spatial_weights.sum() - 3.0) < 1e-13
+    line = build_grid([(0, 2)], [5])
+    assert QuadratureRule.from_grid(line).spatial_weights.shape == ()
+
+
 def test_j1_flat_zero():
     g = unit_square()
     f = presets.flat(g)
