@@ -55,8 +55,8 @@ class EventSet:
             raise ValueError("events must be a 2-D array with at least two columns")
         if not np.isfinite(ev).all():
             raise ValueError("event coordinates must be finite")
-        if self.c <= 0:
-            raise ValueError("speed constant c must be > 0")
+        if not 0 < self.c < np.inf:
+            raise ValueError("speed constant c must be finite and > 0")
         uniq = np.unique(ev, axis=0)
         if uniq.shape[0] != ev.shape[0]:
             raise ValueError("duplicate events are not allowed")
@@ -162,8 +162,8 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
     Candidates come from a uniform cell list (Allen & Tildesley), never an n x n
     array: time O(n * occupancy), memory O(n + edges).
     """
-    if radius <= 0:
-        raise ValueError("neighbor radius must be > 0")
+    if not 0 < radius < np.inf:
+        raise ValueError("neighbor radius must be finite and > 0")
     ev = events.events
     n, dim = ev.shape
     c = events.c

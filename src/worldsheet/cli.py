@@ -143,17 +143,15 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
     _validate_keys(sections)
 
     scn = sections.get("scenario", {})
+    sc = Scenario(kind=scn.get("kind", ""), seed=0, sections=sections, base_dir=p.parent)
     if "schema" not in scn:
         raise ScenarioError("missing mandatory scenario.schema")
-    if int(scn["schema"]) != SCHEMA_VERSION:
+    if _number(sc, "scenario", "schema", "", int, positive=None) != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {scn['schema']} (expected {SCHEMA_VERSION})")
-    kind = scn.get("kind", "")
-    if kind not in _RUNNERS:
-        raise ScenarioError(f"scenario.kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
-    seed = int(scn.get("seed", "0"))
-    if seed < 0:
-        raise ScenarioError(f"scenario.seed must be >= 0, got {seed}")
-    return Scenario(kind=kind, seed=seed, sections=sections, base_dir=p.parent)
+    if sc.kind not in _RUNNERS:
+        raise ScenarioError(f"scenario.kind must be one of {tuple(_RUNNERS)}, got {sc.kind!r}")
+    sc.seed = _number(sc, "scenario", "seed", "0", int)
+    return sc
 
 
 def _extents(text: str) -> list[tuple[float, float]]:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import FieldSet, ParameterGrid, ChartMap, _node_str, finite_difference, finite_difference_adjoint
+from .grid import FieldSet, ParameterGrid, ChartMap, _gradient, _node_str, finite_difference, finite_difference_adjoint
 
 
 # Admissibility thresholds of the induced geometry.
@@ -87,9 +87,7 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     GeometryError when a tangent's square is not finite, SignatureError when
     det g > 0 (the sheet lost its time-like direction); each names the node.
     """
-    tangents = np.stack(
-        [finite_difference(fields.r, grid, axis=j) for j in range(grid.ndim)], axis=-2
-    )
+    tangents = _gradient(fields.r, grid)
     g = (tangents * _signs(fields.r.shape[-1])) @ np.swapaxes(tangents, -1, -2)
     hadamard = (tangents * tangents).sum(-1).prod(-1)
     det = np.linalg.det(g)
@@ -317,9 +315,7 @@ def weingarten_residual(
     vector and the normal-connection coefficients e[..., j, q].
     """
     signs = _signs(fields.r.shape[-1])
-    dn = np.stack(
-        [finite_difference(fields.n, grid, axis=j) for j in range(grid.ndim)], axis=-2
-    )
+    dn = _gradient(fields.n, grid)
     e = (dn * signs) @ np.swapaxes(frame.vectors, -1, -2)
     resid = dn - (e @ frame.vectors - np.swapaxes(b_up, -1, -2) @ metric_data.tangents)
     return float(np.sqrt((resid * resid).sum(-1).max())), e
@@ -405,7 +401,5 @@ def refresh_geometry(base: GeometryCache, fields: FieldSet, grid: ParameterGrid)
     is shared, not recomputed, so fields.r must be the r base was built from.
     """
     b, b_up = _fundamental_form_raw(base.d2r, fields.n, base.metric)
-    dphi = np.stack(
-        [finite_difference(fields.phi, grid, axis=j) for j in range(grid.ndim)], axis=-1
-    )
+    dphi = _gradient(fields.phi, grid)
     return replace(base, b=b, b_up=b_up, dphi=dphi)

@@ -67,11 +67,8 @@ class ParameterGrid:
         """True where any index sits at an axis extreme, shape (*counts,)."""
         mask = np.zeros(self.counts, dtype=bool)
         for axis in range(self.ndim):
-            sl = [slice(None)] * self.ndim
-            sl[axis] = 0
-            mask[tuple(sl)] = True
-            sl[axis] = -1
-            mask[tuple(sl)] = True
+            pre = (slice(None),) * axis
+            mask[pre + (0,)] = mask[pre + (-1,)] = True
         return mask
 
     @cached_property
@@ -105,20 +102,33 @@ def build_grid(extents: Sequence[Sequence[float]], counts: Sequence[int]) -> Par
     return ParameterGrid(extents=ext, counts=cts, spacings=spacings)
 
 
-def _axis_slicer(arr_ndim: int, axis: int):
-    def sl(s):
-        idx = [slice(None)] * arr_ndim
-        idx[axis] = s
-        return tuple(idx)
+# One-sided rows at the near edge, keyed by (order, count of the shortest axis
+# a row fits): weights of v_1 - v_0, v_2 - v_0, ... over 2h (order 1) or h^2
+# (order 2).  The far edge mirrors the row and multiplies it by (-1)^order.
+# The difference-from-the-edge form sums to zero by construction, so a
+# constant field differentiates to exactly zero in floating point.
+_EDGE_ROWS = {
+    (1, 3): (4.0, -1.0),
+    (1, 4): (7.0, -4.0, 1.0),
+    (2, 4): (-5.0, 4.0, -1.0),
+    (2, 5): (-9.0, 10.0, -5.0, 1.0),
+}
 
-    return sl
+
+def _check_stencil(values: np.ndarray, grid: ParameterGrid, axis: int, order: int) -> None:
+    if values.shape[: grid.ndim] != grid.counts:
+        raise GridError("field shape does not match grid counts")
+    if not 0 <= axis < grid.ndim:
+        raise GridError(f"axis {axis} out of range for {grid.ndim} grid axes")
+    if order not in (1, 2):
+        raise GridError(f"order must be 1 or 2, got {order}")
 
 
 def finite_difference(values: np.ndarray, grid: ParameterGrid, axis: int, order: int = 1) -> np.ndarray:
     """Second-order finite difference of a node-indexed field along one grid axis.
 
-    Interior nodes use second-order central stencils.  Boundary nodes use
-    one-sided second-order stencils whose leading truncation term matches the
+    Interior nodes use second-order central stencils, boundary nodes the
+    one-sided rows of _EDGE_ROWS, whose leading truncation term matches the
     central one (h^2 f'''/6 for first, h^2 f''''/12 for second derivatives),
     so the truncation error varies smoothly across the boundary; this keeps
     composed derivatives, such as the curvature tensor built from
@@ -127,74 +137,45 @@ def finite_difference(values: np.ndarray, grid: ParameterGrid, axis: int, order:
     (still exact for quadratics).  Extra trailing axes of ``values`` (vector
     or tensor components) are differentiated componentwise.
     """
-    if values.shape[: grid.ndim] != grid.counts:
-        raise GridError("field shape does not match grid counts")
-    if not 0 <= axis < grid.ndim:
-        raise GridError(f"axis {axis} out of range for {grid.ndim} grid axes")
+    _check_stencil(values, grid, axis, order)
     h = grid.spacings[axis]
-    count = grid.counts[axis]
-    sl = _axis_slicer(values.ndim, axis)
+    pre = (slice(None),) * axis
     out = np.empty_like(values, dtype=np.result_type(values, float))
-
-    # Edge stencils are evaluated in difference-from-the-edge form (the
-    # weights sum to zero), so a constant field differentiates to exactly
-    # zero in floating point on every node.
+    mid, ahead, behind = pre + (slice(1, -1),), pre + (slice(2, None),), pre + (slice(None, -2),)
     if order == 1:
-        out[sl(slice(1, -1))] = (values[sl(slice(2, None))] - values[sl(slice(None, -2))]) / (2.0 * h)
-        if count >= 4:
-            lo = values[sl(0)]
-            out[sl(0)] = (
-                7.0 * (values[sl(1)] - lo) - 4.0 * (values[sl(2)] - lo) + (values[sl(3)] - lo)
-            ) / (2.0 * h)
-            hi = values[sl(-1)]
-            out[sl(-1)] = -(
-                7.0 * (values[sl(-2)] - hi) - 4.0 * (values[sl(-3)] - hi) + (values[sl(-4)] - hi)
-            ) / (2.0 * h)
-        else:
-            lo = values[sl(0)]
-            out[sl(0)] = (4.0 * (values[sl(1)] - lo) - (values[sl(2)] - lo)) / (2.0 * h)
-            hi = values[sl(-1)]
-            out[sl(-1)] = -(4.0 * (values[sl(-2)] - hi) - (values[sl(-3)] - hi)) / (2.0 * h)
+        denom = 2.0 * h
+        out[mid] = (values[ahead] - values[behind]) / denom
+    else:
+        denom = h * h
+        out[mid] = (values[ahead] - 2.0 * values[mid] + values[behind]) / denom
+    row = _EDGE_ROWS.get((order, min(grid.counts[axis], order + 3)))
+    if row is None:
+        # order 2, count 3: the quadratic through the three nodes has constant
+        # second derivative, which the central stencil already gives.
+        edge = (values[pre + (0,)] - 2.0 * values[pre + (1,)] + values[pre + (2,)]) / denom
+        out[pre + (0,)] = out[pre + (-1,)] = edge
         return out
+    for node, step in ((0, 1), (-1, -1)):
+        base = values[pre + (node,)]
+        acc = row[0] * (values[pre + (node + step,)] - base)
+        # Later terms are added or subtracted by the sign of their weight, and
+        # unit weights multiply nothing: a complex product with -1 or 1 can
+        # flip the sign of a zero component.
+        for k, w in enumerate(row[1:], 2):
+            term = values[pre + (node + k * step,)] - base
+            term = term if abs(w) == 1.0 else abs(w) * term
+            acc = acc + term if w > 0 else acc - term
+        out[pre + (node,)] = (-acc if step < 0 and order == 1 else acc) / denom
+    return out
 
-    if order == 2:
-        h2 = h * h
-        out[sl(slice(1, -1))] = (
-            values[sl(slice(2, None))] - 2.0 * values[sl(slice(1, -1))] + values[sl(slice(None, -2))]
-        ) / h2
-        if count >= 5:
-            lo = values[sl(0)]
-            out[sl(0)] = (
-                -9.0 * (values[sl(1)] - lo)
-                + 10.0 * (values[sl(2)] - lo)
-                - 5.0 * (values[sl(3)] - lo)
-                + (values[sl(4)] - lo)
-            ) / h2
-            hi = values[sl(-1)]
-            out[sl(-1)] = (
-                -9.0 * (values[sl(-2)] - hi)
-                + 10.0 * (values[sl(-3)] - hi)
-                - 5.0 * (values[sl(-4)] - hi)
-                + (values[sl(-5)] - hi)
-            ) / h2
-        elif count == 4:
-            lo = values[sl(0)]
-            out[sl(0)] = (
-                -5.0 * (values[sl(1)] - lo) + 4.0 * (values[sl(2)] - lo) - (values[sl(3)] - lo)
-            ) / h2
-            hi = values[sl(-1)]
-            out[sl(-1)] = (
-                -5.0 * (values[sl(-2)] - hi) + 4.0 * (values[sl(-3)] - hi) - (values[sl(-4)] - hi)
-            ) / h2
-        else:
-            # count == 3: the quadratic through the three nodes has constant
-            # second derivative, which the central stencil already gives.
-            edge = (values[sl(0)] - 2.0 * values[sl(1)] + values[sl(2)]) / h2
-            out[sl(0)] = edge
-            out[sl(-1)] = edge
-        return out
 
-    raise GridError(f"order must be 1 or 2, got {order}")
+def _gradient(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
+    """finite_difference along every grid axis, stacked right after the node axes.
+
+    Shape (*counts, ndim, *trailing).  finite_difference is looked up as a
+    module global at each call, so a wrapper bound in its place sees every one.
+    """
+    return np.stack([finite_difference(values, grid, j) for j in range(grid.ndim)], axis=grid.ndim)
 
 
 @lru_cache(maxsize=64)
@@ -217,12 +198,7 @@ def finite_difference_adjoint(values: np.ndarray, grid: ParameterGrid, axis: int
     node field x, y of the same shape; trailing component axes and complex
     values are handled componentwise, as in finite_difference.
     """
-    if values.shape[: grid.ndim] != grid.counts:
-        raise GridError("field shape does not match grid counts")
-    if not 0 <= axis < grid.ndim:
-        raise GridError(f"axis {axis} out of range for {grid.ndim} grid axes")
-    if order not in (1, 2):
-        raise GridError(f"order must be 1 or 2, got {order}")
+    _check_stencil(values, grid, axis, order)
     mat = _stencil_matrix(grid.counts[axis], grid.spacings[axis], order)
     return np.moveaxis(np.tensordot(mat.T, values, axes=(1, axis)), 0, axis)
 
@@ -340,10 +316,7 @@ class ChartMap:
 
     def derivatives(self) -> np.ndarray:
         """du/dx_i at chart nodes, shape (*counts, 4, m+1) with x_0 = t."""
-        return np.stack(
-            [finite_difference(self.u, self.grid, axis=i) for i in range(self.grid.ndim)],
-            axis=-2,
-        )
+        return _gradient(self.u, self.grid)
 
 
 # The gauge u_0 = c*t must hold to GAUGE_TOL relative to max(1, max |c t|).

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import FieldSet, ParameterGrid, apply_boundary, finite_difference
+from .grid import FieldSet, ParameterGrid, _gradient, apply_boundary
 from .geometry import GeometryError, build_geometry, refresh_geometry, _signs
 from .energy import NonFiniteValueError, _curvature_density, _residuals, backward_JK, slice_masses
 
@@ -59,6 +59,9 @@ class PenaltyConfig:
         for name in ("step_init", "grad_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        # minimize_fixed_K stops on iters == max_iters: a negative or fractional cap is never reached.
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0 (got {self.max_iters!r})")
         bad = set(self.optimize_fields) - {"r", "phi", "n"}
         if bad or not self.optimize_fields:
             raise ValueError(f"optimize_fields must be a nonempty subset of r, phi, n (got {self.optimize_fields})")
@@ -411,7 +414,7 @@ def coercivity_check(
     node_a = tuple(int(i) for i in np.unravel_index(np.argmin(margin_a), grid.counts))
 
     lhs = np.abs(fields.phi) ** 2 * _curvature_density(geom.g_inv, geom.b, geom.b_up)
-    dn = np.stack([finite_difference(fields.n, grid, axis=j) for j in range(grid.ndim)], axis=-2)
+    dn = _gradient(fields.n, grid)
     dn_sq = (dn * dn * _signs(fields.n.shape[-1])).sum((-2, -1))
     margin_b = lhs - c1 * dn_sq
     node_b = tuple(int(i) for i in np.unravel_index(np.argmin(margin_b), grid.counts))

@@ -111,6 +111,20 @@ def test_event_set_validation():
         EventSet(events=np.array([[0.0, 0.0]]), c=0.0)
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf])
+def test_event_set_rejects_non_finite_c(c):
+    # nan gave a graph without edges and inf one of null edges only, so an empty I+.
+    with pytest.raises(ValueError, match="speed constant"):
+        EventSet(events=np.array([[0.0, 0.0], [1.0, 0.2]]), c=c)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf])
+def test_build_graph_rejects_non_finite_radius(radius):
+    ev = EventSet(events=np.array([[0.0, 0.0], [1.0, 0.2]]))
+    with pytest.raises(ValueError, match="radius"):
+        build_graph(ev, radius)
+
+
 def test_build_graph_two_events():
     ev = EventSet(events=np.array([[0.0, 0.0], [1.0, 0.2]]))
     g = build_graph(ev, radius=2.0)

@@ -189,6 +189,10 @@ BAD_INPUTS = {
     "radius_text": ("causal_grid.scn", ["causal.radius=abc"], None),
     "samples_text": ("causal_grid.scn", ["causal.samples=abc"], None),
     "seed_text": ("causal_grid.scn", ["causal.seed=x"], None),
+    "scenario_seed_text": ("energy_flat.scn", ["scenario.seed=abc"], None),
+    "scenario_seed_float": ("energy_flat.scn", ["scenario.seed=1e3"], None),
+    "scenario_seed_negative": ("energy_flat.scn", ["scenario.seed=-1"], None),
+    "scenario_schema_text": ("energy_flat.scn", ["scenario.schema=x"], None),
     "step_init_negative": ("minimize_perturbed.scn", ["optimizer.step_init=-1"], None),
     "step_init_nan": ("minimize_perturbed.scn", ["optimizer.step_init=nan"], None),
     "step_init_inf": ("minimize_perturbed.scn", ["optimizer.step_init=inf"], None),

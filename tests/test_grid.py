@@ -109,12 +109,23 @@ def test_fd_quadratic_second_derivative_exact():
     assert np.max(np.abs(d2 - 2.0)) < 1e-13
 
 
-def test_fd_constant_is_zero():
-    g = build_grid([(0, 1), (0, 1)], [5, 5])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("count", [3, 4, 5, 6])
+def test_fd_constant_is_zero(count, order):
+    g = build_grid([(0, 1), (0, 1)], [count, 5])
     c = np.full(g.counts, 3.7)
     for axis in range(2):
-        assert np.all(finite_difference(c, g, axis) == 0.0)
-        assert np.all(finite_difference(c, g, axis, order=2) == 0.0)
+        assert np.all(finite_difference(c, g, axis, order=order) == 0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("count", [3, 4, 5, 6])
+def test_fd_quadratic_exact(count, order):
+    # Every edge row and short-axis fallback, the count-4 second-order row included.
+    g = build_grid([(0, 2)], [count])
+    x = g.coordinates[..., 0]
+    want = 2 * x if order == 1 else 2.0
+    assert np.max(np.abs(finite_difference(x**2, g, 0, order=order) - want)) < 1e-13
 
 
 def test_fd_sin_refinement_second_order():
@@ -128,13 +139,6 @@ def test_fd_sin_refinement_second_order():
     assert 3.5 < ratio < 4.5
 
 
-def test_fd_count_three_still_exact_for_quadratics():
-    g = build_grid([(0, 2)], [3])
-    x = g.coordinates[..., 0]
-    assert np.max(np.abs(finite_difference(x**2, g, 0) - 2 * x)) < 1e-13
-    assert np.max(np.abs(finite_difference(x**2, g, 0, order=2) - 2.0)) < 1e-13
-
-
 def test_mixed_partial_symmetry():
     g = build_grid([(0, 1), (0, 1)], [9, 11])
     u = g.coordinates
@@ -143,6 +147,94 @@ def test_mixed_partial_symmetry():
     d10 = finite_difference(finite_difference(f, g, 1), g, 0)
     scale = np.max(np.abs(d01))
     assert np.max(np.abs(d01 - d10)) <= 1e-12 * scale
+
+
+def _axis_slicer(arr_ndim, axis):
+    def sl(s):
+        idx = [slice(None)] * arr_ndim
+        idx[axis] = s
+        return tuple(idx)
+
+    return sl
+
+
+def oracle_finite_difference(values, grid, axis, order=1):
+    """finite_difference with each edge row written out for both edges, as the oracle."""
+    h = grid.spacings[axis]
+    count = grid.counts[axis]
+    sl = _axis_slicer(values.ndim, axis)
+    out = np.empty_like(values, dtype=np.result_type(values, float))
+
+    if order == 1:
+        out[sl(slice(1, -1))] = (values[sl(slice(2, None))] - values[sl(slice(None, -2))]) / (2.0 * h)
+        if count >= 4:
+            lo = values[sl(0)]
+            out[sl(0)] = (
+                7.0 * (values[sl(1)] - lo) - 4.0 * (values[sl(2)] - lo) + (values[sl(3)] - lo)
+            ) / (2.0 * h)
+            hi = values[sl(-1)]
+            out[sl(-1)] = -(
+                7.0 * (values[sl(-2)] - hi) - 4.0 * (values[sl(-3)] - hi) + (values[sl(-4)] - hi)
+            ) / (2.0 * h)
+        else:
+            lo = values[sl(0)]
+            out[sl(0)] = (4.0 * (values[sl(1)] - lo) - (values[sl(2)] - lo)) / (2.0 * h)
+            hi = values[sl(-1)]
+            out[sl(-1)] = -(4.0 * (values[sl(-2)] - hi) - (values[sl(-3)] - hi)) / (2.0 * h)
+        return out
+
+    h2 = h * h
+    out[sl(slice(1, -1))] = (
+        values[sl(slice(2, None))] - 2.0 * values[sl(slice(1, -1))] + values[sl(slice(None, -2))]
+    ) / h2
+    if count >= 5:
+        lo = values[sl(0)]
+        out[sl(0)] = (
+            -9.0 * (values[sl(1)] - lo)
+            + 10.0 * (values[sl(2)] - lo)
+            - 5.0 * (values[sl(3)] - lo)
+            + (values[sl(4)] - lo)
+        ) / h2
+        hi = values[sl(-1)]
+        out[sl(-1)] = (
+            -9.0 * (values[sl(-2)] - hi)
+            + 10.0 * (values[sl(-3)] - hi)
+            - 5.0 * (values[sl(-4)] - hi)
+            + (values[sl(-5)] - hi)
+        ) / h2
+    elif count == 4:
+        lo = values[sl(0)]
+        out[sl(0)] = (-5.0 * (values[sl(1)] - lo) + 4.0 * (values[sl(2)] - lo) - (values[sl(3)] - lo)) / h2
+        hi = values[sl(-1)]
+        out[sl(-1)] = (-5.0 * (values[sl(-2)] - hi) + 4.0 * (values[sl(-3)] - hi) - (values[sl(-4)] - hi)) / h2
+    else:
+        edge = (values[sl(0)] - 2.0 * values[sl(1)] + values[sl(2)]) / h2
+        out[sl(0)] = edge
+        out[sl(-1)] = edge
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_fd_matches_oracle_bitwise(ndim, order, complex_values):
+    # Counts 3-7 on every axis (3-D: a diagonal of them), scalar, vector and
+    # tensor components, with zeros of both signs sprinkled in: a product with a
+    # unit weight would flip the sign of a complex zero component.
+    rng = np.random.default_rng(10 * ndim + order)
+    for count in range(3, 8):
+        counts = (count, 10 - count, count)[:ndim]
+        g = build_grid([(0, 1.3), (-0.5, 0.5), (1.0, 2.1)][:ndim], counts)
+        for trailing in ((), (3,), (2, 3)):
+            x = _random_field(rng, counts + trailing, complex_values)
+            for part in (x.real, x.imag) if complex_values else (x,):
+                part[rng.random(x.shape) < 0.4] = 0.0
+                part[rng.random(x.shape) < 0.2] = -0.0
+            for axis in range(ndim):
+                got = finite_difference(x, g, axis, order=order)
+                want = oracle_finite_difference(x, g, axis, order=order)
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+                assert got.strides == want.strides and got.tobytes() == want.tobytes()
 
 
 def _random_field(rng, shape, complex_values):

@@ -59,6 +59,8 @@ def test_config_validation():
         {"k_schedule": (10.0, float("nan"))},
         {"k_schedule": (float("nan"), 10.0)},
         {"k_schedule": (10.0, float("inf"))},
+        {"max_iters": -1},
+        {"max_iters": 2.5},
     ],
 )
 def test_config_rejects_non_finite_settings(kwargs):
@@ -230,6 +232,14 @@ def test_minimize_max_iters_termination():
     assert rec.iterations == 1
     assert not rec.converged and not rec.stalled
     assert rec.termination == "max_iters"
+
+
+def test_minimize_max_iters_zero_takes_no_step():
+    g, f = small_perturbed()
+    start, rec = minimize_fixed_K(f, g, 10.0, PenaltyConfig(max_iters=0, optimize_fields=("phi", "n")))
+    assert rec.iterations == 0
+    assert rec.termination == "max_iters"
+    assert rec.evaluations == 1
 
 
 def test_minimize_evaluates_each_configuration_once(monkeypatch):
