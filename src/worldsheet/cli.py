@@ -187,31 +187,19 @@ def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
     embedding = sc.get("fields", "embedding", "flat")
     eps = _number(sc, "constants", "epsilon", "1e-4", positive=True)
     phi0 = _number(sc, "fields", "phi0", "1", complex, positive=None)
+    n_amb = sc.get("fields", "n_ambient")  # None: the preset's m + 1
+    n_amb = _number(sc, "fields", "n_ambient", n_amb, int, positive=True) if n_amb else None
 
     if embedding == "flat":
-        n_amb = sc.get("fields", "n_ambient")
-        n_amb = _number(sc, "fields", "n_ambient", n_amb, int, positive=True) if n_amb else None
         return presets.flat(grid, n_ambient=n_amb, phi0=phi0, eps=eps)
-    if embedding == "cylinder":
-        return presets.cylinder(
-            grid,
-            radius=_number(sc, "fields", "radius", "1.0", positive=True),
-            n_ambient=_number(sc, "fields", "n_ambient", "2", int, positive=True),
-            phi0=phi0,
-            eps=eps,
-        )
-    if embedding == "sphere_product":
-        return presets.sphere_product(
-            grid,
-            radius=_number(sc, "fields", "radius", "1.0", positive=True),
-            n_ambient=_number(sc, "fields", "n_ambient", "3", int, positive=True),
-            phi0=phi0,
-            eps=eps,
-        )
+    if embedding in ("cylinder", "sphere_product"):
+        preset = getattr(presets, embedding)
+        radius = _number(sc, "fields", "radius", "1.0", positive=True)
+        return preset(grid, radius=radius, n_ambient=n_amb, phi0=phi0, eps=eps)
     if embedding == "perturbed_flat":
         return presets.perturbed_flat(
             grid,
-            n_ambient=_number(sc, "fields", "n_ambient", "2", int, positive=True),
+            n_ambient=n_amb,
             bump_amp=_number(sc, "fields", "bump_amp", "0.3", positive=None),
             shear_amp=_number(sc, "fields", "shear_amp", "0.0", positive=None),
             n_scale=_number(sc, "fields", "n_scale", "1.4", positive=None),
@@ -295,7 +283,10 @@ def _penalty_config(sc: Scenario) -> PenaltyConfig:
     kwargs = {}
     sched = sc.get("optimizer", "K_schedule")
     if sched:
-        kwargs["k_schedule"] = tuple(_numbers(sc, "optimizer", "K_schedule", sched, positive=True))
+        ks = tuple(_numbers(sc, "optimizer", "K_schedule", sched, positive=True))
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ScenarioError(f"optimizer.K_schedule = {sched!r} must be strictly increasing")
+        kwargs["k_schedule"] = ks
     for name in ("step_init", "grad_tol"):
         val = sc.get("optimizer", name)
         if val:
@@ -305,7 +296,10 @@ def _penalty_config(sc: Scenario) -> PenaltyConfig:
         kwargs["max_iters"] = _number(sc, "optimizer", "max_iters", iters, int, positive=True)
     opt_fields = sc.get("optimizer", "optimize_fields")
     if opt_fields:
-        kwargs["optimize_fields"] = tuple(tok.strip() for tok in opt_fields.split(",") if tok.strip())
+        names = tuple(tok.strip() for tok in opt_fields.split(",") if tok.strip())
+        if not names or set(names) - {"r", "phi", "n"}:
+            raise ScenarioError(f"optimizer.optimize_fields = {opt_fields!r} must be a nonempty subset of r, phi, n")
+        kwargs["optimize_fields"] = names
     return PenaltyConfig(**kwargs)
 
 

@@ -30,12 +30,19 @@ def normalized_phi0(grid: ParameterGrid) -> float:
     return 1.0 / np.sqrt(spatial_volume(grid))
 
 
-def flat(grid: ParameterGrid, n_ambient: int | None = None, phi0: complex = 1.0, eps: float = 1e-4) -> FieldSet:
-    """Flat embedding r(u) = (u_0, ..., u_m, 0, ..., 0) with normal e_{m+1}."""
+def _ambient_dimension(preset: str, grid: ParameterGrid, n_ambient: int | None) -> int:
+    """The ambient dimension N, m + 1 when n_ambient is None; GridError unless N > m."""
     m = grid.m
     N = m + 1 if n_ambient is None else int(n_ambient)
     if N <= m:
-        raise GridError(f"flat preset needs ambient dimension N > m (got N={N}, m={m})")
+        raise GridError(f"{preset} needs ambient dimension N > m (got N={N}, m={m})")
+    return N
+
+
+def flat(grid: ParameterGrid, n_ambient: int | None = None, phi0: complex = 1.0, eps: float = 1e-4) -> FieldSet:
+    """Flat embedding r(u) = (u_0, ..., u_m, 0, ..., 0) with normal e_{m+1}."""
+    m = grid.m
+    N = _ambient_dimension("flat preset", grid, n_ambient)
     coords = grid.coordinates
     r = np.zeros(grid.counts + (N + 1,))
     r[..., : m + 1] = coords
@@ -45,7 +52,7 @@ def flat(grid: ParameterGrid, n_ambient: int | None = None, phi0: complex = 1.0,
     return _assemble(grid, r, phi, n, eps)
 
 
-def cylinder(grid: ParameterGrid, radius: float = 1.0, n_ambient: int = 2, phi0: complex = 1.0, eps: float = 1e-4) -> FieldSet:
+def cylinder(grid: ParameterGrid, radius: float = 1.0, n_ambient: int | None = None, phi0: complex = 1.0, eps: float = 1e-4) -> FieldSet:
     """Cylinder sheet r = (u_0, rho cos(u_1/rho), rho sin(u_1/rho)), outward normal.
 
     Intrinsically flat (g = diag(-1, 1), Gamma = 0) with b_11 = -1/rho along
@@ -53,12 +60,11 @@ def cylinder(grid: ParameterGrid, radius: float = 1.0, n_ambient: int = 2, phi0:
     """
     if grid.m != 1:
         raise GridError("cylinder preset needs exactly one spatial parameter (m = 1)")
-    if n_ambient < 2:
-        raise GridError("cylinder preset needs ambient dimension N >= 2")
+    N = _ambient_dimension("cylinder preset", grid, n_ambient)
     coords = grid.coordinates
     u0, u1 = coords[..., 0], coords[..., 1]
     ang = u1 / radius
-    r = np.zeros(grid.counts + (n_ambient + 1,))
+    r = np.zeros(grid.counts + (N + 1,))
     r[..., 0] = u0
     r[..., 1] = radius * np.cos(ang)
     r[..., 2] = radius * np.sin(ang)
@@ -69,7 +75,7 @@ def cylinder(grid: ParameterGrid, radius: float = 1.0, n_ambient: int = 2, phi0:
     return _assemble(grid, r, phi, n, eps)
 
 
-def sphere_product(grid: ParameterGrid, radius: float = 1.0, n_ambient: int = 3, phi0: complex = 1.0, eps: float = 1e-4) -> FieldSet:
+def sphere_product(grid: ParameterGrid, radius: float = 1.0, n_ambient: int | None = None, phi0: complex = 1.0, eps: float = 1e-4) -> FieldSet:
     """Time line times a 2-sphere of radius rho, outward normal.
 
     r = (u_0, rho sin u_1 cos u_2, rho sin u_1 sin u_2, rho cos u_1); the
@@ -77,8 +83,7 @@ def sphere_product(grid: ParameterGrid, radius: float = 1.0, n_ambient: int = 3,
     """
     if grid.m != 2:
         raise GridError("sphere_product preset needs two spatial parameters (m = 2)")
-    if n_ambient < 3:
-        raise GridError("sphere_product preset needs ambient dimension N >= 3")
+    N = _ambient_dimension("sphere_product preset", grid, n_ambient)
     lo, hi = grid.extents[1]
     if lo <= 0.0 or hi >= np.pi:
         raise GridError("sphere_product polar extent must stay inside (0, pi)")
@@ -86,7 +91,7 @@ def sphere_product(grid: ParameterGrid, radius: float = 1.0, n_ambient: int = 3,
     u0, u1, u2 = coords[..., 0], coords[..., 1], coords[..., 2]
     st, ct = np.sin(u1), np.cos(u1)
     cp, sp = np.cos(u2), np.sin(u2)
-    r = np.zeros(grid.counts + (n_ambient + 1,))
+    r = np.zeros(grid.counts + (N + 1,))
     r[..., 0] = u0
     r[..., 1] = radius * st * cp
     r[..., 2] = radius * st * sp
@@ -101,7 +106,7 @@ def sphere_product(grid: ParameterGrid, radius: float = 1.0, n_ambient: int = 3,
 
 def perturbed_flat(
     grid: ParameterGrid,
-    n_ambient: int = 2,
+    n_ambient: int | None = None,
     bump_amp: float = 0.3,
     shear_amp: float = 0.0,
     n_scale: float = 1.4,
@@ -110,33 +115,31 @@ def perturbed_flat(
     mass_normalized: bool = False,
     eps: float = 1e-4,
 ) -> FieldSet:
-    """Gently bent flat sheet with an off-unit, off-orthogonal normal.
+    """Gently bent flat sheet with an off-unit, off-orthogonal normal; any m >= 1, N > m.
 
-    The static spatial bump (cosine profile, amplitude bump_amp out of the
-    sheet plane plus an optional in-plane shear_amp) is baked into the
-    boundary data, so the sheet cannot relax to exactly flat: curvature
-    persists and the reduced action pushes against all three constraints.
-    phi defaults to the flat normalization constant, which the bent volume
-    element leaves slightly over unit mass; with mass_normalized=True the
-    amplitude is instead rescaled pointwise by the initial volume element so
-    |phi|^2 sqrt(-g) starts uniform.  Needs m = 1.
+    The static spatial bump, the product over the spatial axes a = 1..m of
+    cos(pi (u_a - lo_a) / (hi_a - lo_a)), lifts the sheet out of its plane
+    along ambient axis m+1 with amplitude bump_amp and shears it along axis 1
+    with amplitude shear_amp.  It is baked into the boundary data, so the
+    sheet cannot relax to exactly flat: curvature persists and the reduced
+    action pushes against all three constraints.  The normal is the first
+    vector of the discrete normal frame, signed so that (t_0, ..., t_m, n) is
+    positively oriented in the first m+2 ambient coordinates.  phi defaults to
+    the flat normalization constant, which the bent volume element leaves
+    slightly over unit mass; with mass_normalized=True the amplitude is
+    instead rescaled pointwise by the initial volume element so
+    |phi|^2 sqrt(-g) starts uniform.  N defaults to m + 1.
     """
-    if grid.m != 1:
-        raise GridError("perturbed_flat scenario needs m = 1")
-    if n_ambient < 2:
-        raise GridError("perturbed_flat scenario needs ambient dimension N >= 2")
+    m = grid.m
+    N = _ambient_dimension("perturbed_flat scenario", grid, n_ambient)
     coords = grid.coordinates
-    u0, u1 = coords[..., 0], coords[..., 1]
-    lo1, hi1 = grid.extents[1]
-    length = hi1 - lo1
-    s = (u1 - lo1) / length
-    profile = np.cos(np.pi * s)
-    d_profile = -np.pi / length * np.sin(np.pi * s)
+    lo, hi = np.array(grid.extents[1:]).T
+    profile = np.prod(np.cos(np.pi * ((coords[..., 1:] - lo) / (hi - lo))), axis=-1)
 
-    r = np.zeros(grid.counts + (n_ambient + 1,))
-    r[..., 0] = u0
-    r[..., 1] = u1 + shear_amp * profile
-    r[..., 2] = bump_amp * profile
+    r = np.zeros(grid.counts + (N + 1,))
+    r[..., : m + 1] = coords
+    r[..., 1] += shear_amp * profile
+    r[..., m + 1] = bump_amp * profile
 
     # Normal from the discrete tangent frame, then scaled and tilted off the
     # admissible set on interior nodes only.  Boundary normals stay exactly
@@ -145,22 +148,13 @@ def perturbed_flat(
     # tangents) would put an irreducible floor under the constraint residuals.
     from .geometry import metric as metric_op, normal_frame
 
-    t1 = 1.0 + shear_amp * d_profile
-    t2 = bump_amp * d_profile
-    norm = np.sqrt(t1**2 + t2**2)
-    n_analytic = np.zeros_like(r)
-    n_analytic[..., 1] = -t2 / norm
-    n_analytic[..., 2] = t1 / norm
-
     if phi0 is None:
         phi0 = normalized_phi0(grid)
     phi = np.full(grid.counts, phi0, dtype=complex)
-    probe = _assemble(grid, r, phi, n_analytic, eps)
-    md = metric_op(probe, grid)
-    frame = normal_frame(md)
-    n = frame.vectors[..., 0, :].copy()
-    sign = np.sign(np.einsum("...a,...a->...", n, n_analytic))
-    n *= sign[..., None]
+    md = metric_op(_assemble(grid, r, phi, np.zeros_like(r), eps), grid)
+    n = normal_frame(md).vectors[..., 0, :].copy()
+    frame = np.concatenate([md.tangents, n[..., None, :]], axis=-2)[..., : m + 2]
+    n *= np.sign(np.linalg.det(frame))[..., None]
     interior = grid.interior_mask
     n[interior] *= n_scale
     n[interior, 1] += n_tilt

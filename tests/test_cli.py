@@ -108,6 +108,20 @@ def test_energy_eval_matches_library(tmp_path):
     assert float(cols["penalty_unit"]) == want.penalty_unit
 
 
+def test_theorem_range_scenario(tmp_path):
+    # m = 5, N = 6: inside the existence theorem's range, so no notice, and
+    # every leg converges with the residuals decaying like 1/K.
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "theorem_range.scn", out) == 0
+    lines = (out / "minimize_summary.txt").read_text().splitlines()
+    assert not any("outside the existence theorem" in line for line in lines)
+    terminations = [line for line in lines if line.startswith("termination K=")]
+    assert len(terminations) == 4 and all(line.endswith(": converged") for line in terminations)
+    slopes = [line for line in lines if line.startswith("slope_check ")]
+    assert len(slopes) == 3 and all(line.endswith("-> ok") for line in slopes)
+    assert lines[-1] == "exit: 0"
+
+
 def test_minimize_quick_scenario(tmp_path):
     text = (SCENARIOS / "minimize_perturbed.scn").read_text()
     text = text.replace("K_schedule = 10, 100, 1000, 10000", "K_schedule = 10, 100")
@@ -201,6 +215,9 @@ BAD_INPUTS = {
     "K_schedule_nan": ("minimize_perturbed.scn", ["optimizer.K_schedule=10,nan"], None),
     "K_schedule_inf": ("minimize_perturbed.scn", ["optimizer.K_schedule=10,inf"], None),
     "optimize_fields_unknown": ("minimize_perturbed.scn", ["optimizer.optimize_fields=q"], None),
+    "optimize_fields_empty": ("minimize_perturbed.scn", ["optimizer.optimize_fields=,"], None),
+    "K_schedule_decreasing": ("minimize_perturbed.scn", ["optimizer.K_schedule=100,10"], None),
+    "K_schedule_repeated": ("minimize_perturbed.scn", ["optimizer.K_schedule=10,10"], None),
     "K_negative": ("energy_flat.scn", ["energy.K=-1"], None),
     "counts_inf": ("minimize_perturbed.scn", ["grid.counts=inf,5"], None),
     "counts_fraction": ("minimize_perturbed.scn", ["grid.counts=3.7,5"], None),
@@ -239,8 +256,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, case, command):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("scenario error: ")
     assert "Traceback" not in captured.err
-    for item in overrides:  # the message names the key it rejects
-        assert item.split("=")[0].split(".")[-1] in captured.err
+    for item in overrides:  # the message names the section.key it rejects
+        assert item.split("=")[0] in captured.err
     assert captured.out == ""
     assert not out.exists()
 
