@@ -191,29 +191,31 @@ def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
     n_amb = _number(sc, "fields", "n_ambient", n_amb, int, positive=True) if n_amb else None
 
     if embedding == "flat":
-        return presets.flat(grid, n_ambient=n_amb, phi0=phi0, eps=eps)
-    if embedding in ("cylinder", "sphere_product"):
-        preset = getattr(presets, embedding)
-        radius = _number(sc, "fields", "radius", "1.0", positive=True)
-        return preset(grid, radius=radius, n_ambient=n_amb, phi0=phi0, eps=eps)
-    if embedding == "perturbed_flat":
-        return presets.perturbed_flat(
-            grid,
-            n_ambient=n_amb,
+        preset, kwargs = presets.flat, {}
+    elif embedding in ("cylinder", "sphere_product"):
+        preset, kwargs = getattr(presets, embedding), dict(radius=_number(sc, "fields", "radius", "1.0", positive=True))
+    elif embedding == "perturbed_flat":
+        preset, kwargs = presets.perturbed_flat, dict(
             bump_amp=_number(sc, "fields", "bump_amp", "0.3", positive=None),
             shear_amp=_number(sc, "fields", "shear_amp", "0.0", positive=None),
             n_scale=_number(sc, "fields", "n_scale", "1.4", positive=None),
             n_tilt=_number(sc, "fields", "n_tilt", "0.25", positive=None),
-            phi0=None if sc.get("fields", "phi0") is None else phi0,
             mass_normalized=_bool(sc.get("fields", "mass_normalized", "false")),
-            eps=eps,
         )
-    if embedding == "table":
+        phi0 = None if sc.get("fields", "phi0") is None else phi0
+    elif embedding == "table":
         table = sc.get("fields", "table")
         if table is None:
             raise ScenarioError("fields.table is required for a tabulated embedding")
         return _tabulated_fields(sc.base_dir / table, grid, phi0, eps)
-    raise ScenarioError(f"unknown embedding {embedding!r}")
+    else:
+        raise ScenarioError(f"unknown embedding {embedding!r}")
+    try:
+        return preset(grid, n_ambient=n_amb, phi0=phi0, eps=eps, **kwargs)
+    except GridError as exc:  # the grid's m, or N <= m, refused by the preset
+        given = f" with fields.n_ambient = {n_amb}" if n_amb else ""
+        raise ScenarioError(f"fields.embedding = {embedding}{given} does not fit the grid of"
+                            f" grid.extents and grid.counts (m = {grid.m}): {exc}") from None
 
 
 def _tabulated_fields(path: Path, grid: ParameterGrid, phi0: complex, eps: float) -> FieldSet:

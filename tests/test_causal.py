@@ -32,6 +32,7 @@ from worldsheet.causal import (
     pasts,
     sample_maximal_path,
     _iter_maximal_paths,
+    _walks,
 )
 
 
@@ -534,6 +535,115 @@ def test_maximal_paths_order_and_limit():
     assert issubclass(NotCauchySurfaceError, ValueError)
 
 
+def scalar_maximal_path(graph, rng, sources):
+    """The one-walk-at-a-time sampler that the lockstep kernel replaced, kept as its oracle."""
+    indptr, indices, _ = graph.forward
+    node = int(sources[rng.integers(len(sources))])
+    path = [node]
+    lo, hi = indptr.item(node), indptr.item(node + 1)
+    while hi > lo:
+        node = indices.item(lo + int(rng.integers(hi - lo)))
+        path.append(node)
+        lo, hi = indptr.item(node), indptr.item(node + 1)
+    return tuple(path)
+
+
+def classify_by_sets(path, s_set, i_plus, i_minus):
+    """The per-path label that the array lookups replaced, kept as their oracle."""
+    if s_set.isdisjoint(path):
+        return "misses_sigma"
+    if i_plus.isdisjoint(path):
+        return "misses_I+"
+    if i_minus.isdisjoint(path):
+        return "misses_I-"
+    return None
+
+
+def assert_maximal_path(path, graph):
+    """A graph path from a source to a sink."""
+    assert len(path) >= 1
+    assert graph.parents[path[0]].size == 0
+    assert all(graph.is_edge(a, b) for a, b in zip(path, path[1:]))
+    assert graph.children[path[-1]].size == 0
+
+
+WALK_CASES = {
+    "sprinkling_1+1": lambda: (_sprinkling(11, 120, 2), 0.2),
+    "sprinkling_2+1": lambda: (_sprinkling(12, 300, 3), 0.35),
+    "sprinkling_3+1": lambda: (_sprinkling(13, 200, 4), 0.5),
+    "lattice": lambda: (_lattice(6, 5), 1.5),
+    "no_edges": lambda: (EventSet(np.column_stack([np.zeros(20), np.linspace(0.0, 1.0, 20)])), 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_lockstep_walks_are_maximal_paths(case):
+    events, radius = WALK_CASES[case]()
+    g = build_graph(events, radius)
+    sources = g.sources()
+    walks = _walks(g.forward, np.random.default_rng(3), sources, 400)
+    assert walks.shape[0] == 400 and walks.dtype == np.int64
+    paths = set(_iter_maximal_paths(g, 10**6))
+    for row in walks:
+        length = int((row >= 0).sum())
+        assert (row[length:] == -1).all()  # padding only after the sink
+        path = tuple(row[:length].tolist())
+        assert_maximal_path(path, g)
+        assert path in paths
+    oracle = np.random.default_rng(3)
+    for _ in range(50):  # the replaced sampler passes the same checks
+        assert scalar_maximal_path(g, oracle, sources) in paths
+    if case == "no_edges":
+        assert walks.shape == (400, 1)
+
+
+def test_lockstep_walks_split_evenly_on_a_diamond():
+    # 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3; 0 -> 3 lies beyond the radius.
+    g = build_graph(EventSet(np.array([[0.0, 0.0], [1.0, -0.5], [1.0, 0.5], [2.0, 0.0]])), 1.2)
+    assert sorted(map(tuple, _iter_maximal_paths(g, 10))) == [(0, 1, 3), (0, 2, 3)]
+    n = 4000
+    for draw in (
+        lambda rng: _walks(g.forward, rng, g.sources(), n)[:, 1],
+        lambda rng: np.array([scalar_maximal_path(g, rng, g.sources())[1] for _ in range(n)]),
+    ):
+        left = int((draw(np.random.default_rng(21)) == 1).sum())
+        assert abs(left - n / 2) < 5 * np.sqrt(n / 4)
+
+
+def test_lockstep_walks_repeat_with_the_seed():
+    g = build_graph(_sprinkling(14, 300, 3), 0.35)
+    a = _walks(g.forward, np.random.default_rng(8), g.sources(), 100)
+    b = _walks(g.forward, np.random.default_rng(8), g.sources(), 100)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, _walks(g.forward, np.random.default_rng(9), g.sources(), 100))
+    ev, lattice = row_adjacent_graph(8, 6)
+    top = list(range(7 * 6, 8 * 6))
+    assert intercept_check(top, lattice, samples=60, seed=8) == intercept_check(top, lattice, samples=60, seed=8)
+
+
+@pytest.mark.parametrize("end, label", [("sinks", "misses_I+"), ("sources", "misses_I-")])
+@pytest.mark.parametrize("graph", ["lattice", "sprinkling"])
+def test_intercept_reports_every_sampled_violation(graph, end, label):
+    # Every maximal path ends at a sink and starts at a source, so the sinks form
+    # a Cauchy surface with I+(sigma) empty and the sources one with I-(sigma) empty.
+    g = row_adjacent_graph(8, 6)[1] if graph == "lattice" else build_graph(_sprinkling(15, 300, 3), 0.35)
+    n = len(g)
+    sigma = g.sources() if end == "sources" else [i for i in range(n) if g.children[i].size == 0]
+    assert is_cauchy_surface(sigma, g).is_cauchy
+    report = intercept_check(sigma, g, samples=50, seed=2)
+    assert report.paths_checked == 50 and len(report.violations) == 50
+    s_set = set(sigma)
+    i_plus, i_minus = chronological_future(s_set, g), chronological_past(s_set, g)
+    for path, got in report.violations:
+        assert all(type(e) is int and e >= 0 for e in path)
+        assert_maximal_path(path, g)
+        assert got == label == classify_by_sets(path, s_set, i_plus, i_minus)
+    lengths = {len(path) for path, _ in report.violations}
+    assert len(lengths) > 1 if graph == "sprinkling" else lengths == {8}  # padded rows were trimmed
+    if graph == "lattice":
+        assert intercept_check(sigma, g).violations == [(path, label) for path in _iter_maximal_paths(g, 10**6)]
+
+
 def test_intercept_sampling_scans_sources_once(monkeypatch):
     ev, g = row_adjacent_graph(10, 10)
     a, b = np.random.default_rng(5), np.random.default_rng(5)
@@ -589,14 +699,23 @@ def ordered_dependence(S, preds, order):
     return set(int(i) for i in np.flatnonzero(good))
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+FRONTIER_CASES = {
+    **ORACLE_CASES,
+    # A deep graph: 2,000 levels of one event each.
+    "time_like_chain_2000": lambda: (EventSet(np.column_stack([np.arange(2000.0), np.zeros(2000)])), 1.0),
+    # A frontier that holds each child many times: up to 6 parents per event, in two rows.
+    "lattice_radius_2.5": lambda: (_lattice(30, 50), 2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRONTIER_CASES))
 def test_frontier_kernels_match_per_event_oracles(case):
-    events, radius = ORACLE_CASES[case]()
+    events, radius = FRONTIER_CASES[case]()
     g = build_graph(events, radius)
     n = len(events)
     # Edges strictly increase the time coordinate, so sorting by it is a topological order.
     order = np.argsort(events.events[:, 0], kind="stable")
-    rng = np.random.default_rng(sorted(ORACLE_CASES).index(case))
+    rng = np.random.default_rng(sorted(FRONTIER_CASES).index(case))
     event_sets = [[], list(range(n))]
     if n:
         repeated = [0, n - 1, 0, n - 1]

@@ -237,6 +237,10 @@ BAD_INPUTS = {
     "armijo_c_removed": ("minimize_perturbed.scn", ["optimizer.armijo_c=0.5"], None),
     "backtrack_removed": ("minimize_perturbed.scn", ["optimizer.backtrack=0.5"], None),
     "normalize_phi_removed": ("minimize_perturbed.scn", ["fields.normalize_phi=true"], None),
+    # A preset that refuses N <= m, or the grid's m, names the keys behind them.
+    "n_ambient_not_above_m": ("minimize_perturbed.scn", ["fields.n_ambient=1"], None),
+    "cylinder_on_m_2_grid": ("geometry_cylinder.scn", ["grid.extents=0:1,0:1,0:1", "grid.counts=3,5,5"], None),
+    "sphere_product_on_m_1_grid": ("energy_flat.scn", ["fields.embedding=sphere_product"], None),
 }
 
 
