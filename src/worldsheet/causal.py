@@ -11,7 +11,8 @@ flat-space cone oracle for validation.
 
 The graph keeps each edge once per direction as compressed sparse rows (CSR:
 indptr, indices, is_null; Saad, Iterative Methods for Sparse Linear Systems,
-3.4), and every set-valued query expands a whole frontier of events per step.
+3.4).  Every set-valued query expands a whole frontier of events per step over
+boolean masks: masks inside, sets only at a public function's return.
 
 The discrete stand-in for the future boundary of I+(S) is J+(S) \\ I+(S).
 On a flat event set whose radius covers every pair, two boundary events can
@@ -130,7 +131,8 @@ class CausalGraph:
 
     Acyclic by construction: every edge strictly increases the time
     coordinate.  forward holds the out-edges and backward the same edges
-    reversed, the only edge storage; the row lists are derived on first read.
+    reversed, the only edge storage.  The row lists children and
+    timelike_children are derived on first read, for callers outside this module.
     """
 
     events: EventSet
@@ -140,17 +142,14 @@ class CausalGraph:
 
     children = cached_property(lambda self: _split(self.forward, None))
     timelike_children = cached_property(lambda self: _split(self.forward, False))
-    null_children = cached_property(lambda self: _split(self.forward, True))
-    parents = cached_property(lambda self: _split(self.backward, None))
-    timelike_parents = cached_property(lambda self: _split(self.backward, False))
 
     def __len__(self) -> int:
         return len(self.events)
 
     def is_edge(self, i: int, j: int) -> bool:
-        row = self.children[i]
-        k = np.searchsorted(row, j)
-        return bool(k < row.size and row[k] == j)
+        lo, hi = self.forward.indptr[[i, i + 1]]
+        k = lo + np.searchsorted(self.forward.indices[lo:hi], j)
+        return bool(k < hi and self.forward.indices[k] == j)
 
     def sources(self) -> list[int]:
         return np.flatnonzero(np.diff(self.backward.indptr) == 0).tolist()
@@ -207,23 +206,31 @@ def _gather(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return k, np.arange(k.size) + np.repeat(start - np.cumsum(count) + count, count)
 
 
-def _event_array(S: Iterable[int], n: int) -> np.ndarray:
-    """S as an index array; an index outside 0..n-1 raises (numpy would wrap -1 to n - 1)."""
-    idx = np.fromiter(S, dtype=np.int64)
+def _mask(S: Iterable[int], n: int) -> np.ndarray:
+    """S as a mask over n events; an index not an integer in 0..n-1 raises (numpy would cut 1.7, wrap -1)."""
+    idx = np.asarray(list(S))
+    if idx.dtype.kind not in "biu":
+        cut = idx[np.trunc(idx) != idx]
+        if cut.size:
+            raise ValueError(f"event index {cut[0]} is not an integer")
     bad = idx[(idx < 0) | (idx >= n)]
     if bad.size:
         raise ValueError(f"event index {bad[0]} outside 0..{n - 1}")
-    return idx
+    return np.bincount(idx.astype(np.int64), minlength=n) > 0
 
 
-def _reach(S: Iterable[int], edges: Edges, chronological: bool, avoid: Optional[np.ndarray] = None) -> set[int]:
-    """Events reachable from S by paths of length >= 1 along edges that never enter avoid, a
-    whole frontier per step: time-like edges only if chronological, else every edge and S itself.
-    Costs O(edges reached + levels), with no sort: a slot stamp keeps one copy of each child."""
-    n = edges.indptr.size - 1
-    seeds = frontier = _event_array(S, n)
-    visited = np.zeros(n, dtype=bool) if avoid is None else avoid.copy()
-    slot = np.empty(n, dtype=np.int64)
+def _members(mask: np.ndarray) -> set[int]:
+    """The events of a mask, as the set a public query returns: the one place a mask becomes a set."""
+    return set(np.flatnonzero(mask).tolist())
+
+
+def _reach(seeds: np.ndarray, edges: Edges, chronological: bool, avoid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the events reachable from the seeds mask by paths of length >= 1 along edges that never
+    enter avoid, a whole frontier per step: time-like edges only if chronological, else every edge and
+    the seeds.  Costs O(n + edges reached + levels), with no sort: a slot stamp keeps one copy of each child."""
+    frontier = np.flatnonzero(seeds)
+    visited = np.zeros_like(seeds) if avoid is None else avoid.copy()
+    slot = np.empty(seeds.size, dtype=np.int64)
     while frontier.size:
         pos = _gather(edges.indptr[frontier], edges.indptr[frontier + 1])[1]
         if chronological:
@@ -235,30 +242,30 @@ def _reach(S: Iterable[int], edges: Edges, chronological: bool, avoid: Optional[
         frontier = nxt[slot[nxt] == k]
         visited[frontier] = True
     if not chronological:
-        visited[seeds] = True
+        visited |= seeds
     if avoid is not None:
         visited &= ~avoid
-    return set(np.flatnonzero(visited).tolist())
+    return visited
 
 
 def chronological_future(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """I+(S): events reachable from S by paths of time-like edges (length >= 1)."""
-    return _reach(S, graph.forward, chronological=True)
+    return _members(_reach(_mask(S, len(graph)), graph.forward, chronological=True))
 
 
 def causal_future(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """J+(S): reachable by time-like or null edges; includes S itself."""
-    return _reach(S, graph.forward, chronological=False)
+    return _members(_reach(_mask(S, len(graph)), graph.forward, chronological=False))
 
 
 def chronological_past(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """I-(S): mirror of I+ on reversed edges."""
-    return _reach(S, graph.backward, chronological=True)
+    return _members(_reach(_mask(S, len(graph)), graph.backward, chronological=True))
 
 
 def causal_past(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """J-(S): mirror of J+ on reversed edges; includes S."""
-    return _reach(S, graph.backward, chronological=False)
+    return _members(_reach(_mask(S, len(graph)), graph.backward, chronological=False))
 
 
 def pasts(S: Iterable[int], graph: CausalGraph) -> tuple[set[int], set[int]]:
@@ -269,8 +276,8 @@ def pasts(S: Iterable[int], graph: CausalGraph) -> tuple[set[int], set[int]]:
 
 def is_achronal(S: Iterable[int], graph: CausalGraph) -> bool:
     """True iff no event of S lies in the chronological future of S."""
-    s_set = set(_event_array(S, len(graph)).tolist())
-    return not (chronological_future(s_set, graph) & s_set)
+    s = _mask(S, len(graph))
+    return not (_reach(s, graph.forward, chronological=True) & s).any()
 
 
 def future_boundary(S: Iterable[int], graph: CausalGraph) -> set[int]:
@@ -279,8 +286,8 @@ def future_boundary(S: Iterable[int], graph: CausalGraph) -> set[int]:
     The causally-but-not-chronologically reachable shell.  See the module
     docstring for why this set is achronal on covering-radius flat graphs.
     """
-    s_list = list(S)
-    return causal_future(s_list, graph) - chronological_future(s_list, graph)
+    s = _mask(S, len(graph))
+    return _members(_reach(s, graph.forward, chronological=False) & ~_reach(s, graph.forward, chronological=True))
 
 
 def null_boundary_check(path: Sequence[int], graph: CausalGraph) -> float:
@@ -297,30 +304,27 @@ def null_boundary_check(path: Sequence[int], graph: CausalGraph) -> float:
     return float(np.abs(interval).max(initial=0.0))
 
 
-def _dependence(S: Iterable[int], preds: Edges, succs: Edges) -> set[int]:
-    """Events all of whose maximal paths along preds meet S: all but those that the
-    sources (no preds) outside S reach along succs without entering S."""
-    n = preds.indptr.size - 1
-    in_s = np.zeros(n, dtype=bool)
-    in_s[_event_array(S, n)] = True
-    sources = np.flatnonzero((np.diff(preds.indptr) == 0) & ~in_s)
-    return set(range(n)) - _reach(sources, succs, chronological=False, avoid=in_s)
+def _dependence(s: np.ndarray, preds: Edges, succs: Edges) -> np.ndarray:
+    """Mask of the events all of whose maximal paths along preds meet the mask s: all but those
+    that the sources (no preds) outside s reach along succs without entering s."""
+    sources = (np.diff(preds.indptr) == 0) & ~s
+    return ~_reach(sources, succs, chronological=False, avoid=s)
 
 
 def future_dependence(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D+(S): events all of whose maximal backward causal paths meet S."""
-    return _dependence(S, graph.backward, graph.forward)
+    return _members(_dependence(_mask(S, len(graph)), graph.backward, graph.forward))
 
 
 def past_dependence(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D-(S): mirror of D+ on reversed edges."""
-    return _dependence(S, graph.forward, graph.backward)
+    return _members(_dependence(_mask(S, len(graph)), graph.forward, graph.backward))
 
 
 def dependence_domain(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D(S) = D+(S) union D-(S)."""
-    s_list = list(S)
-    return future_dependence(s_list, graph) | past_dependence(s_list, graph)
+    s = _mask(S, len(graph))
+    return _members(_dependence(s, graph.backward, graph.forward) | _dependence(s, graph.forward, graph.backward))
 
 
 @dataclass
@@ -336,19 +340,20 @@ def is_cauchy_surface(sigma: Iterable[int], graph: CausalGraph) -> CauchyResult:
     On failure the result carries a witness: a chronologically related pair
     inside sigma, or an event outside D(sigma).
     """
-    return _cauchy_verdict(set(_event_array(sigma, len(graph)).tolist()), graph)[0]
+    return _cauchy_verdict(_mask(sigma, len(graph)), graph)[0]
 
 
-def _cauchy_verdict(s_set: set[int], graph: CausalGraph) -> tuple[CauchyResult, set[int]]:
-    """is_cauchy_surface's result for the event set s_set, with the I+(s_set) it walked."""
-    i_plus = chronological_future(s_set, graph)
-    clash = i_plus & s_set
-    if clash:
-        q = min(clash)
-        return CauchyResult(False, "chronology", (min(chronological_past({q}, graph) & s_set), q)), i_plus
-    uncovered = set(range(len(graph))) - dependence_domain(s_set, graph)
-    if uncovered:
-        return CauchyResult(False, "uncovered", (min(uncovered),)), i_plus
+def _cauchy_verdict(s: np.ndarray, graph: CausalGraph) -> tuple[CauchyResult, np.ndarray]:
+    """is_cauchy_surface's result for the mask s, with the I+(s) mask it walked."""
+    i_plus = _reach(s, graph.forward, chronological=True)
+    clash = i_plus & s
+    if clash.any():
+        q = int(clash.argmax())
+        p = int((_reach(_mask([q], len(graph)), graph.backward, chronological=True) & s).argmax())
+        return CauchyResult(False, "chronology", (p, q)), i_plus
+    uncovered = ~(_dependence(s, graph.backward, graph.forward) | _dependence(s, graph.forward, graph.backward))
+    if uncovered.any():
+        return CauchyResult(False, "uncovered", (int(uncovered.argmax()),)), i_plus
     return CauchyResult(True), i_plus
 
 
@@ -364,6 +369,10 @@ class PathLimitError(RuntimeError):
 # graphs are checked by sampling.
 PATH_LIMIT = 200000
 
+# Bits 1, 2, 4 of a path's code: it meets sigma, I+(sigma), I-(sigma).  Code m < 7 is a violation,
+# labelled by its lowest clear bit: the first of the three regions that the path misses.
+_LABELS = tuple(("misses_sigma", "misses_I+", "misses_I-")[(~m & m + 1).bit_length() - 1] for m in range(7))
+
 
 @dataclass
 class InterceptReport:
@@ -375,15 +384,15 @@ class InterceptReport:
         return not self.violations
 
 
-def _iter_maximal_paths(graph: CausalGraph, limit: int):
-    """All maximal causal paths (source to sink), depth-first, index order."""
-    indptr, indices = graph.forward.indptr.tolist(), graph.forward.indices.tolist()
+def _iter_maximal_paths(graph: CausalGraph, limit: int, code: np.ndarray):
+    """All maximal causal paths (source to sink), depth-first, index order, each with the OR of code over it."""
+    indptr, indices, code = graph.forward.indptr.tolist(), graph.forward.indices.tolist(), code.tolist()
     count = 0
     for src in graph.sources():
-        stack = [(src, 0)]  # (node, depth): path[depth - 1] is the node's parent
+        stack = [(src, 0, code[src])]  # (node, depth, met): path[depth - 1] is the parent, met ORs code to node
         path: list[int] = []
         while stack:
-            node, depth = stack.pop()
+            node, depth, met = stack.pop()
             del path[depth:]
             path.append(node)
             lo, hi = indptr[node], indptr[node + 1]
@@ -391,9 +400,9 @@ def _iter_maximal_paths(graph: CausalGraph, limit: int):
                 count += 1
                 if count > limit:
                     raise PathLimitError(f"more than {limit} maximal paths; use sampling instead")
-                yield tuple(path)
+                yield tuple(path), met
                 continue
-            stack.extend((j, depth + 1) for j in reversed(indices[lo:hi]))
+            stack.extend((j, depth + 1, met | code[j]) for j in reversed(indices[lo:hi]))
 
 
 def _walks(forward: Edges, rng: np.random.Generator, sources: Sequence[int], samples: int) -> np.ndarray:
@@ -431,28 +440,25 @@ def intercept_check(
     surface.  Since 0.3.5 a seed draws its paths in another order, so a sampled
     violations list can differ from 0.3.4's; paths_checked and the verdict do not.
     """
-    s_set = set(_event_array(sigma, len(graph)).tolist())
-    verdict, i_plus = _cauchy_verdict(s_set, graph)
+    if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    s = _mask(sigma, len(graph))
+    verdict, i_plus = _cauchy_verdict(s, graph)
     if not verdict.is_cauchy:
         raise NotCauchySurfaceError(
             f"intercept_check precondition failed: sigma is not a Cauchy surface "
             f"({verdict.witness_kind} witness {verdict.witness})"
         )
-    # A violation is labelled by the first of sigma, I+(sigma), I-(sigma) that its path misses.
-    regions, labels = (s_set, i_plus, chronological_past(s_set, graph)), ("misses_sigma", "misses_I+", "misses_I-")
-    violations: list[tuple[tuple[int, ...], str]] = []
+    code = np.r_[s | i_plus << 1 | _reach(s, graph.backward, chronological=True) << 2, 0]  # [-1]: walk padding
     if samples is not None:
         walks = _walks(graph.forward, np.random.default_rng(seed), graph.sources(), samples)
-        inside = np.zeros((len(regions), len(graph) + 1), dtype=bool)  # column n: the -1 padding
-        for row, region in zip(inside, regions):
-            row[list(region)] = True
-        meets = inside[:, walks].any(axis=2)
-        for k in np.flatnonzero(~meets.all(axis=0)):
-            violations.append((tuple(walks[k][walks[k] >= 0].tolist()), labels[meets[:, k].argmin()]))
+        met = np.bitwise_or.reduce(code[walks], axis=1)
+        violations = [(tuple(walks[k][walks[k] >= 0].tolist()), _LABELS[met[k]]) for k in np.flatnonzero(met < 7)]
         return InterceptReport(paths_checked=samples, violations=violations)
-    checked = 0
-    for checked, path in enumerate(_iter_maximal_paths(graph, PATH_LIMIT), 1):
-        violations += [(path, label) for region, label in zip(regions, labels) if region.isdisjoint(path)][:1]
+    checked, violations = 0, []
+    for checked, (path, met) in enumerate(_iter_maximal_paths(graph, PATH_LIMIT, code), 1):
+        if met < 7:
+            violations.append((path, _LABELS[met]))
     return InterceptReport(paths_checked=checked, violations=violations)
 
 

@@ -34,6 +34,7 @@ from worldsheet.causal import (
     intercept_check,
     is_achronal,
     is_cauchy_surface,
+    _split,
 )
 from worldsheet.optimizer import pack_interior
 
@@ -238,6 +239,7 @@ def test_criterion_6_cone_soundness_and_completeness():
 
 def _brute_future_dependence(S, graph):
     s_set = set(S)
+    parents = _split(graph.backward, None)
     out = set()
     for p in range(len(graph)):
         stack = [(p, p in s_set)]
@@ -246,7 +248,7 @@ def _brute_future_dependence(S, graph):
             node, hit = stack.pop()
             if hit:
                 continue
-            preds = graph.parents[node]
+            preds = parents[node]
             if preds.size == 0:
                 ok = False
                 break

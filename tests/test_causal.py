@@ -32,6 +32,7 @@ from worldsheet.causal import (
     pasts,
     sample_maximal_path,
     _iter_maximal_paths,
+    _split,
     _walks,
 )
 
@@ -130,7 +131,7 @@ def test_build_graph_two_events():
     ev = EventSet(events=np.array([[0.0, 0.0], [1.0, 0.2]]))
     g = build_graph(ev, radius=2.0)
     assert list(g.timelike_children[0]) == [1]
-    assert list(g.null_children[0]) == []
+    assert list(_split(g.forward, True)[0]) == []
     assert list(g.children[1]) == []
 
 
@@ -157,7 +158,7 @@ def test_build_graph_matches_enumeration_oracle():
             elif kind is IntervalKind.NULL_FUTURE:
                 want_n.append(j)
         assert list(g.timelike_children[i]) == want_t
-        assert list(g.null_children[i]) == want_n
+        assert list(_split(g.forward, True)[i]) == want_n
 
 
 def test_graph_is_acyclic_in_time():
@@ -272,6 +273,7 @@ def brute_future_dependence(S, graph):
     """Oracle: enumerate all maximal backward paths and test they meet S."""
     s_set = set(S)
     n = len(graph)
+    parents = _split(graph.backward, None)
     out = set()
     for p in range(n):
         stack = [(p, p in s_set)]
@@ -280,7 +282,7 @@ def brute_future_dependence(S, graph):
             node, hit = stack.pop()
             if hit:
                 continue
-            preds = graph.parents[node]
+            preds = parents[node]
             if preds.size == 0:
                 ok = False
                 break
@@ -403,7 +405,7 @@ def test_sample_maximal_path_is_maximal():
     ev, g = row_adjacent_graph(6, 6)
     rng = np.random.default_rng(0)
     path = sample_maximal_path(g, rng)
-    assert g.parents[path[0]].size == 0
+    assert path[0] in g.sources()
     assert g.children[path[-1]].size == 0
 
 
@@ -431,7 +433,14 @@ def test_load_events_with_comments(tmp_path):
     assert ev.events[1, 1] == 0.5
 
 
-EDGE_LISTS = ("timelike_children", "null_children", "children", "timelike_parents", "parents")
+# Row lists by name: (direction, null) as _split reads them.
+EDGE_LISTS = {
+    "timelike_children": ("forward", False),
+    "null_children": ("forward", True),
+    "children": ("forward", None),
+    "timelike_parents": ("backward", False),
+    "parents": ("backward", None),
+}
 
 
 def _sprinkling(seed, n, dim, c=1.0):
@@ -476,8 +485,8 @@ ORACLE_CASES = {
 def test_build_graph_matches_dense_oracle(case):
     events, radius = ORACLE_CASES[case]()
     got, want = build_graph(events, radius), dense_build_graph(events, radius)
-    for name in EDGE_LISTS:
-        rows, expected = getattr(got, name), getattr(want, name)
+    for name, (direction, null) in EDGE_LISTS.items():
+        rows, expected = _split(getattr(got, direction), null), _split(getattr(want, direction), null)
         assert len(rows) == len(expected) == len(events)
         for i, (row, exp) in enumerate(zip(rows, expected)):
             assert row.dtype == exp.dtype and np.array_equal(row, exp), f"{name}[{i}]"
@@ -525,12 +534,22 @@ def _maximal_paths_by_copying(graph):
     return out
 
 
+def maximal_paths(graph, limit):
+    """The paths of _iter_maximal_paths, without their codes."""
+    return [path for path, _ in _iter_maximal_paths(graph, limit, np.zeros(len(graph), dtype=np.int64))]
+
+
 def test_maximal_paths_order_and_limit():
     ev, g = row_adjacent_graph(5, 4)
     paths = _maximal_paths_by_copying(g)
-    assert list(_iter_maximal_paths(g, len(paths))) == paths
+    code = np.random.default_rng(6).integers(0, 8, len(g))
+    found = list(_iter_maximal_paths(g, len(paths), code))
+    assert [path for path, _ in found] == paths
+    # Each path comes with the OR of the codes of its events.
+    assert [met for _, met in found] == [int(np.bitwise_or.reduce(code[list(path)])) for path in paths]
+    assert len({met for _, met in found}) > 1
     with pytest.raises(PathLimitError, match=f"more than {len(paths) - 1} maximal paths"):
-        list(_iter_maximal_paths(g, len(paths) - 1))
+        maximal_paths(g, len(paths) - 1)
     assert issubclass(PathLimitError, RuntimeError)
     assert issubclass(NotCauchySurfaceError, ValueError)
 
@@ -562,7 +581,7 @@ def classify_by_sets(path, s_set, i_plus, i_minus):
 def assert_maximal_path(path, graph):
     """A graph path from a source to a sink."""
     assert len(path) >= 1
-    assert graph.parents[path[0]].size == 0
+    assert path[0] in graph.sources()
     assert all(graph.is_edge(a, b) for a, b in zip(path, path[1:]))
     assert graph.children[path[-1]].size == 0
 
@@ -583,7 +602,7 @@ def test_lockstep_walks_are_maximal_paths(case):
     sources = g.sources()
     walks = _walks(g.forward, np.random.default_rng(3), sources, 400)
     assert walks.shape[0] == 400 and walks.dtype == np.int64
-    paths = set(_iter_maximal_paths(g, 10**6))
+    paths = set(maximal_paths(g, 10**6))
     for row in walks:
         length = int((row >= 0).sum())
         assert (row[length:] == -1).all()  # padding only after the sink
@@ -600,7 +619,7 @@ def test_lockstep_walks_are_maximal_paths(case):
 def test_lockstep_walks_split_evenly_on_a_diamond():
     # 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3; 0 -> 3 lies beyond the radius.
     g = build_graph(EventSet(np.array([[0.0, 0.0], [1.0, -0.5], [1.0, 0.5], [2.0, 0.0]])), 1.2)
-    assert sorted(map(tuple, _iter_maximal_paths(g, 10))) == [(0, 1, 3), (0, 2, 3)]
+    assert sorted(maximal_paths(g, 10)) == [(0, 1, 3), (0, 2, 3)]
     n = 4000
     for draw in (
         lambda rng: _walks(g.forward, rng, g.sources(), n)[:, 1],
@@ -641,7 +660,7 @@ def test_intercept_reports_every_sampled_violation(graph, end, label):
     lengths = {len(path) for path, _ in report.violations}
     assert len(lengths) > 1 if graph == "sprinkling" else lengths == {8}  # padded rows were trimmed
     if graph == "lattice":
-        assert intercept_check(sigma, g).violations == [(path, label) for path in _iter_maximal_paths(g, 10**6)]
+        assert intercept_check(sigma, g).violations == [(path, label) for path in maximal_paths(g, 10**6)]
 
 
 def test_intercept_sampling_scans_sources_once(monkeypatch):
@@ -664,12 +683,17 @@ def test_intercept_walks_i_plus_once(monkeypatch):
     ev, g = row_adjacent_graph(10, 10)
     mid = [5 * 10 + j for j in range(10)]
     calls = []
-    original = causal.chronological_future
-    monkeypatch.setattr(causal, "chronological_future", lambda s, graph: calls.append(1) or original(s, graph))
+    original = causal._reach
+
+    def counted(seeds, edges, chronological, avoid=None):
+        calls.append(edges is g.forward and chronological)
+        return original(seeds, edges, chronological, avoid)
+
+    monkeypatch.setattr(causal, "_reach", counted)
     report = intercept_check(mid, g, samples=50, seed=4)
     assert report.ok and report.paths_checked == 50
-    assert len(calls) == 1
-    assert is_cauchy_surface(mid, g).is_cauchy and len(calls) == 2
+    assert sum(calls) == 1  # one forward chronological reach: I+(sigma)
+    assert is_cauchy_surface(mid, g).is_cauchy and sum(calls) == 2
 
 
 def deque_reach(S, adjacency, include_seeds):
@@ -720,12 +744,13 @@ def test_frontier_kernels_match_per_event_oracles(case):
     if n:
         repeated = [0, n - 1, 0, n - 1]
         event_sets += [repeated, rng.integers(0, n, 6).tolist(), rng.choice(n, n // 10, replace=False).tolist()]
+    timelike_parents, parents = _split(g.backward, False), _split(g.backward, None)
     for S in event_sets:
         assert chronological_future(S, g) == deque_reach(S, g.timelike_children, False)
-        assert chronological_past(S, g) == deque_reach(S, g.timelike_parents, False)
+        assert chronological_past(S, g) == deque_reach(S, timelike_parents, False)
         assert causal_future(S, g) == deque_reach(S, g.children, True)
-        assert causal_past(S, g) == deque_reach(S, g.parents, True)
-        assert future_dependence(S, g) == ordered_dependence(S, g.parents, order)
+        assert causal_past(S, g) == deque_reach(S, parents, True)
+        assert future_dependence(S, g) == ordered_dependence(S, parents, order)
         assert past_dependence(S, g) == ordered_dependence(S, g.children, order[::-1])
 
 
@@ -743,10 +768,26 @@ OUT_OF_RANGE_QUERIES = (
 )
 
 
-@pytest.mark.parametrize("bad", [-1, 16])
+@pytest.mark.parametrize("bad", [-1, 16, 1.7])
 @pytest.mark.parametrize("query", OUT_OF_RANGE_QUERIES, ids=lambda f: f.__name__)
 def test_queries_reject_event_index_out_of_range(query, bad):
-    # numpy indexing would answer -1 as event 15 and fail on 16 with an IndexError
+    # numpy indexing would answer -1 as event 15, fail on 16 with an IndexError and cut 1.7 to event 1
     ev, g = covering_graph(4, 4)
-    with pytest.raises(ValueError, match=f"^event index {bad} outside 0..15$"):
+    why = "outside 0..15" if float(bad).is_integer() else "is not an integer"
+    with pytest.raises(ValueError, match=f"^event index {bad} {why}$"):
         query([3, bad], g)
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, "50"])
+def test_intercept_rejects_samples_below_one(samples):
+    # samples=0 would check no path and report ok; -1 would fail inside numpy
+    ev, g = row_adjacent_graph(4, 3)
+    with pytest.raises(ValueError, match="^samples must be an integer >= 1"):
+        intercept_check([3, 4, 5], g, samples=samples)
+    assert intercept_check([3, 4, 5], g, samples=np.int64(1)).paths_checked == 1
+
+
+def test_null_boundary_check_reads_the_csr_rows():
+    ev, g = covering_graph(5, 5)
+    assert null_boundary_check([0, 6, 12], g) == 0.0
+    assert "children" not in vars(g)
