@@ -12,7 +12,8 @@ flat-space cone oracle for validation.
 The graph keeps each edge once per direction as compressed sparse rows (CSR:
 indptr, indices, is_null; Saad, Iterative Methods for Sparse Linear Systems,
 3.4).  Every set-valued query expands a whole frontier of events per step over
-boolean masks: masks inside, sets only at a public function's return.
+boolean masks: masks inside, sets only at a public function's return.  Maximal
+paths, all of them or a seeded sample, come from one lockstep walk (_walks).
 
 The discrete stand-in for the future boundary of I+(S) is J+(S) \\ I+(S).
 On a flat event set whose radius covers every pair, two boundary events can
@@ -365,8 +366,7 @@ class PathLimitError(RuntimeError):
     """An exhaustive intercept_check found more maximal paths than PATH_LIMIT."""
 
 
-# Beyond this many maximal paths an exhaustive intercept_check gives up: larger
-# graphs are checked by sampling.
+# Beyond this many maximal paths an exhaustive intercept_check gives up: sample larger graphs.
 PATH_LIMIT = 200000
 
 # Bits 1, 2, 4 of a path's code: it meets sigma, I+(sigma), I-(sigma).  Code m < 7 is a violation,
@@ -384,47 +384,38 @@ class InterceptReport:
         return not self.violations
 
 
-def _iter_maximal_paths(graph: CausalGraph, limit: int, code: np.ndarray):
-    """All maximal causal paths (source to sink), depth-first, index order, each with the OR of code over it."""
-    indptr, indices, code = graph.forward.indptr.tolist(), graph.forward.indices.tolist(), code.tolist()
-    count = 0
-    for src in graph.sources():
-        stack = [(src, 0, code[src])]  # (node, depth, met): path[depth - 1] is the parent, met ORs code to node
-        path: list[int] = []
-        while stack:
-            node, depth, met = stack.pop()
-            del path[depth:]
-            path.append(node)
-            lo, hi = indptr[node], indptr[node + 1]
-            if lo == hi:
-                count += 1
-                if count > limit:
-                    raise PathLimitError(f"more than {limit} maximal paths; use sampling instead")
-                yield tuple(path), met
-                continue
-            stack.extend((j, depth + 1, met | code[j]) for j in reversed(indices[lo:hi]))
-
-
-def _walks(forward: Edges, rng: np.random.Generator, sources: Sequence[int], samples: int) -> np.ndarray:
-    """samples maximal causal paths by uniform forward walks from random sources, all in lockstep:
-    row k is walk k's events, padded with -1 after its sink."""
-    indptr, indices = forward.indptr, forward.indices
-    node = np.asarray(sources, dtype=np.int64)[rng.integers(len(sources), size=samples)]
-    live, steps = np.arange(samples), [node]
-    while True:
-        lo, hi = indptr[node], indptr[node + 1]
-        more = hi > lo  # walkers at a sink stop here
-        live, lo, hi = live[more], lo[more], hi[more]
-        if not live.size:
-            return np.stack(steps, axis=1)
-        node = indices[lo + rng.integers(hi - lo)]
-        steps.append(np.full(samples, -1))
-        steps[-1][live] = node
+def _walks(forward: Edges, starts: Sequence[int], rng: Optional[np.random.Generator] = None, samples: int = 0) -> np.ndarray:
+    """Maximal causal paths by forward walks from starts, all in lockstep: row k is path k's events, padded with -1
+    after its sink.  Exhaustive if rng is None: each row branches into all its children in index order, so the rows
+    come out depth-first, and more than PATH_LIMIT rows raise.  Else samples walks from uniform random starts, each
+    step to a uniform child.  A sentinel event -1, last in lo and count, is the only child of each sink and itself."""
+    count = np.diff(forward.indptr)
+    lo = np.append(np.where(count, forward.indptr[:-1], forward.indices.size), forward.indices.size)
+    count, indices = np.append(np.maximum(count, 1), 1), np.append(forward.indices, -1)
+    node = np.asarray(starts, dtype=np.int64)
+    node = node if rng is None or not node.size else node[rng.integers(node.size, size=samples)]
+    steps = [(None, node)]  # per step: each row's row in the step before (None: the same row), and its events
+    while not (node < 0).all():
+        if rng is None:
+            k, pos = _gather(lo[node], lo[node] + count[node])
+            if k.size > PATH_LIMIT:
+                raise PathLimitError(f"more than {PATH_LIMIT} maximal paths; use sampling instead")
+        else:
+            k, pos = None, lo[node] + rng.integers(count[node])  # a range of one draws nothing
+        node = indices[pos]
+        steps.append((k, node))
+    rows, cols = slice(None), []
+    for k, at in reversed(steps):
+        cols.append(at[rows])
+        rows = rows if k is None else k[rows]
+    return np.stack(cols[::-1], axis=1)[:, :-1]  # the last step took every row to the sentinel
 
 
 def sample_maximal_path(graph: CausalGraph, rng: np.random.Generator, sources=None) -> tuple[int, ...]:
     """One maximal causal path by a uniform forward walk from a random source (graph.sources() if None)."""
-    return tuple(_walks(graph.forward, rng, graph.sources() if sources is None else sources, 1)[0].tolist())
+    for walk in _walks(graph.forward, graph.sources() if sources is None else sources, rng, 1):
+        return tuple(walk.tolist())
+    raise ValueError("the graph has no source events")
 
 
 def intercept_check(
@@ -435,10 +426,10 @@ def intercept_check(
 ) -> InterceptReport:
     """Verify every maximal causal path meets sigma, I+(sigma), and I-(sigma).
 
-    Exhaustive when samples is None (desk-scale graphs), otherwise a seeded
-    sample of maximal paths, walked in lockstep.  Requires sigma to be a Cauchy
-    surface.  Since 0.3.5 a seed draws its paths in another order, so a sampled
-    violations list can differ from 0.3.4's; paths_checked and the verdict do not.
+    Exhaustive when samples is None (desk-scale graphs; paths in depth-first order), otherwise a seeded
+    sample; one lockstep walk serves both.  Requires sigma to be a Cauchy surface.  Since 0.3.5 a seed
+    draws its paths in another order, so a sampled violations list can differ from 0.3.4's;
+    paths_checked and the verdict do not.
     """
     if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
@@ -450,16 +441,12 @@ def intercept_check(
             f"({verdict.witness_kind} witness {verdict.witness})"
         )
     code = np.r_[s | i_plus << 1 | _reach(s, graph.backward, chronological=True) << 2, 0]  # [-1]: walk padding
-    if samples is not None:
-        walks = _walks(graph.forward, np.random.default_rng(seed), graph.sources(), samples)
-        met = np.bitwise_or.reduce(code[walks], axis=1)
-        violations = [(tuple(walks[k][walks[k] >= 0].tolist()), _LABELS[met[k]]) for k in np.flatnonzero(met < 7)]
-        return InterceptReport(paths_checked=samples, violations=violations)
-    checked, violations = 0, []
-    for checked, (path, met) in enumerate(_iter_maximal_paths(graph, PATH_LIMIT, code), 1):
-        if met < 7:
-            violations.append((path, _LABELS[met]))
-    return InterceptReport(paths_checked=checked, violations=violations)
+    walks = _walks(graph.forward, graph.sources(), None if samples is None else np.random.default_rng(seed), samples)
+    met = np.bitwise_or.reduce(code[walks], axis=1)
+    bad = walks[met < 7]
+    flat, ends = bad[bad >= 0].tolist(), np.cumsum((bad >= 0).sum(axis=1)).tolist()
+    violations = [(tuple(flat[a:b]), _LABELS[m]) for a, b, m in zip([0] + ends, ends, met[met < 7].tolist())]
+    return InterceptReport(paths_checked=len(walks), violations=violations)
 
 
 def flat_grid_events(

@@ -27,10 +27,12 @@ THEOREM_M_RANGE = (5, 8)
 
 # Backtracking line search along a descent direction d: a trial step alpha
 # is accepted on sufficient decrease J_K(x + alpha d) <= J_K(x) + ARMIJO_C
-# alpha grad.d (Nocedal & Wright, 3.1), else shrunk by BACKTRACK; below
-# MIN_STEP the leg stops as line_search_underflow.  L-BFGS keeps the last
-# MEMORY pairs (s, y) of step and gradient change, and skips a pair whose
-# curvature s.y <= CURVATURE_TOL |s| |y|.
+# alpha grad.d (Nocedal & Wright, 3.1) that is also strict, J_K(x + alpha d)
+# < J_K(x): once ARMIJO_C alpha grad.d is below the rounding of J_K, an
+# unchanged J_K would pass the first test.  Otherwise alpha is shrunk by
+# BACKTRACK; below MIN_STEP the leg stops as line_search_underflow.  L-BFGS
+# keeps the last MEMORY pairs (s, y) of step and gradient change, and skips a
+# pair whose curvature s.y <= CURVATURE_TOL |s| |y|.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MIN_STEP = 1e-14
@@ -248,7 +250,7 @@ def minimize_fixed_K(
 
     The line search starts at alpha = 1, or at cfg.step_init while the memory
     is empty (a leg's first step, after a reset or a fallback).  Accepted
-    iterates never increase J_K.  phi is clamped back to the admissible set
+    iterates strictly decrease J_K.  phi is clamped back to the admissible set
     after every step; a clamp that moves a node clears the memory (a reset),
     as does a direction that is not one of descent, replaced by -grad (a
     fallback).  Step underflow is recorded as a stall, not raised.
@@ -294,7 +296,7 @@ def minimize_fixed_K(
                 trial_geom, trial_cur, trial_grad = evaluate(trial, base)
             except GeometryError:
                 trial_cur = None
-            if trial_cur is not None and trial_cur.total_JK <= cur.total_JK + ARMIJO_C * alpha * slope:
+            if trial_cur is not None and cur.total_JK > trial_cur.total_JK <= cur.total_JK + ARMIJO_C * alpha * slope:
                 break
             alpha *= BACKTRACK
         else:

@@ -8,6 +8,7 @@ from worldsheet.causal import (
     CausalGraph,
     Edges,
     EventSet,
+    InterceptReport,
     NULL_TOL,
     IntervalKind,
     NotCauchySurfaceError,
@@ -31,10 +32,10 @@ from worldsheet.causal import (
     past_dependence,
     pasts,
     sample_maximal_path,
-    _iter_maximal_paths,
     _split,
     _walks,
 )
+from worldsheet import causal
 
 
 def dense_build_graph(events: EventSet, radius: float) -> CausalGraph:
@@ -534,22 +535,69 @@ def _maximal_paths_by_copying(graph):
     return out
 
 
+def _iter_maximal_paths(graph: CausalGraph, limit: int, code: np.ndarray):
+    """The depth-first generator that the lockstep kernel replaced for exhaustive checks, kept as its oracle:
+    all maximal causal paths (source to sink), index order, each with the OR of code over it."""
+    indptr, indices, code = graph.forward.indptr.tolist(), graph.forward.indices.tolist(), code.tolist()
+    count = 0
+    for src in graph.sources():
+        stack = [(src, 0, code[src])]  # (node, depth, met): path[depth - 1] is the parent, met ORs code to node
+        path: list[int] = []
+        while stack:
+            node, depth, met = stack.pop()
+            del path[depth:]
+            path.append(node)
+            lo, hi = indptr[node], indptr[node + 1]
+            if lo == hi:
+                count += 1
+                if count > limit:
+                    raise PathLimitError(f"more than {limit} maximal paths; use sampling instead")
+                yield tuple(path), met
+                continue
+            stack.extend((j, depth + 1, met | code[j]) for j in reversed(indices[lo:hi]))
+
+
+def live_row_walks(forward: Edges, rng: np.random.Generator, sources, samples: int) -> np.ndarray:
+    """The sampler that dropped walkers at their sink from a live-row list, which the sentinel kernel replaced,
+    kept as its oracle: samples uniform forward walks from random sources, padded with -1 after the sink."""
+    indptr, indices = forward.indptr, forward.indices
+    node = np.asarray(sources, dtype=np.int64)[rng.integers(len(sources), size=samples)]
+    live, steps = np.arange(samples), [node]
+    while True:
+        lo, hi = indptr[node], indptr[node + 1]
+        more = hi > lo  # walkers at a sink stop here
+        live, lo, hi = live[more], lo[more], hi[more]
+        if not live.size:
+            return np.stack(steps, axis=1)
+        node = indices[lo + rng.integers(hi - lo)]
+        steps.append(np.full(samples, -1))
+        steps[-1][live] = node
+
+
+def trimmed(walks):
+    """Each row of a walk array as a path, without its -1 padding."""
+    return [tuple(row[:end]) for row, end in zip(walks.tolist(), (walks >= 0).sum(axis=1).tolist())]
+
+
 def maximal_paths(graph, limit):
     """The paths of _iter_maximal_paths, without their codes."""
     return [path for path, _ in _iter_maximal_paths(graph, limit, np.zeros(len(graph), dtype=np.int64))]
 
 
-def test_maximal_paths_order_and_limit():
+def test_maximal_paths_order_and_limit(monkeypatch):
     ev, g = row_adjacent_graph(5, 4)
     paths = _maximal_paths_by_copying(g)
     code = np.random.default_rng(6).integers(0, 8, len(g))
-    found = list(_iter_maximal_paths(g, len(paths), code))
-    assert [path for path, _ in found] == paths
-    # Each path comes with the OR of the codes of its events.
-    assert [met for _, met in found] == [int(np.bitwise_or.reduce(code[list(path)])) for path in paths]
-    assert len({met for _, met in found}) > 1
+    monkeypatch.setattr(causal, "PATH_LIMIT", len(paths))
+    walks = _walks(g.forward, g.sources())
+    assert trimmed(walks) == paths
+    # Each row's OR of the codes of its events, the -1 padding reading code 0.
+    met = np.bitwise_or.reduce(np.r_[code, 0][walks], axis=1).tolist()
+    assert met == [int(np.bitwise_or.reduce(code[list(path)])) for path in paths]
+    assert len(set(met)) > 1
+    monkeypatch.setattr(causal, "PATH_LIMIT", len(paths) - 1)
     with pytest.raises(PathLimitError, match=f"more than {len(paths) - 1} maximal paths"):
-        maximal_paths(g, len(paths) - 1)
+        _walks(g.forward, g.sources())
     assert issubclass(PathLimitError, RuntimeError)
     assert issubclass(NotCauchySurfaceError, ValueError)
 
@@ -592,6 +640,7 @@ WALK_CASES = {
     "sprinkling_3+1": lambda: (_sprinkling(13, 200, 4), 0.5),
     "lattice": lambda: (_lattice(6, 5), 1.5),
     "no_edges": lambda: (EventSet(np.column_stack([np.zeros(20), np.linspace(0.0, 1.0, 20)])), 0.3),
+    "no_events": lambda: (EventSet(np.zeros((0, 2))), 1.0),
 }
 
 
@@ -600,8 +649,8 @@ def test_lockstep_walks_are_maximal_paths(case):
     events, radius = WALK_CASES[case]()
     g = build_graph(events, radius)
     sources = g.sources()
-    walks = _walks(g.forward, np.random.default_rng(3), sources, 400)
-    assert walks.shape[0] == 400 and walks.dtype == np.int64
+    walks = _walks(g.forward, sources, np.random.default_rng(3), 400)
+    assert walks.shape[0] == (400 if sources else 0) and walks.dtype == np.int64
     paths = set(maximal_paths(g, 10**6))
     for row in walks:
         length = int((row >= 0).sum())
@@ -610,10 +659,15 @@ def test_lockstep_walks_are_maximal_paths(case):
         assert_maximal_path(path, g)
         assert path in paths
     oracle = np.random.default_rng(3)
-    for _ in range(50):  # the replaced sampler passes the same checks
+    for _ in range(50 if sources else 0):  # the replaced sampler passes the same checks
         assert scalar_maximal_path(g, oracle, sources) in paths
     if case == "no_edges":
         assert walks.shape == (400, 1)
+    if case == "no_events":
+        # A sampled check of a graph without events checks no path, as the exhaustive one does.
+        assert intercept_check([], g, samples=5) == intercept_check([], g) == InterceptReport(0, [])
+        with pytest.raises(ValueError, match="^the graph has no source events$"):
+            sample_maximal_path(g, np.random.default_rng(0))
 
 
 def test_lockstep_walks_split_evenly_on_a_diamond():
@@ -622,7 +676,7 @@ def test_lockstep_walks_split_evenly_on_a_diamond():
     assert sorted(maximal_paths(g, 10)) == [(0, 1, 3), (0, 2, 3)]
     n = 4000
     for draw in (
-        lambda rng: _walks(g.forward, rng, g.sources(), n)[:, 1],
+        lambda rng: _walks(g.forward, g.sources(), rng, n)[:, 1],
         lambda rng: np.array([scalar_maximal_path(g, rng, g.sources())[1] for _ in range(n)]),
     ):
         left = int((draw(np.random.default_rng(21)) == 1).sum())
@@ -631,13 +685,46 @@ def test_lockstep_walks_split_evenly_on_a_diamond():
 
 def test_lockstep_walks_repeat_with_the_seed():
     g = build_graph(_sprinkling(14, 300, 3), 0.35)
-    a = _walks(g.forward, np.random.default_rng(8), g.sources(), 100)
-    b = _walks(g.forward, np.random.default_rng(8), g.sources(), 100)
+    a = _walks(g.forward, g.sources(), np.random.default_rng(8), 100)
+    b = _walks(g.forward, g.sources(), np.random.default_rng(8), 100)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, _walks(g.forward, np.random.default_rng(9), g.sources(), 100))
+    assert not np.array_equal(a, _walks(g.forward, g.sources(), np.random.default_rng(9), 100))
     ev, lattice = row_adjacent_graph(8, 6)
     top = list(range(7 * 6, 8 * 6))
     assert intercept_check(top, lattice, samples=60, seed=8) == intercept_check(top, lattice, samples=60, seed=8)
+
+
+
+# The walk cases, and a lattice of 33,942 maximal paths.
+EXHAUSTIVE_CASES = {**WALK_CASES, "lattice_9x8": lambda: (_lattice(9, 8), 1.5)}
+
+
+@pytest.mark.parametrize("case", sorted(EXHAUSTIVE_CASES))
+def test_exhaustive_walks_match_depth_first_oracle(case, monkeypatch):
+    g = build_graph(*EXHAUSTIVE_CASES[case]())
+    code = np.random.default_rng(7).integers(0, 8, len(g))
+    found = list(_iter_maximal_paths(g, 10**6, code))
+    walks = _walks(g.forward, g.sources())
+    assert trimmed(walks) == [path for path, _ in found]
+    assert np.bitwise_or.reduce(np.r_[code, 0][walks], axis=1).tolist() == [met for _, met in found]
+    # The sources are a Cauchy surface.  Its check of P paths passes at PATH_LIMIT = P and raises at P - 1.
+    sigma, P = g.sources(), len(found)
+    monkeypatch.setattr(causal, "PATH_LIMIT", P)
+    assert intercept_check(sigma, g).paths_checked == P
+    if P:
+        monkeypatch.setattr(causal, "PATH_LIMIT", P - 1)
+        with pytest.raises(PathLimitError, match=f"^more than {P - 1} maximal paths; use sampling instead$"):
+            intercept_check(sigma, g)
+
+
+@pytest.mark.parametrize("case", sorted(set(EXHAUSTIVE_CASES) - {"no_events"}))
+def test_sampled_walks_match_live_row_oracle(case):
+    g = build_graph(*EXHAUSTIVE_CASES[case]())
+    sources = g.sources()
+    for seed in range(30):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_walks(g.forward, sources, a, 100), live_row_walks(g.forward, b, sources, 100))
+        assert a.bit_generator.state == b.bit_generator.state  # the same draws, and no more
 
 
 @pytest.mark.parametrize("end, label", [("sinks", "misses_I+"), ("sources", "misses_I-")])

@@ -284,6 +284,17 @@ def test_minimize_evaluates_each_configuration_once(monkeypatch):
         assert calls["assemble_JK"] == 0
 
 
+
+def test_all_fields_leg_accepts_only_strict_decreases():
+    # With r optimised this start's J_K is unbounded below.  Near -3e32, ARMIJO_C alpha grad.d fell below the
+    # rounding of J_K, and 43 of 200 accepted steps left J_K bitwise unchanged until the leg ran to max_iters.
+    g, f = small_perturbed()
+    cfg = PenaltyConfig(step_init=0.1, grad_tol=1e-6, max_iters=200, optimize_fields=("r", "phi", "n"))
+    _, rec = minimize_fixed_K(f, g, 10.0, cfg)
+    assert rec.termination == "line_search_underflow" and rec.iterations < 200
+    assert len(rec.jk_trace) == rec.iterations + 1
+    assert np.all(np.diff(rec.jk_trace) < 0)
+
 def test_minimize_preserves_phi_floor():
     g, f = flat_admissible()
     f.eps = 0.25
