@@ -11,9 +11,10 @@ flat-space cone oracle for validation.
 
 The graph keeps each edge once per direction as compressed sparse rows (CSR:
 indptr, indices, is_null; Saad, Iterative Methods for Sparse Linear Systems,
-3.4).  Every set-valued query expands a whole frontier of events per step over
-boolean masks: masks inside, sets only at a public function's return.  Maximal
-paths, all of them or a seeded sample, come from one lockstep walk (_walks).
+3.4).  Every set-valued query is a pull sweep over boolean masks, a whole
+layer of a cached longest-path layering per numpy pass: masks inside, sets
+only at a public function's return.  Maximal paths, all of them or a seeded
+sample, come from one lockstep walk (_walks).
 
 The discrete stand-in for the future boundary of I+(S) is J+(S) \\ I+(S).
 On a flat event set whose radius covers every pair, two boundary events can
@@ -132,8 +133,8 @@ class CausalGraph:
 
     Acyclic by construction: every edge strictly increases the time
     coordinate.  forward holds the out-edges and backward the same edges
-    reversed, the only edge storage.  The row lists children and
-    timelike_children are derived on first read, for callers outside this module.
+    reversed.  Derived on first read: each direction's layering for _reach, and
+    the row lists children and timelike_children for callers outside this module.
     """
 
     events: EventSet
@@ -143,6 +144,8 @@ class CausalGraph:
 
     children = cached_property(lambda self: _split(self.forward, None))
     timelike_children = cached_property(lambda self: _split(self.forward, False))
+    _forward_layers = cached_property(lambda self: _layering(self.backward, self.forward))
+    _backward_layers = cached_property(lambda self: _layering(self.forward, self.backward))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -179,8 +182,9 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
     order = np.argsort(key, kind="stable")
     key, ev = key[order], ev[order]  # events in cell order: a cell's candidates are contiguous
     found = []
-    # Children are later, so only neighbour cells at time offset 0 or +1 are searched.
-    for off in np.array(list(itertools.product((0, 1), *[(-1, 0, 1)] * (dim - 1)))) @ strides:
+    # Children are later, so only neighbour cells at time offset 0 or +1 are searched.  Offsets o and -o see the same pairs
+    # swapped, so only the (3^dim + 1) / 2 offsets o >= 0 are, and dt orients each pair (o = 0 sees both: keep dt > 0).
+    for off in np.array([o for o in itertools.product((0, 1), *[(-1, 0, 1)] * (dim - 1)) if o >= (0,) * dim]) @ strides:
         i, j = _gather(np.searchsorted(key, key + off, "left"), np.searchsorted(key, key + off, "right"))
         d = ev.take(j, axis=0) - ev.take(i, axis=0)
         dt, dx = d[:, 0], d[:, 1:]
@@ -188,8 +192,9 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
         tpart = (c * dt) ** 2
         interval = xpart - tpart
         is_null = np.abs(interval) <= NULL_TOL * (tpart + xpart)
-        edge = (dt**2 + xpart <= radius * radius) & (dt > 0) & (is_null | (interval < 0))
-        found.append((order[i[edge]], order[j[edge]], is_null[edge]))
+        edge = (dt**2 + xpart <= radius * radius) & ((dt > 0) | (off > 0) & (dt < 0)) & (is_null | (interval < 0))
+        i, j, later = i[edge], j[edge], dt[edge] > 0
+        found.append((order[np.where(later, i, j)], order[np.where(later, j, i)], is_null[edge]))
     src, dst, null = (np.concatenate(a) for a in zip(*found))
     return CausalGraph(events, float(radius), _csr(src, dst, null, n), _csr(dst, src, null, n))
 
@@ -207,8 +212,8 @@ def _gather(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return k, np.arange(k.size) + np.repeat(start - np.cumsum(count) + count, count)
 
 
-def _mask(S: Iterable[int], n: int) -> np.ndarray:
-    """S as a mask over n events; an index not an integer in 0..n-1 raises (numpy would cut 1.7, wrap -1)."""
+def _indices(S: Iterable[int], n: int) -> np.ndarray:
+    """S as event indices; an index not an integer in 0..n-1 raises (numpy would cut 1.7, wrap -1)."""
     idx = np.asarray(list(S))
     if idx.dtype.kind not in "biu":
         cut = idx[np.trunc(idx) != idx]
@@ -217,7 +222,12 @@ def _mask(S: Iterable[int], n: int) -> np.ndarray:
     bad = idx[(idx < 0) | (idx >= n)]
     if bad.size:
         raise ValueError(f"event index {bad[0]} outside 0..{n - 1}")
-    return np.bincount(idx.astype(np.int64), minlength=n) > 0
+    return idx.astype(np.int64)
+
+
+def _mask(S: Iterable[int], n: int) -> np.ndarray:
+    """S as a mask over n events."""
+    return np.bincount(_indices(S, n), minlength=n) > 0
 
 
 def _members(mask: np.ndarray) -> set[int]:
@@ -225,48 +235,58 @@ def _members(mask: np.ndarray) -> set[int]:
     return set(np.flatnonzero(mask).tolist())
 
 
-def _reach(seeds: np.ndarray, edges: Edges, chronological: bool, avoid: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mask of the events reachable from the seeds mask by paths of length >= 1 along edges that never
-    enter avoid, a whole frontier per step: time-like edges only if chronological, else every edge and
-    the seeds.  Costs O(n + edges reached + levels), with no sort: a slot stamp keeps one copy of each child."""
-    frontier = np.flatnonzero(seeds)
-    visited = np.zeros_like(seeds) if avoid is None else avoid.copy()
-    slot = np.empty(seeds.size, dtype=np.int64)
-    while frontier.size:
-        pos = _gather(edges.indptr[frontier], edges.indptr[frontier + 1])[1]
-        if chronological:
-            pos = pos[~edges.is_null[pos]]
-        nxt = edges.indices[pos]
-        nxt = nxt[~visited[nxt]]
-        k = np.arange(nxt.size)
-        slot[nxt] = k
-        frontier = nxt[slot[nxt] == k]
-        visited[frontier] = True
-    if not chronological:
-        visited |= seeds
-    if avoid is not None:
-        visited &= ~avoid
-    return visited
+def _layering(pull: Edges, push: Edges) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """Longest-path layers from the events with empty pull rows by a vectorised Kahn pass (CACM 5, 558, 1962): each event's
+    layer, and per later layer its events, their pull rows (never empty) concatenated, time-like flags and row starts."""
+    layer, wait = np.zeros(pull.indptr.size - 1, dtype=np.int64), np.diff(pull.indptr)
+    ready, depth = np.flatnonzero(wait == 0), 0
+    while ready.size:
+        layer[ready], depth = depth, depth + 1
+        kids = push.indices[_gather(push.indptr[ready], push.indptr[ready + 1])[1]]
+        np.subtract.at(wait, kids, 1)
+        ready = kids[wait[kids] == 0]
+        wait[ready] = stamp = ~np.arange(ready.size)  # of a kid's copies, keep the one whose stamp stuck: no sort
+        ready = ready[wait[ready] == stamp]
+    order = np.argsort(layer, kind="stable")
+    cut = np.searchsorted(layer[order], np.arange(1, depth + 1)).tolist()  # where layers 1, 2, ... start, then n
+    seg = np.r_[0, np.cumsum(np.diff(pull.indptr)[order])]
+    pos = _gather(pull.indptr[order], pull.indptr[order + 1])[1]
+    par, timelike, at = pull.indices[pos], ~pull.is_null[pos], seg.tolist()
+    return layer, [(order[a:b], par[at[a] : at[b]], timelike[at[a] : at[b]], seg[a:b] - at[a]) for a, b in zip(cut, cut[1:])]
+
+
+def _reach(seeds: np.ndarray, graph: CausalGraph, forward: bool, chronological: bool, avoid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the events reachable from the seeds mask by paths of length >= 1, forward or backward, that never enter
+    avoid: time-like edges only if chronological, else every edge and the seeds.  A pull sweep (Beamer, Asanovic & Patterson,
+    SC 2012) over the cached layers after the seeds' first: O(in-edges after the first seed + layers), with no sort."""
+    layer, steps = graph._forward_layers if forward else graph._backward_layers
+    hit, out = seeds.copy(), np.zeros_like(seeds)
+    for ev, par, timelike, seg in steps[layer[seeds].min(initial=len(steps)) :]:
+        got = np.logical_or.reduceat(hit[par] & timelike if chronological else hit[par], seg)
+        out[ev] = got = got if avoid is None else got & ~avoid[ev]
+        hit[ev] |= got
+    out = out if chronological else hit
+    return out if avoid is None else out & ~avoid
 
 
 def chronological_future(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """I+(S): events reachable from S by paths of time-like edges (length >= 1)."""
-    return _members(_reach(_mask(S, len(graph)), graph.forward, chronological=True))
+    return _members(_reach(_mask(S, len(graph)), graph, forward=True, chronological=True))
 
 
 def causal_future(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """J+(S): reachable by time-like or null edges; includes S itself."""
-    return _members(_reach(_mask(S, len(graph)), graph.forward, chronological=False))
+    return _members(_reach(_mask(S, len(graph)), graph, forward=True, chronological=False))
 
 
 def chronological_past(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """I-(S): mirror of I+ on reversed edges."""
-    return _members(_reach(_mask(S, len(graph)), graph.backward, chronological=True))
+    return _members(_reach(_mask(S, len(graph)), graph, forward=False, chronological=True))
 
 
 def causal_past(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """J-(S): mirror of J+ on reversed edges; includes S."""
-    return _members(_reach(_mask(S, len(graph)), graph.backward, chronological=False))
+    return _members(_reach(_mask(S, len(graph)), graph, forward=False, chronological=False))
 
 
 def pasts(S: Iterable[int], graph: CausalGraph) -> tuple[set[int], set[int]]:
@@ -278,7 +298,7 @@ def pasts(S: Iterable[int], graph: CausalGraph) -> tuple[set[int], set[int]]:
 def is_achronal(S: Iterable[int], graph: CausalGraph) -> bool:
     """True iff no event of S lies in the chronological future of S."""
     s = _mask(S, len(graph))
-    return not (_reach(s, graph.forward, chronological=True) & s).any()
+    return not (_reach(s, graph, forward=True, chronological=True) & s).any()
 
 
 def future_boundary(S: Iterable[int], graph: CausalGraph) -> set[int]:
@@ -288,7 +308,7 @@ def future_boundary(S: Iterable[int], graph: CausalGraph) -> set[int]:
     docstring for why this set is achronal on covering-radius flat graphs.
     """
     s = _mask(S, len(graph))
-    return _members(_reach(s, graph.forward, chronological=False) & ~_reach(s, graph.forward, chronological=True))
+    return _members(_reach(s, graph, True, chronological=False) & ~_reach(s, graph, True, chronological=True))
 
 
 def null_boundary_check(path: Sequence[int], graph: CausalGraph) -> float:
@@ -297,35 +317,36 @@ def null_boundary_check(path: Sequence[int], graph: CausalGraph) -> float:
     Small values certify the discrete null-geodesic property of curves inside
     the future boundary.  A step that is not a graph edge raises.
     """
-    for a, b in zip(path, path[1:]):
-        if not graph.is_edge(int(a), int(b)):
+    path = _indices(path, len(graph))
+    for a, b in zip(path.tolist(), path[1:].tolist()):
+        if not graph.is_edge(a, b):
             raise ValueError(f"path step {a} -> {b} is not a graph edge")
-    d = np.diff(graph.events.events[np.asarray(path, dtype=int)], axis=0)
+    d = np.diff(graph.events.events[path], axis=0)
     interval = np.einsum("ij,ij->i", d[:, 1:], d[:, 1:]) - (graph.events.c * d[:, 0]) ** 2
     return float(np.abs(interval).max(initial=0.0))
 
 
-def _dependence(s: np.ndarray, preds: Edges, succs: Edges) -> np.ndarray:
-    """Mask of the events all of whose maximal paths along preds meet the mask s: all but those
-    that the sources (no preds) outside s reach along succs without entering s."""
-    sources = (np.diff(preds.indptr) == 0) & ~s
-    return ~_reach(sources, succs, chronological=False, avoid=s)
+def _dependence(s: np.ndarray, graph: CausalGraph, forward: bool) -> np.ndarray:
+    """Mask of the events all of whose maximal paths against the direction meet the mask s: all but those
+    that the direction's sources (layer 0) outside s reach without entering s."""
+    layer = (graph._forward_layers if forward else graph._backward_layers)[0]
+    return ~_reach((layer == 0) & ~s, graph, forward, chronological=False, avoid=s)
 
 
 def future_dependence(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D+(S): events all of whose maximal backward causal paths meet S."""
-    return _members(_dependence(_mask(S, len(graph)), graph.backward, graph.forward))
+    return _members(_dependence(_mask(S, len(graph)), graph, forward=True))
 
 
 def past_dependence(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D-(S): mirror of D+ on reversed edges."""
-    return _members(_dependence(_mask(S, len(graph)), graph.forward, graph.backward))
+    return _members(_dependence(_mask(S, len(graph)), graph, forward=False))
 
 
 def dependence_domain(S: Iterable[int], graph: CausalGraph) -> set[int]:
     """D(S) = D+(S) union D-(S)."""
     s = _mask(S, len(graph))
-    return _members(_dependence(s, graph.backward, graph.forward) | _dependence(s, graph.forward, graph.backward))
+    return _members(_dependence(s, graph, True) | _dependence(s, graph, False))
 
 
 @dataclass
@@ -346,13 +367,13 @@ def is_cauchy_surface(sigma: Iterable[int], graph: CausalGraph) -> CauchyResult:
 
 def _cauchy_verdict(s: np.ndarray, graph: CausalGraph) -> tuple[CauchyResult, np.ndarray]:
     """is_cauchy_surface's result for the mask s, with the I+(s) mask it walked."""
-    i_plus = _reach(s, graph.forward, chronological=True)
+    i_plus = _reach(s, graph, forward=True, chronological=True)
     clash = i_plus & s
     if clash.any():
         q = int(clash.argmax())
-        p = int((_reach(_mask([q], len(graph)), graph.backward, chronological=True) & s).argmax())
+        p = int((_reach(_mask([q], len(graph)), graph, forward=False, chronological=True) & s).argmax())
         return CauchyResult(False, "chronology", (p, q)), i_plus
-    uncovered = ~(_dependence(s, graph.backward, graph.forward) | _dependence(s, graph.forward, graph.backward))
+    uncovered = ~(_dependence(s, graph, True) | _dependence(s, graph, False))
     if uncovered.any():
         return CauchyResult(False, "uncovered", (int(uncovered.argmax()),)), i_plus
     return CauchyResult(True), i_plus
@@ -413,7 +434,7 @@ def _walks(forward: Edges, starts: Sequence[int], rng: Optional[np.random.Genera
 
 def sample_maximal_path(graph: CausalGraph, rng: np.random.Generator, sources=None) -> tuple[int, ...]:
     """One maximal causal path by a uniform forward walk from a random source (graph.sources() if None)."""
-    for walk in _walks(graph.forward, graph.sources() if sources is None else sources, rng, 1):
+    for walk in _walks(graph.forward, _indices(graph.sources() if sources is None else sources, len(graph)), rng, 1):
         return tuple(walk.tolist())
     raise ValueError("the graph has no source events")
 
@@ -440,7 +461,7 @@ def intercept_check(
             f"intercept_check precondition failed: sigma is not a Cauchy surface "
             f"({verdict.witness_kind} witness {verdict.witness})"
         )
-    code = np.r_[s | i_plus << 1 | _reach(s, graph.backward, chronological=True) << 2, 0]  # [-1]: walk padding
+    code = np.r_[s | i_plus << 1 | _reach(s, graph, forward=False, chronological=True) << 2, 0]  # [-1]: walk padding
     walks = _walks(graph.forward, graph.sources(), None if samples is None else np.random.default_rng(seed), samples)
     met = np.bitwise_or.reduce(code[walks], axis=1)
     bad = walks[met < 7]

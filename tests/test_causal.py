@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import deque
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from worldsheet.causal import (
     past_dependence,
     pasts,
     sample_maximal_path,
+    _gather,
     _split,
     _walks,
 )
@@ -458,6 +460,9 @@ ORACLE_CASES = {
     "sprinkling_2+1_a": lambda: (_sprinkling(71, 1500, 3), 0.215),
     "sprinkling_2+1_b": lambda: (_sprinkling(72, 1500, 3), 0.215),
     "sprinkling_3+1": lambda: (_sprinkling(3, 800, 4), 0.3),
+    # (3^d + 1) / 2 = 122 and 1,094 neighbour-cell offsets.
+    "uniform_5_columns": lambda: (_sprinkling(5, 300, 5), 0.6),
+    "uniform_7_columns": lambda: (_sprinkling(7, 300, 7), 0.6),
     "sprinkling_c_2.5": lambda: (_sprinkling(4, 600, 2, c=2.5), 0.05),
     "sprinkling_c_0.4": lambda: (_sprinkling(5, 700, 3, c=0.4), 0.25),
     "lattice_radius_is_spacing": lambda: (_lattice(30, 50), 1.0),
@@ -772,9 +777,9 @@ def test_intercept_walks_i_plus_once(monkeypatch):
     calls = []
     original = causal._reach
 
-    def counted(seeds, edges, chronological, avoid=None):
-        calls.append(edges is g.forward and chronological)
-        return original(seeds, edges, chronological, avoid)
+    def counted(seeds, graph, forward, chronological, avoid=None):
+        calls.append(graph is g and forward and chronological)
+        return original(seeds, graph, forward, chronological, avoid)
 
     monkeypatch.setattr(causal, "_reach", counted)
     report = intercept_check(mid, g, samples=50, seed=4)
@@ -841,6 +846,86 @@ def test_frontier_kernels_match_per_event_oracles(case):
         assert past_dependence(S, g) == ordered_dependence(S, g.children, order[::-1])
 
 
+# The breadth-first frontier kernel that the layered sweep replaced, kept as its oracle.
+def frontier_reach(seeds: np.ndarray, edges: Edges, chronological: bool, avoid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the events reachable from the seeds mask by paths of length >= 1 along edges that never
+    enter avoid, a whole frontier per step: time-like edges only if chronological, else every edge and
+    the seeds.  Costs O(n + edges reached + levels), with no sort: a slot stamp keeps one copy of each child."""
+    frontier = np.flatnonzero(seeds)
+    visited = np.zeros_like(seeds) if avoid is None else avoid.copy()
+    slot = np.empty(seeds.size, dtype=np.int64)
+    while frontier.size:
+        pos = _gather(edges.indptr[frontier], edges.indptr[frontier + 1])[1]
+        if chronological:
+            pos = pos[~edges.is_null[pos]]
+        nxt = edges.indices[pos]
+        nxt = nxt[~visited[nxt]]
+        k = np.arange(nxt.size)
+        slot[nxt] = k
+        frontier = nxt[slot[nxt] == k]
+        visited[frontier] = True
+    if not chronological:
+        visited |= seeds
+    if avoid is not None:
+        visited &= ~avoid
+    return visited
+
+
+def early_sink_events():
+    """A time-like chain along x = 0 and event 10, whose only edge comes from event 0: a sink in forward
+    layer 1 that the backward layering puts in its layer 0."""
+    chain = np.column_stack([np.arange(10.0), np.zeros(10)])
+    return EventSet(np.vstack([chain, [[0.6, 0.55]]])), 1.5
+
+
+SWEEP_CASES = {**FRONTIER_CASES, **{f"walk_{k}": v for k, v in WALK_CASES.items()}, "early_sink": early_sink_events}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_layered_sweep_matches_frontier_oracle(case):
+    g = build_graph(*SWEEP_CASES[case]())
+    n = len(g)
+    rng = np.random.default_rng(sorted(SWEEP_CASES).index(case))
+    if case == "early_sink":
+        assert g._forward_layers[0][10] == 1 and g._backward_layers[0][10] == 0
+        assert g.forward.indptr[11] == g.forward.indptr[10]  # event 10 has no children
+    for forward, edges in ((True, g.forward), (False, g.backward)):
+        layer = (g._forward_layers if forward else g._backward_layers)[0]
+        one = np.zeros(n, dtype=bool)
+        one[rng.integers(n) if n else []] = True
+        late = layer >= layer.max(initial=0) - 1  # seeds only in the last two layers
+        for seeds in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool), one, late, rng.random(n) < 0.02, rng.random(n) < 0.3):
+            # avoid: none, random, or holding seeds (an avoided seed still starts paths)
+            for avoid in (None, rng.random(n) < 0.1, seeds & (rng.random(n) < 0.5) | (rng.random(n) < 0.05)):
+                for chronological in (True, False):
+                    got = causal._reach(seeds, g, forward, chronological, avoid)
+                    want = frontier_reach(seeds, edges, chronological, avoid)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (forward, chronological)
+
+
+def test_layering_is_built_once_per_graph_and_direction(monkeypatch):
+    built = []
+    original = causal._layering
+    monkeypatch.setattr(causal, "_layering", lambda pull, push: built.append(pull) or original(pull, push))
+    ev, g = row_adjacent_graph(10, 10)
+    assert built == [] and "_forward_layers" not in vars(g) and "_backward_layers" not in vars(g)
+    row = [5 * 10 + j for j in range(10)]
+    for _ in range(2):
+        causal_future([3], g), chronological_future([3], g), future_dependence(row, g), is_achronal(row, g)
+    assert len(built) == 1 and built[0] is g.backward  # the forward plan pulls along the reversed edges
+    for _ in range(2):
+        causal_past([93], g), past_dependence(row, g), is_cauchy_surface(row, g), intercept_check(row, g, samples=20)
+    assert len(built) == 2 and built[1] is g.forward
+    other = build_graph(ev, g.neighbor_radius)
+    assert len(built) == 2
+    causal_future([3], other)
+    assert len(built) == 3 and built[2] is other.backward
+
+
+def sample_maximal_path_from(S, graph):
+    return sample_maximal_path(graph, np.random.default_rng(0), S)
+
+
 OUT_OF_RANGE_QUERIES = (
     chronological_future,
     chronological_past,
@@ -852,6 +937,8 @@ OUT_OF_RANGE_QUERIES = (
     is_achronal,
     is_cauchy_surface,
     intercept_check,
+    null_boundary_check,
+    sample_maximal_path_from,
 )
 
 
