@@ -27,7 +27,9 @@ from . import presets
 from .energy import EnergyBreakdown, NonFiniteValueError, assemble_JK
 from .geometry import (
     GeometryError,
+    _gauss_terms,
     _signs,
+    _weingarten_terms,
     build_geometry,
     gauss_residual,
     metric,
@@ -266,8 +268,17 @@ def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) ->
     frame_tan = float(np.max(np.abs(minkowski_dot(frame[..., None, :, :], geom.tangents[..., :, None, :]))))
     rows = [("gauss_residual", g_res), ("weingarten_residual", w_res), ("metric_inverse_residual", inv_res),
             ("frame_orthonormality_residual", frame_orth), ("frame_tangency_residual", frame_tan)]
-    _write(out_dir / "geometry_report.csv", _csv_text([(k, _fmt(v)) for k, v in rows]))
+    w_squares, _ = _weingarten_terms(fields, grid, geom.b_up, geom.metric, geom.frame)
+    nodes = [("gauss_residual_node", _worst_node(grid.ndim, *_gauss_terms(geom.riemann, geom.b, geom.b_up))),
+             ("weingarten_residual_node", _worst_node(grid.ndim, w_squares))]
+    _write(out_dir / "geometry_report.csv", _csv_text([(k, _fmt(v)) for k, v in rows] + nodes))
     return 0
+
+
+def _worst_node(ndim: int, *terms: np.ndarray) -> str:
+    """The first node holding the largest entry of the per-node term arrays, whose first ndim axes are the nodes."""
+    per_node = np.maximum.reduce([t.reshape(t.shape[:ndim] + (-1,)).max(-1) for t in terms])
+    return _node_str(np.unravel_index(np.argmax(per_node), per_node.shape))
 
 
 def _run_energy_eval(out_dir: Path, grid: ParameterGrid, fields: FieldSet, K: float) -> int:

@@ -79,7 +79,7 @@ class MetricData:
 
 
 def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
-    """Tangents by finite differences, g_jk by Minkowski products, inverse per node.
+    """Tangents by finite differences, g_jk by Minkowski products, det g and g^-1 from one factorisation.
 
     The one non-degeneracy test of the tangent span, free of the units of r:
     DegenerateMetricError when |det g| <= SINGULAR_TOL * prod_j |t_j|_E^2, the
@@ -90,7 +90,7 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     tangents = _gradient(fields.r, grid)
     g = (tangents * _signs(fields.r.shape[-1])) @ np.swapaxes(tangents, -1, -2)
     hadamard = (tangents * tangents).sum(-1).prod(-1)
-    det = np.linalg.det(g)
+    det, g_inv = _factor(g)
     sound = np.abs(det) > SINGULAR_TOL * hadamard  # False on the NaN of an overflowed tangent too
     if not sound.all():
         node = tuple(np.argwhere(~sound)[0])
@@ -104,10 +104,34 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     return MetricData(
         tangents=tangents,
         g=g,
-        g_inv=np.linalg.inv(g),
+        g_inv=g_inv,
         det_g=det,
         sqrt_neg_g=np.sqrt(-det),
     )
+
+
+def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det and inverse of every (m, m) matrix in a, by one Gauss-Jordan pass with partial pivoting
+    (Golub & Van Loan, Matrix Computations, 3.2 and 3.4) on whole length-N vectors: the node axis
+    is last.  A zero pivot gives det 0 and a non-finite entry a non-finite det, with no warning.
+    """
+    lead, m = a.shape[:-2], a.shape[-1]
+    w = np.empty((m, 2 * m, a[..., 0, 0].size))  # [row, column of (a | I), node]
+    w[:, :m] = np.moveaxis(a.reshape(-1, m, m), 0, -1)
+    eye = np.eye(m)
+    w[:, m:] = eye[..., None]
+    det, nodes = np.ones(w.shape[-1]), np.arange(w.shape[-1])
+    with np.errstate(all="ignore"):
+        for k in range(m):
+            p = k + np.abs(w[k:, k]).argmax(0)
+            swap = p != k
+            if swap.any():
+                det[swap] *= -1.0
+                w[p, k:, nodes], w[k, k:] = w[k, k:].T, w[p, k:, nodes].T
+            det *= w[k, k]
+            w[k, k:] /= np.where(w[k, k] == 0.0, 1.0, w[k, k])  # a non-zero pivot becomes 1 exactly: row k stays
+            w[:, k + 1 :] -= (w[:, k] - eye[:, k, None])[:, None] * w[k, k + 1 :]
+    return det.reshape(lead), np.ascontiguousarray(np.moveaxis(w[:, m:], -1, 0)).reshape(lead + (m, m))
 
 
 @dataclass
@@ -295,11 +319,19 @@ def gauss_residual(riemann_tensor: np.ndarray, b: np.ndarray, b_up: np.ndarray) 
     """Max-norm residual of b_jk b^l_i - b_ik b^l_j - R^l_ijk over nodes and indices.
 
     Meaningful in codimension one, where the single normal carries all of b.
+    R must be antisymmetric in (i, j), as riemann returns it.
     """
-    w = b_up[..., :, :, None, None] * b[..., None, None, :, :]  # b_jk b^l_i at [..., l, i, j, k]
-    resid = w - np.swapaxes(w, -3, -2)
-    resid -= riemann_tensor
-    return float(np.abs(resid, out=resid).max())
+    pairs, diagonal = _gauss_terms(riemann_tensor, b, b_up)
+    return float(np.maximum(pairs.max(), diagonal.max()))
+
+
+def _gauss_terms(riemann_tensor: np.ndarray, b: np.ndarray, b_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|Gauss residual| over the i < j pairs, [..., l, pair, k], and over i = j, |R^l_iik|: every
+    entry of the (..., l, i, j, k) residual up to sign, as the (j, i) ones negate the (i, j) ones."""
+    i, j = np.triu_indices(b.shape[-1], 1)
+    pairs = b_up[..., :, i, None] * b[..., None, j, :] - b_up[..., :, j, None] * b[..., None, i, :]
+    pairs -= riemann_tensor[..., :, i, j, :]
+    return np.abs(pairs, out=pairs), np.abs(np.diagonal(riemann_tensor, axis1=-3, axis2=-2))
 
 
 def weingarten_residual(
@@ -314,11 +346,17 @@ def weingarten_residual(
     Returns the max Euclidean norm of the per-node, per-direction residual
     vector and the normal-connection coefficients e[..., j, q].
     """
+    squares, e = _weingarten_terms(fields, grid, b_up, metric_data, frame)
+    return float(np.sqrt(squares.max())), e
+
+
+def _weingarten_terms(fields, grid, b_up, metric_data, frame) -> tuple[np.ndarray, np.ndarray]:
+    """The squared Euclidean norm of the Weingarten residual per node and direction, [..., j], and e[..., j, q]."""
     signs = _signs(fields.r.shape[-1])
     dn = _gradient(fields.n, grid)
     e = (dn * signs) @ np.swapaxes(frame.vectors, -1, -2)
     resid = dn - (e @ frame.vectors - np.swapaxes(b_up, -1, -2) @ metric_data.tangents)
-    return float(np.sqrt((resid * resid).sum(-1).max())), e
+    return (resid * resid).sum(-1), e
 
 
 @dataclass
@@ -334,7 +372,7 @@ def chart_metric(chart: ChartMap) -> ChartMetric:
     """U_ij = du/dx_i . du/dx_j with the Euclidean dot on parameter space."""
     du = chart.derivatives()
     U_ij = du @ np.swapaxes(du, -1, -2)
-    U = np.abs(np.linalg.det(U_ij))
+    U = np.abs(_factor(U_ij)[0])
     return ChartMetric(U_ij=U_ij, U=U, sqrt_U=np.sqrt(U))
 
 

@@ -77,7 +77,7 @@ def test_geometry_check_flat_report(tmp_path):
     assert cli.run(p, out) == 0
     lines = (out / "geometry_report.csv").read_text().splitlines()
     assert lines[0] == "quantity,value"
-    table = dict(line.split(",") for line in lines[1:])
+    table = dict(csv.reader(lines[1:]))
     assert float(table["gauss_residual"]) == 0.0
     assert float(table["weingarten_residual"]) == 0.0
     assert float(table["metric_inverse_residual"]) < 1e-12
@@ -87,7 +87,7 @@ def test_geometry_check_cylinder_scenario_file(tmp_path):
     out = tmp_path / "out"
     assert cli.run(SCENARIOS / "geometry_cylinder.scn", out) == 0
     lines = (out / "geometry_report.csv").read_text().splitlines()
-    table = dict(line.split(",") for line in lines[1:])
+    table = dict(csv.reader(lines[1:]))
     assert float(table["gauss_residual"]) < 1e-10
     assert float(table["frame_orthonormality_residual"]) < 1e-10
 
@@ -437,7 +437,7 @@ def test_tabulated_embedding(tmp_path):
     out = tmp_path / "out"
     assert cli.run(p, out) == 0
     lines = (out / "geometry_report.csv").read_text().splitlines()
-    table_vals = dict(line.split(",") for line in lines[1:])
+    table_vals = dict(csv.reader(lines[1:]))
     assert float(table_vals["frame_tangency_residual"]) < 1e-9
 
 

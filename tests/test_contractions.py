@@ -16,7 +16,7 @@ import pytest
 from worldsheet import backward_JK, build_geometry, build_grid, christoffel, geometry, make_chart, presets
 from worldsheet import cli, energy, optimizer
 from worldsheet.geometry import FRAME_SKIP_TOL, MetricData, _christoffel_adjoint, _second_derivatives_adjoint, _signs
-from worldsheet.grid import finite_difference, finite_difference_adjoint
+from worldsheet.grid import _node_str, finite_difference, finite_difference_adjoint
 
 REL = 1e-14
 
@@ -86,14 +86,27 @@ def einsum_gauss_residual(riemann_tensor, b, b_up):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def einsum_weingarten_residual(fields, grid, b_up, metric_data, frame):
+def full_tensor_gauss_residual(riemann_tensor, b, b_up):
+    """The |residual| whose maximum gauss_residual took in 0.3.8: the full [..., l, i, j, k] tensor, swapped and subtracted."""
+    w = b_up[..., :, :, None, None] * b[..., None, None, :, :]  # b_jk b^l_i at [..., l, i, j, k]
+    resid = w - np.swapaxes(w, -3, -2)
+    resid -= riemann_tensor
+    return np.abs(resid, out=resid)
+
+
+def einsum_weingarten_squares(fields, grid, b_up, metric_data, frame):
     signs = _signs(fields.r.shape[-1])
     dn = np.stack([finite_difference(fields.n, grid, axis=j) for j in range(grid.ndim)], axis=-2)
     e = np.einsum("...ja,...qa,a->...jq", dn, frame.vectors, signs)
     model = -np.einsum("...lj,...la->...ja", b_up, metric_data.tangents)
     model += np.einsum("...jq,...qa->...ja", e, frame.vectors)
     resid = dn - model
-    return float(np.sqrt(np.einsum("...ja,...ja->...j", resid, resid).max())), e
+    return np.einsum("...ja,...ja->...j", resid, resid), e
+
+
+def einsum_weingarten_residual(fields, grid, b_up, metric_data, frame):
+    squares, e = einsum_weingarten_squares(fields, grid, b_up, metric_data, frame)
+    return float(np.sqrt(squares.max())), e
 
 
 def einsum_chart_metric(chart):
@@ -252,6 +265,25 @@ def _start(name):
     return g, f
 
 
+def _sheet_eval_start(seed=1):
+    """The benchmark's sheet_eval fields (perfbench/workloads.py, SheetEval): the unit
+    sphere product on 17^3 nodes plus smooth modes in r, n and phi drawn from the seed."""
+    extents = ((0.0, 1.0), (0.6, np.pi - 0.6), (0.2, 1.2))
+    g = build_grid(extents, (17, 17, 17))
+    rng = np.random.default_rng([seed, 5])
+    f = presets.sphere_product(g, radius=1.0, n_ambient=3)
+    s = [(g.coordinates[..., a] - lo) / (hi - lo) for a, (lo, hi) in enumerate(extents)]
+    for q in (1, 2):
+        for comp in range(1, 4):
+            a, b, c = rng.uniform(-1.0, 1.0, 3)
+            wave = np.sin(q * np.pi * s[1] + c) * np.cos(q * np.pi * s[2] + b)
+            f.r[..., comp] += 0.01 * a * wave
+            f.n[..., comp] += 0.03 * a * wave * (1.0 + 0.3 * s[0])
+    a, b = rng.uniform(-1.0, 1.0, 2)
+    f.phi *= (1.0 + 0.05 * a * np.sin(np.pi * s[1]) * np.cos(np.pi * s[2])) * np.exp(0.1j * b * s[0])
+    return g, f
+
+
 def _close(got, want, scale=None):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -270,6 +302,44 @@ def test_metric_matches_einsum(name):
     _close(got.g_inv, want.g_inv)
     _close(got.det_g, want.det_g)
     assert np.array_equal(got.g, np.swapaxes(got.g, -1, -2))
+
+
+def test_metric_pivots_on_null_first_tangent():
+    # r = u_0 (1, 1, 0) + u_1 (0, 1, 1) on dyadic nodes: the tangents are exact,
+    # g = [[0, 1], [1, 2]] with g_00 = 0, and det g = -1 only with a row swap.
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    f = presets.flat(g)
+    f.r[...] = g.coordinates @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    got, want = geometry.metric(f, g), einsum_metric(f, g)
+    assert np.array_equal(got.g, np.broadcast_to([[0.0, 1.0], [1.0, 2.0]], got.g.shape))
+    assert np.array_equal(got.det_g, np.full(g.counts, -1.0))
+    _close(got.det_g, want.det_g)
+    _close(got.g_inv, want.g_inv)
+
+
+@pytest.mark.parametrize("name", STARTS + ["sheet_eval_17^3"])
+def test_gauss_residual_equals_full_tensor(name):
+    g, f = _sheet_eval_start() if name == "sheet_eval_17^3" else _start(name)
+    geom = build_geometry(f, g, with_riemann=True)
+    for riemann_tensor in (geom.riemann, np.zeros_like(geom.riemann)):
+        want = float(full_tensor_gauss_residual(riemann_tensor, geom.b, geom.b_up).max())
+        assert geometry.gauss_residual(riemann_tensor, geom.b, geom.b_up) == want
+
+
+def test_gauss_residual_nan_and_diagonal():
+    g, f = _start("sphere_product")
+    geom = build_geometry(f, g, with_riemann=True)
+    for which in ("b", "b_up"):
+        b, b_up = geom.b.copy(), geom.b_up.copy()
+        (b if which == "b" else b_up)[1, 2, 1, 1, 2] = np.nan
+        assert np.isnan(geometry.gauss_residual(geom.riemann, b, b_up))
+    # A non-zero R^l_iik is no curvature tensor, but each form reads it as the
+    # residual entry 0 - R^l_iik: the largest entry here, and a NaN propagates.
+    r = geom.riemann.copy()
+    r[2, 1, 3, 0, 1, 1, 2] = -75.0
+    assert geometry.gauss_residual(r, geom.b, geom.b_up) == float(full_tensor_gauss_residual(r, geom.b, geom.b_up).max()) == 75.0
+    r[2, 1, 3, 0, 1, 1, 2] = np.nan
+    assert np.isnan(geometry.gauss_residual(r, geom.b, geom.b_up))
 
 
 @pytest.mark.parametrize("name", STARTS + ["cylinder_N3"])
@@ -423,10 +493,18 @@ def test_geometry_check_report_matches_einsum(tmp_path, name):
     f.n = geometry.normal_frame(geometry.metric(f, g)).vectors[..., 0, :].copy()
     assert cli._run_geometry_check(tmp_path, g, f) == 0
     with open(tmp_path / "geometry_report.csv") as fh:
-        got = {k: float(v) for k, v in list(csv.reader(fh))[1:]}
+        rows = dict(list(csv.reader(fh))[1:])
+    got = {k: float(rows[k]) for k in ("metric_inverse_residual", "frame_orthonormality_residual")}
     md = einsum_metric(f, g)
     frame = einsum_normal_frame(md)
     inv_res = np.max(np.abs(np.einsum("...jk,...kl->...jl", md.g, md.g_inv) - np.eye(g.ndim)))
     gram = np.einsum("...qa,...pa,a->...qp", frame, frame, _signs(f.r.shape[-1]))
     assert abs(got["metric_inverse_residual"] - inv_res) <= REL * np.max(np.abs(md.g)) * np.max(np.abs(md.g_inv))
     assert abs(got["frame_orthonormality_residual"] - np.max(np.abs(gram - 1.0))) <= REL * np.max(np.abs(frame)) ** 2
+    # The worst nodes: the first node that holds the largest entry of the full residuals.
+    geom = build_geometry(f, g, with_riemann=True, with_frame=True)
+    gauss = full_tensor_gauss_residual(geom.riemann, geom.b, geom.b_up)
+    weingarten, _ = einsum_weingarten_squares(f, g, geom.b_up, geom.metric, geom.frame)
+    for key, resid in (("gauss_residual_node", gauss), ("weingarten_residual_node", weingarten)):
+        per_node = resid.reshape(g.counts + (-1,)).max(-1)
+        assert rows[key] == _node_str(np.unravel_index(np.argmax(per_node), g.counts))

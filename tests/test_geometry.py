@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from worldsheet import (
     weingarten_residual,
 )
 from worldsheet import presets
-from worldsheet.geometry import _node_str, _second_derivatives_adjoint
+from worldsheet.geometry import _factor, _node_str, _second_derivatives_adjoint
 
 RHO = 1.5
 
@@ -126,6 +128,27 @@ def test_metric_overflow_is_not_a_small_determinant():
     with np.errstate(over="ignore"), pytest.raises(GeometryError, match=r"not finite at node \(0, 0\)") as info:
         metric(f, g)
     assert not isinstance(info.value, DegenerateMetricError)
+
+
+def test_singular_and_overflowing_metric_raise_without_warning():
+    # The factorisation meets a zero pivot on the first and infinities on the
+    # second; only computing g itself may overflow.
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    singular, huge = presets.flat(g), presets.flat(g)
+    singular.r[..., 1] = 0.0
+    huge.r[..., 1] *= 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateMetricError, match=r"\(0, 0\)"):
+            metric(singular, g)
+        with np.errstate(over="ignore"), pytest.raises(GeometryError, match=r"not finite at node \(0, 0\)") as info:
+            metric(huge, g)
+    assert not isinstance(info.value, DegenerateMetricError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det, inv = _factor(np.array([[[0.0, 0.0], [0.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]], [[np.nan, 1.0], [1.0, 0.0]]]))
+    assert det[0] == 0.0 and np.isfinite(inv[0]).all()
+    assert not np.isfinite(det[1:]).any()
 
 
 def test_metric_signature_error():
