@@ -151,6 +151,10 @@ class CausalGraph:
         return len(self.events)
 
     def is_edge(self, i: int, j: int) -> bool:
+        return self._has_edge(*_indices((i, j), len(self)).tolist())
+
+    def _has_edge(self, i: int, j: int) -> bool:
+        """is_edge for two indices already checked."""
         lo, hi = self.forward.indptr[[i, i + 1]]
         k = lo + np.searchsorted(self.forward.indices[lo:hi], j)
         return bool(k < hi and self.forward.indices[k] == j)
@@ -319,7 +323,7 @@ def null_boundary_check(path: Sequence[int], graph: CausalGraph) -> float:
     """
     path = _indices(path, len(graph))
     for a, b in zip(path.tolist(), path[1:].tolist()):
-        if not graph.is_edge(a, b):
+        if not graph._has_edge(a, b):
             raise ValueError(f"path step {a} -> {b} is not a graph edge")
     d = np.diff(graph.events.events[path], axis=0)
     interval = np.einsum("ij,ij->i", d[:, 1:], d[:, 1:]) - (graph.events.c * d[:, 0]) ** 2

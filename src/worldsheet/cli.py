@@ -3,7 +3,8 @@
 Scenario files are plain text with [section] headers and key = value lines;
 '#' starts a full-line comment.  Unknown sections or keys are hard errors, a
 schema field is mandatory, and command-line overrides (--set section.key=value)
-win over file values.  Reports are byte-stable for a fixed seed: numeric
+win over file values.  _SCHEMA states each key's kind, default and bound once,
+and _value reads every key by it.  Reports are byte-stable for a fixed seed: numeric
 fields use 17 significant digits.
 """
 
@@ -17,6 +18,7 @@ import io
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,47 +33,56 @@ from .geometry import (
     _signs,
     _weingarten_terms,
     build_geometry,
-    gauss_residual,
     metric,
     minkowski_dot,
     normal_frame,
-    weingarten_residual,
 )
 from .grid import FieldSet, GridError, ParameterGrid, _node_str, build_grid
 from .optimizer import PenaltyConfig, penalty_continuation
 
 SCHEMA_VERSION = 1
 
-_QUERY_OPS = ("I+", "I-", "J+", "J-", "D+", "D-", "boundary", "achronal", "cauchy", "intercept")
-
-_KNOWN_KEYS = {
-    "scenario": {"schema", "kind", "seed"},
-    "grid": {"extents", "counts"},
+# Every scenario key: section -> key -> (kind, default, sign).  kind is float, int,
+# complex, bool or str, or a tuple of them read as colon-separated fields (lo:hi); a
+# kind inside a list reads comma-separated items.  An unset key reads as its default:
+# Ellipsis (...) marks a key required wherever it is read, and None leaves the choice
+# to the reader.  sign bounds every number of the value.
+_SCHEMA = {
+    "scenario": {"schema": (int, ..., None), "kind": (str, ..., None), "seed": (int, 0, ">= 0")},
+    "grid": {"extents": ([(float, float)], ..., None), "counts": ([int], ..., "> 0")},
     "fields": {
-        "embedding",
-        "phi0",
-        "radius",
-        "n_ambient",
-        "bump_amp",
-        "shear_amp",
-        "n_scale",
-        "n_tilt",
-        "mass_normalized",
-        "table",
+        "embedding": (str, "flat", None),
+        "phi0": (complex, None, None),  # None: the preset's, 1 or perturbed_flat's unit spatial mass
+        "radius": (float, None, "> 0"),  # None here and below: the preset's own default
+        "n_ambient": (int, None, "> 0"),  # the preset's m + 1
+        "bump_amp": (float, None, None),
+        "shear_amp": (float, None, None),
+        "n_scale": (float, None, None),
+        "n_tilt": (float, None, None),
+        "mass_normalized": (bool, None, None),
+        "table": (str, ..., None),
     },
-    "constants": {"c", "mass", "epsilon"},
-    "energy": {"K"},
+    "constants": {"c": (float, 1.0, "> 0"), "mass": (float, 1.0, "> 0"), "epsilon": (float, 1e-4, "> 0")},
+    "energy": {"K": (float, 0.0, ">= 0")},
     "optimizer": {
-        "K_schedule",
-        "step_init",
-        "grad_tol",
-        "max_iters",
-        "optimize_fields",
-        "check_slope",
-        "slope_band",
+        "K_schedule": ([float], PenaltyConfig.k_schedule, "> 0"),
+        "step_init": (float, PenaltyConfig.step_init, "> 0"),
+        "grad_tol": (float, PenaltyConfig.grad_tol, "> 0"),
+        "max_iters": (int, PenaltyConfig.max_iters, "> 0"),
+        "optimize_fields": ([str], PenaltyConfig.optimize_fields, None),
+        "check_slope": (bool, False, None),
+        "slope_band": ([float], (-1.3, -0.7), None),
     },
-    "causal": {"events", "radius", "queries", "seed", "samples"},
+    "causal": {
+        "events": (str, ..., None),
+        "radius": (float, 1.0, "> 0"),
+        "queries": (str, "", None),  # the one key whose empty value is allowed: no queries
+        "seed": (int, None, ">= 0"),  # None: scenario.seed
+        "samples": (int, None, "> 0"),  # None: every maximal path
+    },
 }
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class ScenarioError(ValueError):
@@ -81,12 +92,8 @@ class ScenarioError(ValueError):
 @dataclass
 class Scenario:
     kind: str
-    seed: int
     sections: dict[str, dict[str, str]]
     base_dir: Path
-
-    def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self.sections.get(section, {}).get(key, default)
 
 
 def _parse_scenario_text(text: str) -> dict[str, dict[str, str]]:
@@ -115,10 +122,8 @@ def _parse_scenario_text(text: str) -> dict[str, dict[str, str]]:
 
 def _apply_overrides(sections: dict[str, dict[str, str]], overrides: Sequence[str]) -> None:
     for item in overrides:
-        if "=" not in item:
-            raise ScenarioError(f"override {item!r} is not of the form section.key=value")
-        target, value = item.split("=", 1)
-        if "." not in target:
+        target, eq, value = item.partition("=")
+        if not eq or "." not in target:
             raise ScenarioError(f"override {item!r} is not of the form section.key=value")
         section, key = target.split(".", 1)
         sections.setdefault(section.strip(), {})[key.strip()] = value.strip()
@@ -127,113 +132,103 @@ def _apply_overrides(sections: dict[str, dict[str, str]], overrides: Sequence[st
 def _validate_keys(sections: dict[str, dict[str, str]]) -> None:
     unknown = []
     for section, kv in sections.items():
-        if section not in _KNOWN_KEYS:
-            unknown.append(f"[{section}]")
-            continue
-        for key in kv:
-            if key not in _KNOWN_KEYS[section]:
-                unknown.append(f"{section}.{key}")
+        known = _SCHEMA.get(section)
+        unknown += [f"[{section}]"] if known is None else [f"{section}.{key}" for key in kv if key not in known]
     if unknown:
         raise ScenarioError("unknown scenario keys: " + ", ".join(sorted(unknown)))
 
 
+def _value(sc: Scenario, section: str, key: str):
+    """section.key read by its _SCHEMA entry: an empty value, one not of its kind, a number
+    not finite or not of its sign, and an unset required key each raise, naming the key."""
+    kind, default, sign = _SCHEMA[section][key]
+    text = sc.sections.get(section, {}).get(key)
+    if text is None and default is Ellipsis:
+        raise ScenarioError(f"{section}.{key} is required")
+    if text is None or text == default == "":  # causal.queries: an empty value is no queries
+        return default
+    where = f"{section}.{key} = {text!r}"
+    many = isinstance(kind, list)
+    item = kind[0] if many else kind
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()] if many else [text]
+    if not (text and tokens):
+        raise ScenarioError(f"{where} is empty")
+    try:
+        values = [_item(item, tok) for tok in tokens]
+        numbers = [x for v in values for x in (v if isinstance(v, tuple) else (v,)) if not isinstance(x, str)]
+        finite = all(cmath.isfinite(x) for x in numbers)
+    except (ValueError, KeyError, OverflowError):  # OverflowError: an int too large for a float
+        name = ":".join(k.__name__ for k in item) if isinstance(item, tuple) else item.__name__
+        raise ScenarioError(f"{where} is not a valid {name}{' list' if many else ''}") from None
+    if not finite:
+        raise ScenarioError(f"{where} must be finite")
+    if sign and not all(x > 0 if sign == "> 0" else x >= 0 for x in numbers):
+        raise ScenarioError(f"{where} must be {sign}")
+    return values if many else values[0]
+
+
+def _item(kind, tok: str):
+    """One token of a value as its kind; a tuple kind reads colon-separated fields, as lo:hi."""
+    if isinstance(kind, tuple):
+        return tuple(_item(k, field.strip()) for k, field in zip(kind, tok.split(":"), strict=True))
+    return _BOOLS[tok.lower()] if kind is bool else kind(tok)
+
+
 def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
     p = Path(path)
-    text = p.read_text()
-    sections = _parse_scenario_text(text)
+    sections = _parse_scenario_text(p.read_text())
     _apply_overrides(sections, overrides)
     _validate_keys(sections)
-
-    scn = sections.get("scenario", {})
-    sc = Scenario(kind=scn.get("kind", ""), seed=0, sections=sections, base_dir=p.parent)
-    if "schema" not in scn:
-        raise ScenarioError("missing mandatory scenario.schema")
-    if _number(sc, "scenario", "schema", "", int, positive=None) != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema version {scn['schema']} (expected {SCHEMA_VERSION})")
+    sc = Scenario(kind="", sections=sections, base_dir=p.parent)
+    schema = _value(sc, "scenario", "schema")
+    if schema != SCHEMA_VERSION:
+        raise ScenarioError(f"scenario.schema = {schema} is not supported (expected {SCHEMA_VERSION})")
+    sc.kind = _value(sc, "scenario", "kind")
     if sc.kind not in _RUNNERS:
-        raise ScenarioError(f"scenario.kind must be one of {tuple(_RUNNERS)}, got {sc.kind!r}")
-    sc.seed = _number(sc, "scenario", "seed", "0", int)
+        raise ScenarioError(f"scenario.kind = {sc.kind!r} must be one of {tuple(_RUNNERS)}")
+    _value(sc, "scenario", "seed")  # only causal.seed's default reads it; it is checked for every kind
     return sc
 
 
-def _extents(text: str) -> list[tuple[float, float]]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" not in tok:
-            raise ScenarioError(f"extent {tok!r} is not of the form lo:hi")
-        lo, hi = tok.split(":", 1)
-        out.append((float(lo), float(hi)))
-    return out
+def _tabulated_fields(grid: ParameterGrid, table: Path, eps: float, phi0: complex = 1.0) -> FieldSet:
+    data = np.loadtxt(table, comments="#", ndmin=2)
+    if data.shape[0] != grid.n_nodes:
+        raise ScenarioError(f"fields.table: tabulated embedding has {data.shape[0]} rows, grid has {grid.n_nodes} nodes")
+    r = data.reshape(grid.counts + (data.shape[1],))
+    phi = np.full(grid.counts, phi0, dtype=complex)
+    fields = FieldSet(r=r, phi=phi, n=np.zeros_like(r), r_bc=r.copy(), phi_bc=phi.copy(), eps=eps)
+    fields.n[...] = normal_frame(metric(fields, grid)).vectors[..., 0, :]
+    return fields
 
 
-def _bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ScenarioError(f"expected a boolean, got {text!r}")
-
-
-def build_scenario_grid(sc: Scenario) -> ParameterGrid:
-    ext = sc.get("grid", "extents")
-    cts = sc.get("grid", "counts")
-    if ext is None or cts is None:
-        raise ScenarioError("grid.extents and grid.counts are required")
-    return build_grid(_extents(ext), _numbers(sc, "grid", "counts", cts, int, positive=True))
+# Each embedding's preset and the [fields] keys it takes by name.  A key whose
+# default is None is passed only when set, so the preset's own default holds.
+_EMBEDDINGS = {
+    "flat": (presets.flat, ("n_ambient", "phi0")),
+    "cylinder": (presets.cylinder, ("n_ambient", "phi0", "radius")),
+    "sphere_product": (presets.sphere_product, ("n_ambient", "phi0", "radius")),
+    "perturbed_flat": (presets.perturbed_flat, ("n_ambient", "phi0", "bump_amp", "shear_amp", "n_scale", "n_tilt", "mass_normalized")),
+    "table": (_tabulated_fields, ("phi0", "table")),  # table: N + 1 columns, one row per node
+}
 
 
 def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
-    embedding = sc.get("fields", "embedding", "flat")
-    eps = _number(sc, "constants", "epsilon", "1e-4", positive=True)
-    phi0 = _number(sc, "fields", "phi0", "1", complex, positive=None)
-    n_amb = sc.get("fields", "n_ambient")  # None: the preset's m + 1
-    n_amb = _number(sc, "fields", "n_ambient", n_amb, int, positive=True) if n_amb else None
-
-    if embedding == "flat":
-        preset, kwargs = presets.flat, {}
-    elif embedding in ("cylinder", "sphere_product"):
-        preset, kwargs = getattr(presets, embedding), dict(radius=_number(sc, "fields", "radius", "1.0", positive=True))
-    elif embedding == "perturbed_flat":
-        preset, kwargs = presets.perturbed_flat, dict(
-            bump_amp=_number(sc, "fields", "bump_amp", "0.3", positive=None),
-            shear_amp=_number(sc, "fields", "shear_amp", "0.0", positive=None),
-            n_scale=_number(sc, "fields", "n_scale", "1.4", positive=None),
-            n_tilt=_number(sc, "fields", "n_tilt", "0.25", positive=None),
-            mass_normalized=_bool(sc.get("fields", "mass_normalized", "false")),
-        )
-        phi0 = None if sc.get("fields", "phi0") is None else phi0
-    elif embedding == "table":
-        table = sc.get("fields", "table")
-        if table is None:
-            raise ScenarioError("fields.table is required for a tabulated embedding")
-        return _tabulated_fields(sc.base_dir / table, grid, phi0, eps)
-    else:
-        raise ScenarioError(f"unknown embedding {embedding!r}")
+    embedding = _value(sc, "fields", "embedding")
+    if embedding not in _EMBEDDINGS:
+        raise ScenarioError(f"fields.embedding = {embedding!r} must be one of {tuple(_EMBEDDINGS)}")
+    preset, keys = _EMBEDDINGS[embedding]
+    _value(sc, "fields", "n_ambient")  # checked for every embedding, though a table's column count fixes N
+    kwargs = {key: value for key in keys if (value := _value(sc, "fields", key)) is not None}
+    if "table" in kwargs:  # a path relative to the scenario file
+        kwargs["table"] = sc.base_dir / kwargs["table"]
     try:
-        return preset(grid, n_ambient=n_amb, phi0=phi0, eps=eps, **kwargs)
+        return preset(grid, eps=_value(sc, "constants", "epsilon"), **kwargs)
     except GridError as exc:  # the grid's m, or N <= m, refused by the preset
-        given = f" with fields.n_ambient = {n_amb}" if n_amb else ""
+        given = f" with fields.n_ambient = {kwargs['n_ambient']}" if "n_ambient" in kwargs else ""
         raise ScenarioError(f"fields.embedding = {embedding}{given} does not fit the grid of"
                             f" grid.extents and grid.counts (m = {grid.m}): {exc}") from None
-
-
-def _tabulated_fields(path: Path, grid: ParameterGrid, phi0: complex, eps: float) -> FieldSet:
-    data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.shape[0] != grid.n_nodes:
-        raise ScenarioError(
-            f"tabulated embedding has {data.shape[0]} rows, grid has {grid.n_nodes} nodes"
-        )
-    r = data.reshape(grid.counts + (data.shape[1],))
-    phi = np.full(grid.counts, phi0, dtype=complex)
-    n = np.zeros_like(r)
-    fields = FieldSet(r=r, phi=phi, n=n, r_bc=r.copy(), phi_bc=phi.copy(), eps=eps)
-    frame = normal_frame(metric(fields, grid))
-    fields.n[...] = frame.vectors[..., 0, :]
-    fields.r_bc[...] = fields.r
-    return fields
+    except GeometryError as exc:  # e.g. a finite amplitude whose metric overflows
+        raise ScenarioError(f"[fields] embedding {embedding}: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -258,27 +253,26 @@ def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) ->
         _write(out_dir / "geometry_report.csv", _csv_text([("error", str(exc))]))
         print(f"geometry_check failed: {exc}", file=sys.stderr)
         return 2
-    g_res = gauss_residual(geom.riemann, geom.b, geom.b_up)
-    w_res, _ = weingarten_residual(fields, grid, geom.b_up, geom.metric, geom.frame)
-    eye = np.eye(grid.ndim)
-    inv_res = float(np.max(np.abs(geom.g @ geom.g_inv - eye)))
+    g_res, g_node = _worst(grid.ndim, *_gauss_terms(geom.riemann, geom.b, geom.b_up))
+    w_squares, w_node = _worst(grid.ndim, _weingarten_terms(fields, grid, geom.b_up, geom.metric, geom.frame)[0])
+    inv_res = float(np.max(np.abs(geom.g @ geom.g_inv - np.eye(grid.ndim))))
     frame = geom.frame.vectors
     gram = (frame * _signs(fields.r.shape[-1])) @ np.swapaxes(frame, -1, -2)
     frame_orth = float(np.max(np.abs(gram - np.eye(frame.shape[-2]))))
     frame_tan = float(np.max(np.abs(minkowski_dot(frame[..., None, :, :], geom.tangents[..., :, None, :]))))
-    rows = [("gauss_residual", g_res), ("weingarten_residual", w_res), ("metric_inverse_residual", inv_res),
-            ("frame_orthonormality_residual", frame_orth), ("frame_tangency_residual", frame_tan)]
-    w_squares, _ = _weingarten_terms(fields, grid, geom.b_up, geom.metric, geom.frame)
-    nodes = [("gauss_residual_node", _worst_node(grid.ndim, *_gauss_terms(geom.riemann, geom.b, geom.b_up))),
-             ("weingarten_residual_node", _worst_node(grid.ndim, w_squares))]
+    rows = [("gauss_residual", g_res), ("weingarten_residual", float(np.sqrt(w_squares))),
+            ("metric_inverse_residual", inv_res), ("frame_orthonormality_residual", frame_orth),
+            ("frame_tangency_residual", frame_tan)]
+    nodes = [("gauss_residual_node", g_node), ("weingarten_residual_node", w_node)]
     _write(out_dir / "geometry_report.csv", _csv_text([(k, _fmt(v)) for k, v in rows] + nodes))
     return 0
 
 
-def _worst_node(ndim: int, *terms: np.ndarray) -> str:
-    """The first node holding the largest entry of the per-node term arrays, whose first ndim axes are the nodes."""
+def _worst(ndim: int, *terms: np.ndarray) -> tuple[float, str]:
+    """The largest entry of the per-node term arrays, whose first ndim axes are the nodes, and the
+    first node holding it: gauss_residual and the square of weingarten_residual reduce the same terms."""
     per_node = np.maximum.reduce([t.reshape(t.shape[:ndim] + (-1,)).max(-1) for t in terms])
-    return _node_str(np.unravel_index(np.argmax(per_node), per_node.shape))
+    return float(per_node.max()), _node_str(np.unravel_index(np.argmax(per_node), per_node.shape))
 
 
 def _run_energy_eval(out_dir: Path, grid: ParameterGrid, fields: FieldSet, K: float) -> int:
@@ -293,33 +287,20 @@ def _run_energy_eval(out_dir: Path, grid: ParameterGrid, fields: FieldSet, K: fl
 
 
 def _penalty_config(sc: Scenario) -> PenaltyConfig:
-    kwargs = {}
-    sched = sc.get("optimizer", "K_schedule")
-    if sched:
-        ks = tuple(_numbers(sc, "optimizer", "K_schedule", sched, positive=True))
-        if any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ScenarioError(f"optimizer.K_schedule = {sched!r} must be strictly increasing")
-        kwargs["k_schedule"] = ks
-    for name in ("step_init", "grad_tol"):
-        val = sc.get("optimizer", name)
-        if val:
-            kwargs[name] = _number(sc, "optimizer", name, val, positive=True)
-    iters = sc.get("optimizer", "max_iters")
-    if iters:
-        kwargs["max_iters"] = _number(sc, "optimizer", "max_iters", iters, int, positive=True)
-    opt_fields = sc.get("optimizer", "optimize_fields")
-    if opt_fields:
-        names = tuple(tok.strip() for tok in opt_fields.split(",") if tok.strip())
-        if not names or set(names) - {"r", "phi", "n"}:
-            raise ScenarioError(f"optimizer.optimize_fields = {opt_fields!r} must be a nonempty subset of r, phi, n")
-        kwargs["optimize_fields"] = names
-    return PenaltyConfig(**kwargs)
+    ks = tuple(_value(sc, "optimizer", "K_schedule"))
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ScenarioError(f"optimizer.K_schedule = {ks} must be strictly increasing")
+    names = tuple(_value(sc, "optimizer", "optimize_fields"))
+    if set(names) - {"r", "phi", "n"}:
+        raise ScenarioError(f"optimizer.optimize_fields = {names} must be a subset of r, phi, n")
+    steps = {key: _value(sc, "optimizer", key) for key in ("step_init", "grad_tol", "max_iters")}
+    return PenaltyConfig(k_schedule=ks, optimize_fields=names, **steps)
 
 
 def _run_minimize(
-    out_dir: Path, grid: ParameterGrid, fields: FieldSet, cfg: PenaltyConfig, slope_band: Optional[tuple[float, float]]
+    out_dir: Path, grid: ParameterGrid, fields: FieldSet, cfg: PenaltyConfig, slope_band: Optional[list[float]]
 ) -> int:
-    """slope_band is set when optimizer.check_slope is on."""
+    """slope_band is set when optimizer.check_slope is on; its least and largest values bound the slopes."""
     try:
         report = penalty_continuation(fields, grid, cfg)
     except (GeometryError, NonFiniteValueError) as exc:
@@ -342,7 +323,7 @@ def _run_minimize(
 
     ok = not report.stalled
     if slope_band is not None:
-        lo, hi = slope_band
+        lo, hi = min(slope_band), max(slope_band)
         for name, slope in report.slopes.items():
             if slope is None:
                 lines.append(f"slope_check {name}: skipped (residual at machine zero)")
@@ -356,140 +337,110 @@ def _run_minimize(
 
 
 def _causal_queries(sc: Scenario, n_events: int) -> list[tuple[str, list[int]]]:
-    """causal.queries as (op, indices); every op must be known and every index name one of the n_events events."""
+    """causal.queries as (op, indices); every op must be one of _QUERIES and every index one of the n_events events."""
     queries = []
-    for tok in sc.get("causal", "queries", "").split(";"):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" not in tok:
-            raise ScenarioError(f"query {tok!r} is not of the form op:indices")
-        op, idx = tok.split(":", 1)
+    for tok in filter(None, map(str.strip, _value(sc, "causal", "queries").split(";"))):
+        op, colon, idx = tok.partition(":")
         op = op.strip()
+        if not colon or op not in _QUERIES:
+            raise ScenarioError(f"causal.queries: query {tok!r} is not of the form op:indices, op one of {tuple(_QUERIES)}")
         try:
             idx = [int(v) for v in idx.split(",") if v.strip()]
-        except ValueError:
-            raise ScenarioError(f"query {tok!r}: event indices must be integers") from None
-        if op not in _QUERY_OPS:
-            raise ScenarioError(f"unknown causal query op {op!r}")
-        for i in idx:
-            if not 0 <= i < n_events:
-                raise ScenarioError(
-                    f"query {op}:{','.join(str(v) for v in idx)}: event index {i} outside 0..{n_events - 1}"
-                )
+            causal_mod._indices(idx, n_events)
+        except ValueError as exc:
+            raise ScenarioError(f"causal.queries: query {tok!r}: {exc}") from None
         queries.append((op, idx))
     return queries
 
 
-def _numbers(sc: Scenario, section: str, key: str, default: str, kind=float, positive: Optional[bool] = False) -> list:
-    """A scenario value as comma-separated finite numbers of one kind: each > 0 when positive,
-    >= 0 when positive is False, of either sign when it is None."""
-    text = sc.get(section, key, default)
-    try:
-        values = [kind(tok) for tok in text.split(",") if tok.strip()]
-        finite = all(cmath.isfinite(v) for v in values)
-    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
-        raise ScenarioError(f"{section}.{key} = {text!r} is not a valid {kind.__name__}") from None
-    if not finite:
-        raise ScenarioError(f"{section}.{key} = {text!r} must be finite")
-    if positive is not None and not all(v > 0 if positive else v >= 0 for v in values):
-        raise ScenarioError(f"{section}.{key} = {text!r} must be {'>' if positive else '>='} 0")
-    return values
-
-
-def _number(sc: Scenario, section: str, key: str, default: str, kind=float, positive: Optional[bool] = False):
-    """A scenario value as one finite number (see _numbers)."""
-    values = _numbers(sc, section, key, default, kind, positive)
-    if len(values) != 1:
-        raise ScenarioError(f"{section}.{key} = {sc.get(section, key, default)!r} must be one number")
-    return values[0]
-
-
 def _build_inputs(sc: Scenario) -> dict:
     """Everything the scenario's kind reads, built, validated and keyed as its runner's arguments."""
-    c = _number(sc, "constants", "c", "1.0", positive=True)
-    _number(sc, "constants", "mass", "1.0", positive=True)  # no runner reads it; it is checked all the same
+    c = _value(sc, "constants", "c")
+    _value(sc, "constants", "mass")  # no runner reads it; it is checked all the same
     if sc.kind == "causal":
-        ev_file = sc.get("causal", "events")
-        if ev_file is None:
-            raise ScenarioError("causal.events is required")
-        path = sc.base_dir / ev_file
+        path = sc.base_dir / _value(sc, "causal", "events")
         if not path.exists():
             raise ScenarioError(f"event file not found: {path}")
         events = causal_mod.load_events(path, c=c)
-        samples = sc.get("causal", "samples")
+        seed = _value(sc, "causal", "seed")
         return dict(
             events=events,
-            radius=_number(sc, "causal", "radius", "1.0", positive=True),
-            seed=_number(sc, "causal", "seed", str(sc.seed), int),
-            samples=_number(sc, "causal", "samples", samples, int, positive=True) if samples else None,
+            radius=_value(sc, "causal", "radius"),
+            seed=_value(sc, "scenario", "seed") if seed is None else seed,
+            samples=_value(sc, "causal", "samples"),
             queries=_causal_queries(sc, len(events)),
         )
-    grid = build_scenario_grid(sc)
     try:
-        inputs = dict(grid=grid, fields=build_scenario_fields(sc, grid))
-    except GeometryError as exc:  # e.g. a finite amplitude whose metric overflows
-        raise ScenarioError(f"[fields] embedding {sc.get('fields', 'embedding', 'flat')}: {exc}") from None
+        grid = build_grid(_value(sc, "grid", "extents"), _value(sc, "grid", "counts"))
+    except GridError as exc:
+        raise ScenarioError(f"grid.extents and grid.counts: {exc}") from None
+    inputs = dict(grid=grid, fields=build_scenario_fields(sc, grid))
     n = inputs["fields"].n  # unit, but for perturbed_flat's finite n_scale and n_tilt, which may overflow
     bad = np.argwhere(~np.isfinite((minkowski_dot(n, n) - 1.0) ** 2))
     if bad.size:
         raise ScenarioError(f"fields.n_scale and fields.n_tilt give a normal whose (n.n - 1)^2"
                             f" is not finite at node {_node_str(tuple(bad[0]))}")
     if sc.kind == "energy_eval":
-        inputs["K"] = _number(sc, "energy", "K", "0.0")
+        inputs["K"] = _value(sc, "energy", "K")
     if sc.kind == "minimize":
         inputs["cfg"] = _penalty_config(sc)
-        inputs["slope_band"] = None
-        if _bool(sc.get("optimizer", "check_slope", "false")):
-            band = _numbers(sc, "optimizer", "slope_band", "-1.3,-0.7", positive=None)
-            if not band:
-                raise ScenarioError("optimizer.slope_band needs at least one value")
-            inputs["slope_band"] = (min(band), max(band))
+        inputs["slope_band"] = _value(sc, "optimizer", "slope_band") if _value(sc, "optimizer", "check_slope") else None
     return inputs
+
+
+def _members(query, op, idx, graph, samples, seed):
+    """A set-valued causal query, answered by its members in order and counted under the op's name."""
+    result = sorted(query(idx, graph))
+    return " ".join(str(i) for i in result), f"{op}={len(result)}"
+
+
+def _achronal(op, idx, graph, samples, seed):
+    val = causal_mod.is_achronal(idx, graph)
+    return str(val).lower(), f"{op}={int(val)}"
+
+
+def _cauchy(op, idx, graph, samples, seed):
+    verdict = causal_mod.is_cauchy_surface(idx, graph)
+    witness = "" if verdict.is_cauchy else f" witness={verdict.witness_kind}:{verdict.witness}"
+    return str(verdict.is_cauchy).lower() + witness, f"{op}={int(verdict.is_cauchy)}"
+
+
+def _intercept(op, idx, graph, samples, seed):
+    rep = causal_mod.intercept_check(idx, graph, samples=samples, seed=seed)
+    return f"paths={rep.paths_checked} violations={len(rep.violations)}", f"{op}_violations={len(rep.violations)}"
+
+
+# Each causal query op, called as (op, indices, graph, causal.samples, causal.seed),
+# and its answer: (report text, summary count).
+_QUERIES = {
+    "I+": partial(_members, causal_mod.chronological_future),
+    "I-": partial(_members, causal_mod.chronological_past),
+    "J+": partial(_members, causal_mod.causal_future),
+    "J-": partial(_members, causal_mod.causal_past),
+    "D+": partial(_members, causal_mod.future_dependence),
+    "D-": partial(_members, causal_mod.past_dependence),
+    "boundary": partial(_members, causal_mod.future_boundary),
+    "achronal": _achronal,
+    "cauchy": _cauchy,
+    "intercept": _intercept,
+}
 
 
 def _run_causal(
     out_dir: Path, events: causal_mod.EventSet, radius: float, seed: int, samples: Optional[int], queries: list
 ) -> int:
     graph = causal_mod.build_graph(events, radius)
-    ops = {
-        "I+": causal_mod.chronological_future,
-        "I-": causal_mod.chronological_past,
-        "J+": causal_mod.causal_future,
-        "J-": causal_mod.causal_past,
-        "D+": causal_mod.future_dependence,
-        "D-": causal_mod.past_dependence,
-        "boundary": causal_mod.future_boundary,
-    }
-    lines = []
-    counts = []
+    lines, counts = [], []
     for op, idx in queries:
-        label = f"{op}:{','.join(str(i) for i in idx)} -> "
-        if op in ops:
-            result = sorted(ops[op](idx, graph))
-            lines.append(label + " ".join(str(i) for i in result))
-            counts.append(f"{op}={len(result)}")
-        elif op == "achronal":
-            val = causal_mod.is_achronal(idx, graph)
-            lines.append(label + str(val).lower())
-            counts.append(f"achronal={'1' if val else '0'}")
-        elif op == "cauchy":
-            verdict = causal_mod.is_cauchy_surface(idx, graph)
-            answer = str(verdict.is_cauchy).lower()
-            if not verdict.is_cauchy:
-                answer += f" witness={verdict.witness_kind}:{verdict.witness}"
-            lines.append(label + answer)
-            counts.append(f"cauchy={'1' if verdict.is_cauchy else '0'}")
-        else:
-            try:
-                rep = causal_mod.intercept_check(idx, graph, samples=samples, seed=seed)
-            except (causal_mod.NotCauchySurfaceError, causal_mod.PathLimitError) as exc:
-                print(f"causal query {label.removesuffix(' -> ')} failed: {exc}", file=sys.stderr)
-                return 2
-            lines.append(label + f"paths={rep.paths_checked} violations={len(rep.violations)}")
-            counts.append(f"intercept_violations={len(rep.violations)}")
-    edges = graph.forward.indices.size
-    lines.append(f"summary: events={len(graph)} edges={edges} {' '.join(counts)}")
+        label = f"{op}:{','.join(str(i) for i in idx)}"
+        try:
+            answer, count = _QUERIES[op](op, idx, graph, samples, seed)
+        except (causal_mod.NotCauchySurfaceError, causal_mod.PathLimitError) as exc:
+            print(f"causal query {label} failed: {exc}", file=sys.stderr)
+            return 2
+        lines.append(f"{label} -> {answer}")
+        counts.append(count)
+    lines.append(f"summary: events={len(graph)} edges={graph.forward.indices.size} {' '.join(counts)}")
     _write(out_dir / "causal_report.txt", "\n".join(lines) + "\n")
     return 0
 

@@ -283,8 +283,8 @@ def interpolate(grid: ParameterGrid, values: np.ndarray, points: np.ndarray) -> 
         h = grid.spacings[axis]
         tol = 1e-9 * max(1.0, abs(hi - lo))
         p = pts[..., axis]
-        if (p < lo - tol).any() or (p > hi + tol).any():
-            raise GridError(f"interpolation point outside grid extent on axis {axis}")
+        if not ((p >= lo - tol) & (p <= hi + tol)).all():  # NaN compares False, so it is refused too
+            raise GridError(f"interpolation point not finite or outside grid extent on axis {axis}")
         s = np.clip((p - lo) / h, 0.0, grid.counts[axis] - 1.0)
         cell = np.minimum(s.astype(np.intp), grid.counts[axis] - 2)
         idx[..., axis] = cell

@@ -253,7 +253,9 @@ def minimize_fixed_K(
     iterates strictly decrease J_K.  phi is clamped back to the admissible set
     after every step; a clamp that moves a node clears the memory (a reset),
     as does a direction that is not one of descent, replaced by -grad (a
-    fallback).  Step underflow is recorded as a stall, not raised.
+    fallback).  A trial whose geometry is degenerate or whose integrand is not
+    finite is rejected and the step halved.  Step underflow is recorded as a
+    stall, not raised.
     With "r" optimised every configuration gets its own build_geometry.
     With r frozen every direction's r block is zero, so each trial shares the
     start's metric, d2r and Gamma and refreshes only b, b^l_j and dphi.
@@ -294,7 +296,7 @@ def minimize_fixed_K(
             evaluations += 1
             try:
                 trial_geom, trial_cur, trial_grad = evaluate(trial, base)
-            except GeometryError:
+            except (GeometryError, NonFiniteValueError):
                 trial_cur = None
             if trial_cur is not None and cur.total_JK > trial_cur.total_JK <= cur.total_JK + ARMIJO_C * alpha * slope:
                 break

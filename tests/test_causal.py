@@ -926,7 +926,13 @@ def sample_maximal_path_from(S, graph):
     return sample_maximal_path(graph, np.random.default_rng(0), S)
 
 
+def is_edge(S, graph):
+    """CausalGraph.is_edge(i, j) with the event index under test as i: S = [j, i]."""
+    return graph.is_edge(S[1], S[0])
+
+
 OUT_OF_RANGE_QUERIES = (
+    is_edge,
     chronological_future,
     chronological_past,
     causal_future,

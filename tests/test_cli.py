@@ -239,16 +239,37 @@ BAD_INPUTS = {
     "normalize_phi_removed": ("minimize_perturbed.scn", ["fields.normalize_phi=true"], None),
     # A preset that refuses N <= m, or the grid's m, names the keys behind them.
     "n_ambient_not_above_m": ("minimize_perturbed.scn", ["fields.n_ambient=1"], None),
+    "n_ambient_text_on_table": (MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table"), ["fields.n_ambient=abc"], None),
     "cylinder_on_m_2_grid": ("geometry_cylinder.scn", ["grid.extents=0:1,0:1,0:1", "grid.counts=3,5,5"], None),
     "sphere_product_on_m_1_grid": ("energy_flat.scn", ["fields.embedding=sphere_product"], None),
 }
+# An empty value is an input error for every key but causal.queries, on a
+# scenario that reads the key (a scenario text in place of a file name).
+EMPTY_VALUE_SCENARIOS = {
+    "causal": "causal_grid.scn",
+    "energy": "energy_flat.scn",
+    "fields.radius": "geometry_cylinder.scn",
+    "fields.table": MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table"),
+}
+BAD_INPUTS.update(
+    {
+        f"{section}.{key}_empty": (
+            EMPTY_VALUE_SCENARIOS.get(f"{section}.{key}", EMPTY_VALUE_SCENARIOS.get(section, "minimize_perturbed.scn")),
+            [f"{section}.{key}="],
+            None,
+        )
+        for section, keys in cli._SCHEMA.items()
+        for key in keys
+        if f"{section}.{key}" != "causal.queries"
+    }
+)
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, case, command):
     name, overrides, events = BAD_INPUTS[case]
-    scenario = SCENARIOS / name
+    scenario = write(tmp_path, name) if "\n" in name else SCENARIOS / name
     if events is not None:
         (tmp_path / "events.txt").write_text(events)
         scenario = write(tmp_path, scenario.read_text().replace("events_flat.txt", "events.txt"))
@@ -264,6 +285,50 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, case, command):
         assert item.split("=")[0] in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_empty_causal_queries_means_no_queries(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.check(SCENARIOS / "causal_grid.scn", overrides=["causal.queries="]) == 0
+    assert cli.run(SCENARIOS / "causal_grid.scn", out, overrides=["causal.queries="]) == 0
+    assert (out / "causal_report.txt").read_text().startswith("summary: events=42 edges=")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("step", ["1e100", "1e300"])
+def test_huge_initial_step_backtracks_to_convergence(tmp_path, capsys, step):
+    # The first trials overflow the integrand: each such trial is rejected and
+    # the step halved, as for a degenerate trial.
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "minimize_perturbed.scn", out, overrides=[f"optimizer.step_init={step}"]) == 0
+    assert capsys.readouterr().err == ""
+    summary = (out / "minimize_summary.txt").read_text().splitlines()
+    terminations = [line for line in summary if line.startswith("termination K=")]
+    assert len(terminations) == 4 and all(line.endswith(": converged") for line in terminations)
+    assert sum(line.startswith("slope_check ") and line.endswith(" -> ok") for line in summary) == 3
+    assert summary[-1] == "exit: 0"
+
+
+def test_readme_key_reference_matches_schema():
+    # Each row of the README's key table names one section.key and shows its
+    # default as the scenario table states it.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    reference = readme.split("Key reference:", 1)[1].split("\n\n", 2)[1]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in reference.splitlines()[2:]]
+
+    def shown(default):
+        if default is Ellipsis:
+            return "required"
+        if default is None:
+            return "unset"
+        if default == "":
+            return "empty"
+        text = ", ".join(str(v) for v in default) if isinstance(default, tuple) else str(default)
+        return f"`{text.lower() if isinstance(default, bool) else text}`"
+
+    want = {f"`{section}.{key}`": shown(entry[1]) for section, keys in cli._SCHEMA.items() for key, entry in keys.items()}
+    assert {row[0]: row[2] for row in rows} == want
+    assert len(rows) == len(want)
 
 
 def _cli(*args, cwd):
@@ -450,7 +515,7 @@ FUZZ_DEFAULT = ("minimize_perturbed.scn", ["optimizer.K_schedule=10,100", "optim
 def test_set_fuzz_never_crashes(tmp_path, capsys):
     rng = np.random.default_rng(11)
     start = time.perf_counter()
-    for section, keys in sorted(cli._KNOWN_KEYS.items()):
+    for section, keys in sorted(cli._SCHEMA.items()):
         name, base = FUZZ_SCENARIOS.get(section, FUZZ_DEFAULT)
         for key in sorted(keys):
             for value in rng.choice(FUZZ_VALUES, 3, replace=False):

@@ -303,6 +303,15 @@ def test_interpolate_rejects_outside_points():
     f = g.coordinates[..., 0]
     with pytest.raises(GridError):
         interpolate(g, f, np.array([[1.5]]))
+    # A NaN compares False to both faces, so a test for points beyond them
+    # alone lets it through to the cell-index cast.  Each axis is checked.
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    f = g.coordinates[..., 0]
+    for point in (1.5, -np.inf, np.nan):
+        with pytest.raises(GridError, match="on axis 0$"):
+            interpolate(g, f, np.array([[point, 0.5]]))
+        with pytest.raises(GridError, match="on axis 1$"):
+            interpolate(g, f, np.array([[0.5, point]]))
 
 
 def test_chart_gauge_enforced():
