@@ -186,7 +186,6 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
     sc.kind = _value(sc, "scenario", "kind")
     if sc.kind not in _RUNNERS:
         raise ScenarioError(f"scenario.kind = {sc.kind!r} must be one of {tuple(_RUNNERS)}")
-    _value(sc, "scenario", "seed")  # only causal.seed's default reads it; it is checked for every kind
     return sc
 
 
@@ -217,7 +216,6 @@ def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
     if embedding not in _EMBEDDINGS:
         raise ScenarioError(f"fields.embedding = {embedding!r} must be one of {tuple(_EMBEDDINGS)}")
     preset, keys = _EMBEDDINGS[embedding]
-    _value(sc, "fields", "n_ambient")  # checked for every embedding, though a table's column count fixes N
     kwargs = {key: value for key in keys if (value := _value(sc, "fields", key)) is not None}
     if "table" in kwargs:  # a path relative to the scenario file
         kwargs["table"] = sc.base_dir / kwargs["table"]
@@ -354,14 +352,18 @@ def _causal_queries(sc: Scenario, n_events: int) -> list[tuple[str, list[int]]]:
 
 
 def _build_inputs(sc: Scenario) -> dict:
-    """Everything the scenario's kind reads, built, validated and keyed as its runner's arguments."""
+    """Everything the scenario's kind reads, built, validated and keyed as its runner's arguments.
+    Every key that is set is parsed first, in scenario order, whether or not the kind reads it."""
+    for section, kv in sc.sections.items():
+        for key in kv:
+            _value(sc, section, key)
     c = _value(sc, "constants", "c")
-    _value(sc, "constants", "mass")  # no runner reads it; it is checked all the same
     if sc.kind == "causal":
-        path = sc.base_dir / _value(sc, "causal", "events")
-        if not path.exists():
-            raise ScenarioError(f"event file not found: {path}")
-        events = causal_mod.load_events(path, c=c)
+        name = _value(sc, "causal", "events")
+        try:
+            events = causal_mod.load_events(sc.base_dir / name, c=c)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"causal.events = {name!r}: {exc}") from None
         seed = _value(sc, "causal", "seed")
         return dict(
             events=events,

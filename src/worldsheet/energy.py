@@ -73,15 +73,21 @@ def _rule(grid: ParameterGrid) -> QuadratureRule:
     return QuadratureRule.from_grid(grid)
 
 
+def _integrals(integrands: list[np.ndarray], grid: ParameterGrid) -> list[float]:
+    """quadrature of each integrand in one pass.  One scan for non-finite values names the first
+    node of the first integrand that has one; each weighted sum is summed alone, in quadrature's order."""
+    values = np.array(integrands)
+    if values.shape[1:] != grid.counts:
+        raise ValueError("integrand shape does not match grid counts")
+    if not np.isfinite(values).all():
+        node = tuple(np.argwhere(~np.isfinite(values))[0][1:])
+        raise NonFiniteValueError(f"non-finite integrand at node {_node_str(node)}")
+    return [float(v.sum()) for v in values * _rule(grid).node_weights]
+
+
 def quadrature(values: np.ndarray, grid: ParameterGrid) -> float:
     """Composite trapezoid integral over the full grid box."""
-    if values.shape != grid.counts:
-        raise ValueError("integrand shape does not match grid counts")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        node = tuple(np.argwhere(bad)[0])
-        raise NonFiniteValueError(f"non-finite integrand at node {_node_str(node)}")
-    return float(np.sum(values * _rule(grid).node_weights))
+    return _integrals([values], grid)[0]
 
 
 def slice_masses(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
@@ -185,31 +191,22 @@ def _densities(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> _D
     return _Densities(phi_sq, curvature, _dirichlet_density(geom.g_inv, geom.dphi), *christoffel, *penalty)
 
 
-# The integrals of the densities against a volume weight w: sqrt(-g) on the
-# parameter grid, sqrt(-g) sqrt(U) on a chart grid.
-def _j1(phi_sq, curvature, w, grid: ParameterGrid) -> float:
-    return 0.5 * quadrature(phi_sq * curvature * w, grid)
-
-
-def _j2(dirichlet, christoffel, w, grid: ParameterGrid) -> tuple[float, float]:
-    return 0.5 * quadrature(dirichlet * w, grid), 0.25 * quadrature(christoffel * w, grid)
-
-
-def _penalties(mass, dots, nn, w, grid: ParameterGrid) -> tuple[float, float, float]:
-    norm = time_integral((mass - 1.0) ** 2, grid)
-    orth = quadrature(np.sum(dots**2, axis=-1) * w, grid)
-    unit = quadrature((nn - 1.0) ** 2 * w, grid)
-    return norm, orth, unit
+# The densities are integrated against a volume weight w: sqrt(-g) on the parameter
+# grid, sqrt(-g) sqrt(U) on a chart grid.  The integrands of the orth and unit penalties:
+def _penalties(dots, nn, w) -> list[np.ndarray]:
+    return [np.sum(dots**2, axis=-1) * w, (nn - 1.0) ** 2 * w]
 
 
 def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float) -> EnergyBreakdown:
-    """J_K from its densities; a non-finite integrand raises NonFiniteValueError naming the node."""
+    """J_K from its densities, its five node integrals in one pass; a non-finite
+    integrand raises NonFiniteValueError naming the node."""
     if K < 0:
         raise ValueError(f"penalty weight K must be >= 0, got {K}")
     w = geom.sqrt_neg_g
-    j1 = _j1(d.phi_sq, d.curvature, w, grid)
-    j2d, j2c = _j2(d.dirichlet, d.christoffel, w, grid)
-    p_norm, p_orth, p_unit = _penalties(d.mass, d.dots, d.nn, w, grid)
+    integrands = [d.phi_sq * d.curvature * w, d.dirichlet * w, d.christoffel * w, *_penalties(d.dots, d.nn, w)]
+    j1, j2d, j2c, p_orth, p_unit = _integrals(integrands, grid)
+    j1, j2d, j2c = 0.5 * j1, 0.5 * j2d, 0.25 * j2c
+    p_norm = time_integral((d.mass - 1.0) ** 2, grid)
     total_J = j1 + j2d + j2c
     return EnergyBreakdown(
         j1_curvature=j1, j2_dirichlet=j2d, j2_christoffel=j2c,
@@ -221,7 +218,7 @@ def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float
 def j1_curvature_energy(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> float:
     """(1/2) integral of |phi|^2 g^{jk} b_jl b^l_k sqrt(-g)."""
     curvature = _curvature_density(geom.g_inv, geom.b, geom.b_up)
-    return _j1(np.abs(fields.phi) ** 2, curvature, geom.sqrt_neg_g, grid)
+    return 0.5 * quadrature(np.abs(fields.phi) ** 2 * curvature * geom.sqrt_neg_g, grid)
 
 
 def s_tensor(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> np.ndarray:
@@ -250,8 +247,10 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
 
     phi must be the amplitude geom was built from (dphi is read from geom).
     """
+    w = geom.sqrt_neg_g
     christoffel = _christoffel_density(phi, geom.dphi, geom.gamma, geom.g_inv)[0]
-    return _j2(_dirichlet_density(geom.g_inv, geom.dphi), christoffel, geom.sqrt_neg_g, grid)
+    dirichlet, christoffel = _integrals([_dirichlet_density(geom.g_inv, geom.dphi) * w, christoffel * w], grid)
+    return 0.5 * dirichlet, 0.25 * christoffel
 
 
 def reduced_action(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> float:
@@ -270,8 +269,8 @@ def penalty_terms(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) ->
 
     The volume weight is sqrt(-g) uniformly in all three terms.
     """
-    factors = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
-    return _penalties(*factors, geom.sqrt_neg_g, grid)
+    mass, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
+    return (time_integral((mass - 1.0) ** 2, grid), *_integrals(_penalties(dots, nn, geom.sqrt_neg_g), grid))
 
 
 def assemble_JK(
@@ -388,8 +387,7 @@ def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCa
     if geom is None:
         geom = build_geometry(fields, grid)
     mass, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
-    _, p_orth, p_unit = _penalties(mass, dots, nn, geom.sqrt_neg_g, grid)
-    return _residuals(mass, p_orth, p_unit, grid)
+    return _residuals(mass, *_integrals(_penalties(dots, nn, geom.sqrt_neg_g), grid), grid)
 
 
 def _residuals(mass: np.ndarray, p_orth: float, p_unit: float, grid: ParameterGrid) -> tuple[float, float, float]:
@@ -476,13 +474,12 @@ def full_action(
     weight = at["sqrt_neg_g"] * cmetric.sqrt_U
     phi_sq = at["phi_sq"]
     curvature = interpolate(grid, _curvature_density(geom.g_inv, geom.b, geom.b_up), pts)
-    j1 = _j1(phi_sq, curvature, weight, chart.grid)
-
     g_inv_c = interpolate(grid, geom.g_inv, pts)
     dphi_c = interpolate(grid, geom.dphi, pts)
     phi_c = interpolate(grid, fields.phi, pts)
     christoffel = _christoffel_density(phi_c, dphi_c, interpolate(grid, geom.gamma, pts), g_inv_c)[0]
-    j2d, j2c = _j2(_dirichlet_density(g_inv_c, dphi_c), christoffel, weight, chart.grid)
+    integrands = [phi_sq * curvature * weight, _dirichlet_density(g_inv_c, dphi_c) * weight, christoffel * weight]
+    j1, j2d, j2c = _integrals(integrands, chart.grid)
 
     # Normalization multiplier: spatial mass per lab-time slice on the chart.
     mass_t = slice_masses(phi_sq * weight, chart.grid)
@@ -498,4 +495,4 @@ def full_action(
     lam_u = np.asarray(lam_unit, dtype=float)
     unit_term = quadrature(lam_u * (nn_c - 1.0) * weight, chart.grid)
 
-    return kin + j1 + j2d + j2c + e_term + orth_term + unit_term
+    return kin + 0.5 * j1 + 0.5 * j2d + 0.25 * j2c + e_term + orth_term + unit_term

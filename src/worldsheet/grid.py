@@ -200,7 +200,10 @@ def finite_difference_adjoint(values: np.ndarray, grid: ParameterGrid, axis: int
     """
     _check_stencil(values, grid, axis, order)
     mat = _stencil_matrix(grid.counts[axis], grid.spacings[axis], order)
-    return np.moveaxis(np.tensordot(mat.T, values, axes=(1, axis)), 0, axis)
+    # np.tensordot(mat.T, values, axes=(1, axis))'s one product, without its set-up.
+    moved = values.transpose([axis, *range(axis), *range(axis + 1, values.ndim)])
+    out = np.dot(mat.T, moved.reshape(len(mat), -1)).reshape(moved.shape)
+    return out.transpose([*range(1, axis + 1), 0, *range(axis + 1, values.ndim)])
 
 
 @dataclass

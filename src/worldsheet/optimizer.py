@@ -3,7 +3,7 @@
 Descent is L-BFGS with Armijo backtracking (Nocedal & Wright, Numerical
 Optimization, Alg. 7.4); each configuration it tries gets one geometry cache and
 one value-and-gradient pass (energy.backward_JK), J_K and its exact gradient.
-With r frozen, the r part of the cache is built once per K and shared.
+With r frozen, the r part of the cache is built once per continuation and shared.
 A continuation sweep drives K upward with warm starts and fits the log-log
 slope of the constraint residuals against K, which should sit near -1.
 """
@@ -167,24 +167,23 @@ def fit_loglog_slope(params: Sequence[float], residuals: Sequence[float]) -> flo
 
 
 def pack_interior(fields: FieldSet, grid: ParameterGrid) -> np.ndarray:
-    """Flatten the interior DOFs in the canonical order."""
-    interior = grid.interior_mask
-    r_block = fields.r[interior].ravel()
-    phi_int = fields.phi[interior]
-    phi_block = np.stack([phi_int.real, phi_int.imag], axis=-1).ravel()
-    n_block = fields.n[interior].ravel()
-    return np.concatenate([r_block, phi_block, n_block])
+    """Flatten the interior DOFs in the canonical order: r, phi as (Re, Im) pairs, n, each
+    row-major over the interior box (slice(1, -1),) * ndim (every count is >= 3)."""
+    box = (slice(1, -1),) * grid.ndim
+    phi = fields.phi[box].astype(complex).ravel().view(float)
+    return np.concatenate([fields.r[box].ravel(), phi, fields.n[box].ravel()])
 
 
 def _add_scaled(fields: FieldSet, d: np.ndarray, alpha: float, grid: ParameterGrid) -> FieldSet:
     """fields plus alpha times the packed interior direction d."""
     out = fields.copy()
-    interior = grid.interior_mask
-    n_r, n_phi = out.r[interior].size, 2 * out.phi[interior].size
-    out.r[interior] += alpha * d[:n_r].reshape(-1, out.r.shape[-1])
-    phi = d[n_r : n_r + n_phi].reshape(-1, 2)
-    out.phi[interior] += alpha * (phi[:, 0] + 1j * phi[:, 1])
-    out.n[interior] += alpha * d[n_r + n_phi :].reshape(-1, out.n.shape[-1])
+    box = (slice(1, -1),) * grid.ndim
+    r, phi, n = out.r[box], out.phi[box].view(float), out.n[box]
+    n_r, n_phi = r.size, phi.size
+    if d[:n_r].any():  # with r frozen the block is zero: r stays bit for bit the r of the shared geometry
+        r += alpha * d[:n_r].reshape(r.shape)
+    phi += alpha * d[n_r : n_r + n_phi].reshape(phi.shape)
+    n += alpha * d[n_r + n_phi :].reshape(n.shape)
     return out
 
 
@@ -228,15 +227,15 @@ def _lbfgs_direction(grad: np.ndarray, memory: Sequence[tuple[np.ndarray, np.nda
     H is the BFGS inverse Hessian from H_0 = (s.y / y.y) I of the newest pair.
     """
     q = grad.copy()
+    sy = [s @ y for s, y in memory]
     alphas = []
-    for s, y in reversed(memory):
-        alphas.append((s @ q) / (s @ y))
+    for (s, y), s_y in zip(reversed(memory), reversed(sy)):
+        alphas.append((s @ q) / s_y)
         q -= alphas[-1] * y
     if memory:
-        s, y = memory[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y), a in zip(memory, reversed(alphas)):
-        q += (a - (y @ q) / (s @ y)) * s
+        q *= sy[-1] / (memory[-1][1] @ memory[-1][1])
+    for (s, y), s_y, a in zip(memory, sy, reversed(alphas)):
+        q += (a - (y @ q) / s_y) * s
     return -q
 
 
@@ -245,6 +244,7 @@ def minimize_fixed_K(
     grid: ParameterGrid,
     K: float,
     cfg: PenaltyConfig,
+    _frozen: Optional[list] = None,
 ) -> tuple[FieldSet, KRecord]:
     """L-BFGS with Armijo backtracking on J_K at fixed K.
 
@@ -258,7 +258,8 @@ def minimize_fixed_K(
     stall, not raised.
     With "r" optimised every configuration gets its own build_geometry.
     With r frozen every direction's r block is zero, so each trial shares the
-    start's metric, d2r and Gamma and refreshes only b, b^l_j and dphi.
+    start's metric, d2r and Gamma and refreshes only b, b^l_j and dphi; given the
+    one-slot list _frozen, a leg starts from the geometry in it and leaves its own there.
     """
 
     def evaluate(x, base=None):
@@ -268,8 +269,10 @@ def minimize_fixed_K(
 
     x = apply_boundary(fields, grid)
     _clamp_phi(x)
-    geom, cur, grad = evaluate(x)
+    geom, cur, grad = evaluate(x, _frozen[0] if _frozen else None)
     base = None if "r" in cfg.optimize_fields else geom
+    if _frozen is not None:
+        _frozen[:] = [base]
     start_J, trace = cur.total_J, [cur.total_JK]
     memory: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)
     termination = "max_iters"
@@ -361,8 +364,9 @@ def penalty_continuation(
         logger.info(notice)
     x = fields
     records: list[KRecord] = []
+    frozen: list = []  # with r frozen, the geometry of the first leg's start, shared by every leg
     for K in cfg.k_schedule:
-        x, rec = minimize_fixed_K(x, grid, K, cfg)
+        x, rec = minimize_fixed_K(x, grid, K, cfg, frozen)
         records.append(rec)
 
     slopes: dict[str, Optional[float]] = {}

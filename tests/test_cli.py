@@ -242,6 +242,13 @@ BAD_INPUTS = {
     "n_ambient_text_on_table": (MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table"), ["fields.n_ambient=abc"], None),
     "cylinder_on_m_2_grid": ("geometry_cylinder.scn", ["grid.extents=0:1,0:1,0:1", "grid.counts=3,5,5"], None),
     "sphere_product_on_m_1_grid": ("energy_flat.scn", ["fields.embedding=sphere_product"], None),
+    # A key that is set is parsed even where the scenario's kind does not read it.
+    "radius_text_unread": ("minimize_perturbed.scn", ["fields.radius=abc"], None),
+    "K_negative_unread": ("minimize_perturbed.scn", ["energy.K=-5"], None),
+    "causal_radius_nan_unread": ("minimize_perturbed.scn", ["causal.radius=nan"], None),
+    # Event-file errors name causal.events.
+    "event_row_text": ("causal_grid.scn", ["causal.events=events.txt"], "0 0\n1 abc\n"),
+    "event_file_missing": ("causal_grid.scn", ["causal.events=nope.txt"], None),
 }
 # An empty value is an input error for every key but causal.queries, on a
 # scenario that reads the key (a scenario text in place of a file name).
@@ -285,6 +292,39 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, case, command):
         assert item.split("=")[0] in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_first_bad_unread_key_is_named(tmp_path, capsys, command):
+    # None of the three keys is read by a minimize run; the first one set is the one named.
+    sets = ["--set", "fields.radius=abc", "--set", "energy.K=-5", "--set", "causal.radius=nan"]
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, str(SCENARIOS / "minimize_perturbed.scn"), *out, *sets]) == 1
+    assert capsys.readouterr().err == "scenario error: fields.radius = 'abc' is not a valid float\n"
+
+
+def test_well_formed_unread_keys_are_accepted(capsys):
+    sets = ["causal.radius=2", "fields.radius=3", "optimizer.max_iters=7", "causal.events=nope.txt"]
+    assert cli.check(SCENARIOS / "energy_flat.scn", overrides=sets) == 0
+    assert capsys.readouterr() == ("scenario ok\n", "")
+
+
+@pytest.mark.parametrize(
+    "events, item, tail",
+    [
+        ("0 0\n1 abc\n", "causal.events=events.txt", "could not convert string 'abc' to float64 at row 1, column 2."),
+        (None, "causal.events=nope.txt", "not found."),
+    ],
+)
+def test_event_file_error_names_the_key(tmp_path, capsys, events, item, tail):
+    if events is not None:
+        (tmp_path / "events.txt").write_text(events)
+    scenario = write(tmp_path, (SCENARIOS / "causal_grid.scn").read_text())
+    assert cli.check(scenario, overrides=[item]) == 1
+    err = capsys.readouterr().err
+    name = item.split("=")[1]
+    assert err.startswith(f"scenario error: causal.events = {name!r}: ") and err.endswith(tail + "\n")
+    assert len(err.splitlines()) == 1
 
 
 def test_empty_causal_queries_means_no_queries(tmp_path, capsys):
@@ -353,6 +393,9 @@ N_SCALE_OVERFLOW = (
 )
 
 
+EMPTY_EVENTS = "scenario error: causal.events = 'empty.txt': event file {} has no events"
+
+
 @pytest.mark.parametrize(
     "command, scenario, item, code, err",
     [
@@ -361,8 +404,8 @@ N_SCALE_OVERFLOW = (
         ("check", "energy_flat.scn", "fields.bump_amp=1e200", 1, BUMP_OVERFLOW),
         ("run", "minimize_perturbed.scn", "fields.n_scale=1e200", 1, N_SCALE_OVERFLOW),
         ("check", "minimize_perturbed.scn", "fields.n_scale=1e200", 1, N_SCALE_OVERFLOW),
-        ("run", "causal_grid.scn", "causal.events=empty.txt", 1, "scenario error: event file {} has no events"),
-        ("check", "causal_grid.scn", "causal.events=empty.txt", 1, "scenario error: event file {} has no events"),
+        ("run", "causal_grid.scn", "causal.events=empty.txt", 1, EMPTY_EVENTS),
+        ("check", "causal_grid.scn", "causal.events=empty.txt", 1, EMPTY_EVENTS),
     ],
     ids=[
         "run-phi0_overflow",

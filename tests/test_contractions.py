@@ -5,18 +5,22 @@ matmuls over reshaped index pairs or with broadcast products.  The einsum
 code they replaced stays here as the oracle, one per rewritten function:
 each result, and the full backward pass built on the oracles, must agree to
 rounding (1e-14 relative) on curved, noisy starts, one of them inside the
-existence theorem's range (m = 5, N = 6).
+existence theorem's range (m = 5, N = 6).  The one-pass evaluation paths
+(J_K's integrals, the adjoint stencil, the interior DOF packing and the
+two-loop recursion) are held to the forms they replaced bit for bit.
 """
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from worldsheet import backward_JK, build_geometry, build_grid, christoffel, geometry, make_chart, presets
 from worldsheet import cli, energy, optimizer
+from worldsheet import grid as grid_mod
 from worldsheet.geometry import FRAME_SKIP_TOL, MetricData, _christoffel_adjoint, _second_derivatives_adjoint, _signs
-from worldsheet.grid import _node_str, finite_difference, finite_difference_adjoint
+from worldsheet.grid import FieldSet, _node_str, finite_difference, finite_difference_adjoint
 
 REL = 1e-14
 
@@ -508,3 +512,203 @@ def test_geometry_check_report_matches_einsum(tmp_path, name):
     for key, resid in (("gauss_residual_node", gauss), ("weingarten_residual_node", weingarten)):
         per_node = resid.reshape(g.counts + (-1,)).max(-1)
         assert rows[key] == _node_str(np.unravel_index(np.argmax(per_node), g.counts))
+
+
+# The one-pass evaluation paths against the forms they replaced, bit for bit:
+# J_K's five node integrals in one pass against one quadrature per integrand,
+# each with its own finiteness scan; the adjoint stencil's one np.dot against
+# np.tensordot; the slice-packed interior DOFs against the boolean mask.
+def quadrature_oracle(values, grid):
+    if values.shape != grid.counts:
+        raise ValueError("integrand shape does not match grid counts")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        node = tuple(np.argwhere(bad)[0])
+        raise energy.NonFiniteValueError(f"non-finite integrand at node {_node_str(node)}")
+    return float(np.sum(values * energy._rule(grid).node_weights))
+
+
+def breakdown_oracle(d, geom, grid, K):
+    w = geom.sqrt_neg_g
+    j1 = 0.5 * quadrature_oracle(d.phi_sq * d.curvature * w, grid)
+    j2d = 0.5 * quadrature_oracle(d.dirichlet * w, grid)
+    j2c = 0.25 * quadrature_oracle(d.christoffel * w, grid)
+    p_norm = energy.time_integral((d.mass - 1.0) ** 2, grid)
+    p_orth = quadrature_oracle(np.sum(d.dots**2, axis=-1) * w, grid)
+    p_unit = quadrature_oracle((d.nn - 1.0) ** 2 * w, grid)
+    total_J = j1 + j2d + j2c
+    total_JK = total_J + 0.5 * K * (p_norm + p_orth + p_unit)
+    return energy.EnergyBreakdown(j1, j2d, j2c, p_norm, p_orth, p_unit, total_J, total_JK, float(K))
+
+
+def full_action_oracle(fields, grid, chart, mass, c, E, lam_tangent, lam_unit):
+    geom = build_geometry(fields, grid)
+    cmetric = geometry.chart_metric(chart)
+    at = energy._chart_fields(fields, grid, chart, geom)
+    udot = chart.derivatives()[..., 0, :]
+    speed_sq = -((at["g"] @ udot[..., None])[..., 0] * udot).sum(-1)
+    kin = quadrature_oracle(mass * c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U, chart.grid)
+    pts, weight, phi_sq = chart.u, at["sqrt_neg_g"] * cmetric.sqrt_U, at["phi_sq"]
+    curvature = energy.interpolate(grid, energy._curvature_density(geom.g_inv, geom.b, geom.b_up), pts)
+    j1 = 0.5 * quadrature_oracle(phi_sq * curvature * weight, chart.grid)
+    g_inv_c, dphi_c = energy.interpolate(grid, geom.g_inv, pts), energy.interpolate(grid, geom.dphi, pts)
+    phi_c = energy.interpolate(grid, fields.phi, pts)
+    christoffel = energy._christoffel_density(phi_c, dphi_c, energy.interpolate(grid, geom.gamma, pts), g_inv_c)[0]
+    j2d = 0.5 * quadrature_oracle(energy._dirichlet_density(g_inv_c, dphi_c) * weight, chart.grid)
+    j2c = 0.25 * quadrature_oracle(christoffel * weight, chart.grid)
+    mass_t = energy.slice_masses(phi_sq * weight, chart.grid)
+    e_term = -energy.time_integral(np.broadcast_to(np.asarray(E, dtype=float), mass_t.shape) * (mass_t - 1.0), chart.grid)
+    _, dots, nn = energy._constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
+    dots_c = energy.interpolate(grid, dots, pts)
+    lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots_c.shape[-1:])
+    orth_term = quadrature_oracle((dots_c @ lam_t) * weight, chart.grid)
+    nn_c = energy.interpolate(grid, np.asarray(nn), pts)
+    unit_term = quadrature_oracle(np.asarray(lam_unit, dtype=float) * (nn_c - 1.0) * weight, chart.grid)
+    return kin + j1 + j2d + j2c + e_term + orth_term + unit_term
+
+
+def _one_pass_start(name):
+    if name == "criterion_3":
+        g = build_grid([(0, 2), (0, 1)], [3, 7])
+        return g, presets.perturbed_flat(g, bump_amp=0.12, shear_amp=0.06, n_scale=1.25, n_tilt=0.1, mass_normalized=True)
+    if name == "theorem_range":
+        sc = cli.load_scenario(Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "theorem_range.scn")
+        inputs = cli._build_inputs(sc)
+        return inputs["grid"], inputs["fields"]
+    return _sheet_eval_start()
+
+
+@pytest.mark.parametrize("name", ["criterion_3", "theorem_range", "sheet_eval_17^3"])
+def test_one_pass_breakdown_equals_per_integrand_quadrature(name):
+    g, f = _one_pass_start(name)
+    geom = build_geometry(f, g)
+    for K in (0.0, 30.0, 1e4):
+        want = breakdown_oracle(energy._densities(f, geom, g), geom, g, K)
+        assert energy.assemble_JK(f, g, K, geom=geom) == want
+        for kinds in (("r", "phi", "n"), ("phi", "n")):
+            assert backward_JK(f, g, K, geom, kinds)[0] == want
+    w = geom.sqrt_neg_g
+    assert energy.j1_curvature_energy(f, geom, g) == want.j1_curvature
+    assert energy.j2_energy(f.phi, geom, g) == (want.j2_dirichlet, want.j2_christoffel)
+    assert energy.penalty_terms(f, geom, g) == (want.penalty_norm, want.penalty_orth, want.penalty_unit)
+    assert energy.quadrature(w, g) == quadrature_oracle(w, g)
+
+
+def test_one_pass_full_action_equals_per_integrand_quadrature():
+    chart, pg, f = _chart_start()
+    args = dict(mass=1.3, c=1.0, E=0.8, lam_tangent=np.array([0.7, -1.1, 0.4, 2.0]), lam_unit=-0.6)
+    assert energy.full_action(f, pg, chart, **args) == full_action_oracle(f, pg, chart, **args)
+
+
+# Each integrand of _breakdown, in its order, and the density that poisons it.
+INTEGRANDS = [("j1", "curvature"), ("j2_dirichlet", "dirichlet"), ("j2_christoffel", "christoffel"), ("orth", "dots"), ("unit", "nn")]
+
+
+def _poisoned(d, density, node):
+    arr = getattr(d, density).copy()
+    arr[node] = np.nan
+    return d._replace(**{density: arr})
+
+
+def _raised(fn, *args):
+    with pytest.raises(energy.NonFiniteValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("first", range(len(INTEGRANDS)))
+@pytest.mark.parametrize("second", [None, *range(len(INTEGRANDS))])
+def test_one_pass_names_the_node_of_the_first_bad_integrand(first, second):
+    # A NaN in integrand `first` at a late node, and one in a later integrand
+    # `second` at an earlier node: the message names the late node, as the
+    # per-integrand scans did, which stopped at the first bad integrand.
+    g, f = _one_pass_start("criterion_3")
+    geom = build_geometry(f, g)
+    d = _poisoned(energy._densities(f, geom, g), INTEGRANDS[first][1], (2, 5))
+    if second is not None and second > first:
+        d = _poisoned(d, INTEGRANDS[second][1], (0, 1))
+    got = _raised(energy._breakdown, d, geom, g, 30.0)
+    assert got == _raised(breakdown_oracle, d, geom, g, 30.0) == "non-finite integrand at node (2, 5)"
+
+
+def adjoint_oracle(values, grid, axis, order=1):
+    mat = grid_mod._stencil_matrix(grid.counts[axis], grid.spacings[axis], order)
+    return np.moveaxis(np.tensordot(mat.T, values, axes=(1, axis)), 0, axis)
+
+
+@pytest.mark.parametrize("counts", [(3, 4, 5), (6, 3, 4), (5, 6, 3), (4, 5, 6)])
+@pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_adjoint_dot_equals_tensordot(counts, trailing, dtype):
+    g = build_grid([(0, 1), (-1, 2), (0.5, 1)], counts)
+    rng = np.random.default_rng(len(trailing))
+    y = rng.standard_normal(counts + trailing).astype(dtype)
+    if dtype is complex:
+        y += 1j * rng.standard_normal(y.shape)
+    for axis in range(g.ndim):
+        for order in (1, 2):
+            got = finite_difference_adjoint(y, g, axis, order=order)
+            want = adjoint_oracle(y, g, axis, order=order)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def pack_oracle(fields, grid):
+    interior = grid.interior_mask
+    phi_int = fields.phi[interior]
+    phi_block = np.stack([phi_int.real, phi_int.imag], axis=-1).ravel()
+    return np.concatenate([fields.r[interior].ravel(), phi_block, fields.n[interior].ravel()])
+
+
+def add_scaled_oracle(fields, d, alpha, grid):
+    out = fields.copy()
+    interior = grid.interior_mask
+    n_r, n_phi = out.r[interior].size, 2 * out.phi[interior].size
+    out.r[interior] += alpha * d[:n_r].reshape(-1, out.r.shape[-1])
+    phi = d[n_r : n_r + n_phi].reshape(-1, 2)
+    out.phi[interior] += alpha * (phi[:, 0] + 1j * phi[:, 1])
+    out.n[interior] += alpha * d[n_r + n_phi :].reshape(-1, out.n.shape[-1])
+    return out
+
+
+@pytest.mark.parametrize("counts", [(3,), (6,), (3, 7), (5, 4), (4, 3, 6), (6, 5, 3)])
+@pytest.mark.parametrize("frozen_r", [False, True])
+def test_slice_packing_equals_mask_packing(counts, frozen_r):
+    g = build_grid([(0, 1)] * len(counts), counts)
+    rng = np.random.default_rng(sum(counts))
+    r, n = rng.standard_normal(counts + (4,)), rng.standard_normal(counts + (4,))
+    phi = rng.standard_normal(counts) + 1j * rng.standard_normal(counts)
+    f = FieldSet(r, phi, n, r.copy(), phi.copy())
+    packed = optimizer.pack_interior(f, g)
+    assert packed.tobytes() == pack_oracle(f, g).tobytes()
+    d = rng.standard_normal(packed.size)
+    if frozen_r:
+        d[: r[g.interior_mask].size] = 0.0
+    for alpha in (1.0, 0.3, 1e-14):
+        got, want = optimizer._add_scaled(f, d, alpha, g), add_scaled_oracle(f, d, alpha, g)
+        for name in ("r", "phi", "n"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.r.tobytes() == r.tobytes()) == frozen_r
+
+
+def lbfgs_oracle(grad, memory):
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(memory):
+        alphas.append((s @ q) / (s @ y))
+        q -= alphas[-1] * y
+    if memory:
+        s, y = memory[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y), a in zip(memory, reversed(alphas)):
+        q += (a - (y @ q) / (s @ y)) * s
+    return -q
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 3, optimizer.MEMORY])
+def test_two_loop_forms_each_curvature_once(n_pairs):
+    rng = np.random.default_rng(n_pairs)
+    for _ in range(20):
+        memory = [tuple(rng.standard_normal((2, 40)) * rng.uniform(0.1, 10.0)) for _ in range(n_pairs)]
+        grad = rng.standard_normal(40)
+        assert optimizer._lbfgs_direction(grad, memory).tobytes() == lbfgs_oracle(grad, memory).tobytes()

@@ -1,10 +1,10 @@
 """The frozen-r descent against a descent that builds every trial's geometry.
 
-With r left out of optimize_fields, minimize_fixed_K builds the geometry once
-per K and refreshes only b, b^l_j and dphi for each trial (refresh_geometry).
-The oracle is the same descent with that refresh replaced by a full
-build_geometry of the trial, which is what every trial got before; the two
-must agree bit for bit, and r must never move.
+With r left out of optimize_fields, a continuation builds the geometry once,
+for the first leg's start, and every later evaluation, in that leg or a later
+one, refreshes only b, b^l_j and dphi (refresh_geometry).  The oracle is the
+same descent with that refresh replaced by a full build_geometry of the
+configuration; the two must agree bit for bit, and r must never move.
 """
 
 import dataclasses
@@ -46,8 +46,16 @@ def test_frozen_r_descent_equals_per_trial_build(monkeypatch, counts):
         trial_rs.append(x.r.tobytes())
         return refresh_geometry(base, x, grid)
 
+    first_builds = []
+
+    def counted_build(x, grid):
+        first_builds.append(1)
+        return build_geometry(x, grid)
+
     monkeypatch.setattr(optimizer, "refresh_geometry", spy)
+    monkeypatch.setattr(optimizer, "build_geometry", counted_build)
     fast = _continuation(g, f.copy())
+    assert len(first_builds) == 1
     builds = []
 
     def per_trial_build(base, x, grid):
@@ -57,7 +65,7 @@ def test_frozen_r_descent_equals_per_trial_build(monkeypatch, counts):
     monkeypatch.setattr(optimizer, "refresh_geometry", per_trial_build)
     oracle = _continuation(g, f.copy())
 
-    assert len(builds) == len(trial_rs) == sum(rec.evaluations - 1 for rec in fast.records) > 0
+    assert len(builds) == len(trial_rs) == sum(rec.evaluations for rec in fast.records) - 1 > 0
     assert [dataclasses.asdict(rec) for rec in fast.records] == [dataclasses.asdict(rec) for rec in oracle.records]
     assert all(rec.converged for rec in fast.records)
     assert fast.slopes == oracle.slopes
