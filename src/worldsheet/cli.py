@@ -37,7 +37,7 @@ from .geometry import (
     minkowski_dot,
     normal_frame,
 )
-from .grid import FieldSet, GridError, ParameterGrid, _node_str, build_grid
+from .grid import FieldSet, GridError, ParameterGrid, _cell, _node_str, _raise_at_first, _worst_node, build_grid
 from .optimizer import PenaltyConfig, penalty_continuation
 
 SCHEMA_VERSION = 1
@@ -189,10 +189,15 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
     return sc
 
 
-def _tabulated_fields(grid: ParameterGrid, table: Path, eps: float, phi0: complex = 1.0) -> FieldSet:
+def _tabulated_fields(
+    grid: ParameterGrid, table: Path, eps: float, phi0: complex = 1.0, n_ambient: Optional[int] = None
+) -> FieldSet:
     data = np.loadtxt(table, comments="#", ndmin=2)
     if data.shape[0] != grid.n_nodes:
         raise ScenarioError(f"fields.table: tabulated embedding has {data.shape[0]} rows, grid has {grid.n_nodes} nodes")
+    if n_ambient not in (None, data.shape[1] - 1):
+        raise ScenarioError(f"fields.n_ambient = {n_ambient} does not match fields.table:"
+                            f" its {data.shape[1]} columns give N = {data.shape[1] - 1}")
     r = data.reshape(grid.counts + (data.shape[1],))
     phi = np.full(grid.counts, phi0, dtype=complex)
     fields = FieldSet(r=r, phi=phi, n=np.zeros_like(r), r_bc=r.copy(), phi_bc=phi.copy(), eps=eps)
@@ -207,7 +212,7 @@ _EMBEDDINGS = {
     "cylinder": (presets.cylinder, ("n_ambient", "phi0", "radius")),
     "sphere_product": (presets.sphere_product, ("n_ambient", "phi0", "radius")),
     "perturbed_flat": (presets.perturbed_flat, ("n_ambient", "phi0", "bump_amp", "shear_amp", "n_scale", "n_tilt", "mass_normalized")),
-    "table": (_tabulated_fields, ("phi0", "table")),  # table: N + 1 columns, one row per node
+    "table": (_tabulated_fields, ("n_ambient", "phi0", "table")),  # table: N + 1 columns, one row per node
 }
 
 
@@ -229,10 +234,6 @@ def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
         raise ScenarioError(f"[fields] embedding {embedding}: {exc}") from None
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -251,8 +252,9 @@ def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) ->
         _write(out_dir / "geometry_report.csv", _csv_text([("error", str(exc))]))
         print(f"geometry_check failed: {exc}", file=sys.stderr)
         return 2
-    g_res, g_node = _worst(grid.ndim, *_gauss_terms(geom.riemann, geom.b, geom.b_up))
-    w_squares, w_node = _worst(grid.ndim, _weingarten_terms(fields, grid, geom.b_up, geom.metric, geom.frame)[0])
+    # The terms that gauss_residual and weingarten_residual (squared) reduce, and the first node holding the worst.
+    g_res, g_node = _worst_node(grid.ndim, *_gauss_terms(geom.riemann, geom.b, geom.b_up))
+    w_squares, w_node = _worst_node(grid.ndim, _weingarten_terms(fields, grid, geom.b_up, geom.metric, geom.frame)[0])
     inv_res = float(np.max(np.abs(geom.g @ geom.g_inv - np.eye(grid.ndim))))
     frame = geom.frame.vectors
     gram = (frame * _signs(fields.r.shape[-1])) @ np.swapaxes(frame, -1, -2)
@@ -260,17 +262,10 @@ def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) ->
     frame_tan = float(np.max(np.abs(minkowski_dot(frame[..., None, :, :], geom.tangents[..., :, None, :]))))
     rows = [("gauss_residual", g_res), ("weingarten_residual", float(np.sqrt(w_squares))),
             ("metric_inverse_residual", inv_res), ("frame_orthonormality_residual", frame_orth),
-            ("frame_tangency_residual", frame_tan)]
-    nodes = [("gauss_residual_node", g_node), ("weingarten_residual_node", w_node)]
-    _write(out_dir / "geometry_report.csv", _csv_text([(k, _fmt(v)) for k, v in rows] + nodes))
+            ("frame_tangency_residual", frame_tan),
+            ("gauss_residual_node", _node_str(g_node)), ("weingarten_residual_node", _node_str(w_node))]
+    _write(out_dir / "geometry_report.csv", _csv_text([(k, _cell(v)) for k, v in rows]))
     return 0
-
-
-def _worst(ndim: int, *terms: np.ndarray) -> tuple[float, str]:
-    """The largest entry of the per-node term arrays, whose first ndim axes are the nodes, and the
-    first node holding it: gauss_residual and the square of weingarten_residual reduce the same terms."""
-    per_node = np.maximum.reduce([t.reshape(t.shape[:ndim] + (-1,)).max(-1) for t in terms])
-    return float(per_node.max()), _node_str(np.unravel_index(np.argmax(per_node), per_node.shape))
 
 
 def _run_energy_eval(out_dir: Path, grid: ParameterGrid, fields: FieldSet, K: float) -> int:
@@ -308,9 +303,9 @@ def _run_minimize(
     _write(out_dir / "minimize_report.csv", csv_text)
 
     lines = [report.summary_line()]
-    lines += [f"termination K={_fmt(rec.K)}: {rec.termination}" for rec in report.records]
+    lines += [f"termination K={_cell(rec.K)}: {rec.termination}" for rec in report.records]
     lines += [
-        f"descent K={_fmt(rec.K)}: iterations {rec.iterations}, evaluations {rec.evaluations}, "
+        f"descent K={_cell(rec.K)}: iterations {rec.iterations}, evaluations {rec.evaluations}, "
         f"resets {rec.resets}, fallbacks {rec.fallbacks}"
         for rec in report.records
     ]
@@ -327,7 +322,8 @@ def _run_minimize(
                 lines.append(f"slope_check {name}: skipped (residual at machine zero)")
                 continue
             inside = lo <= slope <= hi
-            lines.append(f"slope_check {name}: {_fmt(slope)} in [{_fmt(lo)}, {_fmt(hi)}] -> {'ok' if inside else 'FAIL'}")
+            verdict = "ok" if inside else "FAIL"
+            lines.append(f"slope_check {name}: {_cell(slope)} in [{_cell(lo)}, {_cell(hi)}] -> {verdict}")
             ok = ok and inside
     lines.append(f"exit: {'0' if ok else '2'}")
     _write(out_dir / "minimize_summary.txt", "\n".join(lines) + "\n")
@@ -378,15 +374,15 @@ def _build_inputs(sc: Scenario) -> dict:
         raise ScenarioError(f"grid.extents and grid.counts: {exc}") from None
     inputs = dict(grid=grid, fields=build_scenario_fields(sc, grid))
     n = inputs["fields"].n  # unit, but for perturbed_flat's finite n_scale and n_tilt, which may overflow
-    bad = np.argwhere(~np.isfinite((minkowski_dot(n, n) - 1.0) ** 2))
-    if bad.size:
-        raise ScenarioError(f"fields.n_scale and fields.n_tilt give a normal whose (n.n - 1)^2"
-                            f" is not finite at node {_node_str(tuple(bad[0]))}")
+    _raise_at_first(~np.isfinite((minkowski_dot(n, n) - 1.0) ** 2), ScenarioError, "fields.n_scale and"
+                    " fields.n_tilt give a normal whose (n.n - 1)^2 is not finite at node {node}")
     if sc.kind == "energy_eval":
         inputs["K"] = _value(sc, "energy", "K")
     if sc.kind == "minimize":
         inputs["cfg"] = _penalty_config(sc)
         inputs["slope_band"] = _value(sc, "optimizer", "slope_band") if _value(sc, "optimizer", "check_slope") else None
+        if inputs["slope_band"] is not None and len(inputs["cfg"].k_schedule) < 2:
+            raise ScenarioError("optimizer.check_slope needs at least two optimizer.K_schedule values to fit a slope")
     return inputs
 
 
@@ -514,7 +510,7 @@ def emit_convergence_table(params: Sequence[float], residuals: dict[str, Sequenc
     header = "parameter," + ",".join(names) + "," + ",".join(f"{n}_order" for n in names)
     lines = [header]
     for i in range(n):
-        row = [_fmt(params[i])] + [_fmt(residuals[name][i]) for name in names]
+        row = [_cell(params[i])] + [_cell(residuals[name][i]) for name in names]
         for name in names:
             if i == 0:
                 row.append("")
@@ -522,7 +518,7 @@ def emit_convergence_table(params: Sequence[float], residuals: dict[str, Sequenc
                 order = np.log(residuals[name][i - 1] / residuals[name][i]) / np.log(
                     params[i - 1] / params[i]
                 )
-                row.append(_fmt(order))
+                row.append(_cell(order))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

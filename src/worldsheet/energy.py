@@ -20,7 +20,10 @@ from .grid import (
     ChartMap,
     FieldSet,
     ParameterGrid,
+    _csv_row,
+    _first_node,
     _node_str,
+    _raise_at_first,
     finite_difference_adjoint,
     interpolate,
 )
@@ -80,7 +83,7 @@ def _integrals(integrands: list[np.ndarray], grid: ParameterGrid) -> list[float]
     if values.shape[1:] != grid.counts:
         raise ValueError("integrand shape does not match grid counts")
     if not np.isfinite(values).all():
-        node = tuple(np.argwhere(~np.isfinite(values))[0][1:])
+        node = _first_node(~np.isfinite(values))[1:]
         raise NonFiniteValueError(f"non-finite integrand at node {_node_str(node)}")
     return [float(v.sum()) for v in values * _rule(grid).node_weights]
 
@@ -114,35 +117,16 @@ class EnergyBreakdown:
     total_JK: float
     K: float
 
-    CSV_FIELDS = (
-        "K",
-        "j1",
-        "j2_dirichlet",
-        "j2_christoffel",
-        "penalty_norm",
-        "penalty_orth",
-        "penalty_unit",
-        "total_J",
-        "total_JK",
-    )
+    # The CSV columns, each read from the attribute of its name; j1 reads j1_curvature.
+    CSV_FIELDS = ("K", "j1", "j2_dirichlet", "j2_christoffel", "penalty_norm", "penalty_orth", "penalty_unit",
+                  "total_J", "total_JK")
 
     @staticmethod
     def csv_header() -> str:
         return ",".join(EnergyBreakdown.CSV_FIELDS)
 
     def csv_row(self) -> str:
-        vals = (
-            self.K,
-            self.j1_curvature,
-            self.j2_dirichlet,
-            self.j2_christoffel,
-            self.penalty_norm,
-            self.penalty_orth,
-            self.penalty_unit,
-            self.total_J,
-            self.total_JK,
-        )
-        return ",".join(f"{v:.17g}" for v in vals)
+        return _csv_row(self, self.CSV_FIELDS, j1="j1_curvature")
 
 
 # Per-node contractions are batched matmuls over reshaped index pairs or
@@ -430,12 +414,8 @@ def _kinetic(at: dict[str, np.ndarray], chart: ChartMap, cmetric: ChartMetric, m
     """kinetic_energy on the chart-interpolated factors of _chart_fields."""
     udot = chart.derivatives()[..., 0, :]
     speed_sq = -((at["g"] @ udot[..., None])[..., 0] * udot).sum(-1)
-    bad = speed_sq <= 0.0
-    if bad.any():
-        node = tuple(np.argwhere(bad)[0])
-        raise SuperluminalMotionError(
-            f"-g_jk udot_j udot_k <= 0 at chart node {_node_str(node)}: motion is not time-like"
-        )
+    _raise_at_first(speed_sq <= 0.0, SuperluminalMotionError,
+                    "-g_jk udot_j udot_k <= 0 at chart node {node}: motion is not time-like")
     integrand = mass * c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U
     return quadrature(integrand, chart.grid)
 

@@ -15,7 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import FieldSet, ParameterGrid, ChartMap, _gradient, _node_str, finite_difference, finite_difference_adjoint
+from .grid import (
+    ChartMap, FieldSet, ParameterGrid, _first_node, _gradient, _node_str, _raise_at_first, finite_difference,
+    finite_difference_adjoint,
+)
 
 
 # Admissibility thresholds of the induced geometry.
@@ -92,15 +95,12 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     hadamard = (tangents * tangents).sum(-1).prod(-1)
     det, g_inv = _factor(g)
     sound = np.abs(det) > SINGULAR_TOL * hadamard  # False on the NaN of an overflowed tangent too
-    if not sound.all():
-        node = tuple(np.argwhere(~sound)[0])
+    node = _first_node(~sound)
+    if node is not None:
         if not np.isfinite(hadamard[node]):
             raise GeometryError(f"metric is not finite at node {_node_str(node)}")
         raise DegenerateMetricError(f"|det g| <= {SINGULAR_TOL} x its Hadamard bound at node {_node_str(node)}")
-    wrong_sign = det > 0
-    if wrong_sign.any():
-        node = tuple(np.argwhere(wrong_sign)[0])
-        raise SignatureError(f"det g > 0 at node {_node_str(node)}: no time-like direction")
+    _raise_at_first(det > 0, SignatureError, "det g > 0 at node {node}: no time-like direction")
     return MetricData(
         tangents=tangents,
         g=g,
@@ -177,27 +177,16 @@ def normal_frame(metric_data: MetricData) -> NormalFrame:
         eucl, nu = vv.sum(-1), vv @ signs
         skip = eucl < FRAME_SKIP_TOL**2
         candidate = active & ~skip
-        null_bad = candidate & (np.abs(nu) <= FRAME_NULL_TOL * eucl)
-        if null_bad.any():
-            node = tuple(np.argwhere(null_bad)[0])
-            raise DegenerateFrameError(
-                f"null direction in the tangent complement at node {_node_str(node)}"
-            )
-        not_spacelike = candidate & (nu < 0)
-        if not_spacelike.any():
-            node = tuple(np.argwhere(not_spacelike)[0])
-            raise DegenerateFrameError(
-                f"time-like direction in the tangent complement at node {_node_str(node)}"
-            )
+        _raise_at_first(candidate & (np.abs(nu) <= FRAME_NULL_TOL * eucl), DegenerateFrameError,
+                        "null direction in the tangent complement at node {node}")
+        _raise_at_first(candidate & (nu < 0), DegenerateFrameError,
+                        "time-like direction in the tangent complement at node {node}")
         if candidate.any():
             unit = v / np.sqrt(np.where(candidate, nu, 1.0))[..., None]
             where = np.nonzero(candidate)
             frame[where + (filled[where],)] = unit[where]
             filled[where] += 1
-    incomplete = filled < s_normals
-    if incomplete.any():
-        node = tuple(np.argwhere(incomplete)[0])
-        raise DegenerateFrameError(f"normal frame incomplete at node {_node_str(node)}")
+    _raise_at_first(filled < s_normals, DegenerateFrameError, "normal frame incomplete at node {node}")
     return NormalFrame(vectors=frame)
 
 
@@ -281,9 +270,8 @@ def second_fundamental_form(
 
 def _require_unit(normal: np.ndarray) -> None:
     nn = minkowski_dot(normal, normal)
-    off = np.abs(nn - 1.0) > UNIT_TOL
-    if off.any():
-        node = tuple(np.argwhere(off)[0])
+    node = _first_node(np.abs(nn - 1.0) > UNIT_TOL)
+    if node is not None:
         raise NonUnitNormalError(f"normal is not unit at node {_node_str(node)} (n.n = {nn[node]:.6g})")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -21,8 +21,43 @@ class GridError(ValueError):
     """Invalid grid construction, boundary data, or off-grid evaluation."""
 
 
+# The output rules of every report and error message: how a number prints, and which node is named.
 def _node_str(idx: Sequence[int]) -> str:
     return "(" + ", ".join(str(int(i)) for i in idx) + ")"
+
+
+def _cell(value) -> str:
+    """One report cell: a float with 17 significant digits (it reads back bit for bit), a bool as 1 or 0,
+    an int or str as is."""
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.17g}"
+    return ("1" if value else "0") if isinstance(value, (bool, np.bool_)) else str(value)
+
+
+def _csv_row(obj, columns: Sequence[str], **renamed: str) -> str:
+    """obj's attribute of each column name, or of renamed[name], as one row of report cells."""
+    return ",".join(_cell(getattr(obj, renamed.get(name, name))) for name in columns)
+
+
+def _first_node(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The first node where the boolean mask holds, in row-major order; None where it holds nowhere."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape)) if mask.any() else None
+
+
+def _raise_at_first(mask: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise error(message), its {node} slot naming _first_node(mask), if the mask holds anywhere."""
+    node = _first_node(mask)
+    if node is not None:
+        raise error(message.format(node=_node_str(node)))
+
+
+def _worst_node(ndim: int, *values: np.ndarray, least: bool = False) -> tuple[float, tuple[int, ...]]:
+    """The largest entry of the arrays, whose leading ndim axes are the nodes (the least with least=True),
+    and the first node, in row-major order, that holds it; a NaN is the worst entry."""
+    extreme, arg = (np.minimum, np.argmin) if least else (np.maximum, np.argmax)
+    per_node = extreme.reduce([extreme.reduce(v.reshape(v.shape[:ndim] + (-1,)), axis=-1) for v in values])
+    node = tuple(int(i) for i in np.unravel_index(arg(per_node), per_node.shape))
+    return float(per_node[node]), node
 
 
 @dataclass(frozen=True)
@@ -252,12 +287,8 @@ def apply_boundary(fields: FieldSet, grid: ParameterGrid) -> FieldSet:
     Idempotent.  Missing (NaN) boundary data raises, naming the node.
     """
     mask = grid.boundary_mask
-    bad_r = mask & ~np.all(np.isfinite(fields.r_bc), axis=-1)
-    bad_phi = mask & ~np.isfinite(fields.phi_bc)
-    bad = bad_r | bad_phi
-    if bad.any():
-        node = tuple(np.argwhere(bad)[0])
-        raise GridError(f"missing boundary data at node {_node_str(node)}")
+    missing = ~np.all(np.isfinite(fields.r_bc), axis=-1) | ~np.isfinite(fields.phi_bc)
+    _raise_at_first(mask & missing, GridError, "missing boundary data at node {node}")
     out = fields.copy()
     out.r[mask] = fields.r_bc[mask]
     out.phi[mask] = fields.phi_bc[mask]

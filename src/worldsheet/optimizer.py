@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import FieldSet, ParameterGrid, _gradient, apply_boundary
+from .grid import FieldSet, ParameterGrid, _cell, _csv_row, _gradient, _worst_node, apply_boundary
 from .geometry import GeometryError, build_geometry, refresh_geometry, _signs
 from .energy import NonFiniteValueError, _curvature_density, _residuals, backward_JK, slice_masses
 
@@ -94,18 +94,9 @@ class KRecord:
     start_total_J: float = float("nan")
     jk_trace: list[float] = dc_field(default_factory=list)
 
-    CSV_FIELDS = (
-        "K",
-        "iterations",
-        "total_J",
-        "total_JK",
-        "res_norm",
-        "res_orth",
-        "res_unit",
-        "grad_norm",
-        "stalled",
-        "termination",
-    )
+    # The CSV columns, each read from the attribute of its name.
+    CSV_FIELDS = ("K", "iterations", "total_J", "total_JK", "res_norm", "res_orth", "res_unit", "grad_norm", "stalled",
+                  "termination")
 
     @property
     def stalled(self) -> bool:
@@ -116,19 +107,7 @@ class KRecord:
         return self.termination == "converged"
 
     def csv_row(self) -> str:
-        vals = [
-            f"{self.K:.17g}",
-            str(self.iterations),
-            f"{self.total_J:.17g}",
-            f"{self.total_JK:.17g}",
-            f"{self.res_norm:.17g}",
-            f"{self.res_orth:.17g}",
-            f"{self.res_unit:.17g}",
-            f"{self.grad_norm:.17g}",
-            "1" if self.stalled else "0",
-            self.termination,
-        ]
-        return ",".join(vals)
+        return _csv_row(self, self.CSV_FIELDS)
 
 
 @dataclass
@@ -152,11 +131,8 @@ class MinimizeReport:
         return [rec.csv_row() for rec in self.records]
 
     def summary_line(self) -> str:
-        parts = []
-        for name in ("norm", "orth", "unit"):
-            s = self.slopes.get(name)
-            parts.append(f"{name}={s:.17g}" if s is not None else f"{name}=skipped")
-        return "slopes: " + " ".join(parts)
+        slopes = {name: self.slopes.get(name) for name in ("norm", "orth", "unit")}
+        return "slopes: " + " ".join(f"{k}={'skipped' if s is None else _cell(s)}" for k, s in slopes.items())
 
 
 def fit_loglog_slope(params: Sequence[float], residuals: Sequence[float]) -> float:
@@ -416,27 +392,12 @@ def coercivity_check(
     (c) |phi|^2 g^{jk} b_jl b^l_k >= c2 * |d^2 r/du_i du_j|^2 for every (i, j)
     """
     geom = build_geometry(fields, grid)
-    spatial = geom.g_inv[..., 1:, 1:]
-    eigs = np.linalg.eigvalsh(spatial)
-    margin_a = eigs[..., 0] - c0
-    node_a = tuple(int(i) for i in np.unravel_index(np.argmin(margin_a), grid.counts))
+    margin_a = _worst_node(grid.ndim, np.linalg.eigvalsh(geom.g_inv[..., 1:, 1:])[..., 0] - c0, least=True)
 
     lhs = np.abs(fields.phi) ** 2 * _curvature_density(geom.g_inv, geom.b, geom.b_up)
     dn = _gradient(fields.n, grid)
     dn_sq = (dn * dn * _signs(fields.n.shape[-1])).sum((-2, -1))
-    margin_b = lhs - c1 * dn_sq
-    node_b = tuple(int(i) for i in np.unravel_index(np.argmin(margin_b), grid.counts))
-
+    margin_b = _worst_node(grid.ndim, lhs - c1 * dn_sq, least=True)
     d2_sq = (geom.d2r * geom.d2r).sum(-1)
-    margin_c = lhs[..., None, None] - c2 * d2_sq
-    flat = np.argmin(margin_c.reshape(grid.counts + (-1,)).min(axis=-1))
-    node_c = tuple(int(i) for i in np.unravel_index(flat, grid.counts))
-
-    return CoercivityReport(
-        margin_spatial_eig=float(margin_a.min()),
-        node_spatial_eig=node_a,
-        margin_normal_grad=float(margin_b.min()),
-        node_normal_grad=node_b,
-        margin_second_deriv=float(margin_c.min()),
-        node_second_deriv=node_c,
-    )
+    margin_c = _worst_node(grid.ndim, lhs[..., None, None] - c2 * d2_sq, least=True)
+    return CoercivityReport(*margin_a, *margin_b, *margin_c)

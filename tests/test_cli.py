@@ -249,6 +249,8 @@ BAD_INPUTS = {
     # Event-file errors name causal.events.
     "event_row_text": ("causal_grid.scn", ["causal.events=events.txt"], "0 0\n1 abc\n"),
     "event_file_missing": ("causal_grid.scn", ["causal.events=nope.txt"], None),
+    # A slope check needs two K values to fit a slope.
+    "check_slope_one_K": ("minimize_perturbed.scn", ["optimizer.K_schedule=10", "optimizer.check_slope=true"], None),
 }
 # An empty value is an input error for every key but causal.queries, on a
 # scenario that reads the key (a scenario text in place of a file name).
@@ -547,6 +549,20 @@ def test_tabulated_embedding(tmp_path):
     lines = (out / "geometry_report.csv").read_text().splitlines()
     table_vals = dict(csv.reader(lines[1:]))
     assert float(table_vals["frame_tangency_residual"]) < 1e-9
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_tabulated_embedding_checks_n_ambient_against_its_columns(tmp_path, capsys, command):
+    g = cli.build_grid([(0, 1), (0, 1)], (5, 5))
+    coords = g.coordinates.reshape(-1, 2)
+    np.savetxt(tmp_path / "table.txt", np.column_stack([coords, 0.1 * np.sin(np.pi * coords[:, 1])]))
+    p = write(tmp_path, MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table\ntable = table.txt"))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, str(p), *out, "--set", "fields.n_ambient=7"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["scenario error: fields.n_ambient = 7 does not match fields.table: its 3 columns give N = 2"]
+    assert cli.main([command, str(p), *out, "--set", "fields.n_ambient=2"]) == 0  # the table's own N
+    assert capsys.readouterr().err == ""
 
 
 FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e400", "3.7", "abc", "")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from worldsheet import (
     make_chart,
 )
 from worldsheet import presets
+from worldsheet.grid import _cell, _first_node, _raise_at_first, _worst_node
 
 
 def test_build_grid_square():
@@ -323,3 +326,53 @@ def test_chart_gauge_enforced():
     assert chart.u.shape == cg.counts + (2,)
     with pytest.raises(GridError):
         make_chart(cg, u, c=1.0)
+
+
+# The output rules of reports and error messages, stated once in grid.py.
+def test_cell_prints_float_17_digits_bool_as_bit_int_and_str_as_is():
+    assert _cell(0.1) == "0.10000000000000001" and float(_cell(0.1)) == 0.1
+    assert _cell(np.float64(-1e-300)) == "-1e-300" and _cell(np.float32(0.5)) == "0.5"
+    assert _cell(float("nan")) == "nan" and _cell(-0.0) == "-0"
+    assert (_cell(True), _cell(np.bool_(False))) == ("1", "0")
+    assert (_cell(7), _cell(np.int64(-3)), _cell("converged")) == ("7", "-3", "converged")
+
+
+def test_first_node_is_row_major():
+    mask = np.zeros((3, 4, 2), dtype=bool)
+    assert _first_node(mask) is None
+    _raise_at_first(mask, GridError, "never {node}")
+    mask[2, 0, 0] = mask[1, 3, 1] = True
+    assert _first_node(mask) == (1, 3, 1)
+    assert all(type(i) is int for i in _first_node(mask))
+    with pytest.raises(GridError, match=r"^bad at node \(1, 3, 1\): \{x\}$"):
+        _raise_at_first(mask, GridError, "bad at node {node}: {{x}}")
+
+
+def test_worst_node_reduces_trailing_axes_and_names_the_first_node():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((4, 5, 2, 3)), rng.standard_normal((4, 5, 7))
+    value, node = _worst_node(2, a, b)
+    assert value == max(a.max(), b.max()) and value in (a[node].max(), b[node].max())
+    value, node = _worst_node(2, a, b, least=True)
+    assert value == min(a.min(), b.min()) and value in (a[node].min(), b[node].min())
+    tied = np.zeros((3, 3))
+    tied[2, 1] = tied[1, 2] = 5.0
+    assert _worst_node(2, tied) == (5.0, (1, 2))
+    tied[2, 0] = np.nan
+    value, node = _worst_node(2, tied, least=True)
+    assert np.isnan(value) and node == (2, 0)
+
+
+def test_output_rules_live_only_in_grid():
+    # A number prints through grid._cell and a node is found through grid's helpers: no other module
+    # restates the 17-digit format or locates a node by hand.
+    src = Path(__file__).resolve().parent.parent / "src" / "worldsheet"
+    found = [
+        f"{path.name}:{lineno}: {token}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "grid.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for token in (".17g", "np.argwhere", "np.unravel_index")
+        if token in line
+    ]
+    assert not found, found
