@@ -60,8 +60,8 @@ class EventSet:
             raise ValueError("event coordinates must be finite")
         if not 0 < self.c < np.inf:
             raise ValueError("speed constant c must be finite and > 0")
-        uniq = np.unique(ev, axis=0)
-        if uniq.shape[0] != ev.shape[0]:
+        srt = ev[np.lexsort(ev.T)]  # equal rows, -0.0 and 0.0 alike, end up neighbours
+        if (srt[1:] == srt[:-1]).all(axis=1).any():
             raise ValueError("duplicate events are not allowed")
         object.__setattr__(self, "events", ev)
 
@@ -70,6 +70,9 @@ class EventSet:
 
 
 NULL_TOL = 1e-10
+# build_graph's cost model, in edge tests of one candidate pair (about 65 ns on a shared 2-core Xeon): a neighbour-cell
+# offset pays a fixed numpy overhead and a lookup per event.
+_OFFSET_COST, _LOOKUP_COST = 500.0, 0.9
 
 
 def classify_interval(p: Sequence[float], q: Sequence[float], c: float) -> IntervalKind:
@@ -166,20 +169,32 @@ class CausalGraph:
 def build_graph(events: EventSet, radius: float) -> CausalGraph:
     """Connect p -> q when q is within the Euclidean radius and causally future of p.
 
-    Candidates come from a uniform cell list (Allen & Tildesley), never an n x n
-    array: time O(n * occupancy), memory O(n + edges).
+    Candidates come from a cell list (Allen & Tildesley), never an n x n array: memory O(n + edges).  A cell spans
+    radius along t and, along each space axis, the cone's reach radius * c / sqrt(1 + c^2), as far as a causal step
+    within radius goes.  Only the first b coordinates are binned, and the edge test filters the rest: per call a cost
+    model picks b, weighing (3^b + 1) / 2 neighbour-cell lookups per event against the binned axes' candidates.
+    On 2 shared cores 300 uniform events at 9 columns build in 3.5-8 ms (b = 2), 0.74-0.78 s with cubic cells on all 9.
     """
     if not 0 < radius < np.inf:
         raise ValueError("neighbor radius must be finite and > 0")
-    ev = events.events
-    n, dim = ev.shape
-    c = events.c
+    return _build_graph(events, float(radius), None)
+
+
+def _build_graph(events: EventSet, radius: float, depth: Optional[int]) -> CausalGraph:
+    """build_graph binning the first depth coordinates, or as many as the cost model picks if depth is None."""
+    ev, c, (n, dim) = events.events, events.c, events.events.shape
     rel = ev - ev.min(axis=0, initial=np.inf)
-    span = float(rel.max(initial=0.0))
-    # A hair wider than radius and the rounding of rel / side, so a pair within radius is never
-    # two cells apart; a spread over 2**62 cells gets wider cells, which only adds candidates.
-    side = max(radius * (1 + 1e-9) + 1e-14 * span, span / (2 ** (62 / dim) - 3))
+    span = rel.max(axis=0, initial=0.0)
+    reach = radius * np.r_[1.0, np.full(dim - 1, c / np.hypot(1.0, c))]  # hypot: no overflow at huge c
+    # A hair wider than the reach and the rounding of rel / side, so an edge never spans two cells of an axis; a spread
+    # over 2**62 cells gets wider cells, which only adds candidates, and no cell is 0 wide (radius * c may underflow).
+    side = np.maximum(reach * (1 + 1e-9) + 1e-14 * span, span / (2 ** (62 / dim) - 3) + np.finfo(float).tiny)
     cell = np.floor(rel / side).astype(np.int64) + 1
+    if depth is None:  # of the n^2 / 2 pairs, about those at most one cell apart on every binned axis are candidates
+        share = np.cumprod([(np.searchsorted(s, s + 1, "right") - np.searchsorted(s, s - 1, "left")).sum() / max(n * n, 1)
+                            for s in np.sort(cell.T)])
+        depth = int(np.argmin((3.0 ** np.arange(1, dim + 1) + 1) / 2 * (_OFFSET_COST + _LOOKUP_COST * n) + n * n / 2 * share)) + 1
+    cell = cell[:, :depth]
     shape = cell.max(axis=0, initial=0) + 2  # a free layer of cells on each side
     strides = np.cumprod(np.r_[shape[1:], 1][::-1])[::-1]
     key = cell @ strides
@@ -187,8 +202,8 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
     key, ev = key[order], ev[order]  # events in cell order: a cell's candidates are contiguous
     found = []
     # Children are later, so only neighbour cells at time offset 0 or +1 are searched.  Offsets o and -o see the same pairs
-    # swapped, so only the (3^dim + 1) / 2 offsets o >= 0 are, and dt orients each pair (o = 0 sees both: keep dt > 0).
-    for off in np.array([o for o in itertools.product((0, 1), *[(-1, 0, 1)] * (dim - 1)) if o >= (0,) * dim]) @ strides:
+    # swapped, so only the (3^b + 1) / 2 offsets o >= 0 are, and dt orients each pair (o = 0 sees both: keep dt > 0).
+    for off in np.array([o for o in itertools.product((0, 1), *[(-1, 0, 1)] * (depth - 1)) if o >= (0,) * depth]) @ strides:
         i, j = _gather(np.searchsorted(key, key + off, "left"), np.searchsorted(key, key + off, "right"))
         d = ev.take(j, axis=0) - ev.take(i, axis=0)
         dt, dx = d[:, 0], d[:, 1:]
@@ -200,7 +215,7 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
         i, j, later = i[edge], j[edge], dt[edge] > 0
         found.append((order[np.where(later, i, j)], order[np.where(later, j, i)], is_null[edge]))
     src, dst, null = (np.concatenate(a) for a in zip(*found))
-    return CausalGraph(events, float(radius), _csr(src, dst, null, n), _csr(dst, src, null, n))
+    return CausalGraph(events, radius, _csr(src, dst, null, n), _csr(dst, src, null, n))
 
 
 def _csr(heads: np.ndarray, tails: np.ndarray, is_null: np.ndarray, n: int) -> Edges:

@@ -116,6 +116,17 @@ def test_event_set_validation():
         EventSet(events=np.array([[0.0, 0.0]]), c=0.0)
 
 
+def test_event_set_refuses_duplicates_only():
+    ev = np.random.default_rng(0).uniform(0.0, 1.0, (200, 3))
+    with pytest.raises(ValueError, match="^duplicate events are not allowed$"):
+        EventSet(np.vstack([ev, ev[0]]))  # rows 0 and 200
+    with pytest.raises(ValueError, match="^duplicate events are not allowed$"):
+        EventSet(np.array([[1.0, -0.0, 2.0], [0.5, 0.5, 0.5], [1.0, 0.0, 2.0]]))
+    up = np.nextafter(0.5, 1.0)
+    rows = np.array([[0.5, 0.5, up], [0.5, 0.5, 0.5], [up, 0.5, 0.5], [0.5, up, 0.5]])
+    assert len(EventSet(rows)) == 4  # each row differs from [0.5, 0.5, 0.5] in one column
+
+
 @pytest.mark.parametrize("c", [np.nan, np.inf])
 def test_event_set_rejects_non_finite_c(c):
     # nan gave a graph without edges and inf one of null edges only, so an empty I+.
@@ -454,15 +465,45 @@ def _lattice(nt, nx):
     return flat_grid_events((0.0, nt - 1.0), (0.0, nx - 1.0), nt, nx)
 
 
+def _cone_scaled(c, x):
+    """A 300-event (2+1)-D sprinkling with c * t and x both of size x, so no square over- or underflows at any c."""
+    return EventSet(_sprinkling(9, 300, 3).events * [x / c, x, x], c=c), 0.3 * max(x, x / c)
+
+
+def _null_chain(c, dt):
+    """Four null steps (dt, c * dt) of Euclidean length radius, each across a space-cell boundary (x, then y),
+    after an event long before them that sets min(x) and min(y) to 0."""
+    step = c * dt
+    chain = [(k * dt, (0.5 + (k + 1) // 2) * step, (0.5 + k // 2) * step) for k in range(5)]
+    return EventSet(np.array([(-100.0 * dt, 0.0, 0.0), *chain]), c=c), float(np.nextafter(np.hypot(dt, step), np.inf))
+
+
+def _null_by_tolerance():
+    """A step (1, dx) whose interval is space-like but inside NULL_TOL, so a null edge 5e-11 longer than the
+    reach along x.  It starts 2.5e-11 short of one reach past min(x): cells exactly one reach wide would put
+    its ends two cells apart."""
+    ev = np.array([[-100.0, 0.0], [0.0, 1.0 + 2.5e-11], [1.0, 2.0 + 1.24e-10]])
+    return EventSet(ev), float(np.nextafter(np.hypot(1.0, ev[2, 1] - ev[1, 1]), np.inf))
+
+
 # (events, radius); sprinkling radii give a mean out-degree of about 7.
 ORACLE_CASES = {
     "sprinkling_1+1": lambda: (_sprinkling(1, 600, 2), 0.05),
     "sprinkling_2+1_a": lambda: (_sprinkling(71, 1500, 3), 0.215),
     "sprinkling_2+1_b": lambda: (_sprinkling(72, 1500, 3), 0.215),
     "sprinkling_3+1": lambda: (_sprinkling(3, 800, 4), 0.3),
-    # (3^d + 1) / 2 = 122 and 1,094 neighbour-cell offsets.
+    # (3^d + 1) / 2 = 122, 1,094 and 9,842 neighbour-cell offsets, when every column is binned.
     "uniform_5_columns": lambda: (_sprinkling(5, 300, 5), 0.6),
     "uniform_7_columns": lambda: (_sprinkling(7, 300, 7), 0.6),
+    "uniform_9_columns": lambda: (_sprinkling(9, 300, 9), 0.6),
+    # Space cells as wide as the cone's reach radius * c / sqrt(1 + c^2): c * c overflows at c = 1e200.
+    "cone_scaled_c_1e200": lambda: _cone_scaled(1e200, 1e100),
+    "cone_scaled_c_1e-200": lambda: _cone_scaled(1e-200, 1e-50),
+    "null_chain_at_reach_c_0.4": lambda: _null_chain(0.4, 2.5),
+    "null_chain_at_reach_c_2.5": lambda: _null_chain(2.5, 2.0),
+    "null_by_tolerance_past_reach": _null_by_tolerance,
+    # radius * c underflows to a reach of 0 along x, on which every event sits at 0.
+    "world_line_reach_underflows": lambda: (EventSet(np.column_stack([np.arange(5.0) * 1e-31, np.zeros(5)]), c=1e-300), 1e-30),
     "sprinkling_c_2.5": lambda: (_sprinkling(4, 600, 2, c=2.5), 0.05),
     "sprinkling_c_0.4": lambda: (_sprinkling(5, 700, 3, c=0.4), 0.25),
     "lattice_radius_is_spacing": lambda: (_lattice(30, 50), 1.0),
@@ -503,6 +544,45 @@ def test_build_graph_matches_dense_oracle(case):
         assert edges == 1
     if case in ("single_event", "no_events", "equal_times"):
         assert edges == 0
+
+
+# The edges each reach case is built for: null steps at (or, by NULL_TOL, past) the reach along space.
+REACH_EDGES = {"null_chain_at_reach_c_0.4": 4, "null_chain_at_reach_c_2.5": 4, "null_by_tolerance_past_reach": 1}
+
+
+@pytest.mark.parametrize("case", sorted(REACH_EDGES))
+def test_reach_cases_hold_null_edges_at_the_reach(case):
+    events, radius = ORACLE_CASES[case]()
+    g = dense_build_graph(events, radius)
+    assert g.forward.indices.size == REACH_EDGES[case] and g.forward.is_null.all()
+    heads = np.repeat(np.arange(len(events)), np.diff(g.forward.indptr))
+    step = np.abs(events.events[g.forward.indices, 1:] - events.events[heads, 1:]).max()
+    assert step >= radius * events.c / np.hypot(1.0, events.c) * (1 - 1e-15)
+
+
+@pytest.mark.parametrize("case", ["cone_scaled_c_1e200", "cone_scaled_c_1e-200"])
+def test_cone_scaled_cases_have_edges(case):
+    # Enough edges that space cells narrower than the reach (c / sqrt(1 + c * c) is 0 at c = 1e200) would lose some.
+    assert dense_build_graph(*ORACLE_CASES[case]()).forward.indices.size > 1000
+
+
+# All n^2 ordered pairs bound a depth's candidates: a case over this cap is not built at every depth.
+DEPTH_CANDIDATE_CAP = 2.5e6
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_build_graph_matches_dense_oracle_at_every_depth(case):
+    # Whatever depth the cost model picks, binning the first b coordinates gives the oracle's CSR arrays.
+    events, radius = ORACLE_CASES[case]()
+    n, dim = events.events.shape
+    if n * n > DEPTH_CANDIDATE_CAP:
+        pytest.skip(f"{n} events: up to {n * n} candidates per depth")
+    want = dense_build_graph(events, radius)
+    for depth in range(1, dim + 1):
+        got = causal._build_graph(events, float(radius), depth)
+        for direction in ("forward", "backward"):
+            for name, a, b in zip(Edges._fields, getattr(got, direction), getattr(want, direction)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f"depth {depth}: {direction}.{name}"
 
 
 def test_build_graph_memory_is_linear():
