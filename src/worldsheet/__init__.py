@@ -103,4 +103,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.3.13"
+__version__ = "0.3.14"

@@ -27,6 +27,7 @@ tolerance there.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -58,8 +59,7 @@ class EventSet:
             raise ValueError("events must be a 2-D array with at least two columns")
         if not np.isfinite(ev).all():
             raise ValueError("event coordinates must be finite")
-        if not 0 < self.c < np.inf:
-            raise ValueError("speed constant c must be finite and > 0")
+        _speed(self.c)
         srt = ev[np.lexsort(ev.T)]  # equal rows, -0.0 and 0.0 alike, end up neighbours
         if (srt[1:] == srt[:-1]).all(axis=1).any():
             raise ValueError("duplicate events are not allowed")
@@ -75,33 +75,40 @@ NULL_TOL = 1e-10
 _OFFSET_COST, _LOOKUP_COST = 500.0, 0.9
 
 
-def classify_interval(p: Sequence[float], q: Sequence[float], c: float) -> IntervalKind:
-    """Classify the displacement p -> q by the sign of its Minkowski interval.
+def _speed(c: float) -> float:
+    """c, refused unless finite and at least 2^-1022: below that no power of two keeps both squares of a unit step."""
+    if not 2.0**-1022 <= c < math.inf:
+        raise ValueError("speed constant c must be finite and >= 2**-1022, the least normal float")
+    return c
 
-    interval = -(c dt)^2 + |dx|^2, with a relative tolerance around zero for
-    the null classification.
-    """
-    d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-    tpart = (c * d[0]) ** 2
-    xpart = float(np.dot(d[1:], d[1:]))
-    scale = tpart + xpart
-    if scale == 0.0:
+
+def _cone(dt, xpart, c: float):
+    """(causal, null) of steps dt, |dx|^2 = xpart at speed c: the one cone rule of every edge and interval kind.
+    Null iff |xpart - (c dt)^2| <= NULL_TOL ((c dt)^2 + xpart), causal iff null or xpart < (c dt)^2.  Both squares are
+    scaled by h^2, h = 2^-(e // 2) for c = m 2^e, which rounds nothing: exact where the scaled squares are normal, as
+    for steps near unit size at any normal c.  A step far from unit size may still leave the range (h balances c only)."""
+    h = 2.0 ** -(math.frexp(c)[1] // 2)
+    tpart, xpart = (c * h * dt) ** 2, xpart * (h * h)
+    null = np.abs(xpart - tpart) <= NULL_TOL * (tpart + xpart)
+    return null | (xpart < tpart), null
+
+
+def classify_interval(p: Sequence[float], q: Sequence[float], c: float) -> IntervalKind:
+    """Classify the displacement p -> q by the sign of its Minkowski interval -(c dt)^2 + |dx|^2, by _cone's rule."""
+    c, d = _speed(c), np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+    if not d.any():
         return IntervalKind.COINCIDENT
-    interval = xpart - tpart
-    future = d[0] > 0
-    if abs(interval) <= NULL_TOL * scale:
-        return IntervalKind.NULL_FUTURE if future else IntervalKind.NULL_PAST
-    if interval < 0:
-        return IntervalKind.TIMELIKE_FUTURE if future else IntervalKind.TIMELIKE_PAST
+    causal, null = _cone(d[0], float(np.dot(d[1:], d[1:])), c)
+    if null:
+        return IntervalKind.NULL_FUTURE if d[0] > 0 else IntervalKind.NULL_PAST
+    if causal:
+        return IntervalKind.TIMELIKE_FUTURE if d[0] > 0 else IntervalKind.TIMELIKE_PAST
     return IntervalKind.SPACELIKE
 
 
 def flat_cone_oracle(p: Sequence[float], q: Sequence[float], c: float) -> str:
-    """Exact flat-space cone membership of q relative to p.
-
-    'chronological' iff c^2 dt^2 > |dx|^2 and dt > 0; 'causal' iff >= and
-    dt > 0; 'neither' otherwise.
-    """
+    """Exact flat-space cone membership of q relative to p where (c dt)^2 and |dx|^2 are normal floats, independent of
+    _cone: 'chronological' iff c^2 dt^2 > |dx|^2 and dt > 0; 'causal' iff >= and dt > 0; 'neither' otherwise."""
     d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
     if d[0] <= 0:
         return "neither"
@@ -206,12 +213,9 @@ def _build_graph(events: EventSet, radius: float, depth: Optional[int]) -> Causa
     for off in np.array([o for o in itertools.product((0, 1), *[(-1, 0, 1)] * (depth - 1)) if o >= (0,) * depth]) @ strides:
         i, j = _gather(np.searchsorted(key, key + off, "left"), np.searchsorted(key, key + off, "right"))
         d = ev.take(j, axis=0) - ev.take(i, axis=0)
-        dt, dx = d[:, 0], d[:, 1:]
-        xpart = np.einsum("ik,ik->i", dx, dx)
-        tpart = (c * dt) ** 2
-        interval = xpart - tpart
-        is_null = np.abs(interval) <= NULL_TOL * (tpart + xpart)
-        edge = (dt**2 + xpart <= radius * radius) & ((dt > 0) | (off > 0) & (dt < 0)) & (is_null | (interval < 0))
+        dt, xpart = d[:, 0], np.einsum("ik,ik->i", d[:, 1:], d[:, 1:])
+        causal, is_null = _cone(dt, xpart, c)
+        edge = (dt**2 + xpart <= radius * radius) & ((dt > 0) | (off > 0) & (dt < 0)) & causal
         i, j, later = i[edge], j[edge], dt[edge] > 0
         found.append((order[np.where(later, i, j)], order[np.where(later, j, i)], is_null[edge]))
     src, dst, null = (np.concatenate(a) for a in zip(*found))

@@ -46,7 +46,7 @@ SCHEMA_VERSION = 1
 # complex, bool or str, or a tuple of them read as colon-separated fields (lo:hi); a
 # kind inside a list reads comma-separated items.  An unset key reads as its default:
 # Ellipsis (...) marks a key required wherever it is read, and None leaves the choice
-# to the reader.  sign bounds every number of the value.
+# to the reader.  sign, "> b" or ">= b", bounds every number of the value.
 _SCHEMA = {
     "scenario": {"schema": (int, ..., None), "kind": (str, ..., None), "seed": (int, 0, ">= 0")},
     "grid": {"extents": ([(float, float)], ..., None), "counts": ([int], ..., "> 0")},
@@ -62,7 +62,8 @@ _SCHEMA = {
         "mass_normalized": (bool, None, None),
         "table": (str, ..., None),
     },
-    "constants": {"c": (float, 1.0, "> 0"), "mass": (float, 1.0, "> 0"), "epsilon": (float, 1e-4, "> 0")},
+    # c at least the least normal float, as causal's EventSet asks
+    "constants": {"c": (float, 1.0, f">= {2.0**-1022!r}"), "mass": (float, 1.0, "> 0"), "epsilon": (float, 1e-4, "> 0")},
     "energy": {"K": (float, 0.0, ">= 0")},
     "optimizer": {
         "K_schedule": ([float], PenaltyConfig.k_schedule, "> 0"),
@@ -162,8 +163,10 @@ def _value(sc: Scenario, section: str, key: str):
         raise ScenarioError(f"{where} is not a valid {name}{' list' if many else ''}") from None
     if not finite:
         raise ScenarioError(f"{where} must be finite")
-    if sign and not all(x > 0 if sign == "> 0" else x >= 0 for x in numbers):
-        raise ScenarioError(f"{where} must be {sign}")
+    if sign:
+        op, bound = sign.split()
+        if not all(x > float(bound) if op == ">" else x >= float(bound) for x in numbers):
+            raise ScenarioError(f"{where} must be {sign}")
     return values if many else values[0]
 
 

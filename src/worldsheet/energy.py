@@ -182,21 +182,23 @@ def _penalties(dots, nn, w) -> list[np.ndarray]:
 
 
 def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float) -> EnergyBreakdown:
-    """J_K from its densities, its five node integrals in one pass; a non-finite
-    integrand raises NonFiniteValueError naming the node."""
+    """J_K from its densities, its five node integrals in one pass.  No value it returns is non-finite:
+    NonFiniteValueError names the first node of a node integrand, the first u_0 slice of the norm
+    penalty's, or else the piece whose sum overflowed."""
     if K < 0:
         raise ValueError(f"penalty weight K must be >= 0, got {K}")
     w = geom.sqrt_neg_g
     integrands = [d.phi_sq * d.curvature * w, d.dirichlet * w, d.christoffel * w, *_penalties(d.dots, d.nn, w)]
     j1, j2d, j2c, p_orth, p_unit = _integrals(integrands, grid)
     j1, j2d, j2c = 0.5 * j1, 0.5 * j2d, 0.25 * j2c
-    p_norm = time_integral((d.mass - 1.0) ** 2, grid)
-    total_J = j1 + j2d + j2c
-    return EnergyBreakdown(
-        j1_curvature=j1, j2_dirichlet=j2d, j2_christoffel=j2c,
-        penalty_norm=p_norm, penalty_orth=p_orth, penalty_unit=p_unit,
-        total_J=total_J, total_JK=total_J + 0.5 * K * (p_norm + p_orth + p_unit), K=float(K),
-    )
+    p_norm, total_J = time_integral((d.mass - 1.0) ** 2, grid), j1 + j2d + j2c
+    pieces = dict(j1_curvature=j1, j2_dirichlet=j2d, j2_christoffel=j2c, penalty_norm=p_norm, penalty_orth=p_orth,
+                  penalty_unit=p_unit, total_J=total_J, total_JK=total_J + 0.5 * K * (p_norm + p_orth + p_unit))
+    if not np.isfinite(pieces["total_JK"]):  # as it is when any piece is not
+        norm_terms = ~np.isfinite((d.mass - 1.0) ** 2)
+        _raise_at_first(norm_terms, NonFiniteValueError, "non-finite norm penalty at u_0 slice {node}")
+        raise NonFiniteValueError(f"non-finite {next(k for k, v in pieces.items() if not np.isfinite(v))}")
+    return EnergyBreakdown(**pieces, K=float(K))
 
 
 def j1_curvature_energy(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> float:
@@ -251,10 +253,11 @@ def penalty_terms(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) ->
     orth -- sum_j int_D (dr/du_j . n)^2 sqrt(-g) du dt
     unit -- int_D (n.n - 1)^2 sqrt(-g) du dt
 
-    The volume weight is sqrt(-g) uniformly in all three terms.
+    The volume weight is sqrt(-g) uniformly in all three terms.  They are J_K's, read from _breakdown, so a
+    non-finite one raises NonFiniteValueError as assemble_JK does.
     """
-    mass, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
-    return (time_integral((mass - 1.0) ** 2, grid), *_integrals(_penalties(dots, nn, geom.sqrt_neg_g), grid))
+    b = _breakdown(_densities(fields, geom, grid), geom, grid, 0.0)
+    return b.penalty_norm, b.penalty_orth, b.penalty_unit
 
 
 def assemble_JK(

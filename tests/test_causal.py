@@ -101,6 +101,37 @@ def test_classify_speed_constant_scales_time():
     assert classify_interval([0, 0], [1, 2], 3.0) is IntervalKind.TIMELIKE_FUTURE
 
 
+def test_classify_extreme_speed_constants():
+    # (c dt)^2 underflowed to 0 at c = 1e-200 (COINCIDENT) and overflowed to inf at c = 1e200 (NULL_FUTURE).
+    assert classify_interval([0, 0], [1, 0], 1e-200) is IntervalKind.TIMELIKE_FUTURE
+    assert classify_interval([0, 0], [1, 1], 1e200) is IntervalKind.TIMELIKE_FUTURE
+    assert classify_interval([0, 0], [1, 0.5], 1e200) is IntervalKind.TIMELIKE_FUTURE
+    assert classify_interval([0, 0], [0, 1], 1e200) is IntervalKind.SPACELIKE
+    for c in (2.0**-1022, 1e-200, 0.4, 1.0, 2.5, 1e200, np.finfo(float).max):
+        assert classify_interval([0.5, 2.0], [0.5, 2.0], c) is IntervalKind.COINCIDENT
+    # At the least normal c the squares of a unit step still fit; below it no scale holds both, so c is refused.
+    assert classify_interval([0, 0], [1, 0], 2.0**-1022) is IntervalKind.TIMELIKE_FUTURE
+    assert classify_interval([0, 0], [1, 1], 2.0**-1022) is IntervalKind.SPACELIKE
+    for c in (5e-324, 1e-310, 0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="speed constant"):
+            classify_interval([0, 0], [1, 0], c)
+
+
+# _cone's scale balances c against 1 only, so a step whose squares leave the float range once scaled is misread as null.
+@pytest.mark.xfail(strict=True, reason="a square of a step far from unit size leaves the float range after scaling")
+@pytest.mark.parametrize(
+    "q, c, kind",
+    [
+        ([1e150, 1e60], 1e-200, IntervalKind.SPACELIKE),  # |dx|^2 h^2 overflows
+        ([1e-262, 1e-63], 1e200, IntervalKind.TIMELIKE_FUTURE),  # both scaled squares underflow
+        ([1e-300, 0.0], 1.0, IntervalKind.TIMELIKE_FUTURE),  # (c dt)^2 underflows at h = 1
+    ],
+    ids=["overflow_at_tiny_c", "underflow_at_huge_c", "underflow_at_c_1"],
+)
+def test_classify_steps_far_from_unit_size(q, c, kind):
+    assert classify_interval([0.0, 0.0], q, c) is kind
+
+
 def test_oracle_examples():
     assert flat_cone_oracle([0, 0], [2, 1], 1.0) == "chronological"
     assert flat_cone_oracle([0, 0], [1, 1], 1.0) == "causal"
@@ -132,6 +163,15 @@ def test_event_set_rejects_non_finite_c(c):
     # nan gave a graph without edges and inf one of null edges only, so an empty I+.
     with pytest.raises(ValueError, match="speed constant"):
         EventSet(events=np.array([[0.0, 0.0], [1.0, 0.2]]), c=c)
+
+
+@pytest.mark.parametrize("c", [5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0)])
+def test_event_set_rejects_subnormal_c(c):
+    # Below the least normal c, |dx|^2 h^2 overflowed to inf (NaN for dx = 0), which dropped every same-place edge.
+    with pytest.raises(ValueError, match="speed constant"):
+        EventSet(events=np.array([[0.0, 0.0], [1.0, 0.0]]), c=c)
+    g = build_graph(EventSet(events=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5]]), c=2.0**-1022), 2.0)
+    assert g.is_edge(0, 1) and not g.forward.is_null.any() and g.forward.indices.size == 1
 
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf])
@@ -564,6 +604,40 @@ def test_reach_cases_hold_null_edges_at_the_reach(case):
 def test_cone_scaled_cases_have_edges(case):
     # Enough edges that space cells narrower than the reach (c / sqrt(1 + c * c) is 0 at c = 1e200) would lose some.
     assert dense_build_graph(*ORACLE_CASES[case]()).forward.indices.size > 1000
+
+
+def _edge_matrix(g: CausalGraph) -> np.ndarray:
+    """The forward edges as an n x n boolean matrix."""
+    got = np.zeros((len(g), len(g)), dtype=bool)
+    got[np.repeat(np.arange(len(g)), np.diff(g.forward.indptr)), g.forward.indices] = True
+    return got
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_huge_c_makes_every_later_event_within_radius_a_timelike_child(dim):
+    # At c = 1e200 every displacement with dt > 0 of a unit box is time-like.  (c dt)^2 overflowed to inf, and
+    # inf <= NULL_TOL * inf made every edge null.
+    ev = np.random.default_rng(dim).uniform(0.0, 1.0, (200, dim))
+    d = ev[None, :, :] - ev[:, None, :]
+    want = (d[..., 0] > 0) & (d[..., 0] ** 2 + np.einsum("ijk,ijk->ij", d[..., 1:], d[..., 1:]) <= 0.3 * 0.3)
+    assert want.sum() > 1000
+    for depth in range(1, dim + 1):
+        g = causal._build_graph(EventSet(ev, c=1e200), 0.3, depth)
+        assert np.array_equal(_edge_matrix(g), want), f"depth {depth}"
+        assert not g.forward.is_null.any() and not g.backward.is_null.any()
+
+
+def test_tiny_c_links_only_events_at_one_place():
+    # At c = 1e-200 a lattice step of 1 in x is far outside any cone of dt <= 2.5, so only the later events at the
+    # same x are children, all time-like.  (c dt)^2 underflowed to 0, which made those edges null.
+    ev = flat_grid_events((0.0, 3.0), (0.0, 4.0), 7, 5, c=1e-200)
+    t, x = ev.events.T
+    want = (t[None, :] > t[:, None]) & (x[None, :] == x[:, None]) & (t[None, :] - t[:, None] <= 2.5)
+    assert want.sum() == 100
+    for depth in (1, 2):
+        g = causal._build_graph(ev, 2.5, depth)
+        assert np.array_equal(_edge_matrix(g), want), f"depth {depth}"
+        assert not g.forward.is_null.any()
 
 
 # All n^2 ordered pairs bound a depth's candidates: a case over this cap is not built at every depth.

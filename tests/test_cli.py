@@ -153,6 +153,26 @@ def test_minimize_termination_reported(tmp_path):
     assert "termination K=100: max_iters" in summary
 
 
+def test_minimize_non_finite_integrand_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "minimize_perturbed.scn", out, overrides=["fields.phi0=1e200"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["minimize failed: non-finite integrand at node (0, 0)"]
+    assert not (out / "minimize_report.csv").exists()
+
+
+def test_minimize_slope_checks_skip_residuals_at_machine_zero(tmp_path, capsys):
+    # An admissible flat start: every leg stops at once with residuals of zero, which no slope fits.
+    flat = ["fields.bump_amp=0", "fields.shear_amp=0", "fields.n_scale=1", "fields.n_tilt=0"]
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "minimize_perturbed.scn", out, overrides=flat) == 0
+    assert capsys.readouterr().err == ""
+    summary = (out / "minimize_summary.txt").read_text().splitlines()
+    assert [line for line in summary if line.startswith("slope_check ")] == [
+        f"slope_check {name}: skipped (residual at machine zero)" for name in ("norm", "orth", "unit")
+    ]
+    assert summary[-1] == "exit: 0"
+
+
 def test_minimize_demo_converges_every_leg(tmp_path):
     out = tmp_path / "out"
     assert cli.run(SCENARIOS / "minimize_perturbed.scn", out) == 0
@@ -233,6 +253,7 @@ BAD_INPUTS = {
     "mass_text": ("minimize_perturbed.scn", ["constants.mass=abc"], None),
     "mass_empty": ("minimize_perturbed.scn", ["constants.mass="], None),
     "c_nan": ("minimize_perturbed.scn", ["constants.c=nan"], None),
+    "c_subnormal": ("causal_grid.scn", ["constants.c=1e-310"], None),
     # Settings that became constants are unknown keys.
     "armijo_c_removed": ("minimize_perturbed.scn", ["optimizer.armijo_c=0.5"], None),
     "backtrack_removed": ("minimize_perturbed.scn", ["optimizer.backtrack=0.5"], None),
@@ -251,6 +272,12 @@ BAD_INPUTS = {
     "event_file_missing": ("causal_grid.scn", ["causal.events=nope.txt"], None),
     # A slope check needs two K values to fit a slope.
     "check_slope_one_K": ("minimize_perturbed.scn", ["optimizer.K_schedule=10", "optimizer.check_slope=true"], None),
+    # The scenario text and the overrides are parsed before any key is read.
+    "line_without_equals": (MINIMAL_GEOMETRY + "oops\n", [], None),
+    "key_outside_any_section": ("x = 1\n" + MINIMAL_GEOMETRY, [], None),
+    "override_without_section": ("energy_flat.scn", ["foo"], None),
+    "schema_unsupported": ("energy_flat.scn", ["scenario.schema=2"], None),
+    "counts_below_3": ("minimize_perturbed.scn", ["grid.counts=2,7"], None),
 }
 # An empty value is an input error for every key but causal.queries, on a
 # scenario that reads the key (a scenario text in place of a file name).
@@ -402,6 +429,7 @@ EMPTY_EVENTS = "scenario error: causal.events = 'empty.txt': event file {} has n
     "command, scenario, item, code, err",
     [
         ("run", "energy_flat.scn", "fields.phi0=1e200", 2, "energy_eval failed: non-finite integrand at node (0, 0)"),
+        ("run", "energy_flat.scn", "fields.phi0=1e100", 2, "energy_eval failed: non-finite norm penalty at u_0 slice (0)"),
         ("run", "energy_flat.scn", "fields.bump_amp=1e200", 1, BUMP_OVERFLOW),
         ("check", "energy_flat.scn", "fields.bump_amp=1e200", 1, BUMP_OVERFLOW),
         ("run", "minimize_perturbed.scn", "fields.n_scale=1e200", 1, N_SCALE_OVERFLOW),
@@ -411,6 +439,7 @@ EMPTY_EVENTS = "scenario error: causal.events = 'empty.txt': event file {} has n
     ],
     ids=[
         "run-phi0_overflow",
+        "run-phi0_norm_overflow",
         "run-bump_amp_overflow",
         "check-bump_amp_overflow",
         "run-n_scale_overflow",
@@ -460,6 +489,18 @@ def test_causal_scenario_report(tmp_path):
     assert "achronal:14,15,16,17,18,19,20 -> true" in text
     assert "cauchy:14,15,16,17,18,19,20 -> true" in text
     assert "violations=0" in text
+
+
+@pytest.mark.parametrize("c, moderate", [("1e200", "1e100"), ("1e-200", "1e-100")])
+def test_causal_report_at_extreme_c_equals_moderate_c(tmp_path, capsys, c, moderate):
+    # Far from c = 1 the lattice's edges no longer depend on c: every later event within radius is a time-like child
+    # at large c, only the later ones at the same place at small c.  c = 1e200 and 1e-200 made those edges null.
+    for value in (c, moderate):
+        assert cli.run(SCENARIOS / "causal_grid.scn", tmp_path / value, overrides=[f"constants.c={value}"]) == 0
+    assert capsys.readouterr().err == ""
+    report = [(tmp_path / value / "causal_report.txt").read_bytes() for value in (c, moderate)]
+    assert report[0] == report[1]
+    assert b" intercept_violations=0" in report[0]
 
 
 def test_intercept_on_non_cauchy_set_exits_2(tmp_path, capsys):
@@ -549,6 +590,19 @@ def test_tabulated_embedding(tmp_path):
     lines = (out / "geometry_report.csv").read_text().splitlines()
     table_vals = dict(csv.reader(lines[1:]))
     assert float(table_vals["frame_tangency_residual"]) < 1e-9
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_tabulated_embedding_rows_must_match_the_grid(tmp_path, capsys, command):
+    g = cli.build_grid([(0, 1), (0, 1)], (5, 5))
+    coords = g.coordinates.reshape(-1, 2)[:-1]
+    np.savetxt(tmp_path / "table.txt", np.column_stack([coords, 0.1 * np.sin(np.pi * coords[:, 1])]))
+    p = write(tmp_path, MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table\ntable = table.txt"))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, str(p), *out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["scenario error: fields.table: tabulated embedding has 24 rows, grid has 25 nodes"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -217,6 +217,23 @@ def test_penalty_norm_scaled_phi():
     assert abs(norm - T) < 1e-12
 
 
+def test_norm_penalty_overflow_names_the_slice_and_a_total_its_piece():
+    # |phi|^2 is finite at phi0 = 1e100, its slice mass squared is not: J_K and the penalty were inf.
+    g = unit_square()
+    f = presets.flat(g, phi0=1e100)
+    geom = build_geometry(f, g)
+    with np.errstate(over="ignore"):
+        for evaluate in (lambda: penalty_terms(f, geom, g), lambda: assemble_JK(f, g, 100.0, geom=geom)):
+            with pytest.raises(NonFiniteValueError, match=r"^non-finite norm penalty at u_0 slice \(0\)$"):
+                evaluate()
+    # Each slice term (m - 1)^2 = 3e307 is finite, and so is the norm penalty; (K / 2) times it is not.
+    f = presets.flat(g, phi0=np.sqrt(np.sqrt(3e307)))
+    geom = build_geometry(f, g)
+    assert np.isfinite(penalty_terms(f, geom, g)).all()
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError, match="^non-finite total_JK$"):
+        assemble_JK(f, g, 100.0, geom=geom)
+
+
 def test_assemble_admissible_independent_of_K():
     g = unit_square()
     f = presets.flat(g, phi0=presets.normalized_phi0(g))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from worldsheet import (
     penalty_continuation,
     second_fundamental_form,
 )
-from worldsheet import energy, optimizer, presets
+from worldsheet import cli, energy, optimizer, presets
 from worldsheet.optimizer import pack_interior, theorem_range_notice
 
 
@@ -294,6 +296,28 @@ def test_all_fields_leg_accepts_only_strict_decreases():
     assert rec.termination == "line_search_underflow" and rec.iterations < 200
     assert len(rec.jk_trace) == rec.iterations + 1
     assert np.all(np.diff(rec.jk_trace) < 0)
+
+
+def test_ascent_direction_falls_back_to_steepest_descent(tmp_path, monkeypatch):
+    # Positive-curvature pairs keep H positive definite, so only rounding makes the L-BFGS direction an ascent
+    # one: force it once, on the first step.
+    lbfgs = optimizer._lbfgs_direction
+
+    def ascent_once(grad, memory):
+        monkeypatch.setattr(optimizer, "_lbfgs_direction", lbfgs)
+        return -lbfgs(grad, memory)
+
+    monkeypatch.setattr(optimizer, "_lbfgs_direction", ascent_once)
+    g, f = small_perturbed()
+    _, rec = minimize_fixed_K(f, g, 10.0, PenaltyConfig(max_iters=800, optimize_fields=("phi", "n")))
+    assert rec.fallbacks == 1 and rec.termination == "converged"
+    assert np.all(np.diff(rec.jk_trace) < 0)
+    monkeypatch.setattr(optimizer, "_lbfgs_direction", ascent_once)
+    out = tmp_path / "out"
+    assert cli.run(Path(cli.__file__).parents[2] / "demos" / "scenarios" / "minimize_perturbed.scn", out) == 0
+    descents = [line for line in (out / "minimize_summary.txt").read_text().splitlines() if line.startswith("descent ")]
+    assert [line.endswith(", fallbacks 1") for line in descents] == [True, False, False, False]
+
 
 def test_minimize_preserves_phi_floor():
     g, f = flat_admissible()
