@@ -60,8 +60,6 @@ from .energy import (
     penalty_terms,
     quadrature,
     reduced_action,
-    s_tensor,
-    s_tensor_contracted,
 )
 from .optimizer import (
     CoercivityReport,
@@ -103,4 +101,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.3.14"
+__version__ = "0.3.15"

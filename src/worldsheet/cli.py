@@ -193,15 +193,16 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
 
 
 def _tabulated_fields(
-    grid: ParameterGrid, table: Path, eps: float, phi0: complex = 1.0, n_ambient: Optional[int] = None
+    grid: ParameterGrid, table: np.ndarray, eps: float, phi0: complex = 1.0, n_ambient: Optional[int] = None
 ) -> FieldSet:
-    data = np.loadtxt(table, comments="#", ndmin=2)
-    if data.shape[0] != grid.n_nodes:
-        raise ScenarioError(f"fields.table: tabulated embedding has {data.shape[0]} rows, grid has {grid.n_nodes} nodes")
-    if n_ambient not in (None, data.shape[1] - 1):
+    if table.shape[0] != grid.n_nodes:
+        raise ScenarioError(f"fields.table: tabulated embedding has {table.shape[0]} rows, grid has {grid.n_nodes} nodes")
+    if n_ambient not in (None, table.shape[1] - 1):
         raise ScenarioError(f"fields.n_ambient = {n_ambient} does not match fields.table:"
-                            f" its {data.shape[1]} columns give N = {data.shape[1] - 1}")
-    r = data.reshape(grid.counts + (data.shape[1],))
+                            f" its {table.shape[1]} columns give N = {table.shape[1] - 1}")
+    if table.shape[1] - 1 <= grid.m:  # else normal_frame finds no normal direction
+        raise ScenarioError(f"fields.table: its {table.shape[1]} columns give N = {table.shape[1] - 1}, not above m = {grid.m}")
+    r = table.reshape(grid.counts + (table.shape[1],))
     phi = np.full(grid.counts, phi0, dtype=complex)
     fields = FieldSet(r=r, phi=phi, n=np.zeros_like(r), r_bc=r.copy(), phi_bc=phi.copy(), eps=eps)
     fields.n[...] = normal_frame(metric(fields, grid)).vectors[..., 0, :]
@@ -225,8 +226,11 @@ def build_scenario_fields(sc: Scenario, grid: ParameterGrid) -> FieldSet:
         raise ScenarioError(f"fields.embedding = {embedding!r} must be one of {tuple(_EMBEDDINGS)}")
     preset, keys = _EMBEDDINGS[embedding]
     kwargs = {key: value for key in keys if (value := _value(sc, "fields", key)) is not None}
-    if "table" in kwargs:  # a path relative to the scenario file
-        kwargs["table"] = sc.base_dir / kwargs["table"]
+    if "table" in kwargs:  # a file relative to the scenario file, read here so that its errors name the key
+        try:
+            kwargs["table"] = np.loadtxt(sc.base_dir / kwargs["table"], comments="#", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"fields.table = {kwargs['table']!r}: {exc}") from None
     try:
         return preset(grid, eps=_value(sc, "constants", "epsilon"), **kwargs)
     except GridError as exc:  # the grid's m, or N <= m, refused by the preset
@@ -501,7 +505,8 @@ def emit_convergence_table(params: Sequence[float], residuals: dict[str, Sequenc
     """CSV of residuals against a refinement or penalty parameter.
 
     Adds an observed-order column per residual:
-    order_i = log(r_{i-1}/r_i) / log(p_{i-1}/p_i), blank on the first row.
+    order_i = log(r_{i-1}/r_i) / log(p_{i-1}/p_i), blank on the first row and
+    where r_{i-1} or r_i is not finite and > 0.
     """
     n = len(params)
     if n < 2:
@@ -515,13 +520,9 @@ def emit_convergence_table(params: Sequence[float], residuals: dict[str, Sequenc
     for i in range(n):
         row = [_cell(params[i])] + [_cell(residuals[name][i]) for name in names]
         for name in names:
-            if i == 0:
-                row.append("")
-            else:
-                order = np.log(residuals[name][i - 1] / residuals[name][i]) / np.log(
-                    params[i - 1] / params[i]
-                )
-                row.append(_cell(order))
+            r0, r1 = (residuals[name][i - 1], residuals[name][i]) if i else (0.0, 0.0)
+            order = np.log(r0 / r1) / np.log(params[i - 1] / params[i]) if 0 < r0 < np.inf and 0 < r1 < np.inf else ""
+            row.append(_cell(order))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -207,24 +207,6 @@ def j1_curvature_energy(fields: FieldSet, geom: GeometryCache, grid: ParameterGr
     return 0.5 * quadrature(np.abs(fields.phi) ** 2 * curvature * geom.sqrt_neg_g, grid)
 
 
-def s_tensor(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> np.ndarray:
-    """The mixed amplitude/connection tensor, index order [..., l, i, j, k].
-
-    S^l_ijk = (dphi/du_j)(dphi*/du_i) delta_kl + (dphi/du_i) phi* Gamma^l_jk.
-    phi must be the amplitude geom was built from (dphi is read from geom).
-    """
-    dphi = geom.dphi
-    term1 = np.conj(dphi)[..., None, :, None, None] * dphi[..., None, None, :, None] * np.eye(grid.ndim)[:, None, None, :]
-    term2 = (dphi * np.conj(phi)[..., None])[..., None, :, None, None] * geom.gamma[..., :, None, :, :]
-    return term1 + term2
-
-
-def s_tensor_contracted(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> np.ndarray:
-    """g^{jk} Re[S^l_jlk] per node, the contracted form behind the second energy part."""
-    traced = np.trace(s_tensor(phi, geom, grid).real, axis1=-4, axis2=-2)
-    return (geom.g_inv * traced).sum((-2, -1))
-
-
 def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tuple[float, float]:
     """Amplitude energy split into its gradient and connection pieces.
 
@@ -365,21 +347,22 @@ def backward_JK(
 
 
 def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCache | None = None) -> tuple[float, float, float]:
-    """Un-squared constraint measures used for the 1/K decay study.
+    """Un-squared constraint measures used for the 1/K decay study, and the residuals each descent leg reports.
 
     norm residual -- int_0^T |int_{D_1} |phi|^2 sqrt(-g) du - 1| dt
     orth residual -- L2 norm of dr/du_j . n over D
     unit residual -- L2 norm of (n.n - 1) over D
+    None is non-finite: NonFiniteValueError names a penalty's first node, the norm's u_0 slice or an overflowed sum.
     """
     if geom is None:
         geom = build_geometry(fields, grid)
     mass, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
-    return _residuals(mass, *_integrals(_penalties(dots, nn, geom.sqrt_neg_g), grid), grid)
-
-
-def _residuals(mass: np.ndarray, p_orth: float, p_unit: float, grid: ParameterGrid) -> tuple[float, float, float]:
-    """constraint_residuals from the slice masses and the orth and unit penalties."""
-    return time_integral(np.abs(mass - 1.0), grid), float(np.sqrt(p_orth)), float(np.sqrt(p_unit))
+    p_orth, p_unit = _integrals(_penalties(dots, nn, geom.sqrt_neg_g), grid)
+    residuals = time_integral(np.abs(mass - 1.0), grid), float(np.sqrt(p_orth)), float(np.sqrt(p_unit))
+    if not np.isfinite(residuals).all():
+        _raise_at_first(~np.isfinite(mass), NonFiniteValueError, "non-finite norm residual at u_0 slice {node}")
+        raise NonFiniteValueError(f"non-finite {('norm', 'orth', 'unit')[np.isfinite(residuals).argmin()]} residual")
+    return residuals
 
 
 def _chart_fields(

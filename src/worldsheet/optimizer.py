@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import FieldSet, ParameterGrid, _cell, _csv_row, _gradient, _worst_node, apply_boundary
 from .geometry import GeometryError, build_geometry, refresh_geometry, _signs
-from .energy import NonFiniteValueError, _curvature_density, _residuals, backward_JK, slice_masses
+from .energy import NonFiniteValueError, _curvature_density, backward_JK, constraint_residuals
 
 logger = logging.getLogger(__name__)
 
@@ -294,8 +294,7 @@ def minimize_fixed_K(
         trace.append(cur.total_JK)
         iters += 1
 
-    mass = slice_masses(np.abs(x.phi) ** 2 * geom.sqrt_neg_g, grid)
-    res_norm, res_orth, res_unit = _residuals(mass, cur.penalty_orth, cur.penalty_unit, grid)
+    res_norm, res_orth, res_unit = constraint_residuals(x, grid, geom)
     record = KRecord(
         K=float(K),
         iterations=iters,

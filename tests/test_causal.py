@@ -147,6 +147,11 @@ def test_event_set_validation():
         EventSet(events=np.array([[0.0, 0.0]]), c=0.0)
 
 
+def test_event_set_needs_two_columns():
+    with pytest.raises(ValueError, match="at least two columns"):
+        EventSet(np.zeros((3, 1)))
+
+
 def test_event_set_refuses_duplicates_only():
     ev = np.random.default_rng(0).uniform(0.0, 1.0, (200, 3))
     with pytest.raises(ValueError, match="^duplicate events are not allowed$"):

@@ -213,9 +213,10 @@ def test_energy_eval_non_finite_integrand_exits_2(tmp_path, capsys):
     assert err == ["energy_eval failed: non-finite integrand at node (0, 0)"]
 
 
+TABLE_GEOMETRY = MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table")
 # Inputs that are read only once the computation starts: each must fail in
 # the shared input step, under run and check alike.  (scenario, overrides,
-# event file text or None for the scenario's own)
+# the text of a data file events.txt beside the scenario, or None)
 BAD_INPUTS = {
     "duplicate_event": ("causal_grid.scn", [], "0 0\n1 0\n0 0\n"),
     "non_finite_event": ("causal_grid.scn", [], "0 0\n1 nan\n"),
@@ -260,7 +261,7 @@ BAD_INPUTS = {
     "normalize_phi_removed": ("minimize_perturbed.scn", ["fields.normalize_phi=true"], None),
     # A preset that refuses N <= m, or the grid's m, names the keys behind them.
     "n_ambient_not_above_m": ("minimize_perturbed.scn", ["fields.n_ambient=1"], None),
-    "n_ambient_text_on_table": (MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table"), ["fields.n_ambient=abc"], None),
+    "n_ambient_text_on_table": (TABLE_GEOMETRY, ["fields.n_ambient=abc"], None),
     "cylinder_on_m_2_grid": ("geometry_cylinder.scn", ["grid.extents=0:1,0:1,0:1", "grid.counts=3,5,5"], None),
     "sphere_product_on_m_1_grid": ("energy_flat.scn", ["fields.embedding=sphere_product"], None),
     # A key that is set is parsed even where the scenario's kind does not read it.
@@ -270,6 +271,12 @@ BAD_INPUTS = {
     # Event-file errors name causal.events.
     "event_row_text": ("causal_grid.scn", ["causal.events=events.txt"], "0 0\n1 abc\n"),
     "event_file_missing": ("causal_grid.scn", ["causal.events=nope.txt"], None),
+    # Table-file errors name fields.table, and so does a table of N <= m columns.
+    "table_file_missing": (TABLE_GEOMETRY, ["fields.table=nope.txt"], None),
+    "table_row_text": (TABLE_GEOMETRY, ["fields.table=events.txt"], "0 0 0\n1 abc 0\n"),
+    "table_N_not_above_m": (
+        TABLE_GEOMETRY, ["fields.table=events.txt"], "".join(f"{i} {j}\n" for i in range(5) for j in range(5))
+    ),
     # A slope check needs two K values to fit a slope.
     "check_slope_one_K": ("minimize_perturbed.scn", ["optimizer.K_schedule=10", "optimizer.check_slope=true"], None),
     # The scenario text and the overrides are parsed before any key is read.
@@ -285,7 +292,7 @@ EMPTY_VALUE_SCENARIOS = {
     "causal": "causal_grid.scn",
     "energy": "energy_flat.scn",
     "fields.radius": "geometry_cylinder.scn",
-    "fields.table": MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table"),
+    "fields.table": TABLE_GEOMETRY,
 }
 BAD_INPUTS.update(
     {
@@ -542,6 +549,19 @@ def test_emit_convergence_table_order():
 def test_emit_convergence_table_needs_two_rows():
     with pytest.raises(ValueError, match=">= 2 rows"):
         cli.emit_convergence_table([0.1], {"res": [1e-2]})
+
+
+def test_emit_convergence_table_rejects_a_column_of_the_wrong_length():
+    with pytest.raises(ValueError, match="'res' length mismatch"):
+        cli.emit_convergence_table([0.1, 0.05], {"res": [1e-2]})
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, np.float64(0.0)], ids=["int", "float", "numpy"])
+def test_emit_convergence_table_blanks_an_order_whose_log_is_not_finite(zero):
+    # A residual at zero divided by zero: ZeroDivisionError on a Python number, -inf and a numpy warning on
+    # a numpy one.  Gauss residuals at rounding level can be exactly zero.
+    csv = cli.emit_convergence_table([1, 2, 4, 8, 16], {"res": [1.0, zero, 0.25, np.inf, 0.0625]})
+    assert csv.splitlines()[1:] == ["1,1,", "2,0,", "4,0.25,", "8,inf,", "16,0.0625,"]
 
 
 def test_emit_convergence_table_k_sweep_matches_fit():

@@ -19,10 +19,10 @@ from worldsheet import (
     penalty_terms,
     quadrature,
     reduced_action,
-    s_tensor,
-    s_tensor_contracted,
 )
 from worldsheet import presets
+
+from test_contractions import einsum_s_tensor, einsum_s_tensor_contracted
 
 
 def unit_square(counts=(5, 5)):
@@ -73,6 +73,11 @@ def test_quadrature_nonfinite_names_node():
         quadrature(vals, g)
 
 
+def test_quadrature_rejects_a_wrongly_shaped_integrand():
+    with pytest.raises(ValueError, match="does not match grid counts"):
+        quadrature(np.ones((5, 4)), unit_square())
+
+
 def test_quadrature_weights_sum_to_volume():
     g = build_grid([(0, 2), (0, 3)], [5, 9])
     rule = QuadratureRule.from_grid(g)
@@ -121,7 +126,7 @@ def test_s_tensor_constant_phi_flat():
     g = unit_square()
     f = presets.flat(g)
     geom = build_geometry(f, g)
-    s = s_tensor(f.phi, geom, g)
+    s = einsum_s_tensor(f.phi, geom, g)
     assert np.max(np.abs(s)) == 0.0
 
 
@@ -129,7 +134,7 @@ def test_s_tensor_constant_phi_curved():
     g = build_grid([(0, 1), (0.7, np.pi - 0.7), (0.3, np.pi - 0.3)], [5, 9, 9])
     f = presets.sphere_product(g)
     geom = build_geometry(f, g)
-    s = s_tensor(f.phi, geom, g)
+    s = einsum_s_tensor(f.phi, geom, g)
     assert np.max(np.abs(s)) == 0.0
 
 
@@ -138,13 +143,13 @@ def test_s_tensor_linear_phi_flat():
     f = presets.flat(g)
     f.phi = g.coordinates[..., 1].astype(complex)
     geom = build_geometry(f, g)
-    s = s_tensor(f.phi, geom, g)
+    s = einsum_s_tensor(f.phi, geom, g)
     want = np.zeros(g.counts + (2, 2, 2, 2), dtype=complex)
     for k in range(2):
         want[..., k, 1, 1, k] = 1.0
     assert np.max(np.abs(s - want)) < 1e-12
-    # contracted form matches g^{jk} Re[S^l_jlk]
-    contracted = s_tensor_contracted(f.phi, geom, g)
+    # contracted form matches g^{jk} Re S^l_{ljk}
+    contracted = einsum_s_tensor_contracted(f.phi, geom, g)
     assert np.max(np.abs(contracted - 1.0)) < 1e-12
 
 
@@ -248,6 +253,12 @@ def test_assemble_K_zero():
     f = presets.perturbed_flat(g, bump_amp=0.1, n_scale=1.2, n_tilt=0.1)
     b = assemble_JK(f, g, 0.0)
     assert b.total_JK == b.total_J
+
+
+def test_assemble_rejects_a_negative_K():
+    g = unit_square()
+    with pytest.raises(ValueError, match=r"^penalty weight K must be >= 0, got -1.0$"):
+        assemble_JK(presets.flat(g), g, -1.0)
 
 
 def test_assemble_linear_in_K():
@@ -385,3 +396,17 @@ def test_constraint_residuals_unsquared():
     assert res_orth < 1e-12
     # L2 norm of (n.n - 1) = 3 over unit volume
     assert abs(res_unit - 3.0) < 1e-12
+
+
+def test_constraint_residuals_refuse_a_non_finite_residual():
+    # |phi|^2 = 1e320 overflows: the norm residual was returned as inf, with (inf, 0.0, 0.0).
+    with np.errstate(over="ignore"):
+        g = unit_square()
+        with pytest.raises(NonFiniteValueError, match=r"^non-finite norm residual at u_0 slice \(0\)$"):
+            constraint_residuals(presets.flat(g, phi0=1e160), g)
+        # Every node's (n.n - 1)^2 sqrt(-g) = 1e307 is finite; its integral over the 10 x 10 box is not.
+        g = build_grid([(0, 10), (0, 10)], [5, 5])
+        f = presets.flat(g)
+        f.n *= 10**76.75
+        with pytest.raises(NonFiniteValueError, match="^non-finite unit residual$"):
+            constraint_residuals(f, g)

@@ -448,6 +448,14 @@ def test_fundamental_form_requires_unit_normal():
         second_fundamental_form(d2r, f.n, geom.metric)
 
 
+@pytest.mark.parametrize("setup", [cylinder_setup, sphere_setup])
+def test_fundamental_form_of_a_unit_normal_is_the_cache_s(setup):
+    g, f = setup(9)
+    geom = build_geometry(f, g, require_unit_normal=True)
+    b, b_up = second_fundamental_form(geom.d2r, f.n, geom.metric)
+    assert np.array_equal(b, geom.b) and np.array_equal(b_up, geom.b_up)
+
+
 def test_riemann_flat_zero():
     g = build_grid([(0, 1), (0, 1)], [5, 5])
     f = presets.flat(g)

@@ -328,6 +328,27 @@ def test_chart_gauge_enforced():
         make_chart(cg, u, c=1.0)
 
 
+def test_build_grid_rejects_unequal_lengths():
+    with pytest.raises(GridError, match="equal length"):
+        build_grid([(0, 1)], [3, 3])
+
+
+def test_interpolate_rejects_wrong_shapes():
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    with pytest.raises(GridError, match="^field shape"):
+        interpolate(g, np.zeros((5, 4)), np.array([[0.5, 0.5]]))
+    with pytest.raises(GridError, match="^point dimension"):
+        interpolate(g, np.zeros((5, 5)), np.array([[0.5, 0.5, 0.5]]))
+
+
+def test_make_chart_rejects_wrong_shapes():
+    with pytest.raises(GridError, match="four axes"):
+        make_chart(build_grid([(0, 1), (0, 1)], [3, 3]), np.zeros((3, 3, 2)), c=1.0)
+    cg = build_grid([(0, 1)] * 4, [3] * 4)
+    with pytest.raises(GridError, match="sample shape"):
+        make_chart(cg, np.zeros((3, 3, 3, 4, 2)), c=1.0)
+
+
 # The output rules of reports and error messages, stated once in grid.py.
 def test_cell_prints_float_17_digits_bool_as_bit_int_and_str_as_is():
     assert _cell(0.1) == "0.10000000000000001" and float(_cell(0.1)) == 0.1

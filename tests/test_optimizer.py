@@ -197,6 +197,13 @@ def test_minimize_scaled_normal_unit_residual_decreases():
     assert np.all(diffs < 0.0)
 
 
+@pytest.mark.parametrize("kinds", [("phi", "n"), ("r", "phi", "n")])
+def test_record_residuals_are_constraint_residuals_of_the_leg_end(kinds):
+    g, f = small_perturbed()
+    x, rec = minimize_fixed_K(f, g, 100.0, PenaltyConfig(max_iters=5, optimize_fields=kinds))
+    assert (rec.res_norm, rec.res_orth, rec.res_unit) == constraint_residuals(x, g)
+
+
 def test_minimize_jk_trace_monotone():
     g, f = small_perturbed()
     cfg = PenaltyConfig(max_iters=40, step_init=0.1, optimize_fields=("phi", "n"))

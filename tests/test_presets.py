@@ -140,3 +140,9 @@ def test_ambient_dimension_default_and_bound(name, m):
     for N in (m, 1):
         with pytest.raises(GridError, match=rf"N > m \(got N={N}, m={m}\)"):
             preset(g, n_ambient=N)
+
+
+def test_sphere_product_polar_extent_must_stay_below_pi():
+    g = build_grid([(0, 1), (0.7, np.pi), (0.3, np.pi - 0.3)], [3, 5, 5])
+    with pytest.raises(GridError, match=r"inside \(0, pi\)"):
+        presets.sphere_product(g)
