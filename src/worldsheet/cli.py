@@ -35,7 +35,7 @@ from .geometry import (
     build_geometry,
     metric,
     minkowski_dot,
-    normal_frame,
+    oriented_normal,
 )
 from .grid import FieldSet, GridError, ParameterGrid, _cell, _node_str, _raise_at_first, _worst_node, build_grid
 from .optimizer import PenaltyConfig, penalty_continuation
@@ -205,7 +205,7 @@ def _tabulated_fields(
     r = table.reshape(grid.counts + (table.shape[1],))
     phi = np.full(grid.counts, phi0, dtype=complex)
     fields = FieldSet(r=r, phi=phi, n=np.zeros_like(r), r_bc=r.copy(), phi_bc=phi.copy(), eps=eps)
-    fields.n[...] = normal_frame(metric(fields, grid)).vectors[..., 0, :]
+    fields.n[...] = oriented_normal(metric(fields, grid))
     return fields
 
 

@@ -190,6 +190,17 @@ def normal_frame(metric_data: MetricData) -> NormalFrame:
     return NormalFrame(vectors=frame)
 
 
+def oriented_normal(metric_data: MetricData) -> np.ndarray:
+    """The first normal-frame vector n, signed so that (t_0, ..., t_m, n) is positively oriented in the
+    first m+2 ambient coordinates; DegenerateFrameError where that determinant is 0 or not finite."""
+    n = normal_frame(metric_data).vectors[..., 0, :]
+    tangents = metric_data.tangents
+    det = np.linalg.det(np.concatenate([tangents, n[..., None, :]], axis=-2)[..., : tangents.shape[-2] + 1])
+    _raise_at_first(~(np.isfinite(det) & (det != 0.0)), DegenerateFrameError,
+                    "normal orientation undefined at node {node}: det(t_0, ..., t_m, n) is 0 or not finite")
+    return n * np.sign(det)[..., None]
+
+
 def second_derivatives(r: np.ndarray, tangents: np.ndarray, grid: ParameterGrid) -> np.ndarray:
     """d^2 r / du_j du_k per node, shape (*counts, m+1, m+1, N+1).
 

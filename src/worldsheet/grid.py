@@ -10,6 +10,7 @@ are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
@@ -137,71 +138,68 @@ def build_grid(extents: Sequence[Sequence[float]], counts: Sequence[int]) -> Par
     return ParameterGrid(extents=ext, counts=cts, spacings=spacings)
 
 
-# One-sided rows at the near edge, keyed by (order, count of the shortest axis
-# a row fits): weights of v_1 - v_0, v_2 - v_0, ... over 2h (order 1) or h^2
-# (order 2).  The far edge mirrors the row and multiplies it by (-1)^order.
-# The difference-from-the-edge form sums to zero by construction, so a
-# constant field differentiates to exactly zero in floating point.
+# The stencil rows, over 2h (order 1) or h^2 (order 2): the central row on interior
+# nodes; at the near edge the one-sided row keyed by (order, count of the shortest
+# axis it fits), as weights of v_1 - v_0, v_2 - v_0, ... (order 2 on three nodes is
+# the central row in this form).  The far edge mirrors the row times (-1)^order.
+_CENTRAL_ROWS = {1: (-1.0, 0.0, 1.0), 2: (1.0, -2.0, 1.0)}
 _EDGE_ROWS = {
     (1, 3): (4.0, -1.0),
     (1, 4): (7.0, -4.0, 1.0),
+    (2, 3): (-2.0, 1.0),
     (2, 4): (-5.0, 4.0, -1.0),
     (2, 5): (-9.0, 10.0, -5.0, 1.0),
 }
 
 
-def _check_stencil(values: np.ndarray, grid: ParameterGrid, axis: int, order: int) -> None:
+def _axis_matrix(values: np.ndarray, grid: ParameterGrid, axis: int, order: int) -> np.ndarray:
     if values.shape[: grid.ndim] != grid.counts:
         raise GridError("field shape does not match grid counts")
     if not 0 <= axis < grid.ndim:
         raise GridError(f"axis {axis} out of range for {grid.ndim} grid axes")
     if order not in (1, 2):
         raise GridError(f"order must be 1 or 2, got {order}")
+    return _stencil_matrix(grid.counts[axis], grid.spacings[axis], order)
+
+
+@lru_cache(maxsize=64)
+def _stencil_matrix(count: int, h: float, order: int) -> np.ndarray:
+    """The count x count matrix of finite_difference along one axis of spacing h, built from the rows."""
+    mat = np.zeros((count, count))
+    for i in range(1, count - 1):
+        mat[i, i - 1 : i + 2] = _CENTRAL_ROWS[order]
+    row = _EDGE_ROWS[order, min(count, order + 3)]
+    mat[0, : len(row) + 1] = (-sum(row), *row)
+    mat[-1] = (-1.0) ** order * mat[0, ::-1]
+    mat /= 2.0 * h if order == 1 else h * h
+    mat.flags.writeable = False
+    return mat
+
+
+def _along_axis(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """out[..., i, ...] = sum_j mat[i, j] values[..., j, ...], by BLAS matrix products that sum over j in order:
+    one product where the axis is last, one per leading index elsewhere.  A complex field goes through its
+    real view, its (re, im) pairs, so no complex product touches a zero."""
+    v = np.ascontiguousarray(values).reshape(math.prod(values.shape[:axis]), len(mat), -1)
+    real = v.view(v.real.dtype)
+    out = real[..., 0] @ mat.T if real.shape[-1] == 1 else np.matmul(mat, real)
+    return out.view(np.result_type(v, float)).reshape(values.shape)
 
 
 def finite_difference(values: np.ndarray, grid: ParameterGrid, axis: int, order: int = 1) -> np.ndarray:
     """Second-order finite difference of a node-indexed field along one grid axis.
 
-    Interior nodes use second-order central stencils, boundary nodes the
-    one-sided rows of _EDGE_ROWS, whose leading truncation term matches the
-    central one (h^2 f'''/6 for first, h^2 f''''/12 for second derivatives),
-    so the truncation error varies smoothly across the boundary; this keeps
-    composed derivatives, such as the curvature tensor built from
-    differentiated connection coefficients, second-order accurate up to the
-    boundary.  Short axes fall back to the widest one-sided stencil that fits
-    (still exact for quadratics).  Extra trailing axes of ``values`` (vector
-    or tensor components) are differentiated componentwise.
+    The field minus its first node along the axis is multiplied by the axis's
+    _stencil_matrix, whose rows each sum to zero: a constant field differentiates
+    to exactly zero.  The one-sided edge rows match the central rows' leading
+    truncation term (h^2 f'''/6 for first, h^2 f''''/12 for second derivatives),
+    which keeps composed derivatives, such as the curvature tensor, second-order
+    accurate up to the boundary; the short-axis rows are still exact for
+    quadratics.  Extra trailing axes of ``values`` (vector or tensor components)
+    are differentiated componentwise.
     """
-    _check_stencil(values, grid, axis, order)
-    h = grid.spacings[axis]
-    pre = (slice(None),) * axis
-    out = np.empty_like(values, dtype=np.result_type(values, float))
-    mid, ahead, behind = pre + (slice(1, -1),), pre + (slice(2, None),), pre + (slice(None, -2),)
-    if order == 1:
-        denom = 2.0 * h
-        out[mid] = (values[ahead] - values[behind]) / denom
-    else:
-        denom = h * h
-        out[mid] = (values[ahead] - 2.0 * values[mid] + values[behind]) / denom
-    row = _EDGE_ROWS.get((order, min(grid.counts[axis], order + 3)))
-    if row is None:
-        # order 2, count 3: the quadratic through the three nodes has constant
-        # second derivative, which the central stencil already gives.
-        edge = (values[pre + (0,)] - 2.0 * values[pre + (1,)] + values[pre + (2,)]) / denom
-        out[pre + (0,)] = out[pre + (-1,)] = edge
-        return out
-    for node, step in ((0, 1), (-1, -1)):
-        base = values[pre + (node,)]
-        acc = row[0] * (values[pre + (node + step,)] - base)
-        # Later terms are added or subtracted by the sign of their weight, and
-        # unit weights multiply nothing: a complex product with -1 or 1 can
-        # flip the sign of a zero component.
-        for k, w in enumerate(row[1:], 2):
-            term = values[pre + (node + k * step,)] - base
-            term = term if abs(w) == 1.0 else abs(w) * term
-            acc = acc + term if w > 0 else acc - term
-        out[pre + (node,)] = (-acc if step < 0 and order == 1 else acc) / denom
-    return out
+    mat = _axis_matrix(values, grid, axis, order)
+    return _along_axis(mat, values - values[(slice(None),) * axis + (slice(0, 1),)], axis)
 
 
 def _gradient(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
@@ -213,19 +211,6 @@ def _gradient(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
     return np.stack([finite_difference(values, grid, j) for j in range(grid.ndim)], axis=grid.ndim)
 
 
-@lru_cache(maxsize=64)
-def _stencil_matrix(count: int, h: float, order: int) -> np.ndarray:
-    """The count x count matrix of finite_difference along one axis of spacing h.
-
-    Built by differentiating the identity, so it is the stencil itself,
-    boundary rows and short-axis fallbacks included.
-    """
-    line = ParameterGrid(extents=((0.0, h * (count - 1)),), counts=(count,), spacings=(h,))
-    mat = finite_difference(np.eye(count), line, 0, order=order)
-    mat.flags.writeable = False
-    return mat
-
-
 def finite_difference_adjoint(values: np.ndarray, grid: ParameterGrid, axis: int, order: int = 1) -> np.ndarray:
     """Exact transpose of finite_difference along one grid axis.
 
@@ -233,12 +218,7 @@ def finite_difference_adjoint(values: np.ndarray, grid: ParameterGrid, axis: int
     node field x, y of the same shape; trailing component axes and complex
     values are handled componentwise, as in finite_difference.
     """
-    _check_stencil(values, grid, axis, order)
-    mat = _stencil_matrix(grid.counts[axis], grid.spacings[axis], order)
-    # np.tensordot(mat.T, values, axes=(1, axis))'s one product, without its set-up.
-    moved = values.transpose([axis, *range(axis), *range(axis + 1, values.ndim)])
-    out = np.dot(mat.T, moved.reshape(len(mat), -1)).reshape(moved.shape)
-    return out.transpose([*range(1, axis + 1), 0, *range(axis + 1, values.ndim)])
+    return _along_axis(_axis_matrix(values, grid, axis, order).T, values, axis)
 
 
 @dataclass

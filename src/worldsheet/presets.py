@@ -146,15 +146,13 @@ def perturbed_flat(
     # stencil-orthogonal: they are frozen during minimization, and any
     # violation there (including the O(h^2) gap between analytic and discrete
     # tangents) would put an irreducible floor under the constraint residuals.
-    from .geometry import metric as metric_op, normal_frame
+    from .geometry import metric as metric_op, oriented_normal
 
     if phi0 is None:
         phi0 = normalized_phi0(grid)
     phi = np.full(grid.counts, phi0, dtype=complex)
     md = metric_op(_assemble(grid, r, phi, np.zeros_like(r), eps), grid)
-    n = normal_frame(md).vectors[..., 0, :].copy()
-    frame = np.concatenate([md.tangents, n[..., None, :]], axis=-2)[..., : m + 2]
-    n *= np.sign(np.linalg.det(frame))[..., None]
+    n = oriented_normal(md)
     interior = grid.interior_mask
     n[interior] *= n_scale
     n[interior, 1] += n_tilt

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from worldsheet import cli
+from worldsheet import cli, presets
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -610,6 +610,22 @@ def test_tabulated_embedding(tmp_path):
     lines = (out / "geometry_report.csv").read_text().splitlines()
     table_vals = dict(csv.reader(lines[1:]))
     assert float(table_vals["frame_tangency_residual"]) < 1e-9
+
+
+def test_tabulated_cylinder_normal_is_oriented_like_the_preset(tmp_path):
+    # The cylinder preset's r, written as a table: without an orientation rule
+    # its normal flipped at 144 of 297 nodes and weingarten_residual read 0.669.
+    scenario = SCENARIOS / "geometry_cylinder.scn"
+    _, inputs = cli._load(scenario, [])
+    r = presets.cylinder(inputs["grid"], radius=1.5).r
+    np.savetxt(tmp_path / "table.txt", r.reshape(-1, r.shape[-1]), fmt="%.17g")
+    residual = {}
+    for name, overrides in (("preset", []), ("table", ["fields.embedding=table", f"fields.table={tmp_path / 'table.txt'}"])):
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / name), *sets]) == 0
+        rows = dict(csv.reader((tmp_path / name / "geometry_report.csv").read_text().splitlines()[1:]))
+        residual[name] = float(rows["weingarten_residual"])
+    assert residual["table"] <= 3.0 * residual["preset"]
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -23,7 +23,7 @@ from worldsheet import (
     weingarten_residual,
 )
 from worldsheet import presets
-from worldsheet.geometry import _factor, _node_str, _second_derivatives_adjoint
+from worldsheet.geometry import _factor, _node_str, _second_derivatives_adjoint, oriented_normal
 
 RHO = 1.5
 
@@ -233,6 +233,17 @@ def test_normal_frame_accepts_candidate_near_tangent_span(seed):
     gram = np.einsum("...qa,...pa,a->...qp", vec, vec, signs)
     assert np.max(np.abs(gram - np.eye(vec.shape[-2]))) < 1e-12
     assert np.max(np.abs(np.einsum("...qa,...ja,a->...qj", vec, geom.tangents, signs))) < 1e-8
+
+
+def test_oriented_normal_refuses_a_zero_orientation_determinant():
+    # r = (u_0, u_1, 0, u_1): the first frame vector, (0, 1, 0, -1)/sqrt(2), and
+    # the tangents have no component along ambient axis 2, so det(t_0, t_1, n)
+    # over the first three coordinates is 0 and no sign orients n.
+    g = build_grid([(0, 1), (0, 1)], [3, 4])
+    f = presets.flat(g, n_ambient=3)
+    f.r[..., 3] = f.r[..., 1]
+    with pytest.raises(DegenerateFrameError, match=r"^normal orientation undefined at node \(0, 0\)"):
+        oriented_normal(metric(f, g))
 
 
 def test_normal_frame_null_complement_error():

