@@ -202,9 +202,9 @@ def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float
 
 
 def j1_curvature_energy(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> float:
-    """(1/2) integral of |phi|^2 g^{jk} b_jl b^l_k sqrt(-g)."""
-    curvature = _curvature_density(geom.g_inv, geom.b, geom.b_up)
-    return 0.5 * quadrature(np.abs(fields.phi) ** 2 * curvature * geom.sqrt_neg_g, grid)
+    """(1/2) integral of |phi|^2 g^{jk} b_jl b^l_k sqrt(-g).  It is J_K's, read from _breakdown, so a non-finite
+    J_K integrand raises NonFiniteValueError as assemble_JK does."""
+    return _breakdown(_densities(fields, geom, grid), geom, grid, 0.0).j1_curvature
 
 
 def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tuple[float, float]:
@@ -214,6 +214,7 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
     christoffel = (1/4) int (dphi/du_l phi* + dphi*/du_l phi) Gamma^l_jk g^{jk} sqrt(-g)
 
     phi must be the amplitude geom was built from (dphi is read from geom).
+    The one consumer that forms its densities itself: without n it cannot form _densities' bundle.
     """
     w = geom.sqrt_neg_g
     christoffel = _christoffel_density(phi, geom.dphi, geom.gamma, geom.g_inv)[0]
@@ -222,10 +223,9 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
 
 
 def reduced_action(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> float:
-    """J = J_1 + J_2 in parameter coordinates (no chart weight, no kinetic term)."""
-    j1 = j1_curvature_energy(fields, geom, grid)
-    j2d, j2c = j2_energy(fields.phi, geom, grid)
-    return j1 + j2d + j2c
+    """J = J_1 + J_2 in parameter coordinates (no chart weight, no kinetic term).  It is J_K's total_J, read
+    from _breakdown, so a non-finite J_K integrand raises NonFiniteValueError as assemble_JK does."""
+    return _breakdown(_densities(fields, geom, grid), geom, grid, 0.0).total_J
 
 
 def penalty_terms(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> tuple[float, float, float]:
@@ -365,21 +365,6 @@ def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCa
     return residuals
 
 
-def _chart_fields(
-    fields: FieldSet,
-    grid: ParameterGrid,
-    chart: ChartMap,
-    geom: GeometryCache,
-) -> dict[str, np.ndarray]:
-    """Interpolate the per-node densities onto the chart image points."""
-    pts = chart.u
-    return {
-        "phi_sq": interpolate(grid, np.abs(fields.phi) ** 2, pts),
-        "g": interpolate(grid, geom.g, pts),
-        "sqrt_neg_g": interpolate(grid, geom.sqrt_neg_g, pts),
-    }
-
-
 def kinetic_energy(
     fields: FieldSet,
     grid: ParameterGrid,
@@ -391,19 +376,22 @@ def kinetic_energy(
     """m c int |phi|^2 sqrt(-g_jk du_j/dt du_k/dt) sqrt(-g) sqrt(U) over the chart.
 
     The motion must be time-like: -g_jk udot_j udot_k > 0 at every chart node.
+    c must be the chart's own c.
     """
-    at = _chart_fields(fields, grid, chart, build_geometry(fields, grid))
-    return _kinetic(at, chart, cmetric, mass, c)
+    geom = build_geometry(fields, grid)
+    at = (interpolate(grid, x, chart.u) for x in (geom.g, np.abs(fields.phi) ** 2, geom.sqrt_neg_g))
+    return quadrature(_kinetic_integrand(chart, cmetric, *at, mass, c), chart.grid)
 
 
-def _kinetic(at: dict[str, np.ndarray], chart: ChartMap, cmetric: ChartMetric, mass: float, c: float) -> float:
-    """kinetic_energy on the chart-interpolated factors of _chart_fields."""
+def _kinetic_integrand(chart: ChartMap, cmetric: ChartMetric, g, phi_sq, sqrt_neg_g, mass: float, c: float) -> np.ndarray:
+    """The integrand of kinetic_energy on the chart nodes, from g, |phi|^2 and sqrt(-g) interpolated there."""
+    if c != chart.c:
+        raise ValueError(f"c = {c} is not the chart's c = {chart.c}")
     udot = chart.derivatives()[..., 0, :]
-    speed_sq = -((at["g"] @ udot[..., None])[..., 0] * udot).sum(-1)
+    speed_sq = -((g @ udot[..., None])[..., 0] * udot).sum(-1)
     _raise_at_first(speed_sq <= 0.0, SuperluminalMotionError,
                     "-g_jk udot_j udot_k <= 0 at chart node {node}: motion is not time-like")
-    integrand = mass * c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U
-    return quadrature(integrand, chart.grid)
+    return mass * c * phi_sq * np.sqrt(speed_sq) * sqrt_neg_g * cmetric.sqrt_U
 
 
 def full_action(
@@ -425,40 +413,30 @@ def full_action(
 
     E may be a scalar or a per-time-slice array; lam_tangent a scalar or a
     length m+1 vector; lam_unit a scalar or per-chart-node array.  None of the
-    multipliers are ever optimized over.
+    multipliers are ever optimized over.  c must be the chart's own c.
 
-    The curvature density, dr/du_j . n and n.n are formed on nodes and then
-    interpolated; the Dirichlet and Christoffel densities are formed from the
-    interpolated g^{-1}, dphi, phi and Gamma.
+    |phi|^2, the curvature density, dr/du_j . n and n.n are _densities' node
+    densities, interpolated; the Dirichlet and Christoffel densities are formed
+    from the interpolated g^{-1}, dphi, phi and Gamma.  The six chart integrands
+    are integrated in one pass.
     """
     geom = build_geometry(fields, grid)
+    d = _densities(fields, geom, grid)
     cmetric = chart_metric(chart)
-    at = _chart_fields(fields, grid, chart, geom)
-    kin = _kinetic(at, chart, cmetric, mass, c)
-
-    pts = chart.u
-    weight = at["sqrt_neg_g"] * cmetric.sqrt_U
-    phi_sq = at["phi_sq"]
-    curvature = interpolate(grid, _curvature_density(geom.g_inv, geom.b, geom.b_up), pts)
-    g_inv_c = interpolate(grid, geom.g_inv, pts)
-    dphi_c = interpolate(grid, geom.dphi, pts)
-    phi_c = interpolate(grid, fields.phi, pts)
-    christoffel = _christoffel_density(phi_c, dphi_c, interpolate(grid, geom.gamma, pts), g_inv_c)[0]
-    integrands = [phi_sq * curvature * weight, _dirichlet_density(g_inv_c, dphi_c) * weight, christoffel * weight]
-    j1, j2d, j2c = _integrals(integrands, chart.grid)
+    node_fields = (d.phi_sq, d.curvature, d.dots, d.nn, geom.g, geom.sqrt_neg_g,
+                   geom.g_inv, geom.dphi, fields.phi, geom.gamma)
+    phi_sq, curvature, dots, nn, g, sqrt_neg_g, g_inv, dphi, phi, gamma = (
+        interpolate(grid, x, chart.u) for x in node_fields)
+    weight = sqrt_neg_g * cmetric.sqrt_U
+    christoffel = _christoffel_density(phi, dphi, gamma, g_inv)[0]
+    lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots.shape[-1:])
+    integrands = [_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass, c), phi_sq * curvature * weight,
+                  _dirichlet_density(g_inv, dphi) * weight, christoffel * weight, (dots @ lam_t) * weight,
+                  np.asarray(lam_unit, dtype=float) * (nn - 1.0) * weight]
+    kin, j1, j2d, j2c, orth_term, unit_term = _integrals(integrands, chart.grid)
 
     # Normalization multiplier: spatial mass per lab-time slice on the chart.
     mass_t = slice_masses(phi_sq * weight, chart.grid)
     e_arr = np.broadcast_to(np.asarray(E, dtype=float), mass_t.shape)
     e_term = -time_integral(e_arr * (mass_t - 1.0), chart.grid)
-
-    _, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
-    dots_c = interpolate(grid, dots, pts)
-    lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots_c.shape[-1:])
-    orth_term = quadrature((dots_c @ lam_t) * weight, chart.grid)
-
-    nn_c = interpolate(grid, np.asarray(nn), pts)
-    lam_u = np.asarray(lam_unit, dtype=float)
-    unit_term = quadrature(lam_u * (nn_c - 1.0) * weight, chart.grid)
-
     return kin + 0.5 * j1 + 0.5 * j2d + 0.25 * j2c + e_term + orth_term + unit_term

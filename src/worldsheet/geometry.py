@@ -89,7 +89,9 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     Cauchy-Binet and Hadamard bound on |det g| (so a zero tangent raises too).
     GeometryError when a tangent's square is not finite, SignatureError when
     det g > 0 (the sheet lost its time-like direction); each names the node.
+    A non-finite r entry is refused first, at its own node, before the stencils spread it.
     """
+    _raise_at_first(~np.isfinite(fields.r).all(-1), GeometryError, "r is not finite at node {node}")
     tangents = _gradient(fields.r, grid)
     g = (tangents * _signs(fields.r.shape[-1])) @ np.swapaxes(tangents, -1, -2)
     hadamard = (tangents * tangents).sum(-1).prod(-1)
@@ -436,7 +438,9 @@ def refresh_geometry(base: GeometryCache, fields: FieldSet, grid: ParameterGrid)
 
     The r part of base (metric, d2r, Gamma, and riemann and frame if present)
     is shared, not recomputed, so fields.r must be the r base was built from.
+    A non-finite phi is refused at its own node with GeometryError.
     """
+    _raise_at_first(~np.isfinite(fields.phi), GeometryError, "phi is not finite at node {node}")
     b, b_up = _fundamental_form_raw(base.d2r, fields.n, base.metric)
     dphi = _gradient(fields.phi, grid)
     return replace(base, b=b, b_up=b_up, dphi=dphi)

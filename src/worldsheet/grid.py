@@ -338,11 +338,14 @@ GAUGE_TOL = 1e-12
 
 
 def make_chart(chart_grid: ParameterGrid, u: np.ndarray, c: float) -> ChartMap:
-    """Validate and wrap chart data; enforces the u_0 = c*t gauge."""
+    """Validate and wrap chart data; enforces the u_0 = c*t gauge, a finite u and a finite c > 0."""
     if chart_grid.ndim != 4:
         raise GridError("chart grid must have four axes (t, x_1, x_2, x_3)")
     if u.shape[: chart_grid.ndim] != chart_grid.counts:
         raise GridError("chart sample shape does not match chart grid")
+    if not (np.isfinite(c) and c > 0):
+        raise GridError(f"chart speed c must be finite and > 0, got {c}")
+    _raise_at_first(~np.isfinite(u).all(-1), GridError, "chart u is not finite at chart node {node}")
     t = chart_grid.coordinates[..., 0]
     scale = max(1.0, float(np.abs(c * t).max()))
     if np.max(np.abs(u[..., 0] - c * t)) > GAUGE_TOL * scale:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import FieldSet, ParameterGrid, _cell, _csv_row, _gradient, _worst_node, apply_boundary
 from .geometry import GeometryError, build_geometry, refresh_geometry, _signs
-from .energy import NonFiniteValueError, _curvature_density, backward_JK, constraint_residuals
+from .energy import NonFiniteValueError, _densities, backward_JK, constraint_residuals
 
 logger = logging.getLogger(__name__)
 
@@ -393,7 +393,8 @@ def coercivity_check(
     geom = build_geometry(fields, grid)
     margin_a = _worst_node(grid.ndim, np.linalg.eigvalsh(geom.g_inv[..., 1:, 1:])[..., 0] - c0, least=True)
 
-    lhs = np.abs(fields.phi) ** 2 * _curvature_density(geom.g_inv, geom.b, geom.b_up)
+    d = _densities(fields, geom, grid)
+    lhs = d.phi_sq * d.curvature
     dn = _gradient(fields.n, grid)
     dn_sq = (dn * dn * _signs(fields.n.shape[-1])).sum((-2, -1))
     margin_b = _worst_node(grid.ndim, lhs - c1 * dn_sq, least=True)

@@ -161,11 +161,16 @@ def einsum_s_tensor_contracted(phi, geom, grid, trace=TRACE_LI):
     return np.einsum("...jk,...jk->...", geom.g_inv, traced).real
 
 
-def einsum_kinetic(at, chart, cmetric, mass, c):
+def einsum_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass, c):
     udot = chart.derivatives()[..., 0, :]
-    speed_sq = -np.einsum("...jk,...j,...k->...", at["g"], udot, udot)
-    integrand = mass * c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U
-    return energy.quadrature(integrand, chart.grid)
+    speed_sq = -np.einsum("...jk,...j,...k->...", g, udot, udot)
+    return mass * c * phi_sq * np.sqrt(speed_sq) * sqrt_neg_g * cmetric.sqrt_U
+
+
+def chart_fields(fields, grid, chart, geom):
+    """|phi|^2, g and sqrt(-g) interpolated onto the chart image points."""
+    node_fields = {"phi_sq": np.abs(fields.phi) ** 2, "g": geom.g, "sqrt_neg_g": geom.sqrt_neg_g}
+    return {k: energy.interpolate(grid, v, chart.u) for k, v in node_fields.items()}
 
 
 def einsum_densities(fields, geom, grid):
@@ -237,11 +242,10 @@ ORACLES = [
     (geometry, "_fundamental_form_raw", einsum_fundamental_form),
     (energy, "chart_metric", einsum_chart_metric),
     (energy, "_curvature_density", einsum_curvature_density),
-    (optimizer, "_curvature_density", einsum_curvature_density),
     (energy, "_dirichlet_density", einsum_dirichlet_density),
     (energy, "_christoffel_density", einsum_christoffel_density),
     (energy, "_constraint_densities", einsum_constraint_densities),
-    (energy, "_kinetic", einsum_kinetic),
+    (energy, "_kinetic_integrand", einsum_kinetic_integrand),
 ]
 
 
@@ -487,7 +491,7 @@ def test_chart_metric_kinetic_and_full_action_match_einsum(monkeypatch):
     assert abs(got_kin - want_kin) <= REL * abs(want_kin)
     want = energy.full_action(f, pg, chart, mass=1.3, c=1.0, E=0.8, lam_unit=-0.6)
     geom = build_geometry(f, pg)
-    at = energy._chart_fields(f, pg, chart, geom)
+    at = chart_fields(f, pg, chart, geom)
     dots_c = energy.interpolate(pg, einsum_constraint_densities(np.abs(f.phi) ** 2, f.n, geom, pg)[1], chart.u)
     weight = at["sqrt_neg_g"] * want_metric.sqrt_U
     want += energy.quadrature(np.einsum("...j,j->...", dots_c, lam_t) * weight, chart.grid)
@@ -564,7 +568,7 @@ def breakdown_oracle(d, geom, grid, K):
 def full_action_oracle(fields, grid, chart, mass, c, E, lam_tangent, lam_unit):
     geom = build_geometry(fields, grid)
     cmetric = geometry.chart_metric(chart)
-    at = energy._chart_fields(fields, grid, chart, geom)
+    at = chart_fields(fields, grid, chart, geom)
     udot = chart.derivatives()[..., 0, :]
     speed_sq = -((at["g"] @ udot[..., None])[..., 0] * udot).sum(-1)
     kin = quadrature_oracle(mass * c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U, chart.grid)

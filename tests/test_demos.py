@@ -1,4 +1,4 @@
-"""The demos run to completion (demo 03 repeats criterion 3 and stays out)."""
+"""The demos run to completion with every warning an error (demo 03 repeats criterion 3 and stays out)."""
 
 import os
 import subprocess
@@ -21,7 +21,7 @@ def test_demo_runs(tmp_path, name):
     proc = subprocess.run(
         [sys.executable, str(DEMOS / name)],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"},
         capture_output=True,
         text=True,
         timeout=300,

@@ -192,6 +192,19 @@ def test_reduced_action_is_sum_of_parts():
     assert abs(total - (j1 + j2d + j2c)) <= 1e-12 * max(1.0, abs(total))
 
 
+def test_j1_and_reduced_action_refuse_a_non_finite_penalty_integrand():
+    # n.n overflows at one node of a flat sheet, whose b and J stay 0: J_K's unit penalty integrand is not finite
+    # there, and J and J_1, read from J_K's breakdown, name that node as assemble_JK does.
+    g = unit_square()
+    f = presets.flat(g)
+    f.n[2, 3] = [0.0, 0.0, 1e200]
+    with np.errstate(over="ignore"):
+        geom = build_geometry(f, g)
+        for energy_of in (j1_curvature_energy, reduced_action):
+            with pytest.raises(NonFiniteValueError, match=r"^non-finite integrand at node \(2, 3\)$"):
+                energy_of(f, geom, g)
+
+
 def test_penalties_admissible_flat_zero():
     g = unit_square()
     f = presets.flat(g, phi0=presets.normalized_phi0(g))
@@ -326,6 +339,17 @@ def test_kinetic_superluminal_error():
     cm = chart_metric(chart)
     with pytest.raises(SuperluminalMotionError):
         kinetic_energy(f, pg, chart, cm, mass=1.0, c=c)
+
+
+def test_kinetic_and_full_action_refuse_a_c_that_is_not_the_charts():
+    chart, pg = identity_chart(1.0)
+    f = presets.flat(pg, n_ambient=4, phi0=0.8)
+    cm = chart_metric(chart)
+    assert kinetic_energy(f, pg, chart, cm, mass=1.0, c=1.0) > 0.0
+    with pytest.raises(ValueError, match=r"^c = 3.0 is not the chart's c = 1.0$"):
+        kinetic_energy(f, pg, chart, cm, mass=1.0, c=3.0)
+    with pytest.raises(ValueError, match=r"^c = 3.0 is not the chart's c = 1.0$"):
+        full_action(f, pg, chart, mass=1.0, c=3.0)
 
 
 def test_full_action_zero_multipliers_composition():

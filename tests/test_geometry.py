@@ -23,7 +23,7 @@ from worldsheet import (
     weingarten_residual,
 )
 from worldsheet import presets
-from worldsheet.geometry import _factor, _node_str, _second_derivatives_adjoint, oriented_normal
+from worldsheet.geometry import _factor, _node_str, _second_derivatives_adjoint, oriented_normal, refresh_geometry
 
 RHO = 1.5
 
@@ -128,6 +128,23 @@ def test_metric_overflow_is_not_a_small_determinant():
     with np.errstate(over="ignore"), pytest.raises(GeometryError, match=r"not finite at node \(0, 0\)") as info:
         metric(f, g)
     assert not isinstance(info.value, DegenerateMetricError)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_r_and_phi_are_refused_at_their_node(value):
+    # Refused before the stencils spread the entry along its grid lines, and before an inf warns in their matmul.
+    g = build_grid([(0, 1), (0, 1)], [6, 7])
+    bad_r, bad_phi = presets.flat(g), presets.flat(g)
+    bad_r.r[3, 4, 2] = value
+    bad_phi.phi[3, 4] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=r"^r is not finite at node \(3, 4\)$"):
+            build_geometry(bad_r, g)
+        with pytest.raises(GeometryError, match=r"^phi is not finite at node \(3, 4\)$"):
+            build_geometry(bad_phi, g)
+        with pytest.raises(GeometryError, match=r"^phi is not finite at node \(3, 4\)$"):
+            refresh_geometry(build_geometry(presets.flat(g), g), bad_phi, g)
 
 
 def test_singular_and_overflowing_metric_raise_without_warning():

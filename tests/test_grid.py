@@ -342,6 +342,20 @@ def test_chart_gauge_enforced():
         make_chart(cg, u, c=1.0)
 
 
+def test_make_chart_refuses_a_non_finite_u_and_a_bad_c():
+    cg = build_grid([(0, 1)] * 4, [3] * 4)
+    u = np.zeros(cg.counts + (2,))
+    u[..., 0] = cg.coordinates[..., 0]
+    for comp, value in ((0, np.nan), (1, np.inf), (1, -np.inf)):
+        bad = u.copy()
+        bad[1, 2, 0, 1, comp] = value
+        with pytest.raises(GridError, match=r"^chart u is not finite at chart node \(1, 2, 0, 1\)$"):
+            make_chart(cg, bad, c=1.0)
+    for c in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(GridError, match="^chart speed c must be finite and > 0"):
+            make_chart(cg, u * c if np.isfinite(c) else u, c=c)
+
+
 def test_build_grid_rejects_unequal_lengths():
     with pytest.raises(GridError, match="equal length"):
         build_grid([(0, 1)], [3, 3])
