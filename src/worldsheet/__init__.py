@@ -101,4 +101,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.3.17"
+__version__ = "0.3.18"

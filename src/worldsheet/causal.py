@@ -471,9 +471,7 @@ def intercept_check(
     """Verify every maximal causal path meets sigma, I+(sigma), and I-(sigma).
 
     Exhaustive when samples is None (desk-scale graphs; paths in depth-first order), otherwise a seeded
-    sample; one lockstep walk serves both.  Requires sigma to be a Cauchy surface.  Since 0.3.5 a seed
-    draws its paths in another order, so a sampled violations list can differ from 0.3.4's;
-    paths_checked and the verdict do not.
+    sample; one lockstep walk serves both.  Requires sigma to be a Cauchy surface.
     """
     if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")

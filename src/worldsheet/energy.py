@@ -22,6 +22,7 @@ from .grid import (
     ParameterGrid,
     _csv_row,
     _first_node,
+    _gradient,
     _node_str,
     _raise_at_first,
     finite_difference_adjoint,
@@ -30,6 +31,7 @@ from .grid import (
 from .geometry import (
     ChartMetric,
     GeometryCache,
+    GeometryError,
     _christoffel_adjoint,
     _second_derivatives_adjoint,
     _signs,
@@ -213,12 +215,13 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
     dirichlet   = (1/2) int g^{jk} dphi/du_j dphi*/du_k sqrt(-g)
     christoffel = (1/4) int (dphi/du_l phi* + dphi*/du_l phi) Gamma^l_jk g^{jk} sqrt(-g)
 
-    phi must be the amplitude geom was built from (dphi is read from geom).
-    The one consumer that forms its densities itself: without n it cannot form _densities' bundle.
+    dphi is formed from phi, which is refused at its own node with GeometryError unless finite; geom
+    supplies the r part only.  The one consumer that forms its densities itself: it has no n for _densities.
     """
-    w = geom.sqrt_neg_g
-    christoffel = _christoffel_density(phi, geom.dphi, geom.gamma, geom.g_inv)[0]
-    dirichlet, christoffel = _integrals([_dirichlet_density(geom.g_inv, geom.dphi) * w, christoffel * w], grid)
+    _raise_at_first(~np.isfinite(phi), GeometryError, "phi is not finite at node {node}")
+    dphi, w = _gradient(phi, grid), geom.sqrt_neg_g
+    christoffel = _christoffel_density(phi, dphi, geom.gamma, geom.g_inv)[0]
+    dirichlet, christoffel = _integrals([_dirichlet_density(geom.g_inv, dphi) * w, christoffel * w], grid)
     return 0.5 * dirichlet, 0.25 * christoffel
 
 

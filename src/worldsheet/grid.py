@@ -226,7 +226,7 @@ class FieldSet:
     """The unknowns (r, phi, n) on grid nodes plus their prescribed boundary data.
 
     r        -- position field, shape (*counts, N+1); first component is c*t
-    phi      -- complex amplitude, shape (*counts,)
+    phi      -- complex amplitude, shape (*counts,); a real one is cast, as is phi_bc
     n        -- candidate normal field, shape (*counts, N+1)
     r_bc     -- boundary values for r (consulted on boundary nodes only);
                 slice [0] along axis 0 is the initial-time data, slice [-1]
@@ -244,6 +244,9 @@ class FieldSet:
     r_bc: np.ndarray
     phi_bc: np.ndarray
     eps: float = 1e-4
+
+    def __post_init__(self):
+        self.phi, self.phi_bc = np.asarray(self.phi, dtype=complex), np.asarray(self.phi_bc, dtype=complex)
 
     @property
     def n_ambient(self) -> int:

@@ -3,7 +3,7 @@
 Descent is L-BFGS with Armijo backtracking (Nocedal & Wright, Numerical
 Optimization, Alg. 7.4); each configuration it tries gets one geometry cache and
 one value-and-gradient pass (energy.backward_JK), J_K and its exact gradient.
-With r frozen, the r part of the cache is built once per continuation and shared.
+With r frozen, the r part is built once, before a continuation's first leg.
 A continuation sweep drives K upward with warm starts and fits the log-log
 slope of the constraint residuals against K, which should sit near -1.
 """
@@ -18,12 +18,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import FieldSet, ParameterGrid, _cell, _csv_row, _gradient, _worst_node, apply_boundary
-from .geometry import GeometryError, build_geometry, refresh_geometry, _signs
+from .geometry import GeometryCache, GeometryError, build_geometry, refresh_geometry, _signs
 from .energy import NonFiniteValueError, _densities, backward_JK, constraint_residuals
 
 logger = logging.getLogger(__name__)
 
 THEOREM_M_RANGE = (5, 8)
+_KINDS = ("r", "phi", "n")  # the fields, in the order every packed vector holds their blocks
 
 # Backtracking line search along a descent direction d: a trial step alpha
 # is accepted on sufficient decrease J_K(x + alpha d) <= J_K(x) + ARMIJO_C
@@ -52,7 +53,7 @@ class PenaltyConfig:
     step_init: float = 0.1
     grad_tol: float = 1e-6
     max_iters: int = 5000
-    optimize_fields: tuple[str, ...] = ("r", "phi", "n")
+    optimize_fields: tuple[str, ...] = _KINDS
 
     def __post_init__(self):
         ks = self.k_schedule
@@ -64,7 +65,7 @@ class PenaltyConfig:
         # minimize_fixed_K stops on iters == max_iters: a negative or fractional cap is never reached.
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
             raise ValueError(f"max_iters must be an integer >= 0 (got {self.max_iters!r})")
-        bad = set(self.optimize_fields) - {"r", "phi", "n"}
+        bad = set(self.optimize_fields) - set(_KINDS)
         if bad or not self.optimize_fields:
             raise ValueError(f"optimize_fields must be a nonempty subset of r, phi, n (got {self.optimize_fields})")
 
@@ -142,24 +143,24 @@ def fit_loglog_slope(params: Sequence[float], residuals: Sequence[float]) -> flo
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _interior(arrays: Sequence[np.ndarray], grid: ParameterGrid, kinds: Sequence[str]) -> list[np.ndarray]:
+    """Interior blocks of those of (r, phi, n) named in kinds, in that order, as real views: phi's (Re, Im) pairs."""
+    box = (slice(1, -1),) * grid.ndim
+    return [a[box].view(float) for kind, a in zip(_KINDS, arrays) if kind in kinds]
+
+
 def pack_interior(fields: FieldSet, grid: ParameterGrid) -> np.ndarray:
-    """Flatten the interior DOFs in the canonical order: r, phi as (Re, Im) pairs, n, each
-    row-major over the interior box (slice(1, -1),) * ndim (every count is >= 3)."""
-    box = (slice(1, -1),) * grid.ndim
-    phi = fields.phi[box].astype(complex).ravel().view(float)
-    return np.concatenate([fields.r[box].ravel(), phi, fields.n[box].ravel()])
+    """Every interior DOF, packed as the descent packs them: r, phi as (Re, Im) pairs, n, each row-major."""
+    return np.concatenate([block.ravel() for block in _interior((fields.r, fields.phi, fields.n), grid, _KINDS)])
 
 
-def _add_scaled(fields: FieldSet, d: np.ndarray, alpha: float, grid: ParameterGrid) -> FieldSet:
-    """fields plus alpha times the packed interior direction d."""
+def _add_scaled(fields: FieldSet, d: np.ndarray, alpha: float, grid: ParameterGrid, kinds: Sequence[str]) -> FieldSet:
+    """fields plus alpha times d, the packed interior direction over kinds; every other field keeps its bytes."""
     out = fields.copy()
-    box = (slice(1, -1),) * grid.ndim
-    r, phi, n = out.r[box], out.phi[box].view(float), out.n[box]
-    n_r, n_phi = r.size, phi.size
-    if d[:n_r].any():  # with r frozen the block is zero: r stays bit for bit the r of the shared geometry
-        r += alpha * d[:n_r].reshape(r.shape)
-    phi += alpha * d[n_r : n_r + n_phi].reshape(phi.shape)
-    n += alpha * d[n_r + n_phi :].reshape(n.shape)
+    start = 0
+    for block in _interior((out.r, out.phi, out.n), grid, kinds):
+        block += alpha * d[start : start + block.size].reshape(block.shape)
+        start += block.size
     return out
 
 
@@ -179,7 +180,7 @@ def gradient_JK(
     fields: FieldSet,
     grid: ParameterGrid,
     K: float,
-    kinds: tuple[str, ...] = ("r", "phi", "n"),
+    kinds: tuple[str, ...] = _KINDS,
 ) -> FieldSet:
     """Exact gradient of J_K over the interior DOFs: one forward, one backward pass.
 
@@ -220,9 +221,9 @@ def minimize_fixed_K(
     grid: ParameterGrid,
     K: float,
     cfg: PenaltyConfig,
-    _frozen: Optional[list] = None,
+    _base: Optional[GeometryCache] = None,
 ) -> tuple[FieldSet, KRecord]:
-    """L-BFGS with Armijo backtracking on J_K at fixed K.
+    """L-BFGS with Armijo backtracking on J_K at fixed K over the interior blocks of cfg.optimize_fields.
 
     The line search starts at alpha = 1, or at cfg.step_init while the memory
     is empty (a leg's first step, after a reset or a fallback).  Accepted
@@ -232,23 +233,20 @@ def minimize_fixed_K(
     fallback).  A trial whose geometry is degenerate or whose integrand is not
     finite is rejected and the step halved.  Step underflow is recorded as a
     stall, not raised.
-    With "r" optimised every configuration gets its own build_geometry.
-    With r frozen every direction's r block is zero, so each trial shares the
-    start's metric, d2r and Gamma and refreshes only b, b^l_j and dphi; given the
-    one-slot list _frozen, a leg starts from the geometry in it and leaves its own there.
+    With "r" optimised _base is None and every configuration gets its own build_geometry.
+    With r frozen each refreshes only b, b^l_j and dphi of one geometry of r: the start
+    refreshes _base (or is built, if _base is None) and every trial refreshes the start's.
     """
 
-    def evaluate(x, base=None):
+    def evaluate(x, base):
         geom = build_geometry(x, grid) if base is None else refresh_geometry(base, x, grid)
         cur, grads = backward_JK(x, grid, K, geom, cfg.optimize_fields)
-        return geom, cur, pack_interior(FieldSet(*grads, x.r_bc, x.phi_bc), grid)
+        return geom, cur, np.concatenate([block.ravel() for block in _interior(grads, grid, cfg.optimize_fields)])
 
     x = apply_boundary(fields, grid)
     _clamp_phi(x)
-    geom, cur, grad = evaluate(x, _frozen[0] if _frozen else None)
+    geom, cur, grad = evaluate(x, _base)
     base = None if "r" in cfg.optimize_fields else geom
-    if _frozen is not None:
-        _frozen[:] = [base]
     start_J, trace = cur.total_J, [cur.total_JK]
     memory: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)
     termination = "max_iters"
@@ -270,7 +268,7 @@ def minimize_fixed_K(
             d, slope = -grad, -grad_norm * grad_norm
         alpha = 1.0 if memory else cfg.step_init
         while alpha >= MIN_STEP:
-            trial = _add_scaled(x, d, alpha, grid)
+            trial = _add_scaled(x, d, alpha, grid, cfg.optimize_fields)
             clamped = _clamp_phi(trial)
             evaluations += 1
             try:
@@ -295,7 +293,7 @@ def minimize_fixed_K(
         iters += 1
 
     res_norm, res_orth, res_unit = constraint_residuals(x, grid, geom)
-    record = KRecord(
+    return x, KRecord(
         K=float(K),
         iterations=iters,
         total_J=cur.total_J,
@@ -311,7 +309,6 @@ def minimize_fixed_K(
         start_total_J=start_J,
         jk_trace=trace,
     )
-    return x, record
 
 
 def theorem_range_notice(m: int, n_ambient: int) -> Optional[str]:
@@ -337,11 +334,10 @@ def penalty_continuation(
     notice = theorem_range_notice(grid.m, fields.n_ambient)
     if notice:
         logger.info(notice)
-    x = fields
     records: list[KRecord] = []
-    frozen: list = []  # with r frozen, the geometry of the first leg's start, shared by every leg
-    for K in cfg.k_schedule:
-        x, rec = minimize_fixed_K(x, grid, K, cfg, frozen)
+    base = None if "r" in cfg.optimize_fields else build_geometry(apply_boundary(fields, grid), grid)
+    for K in cfg.k_schedule:  # a warm start: each leg starts from the last leg's fields
+        fields, rec = minimize_fixed_K(fields, grid, K, cfg, base)
         records.append(rec)
 
     slopes: dict[str, Optional[float]] = {}
@@ -349,7 +345,7 @@ def penalty_continuation(
         kept = [(rec.K, getattr(rec, "res_" + name)) for rec in records if getattr(rec, "res_" + name) > 1e-12]
         slopes[name] = fit_loglog_slope(*zip(*kept)) if len(kept) >= 2 else None
     return MinimizeReport(
-        records=records, slopes=slopes, theorem_range_notice=notice, final_fields=x
+        records=records, slopes=slopes, theorem_range_notice=notice, final_fields=fields
     )
 
 

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from worldsheet import (
     EnergyBreakdown,
+    GeometryError,
     NonFiniteValueError,
     QuadratureRule,
     SuperluminalMotionError,
@@ -179,6 +182,24 @@ def test_j2_real_phi_flat_christoffel_zero():
     geom = build_geometry(f, g)
     _, christoffel = j2_energy(f.phi, geom, g)
     assert christoffel == 0.0
+
+
+def test_j2_forms_dphi_from_the_phi_it_is_given():
+    # geom is built from one amplitude and j2_energy is handed another: it must read only geom's r part, and
+    # give what the other amplitude's own geometry gives.  A non-finite entry is refused at its own node.
+    g = build_grid([(0, 2), (0, 1)], [5, 9])
+    f = presets.perturbed_flat(g, bump_amp=0.12, shear_amp=0.06, n_scale=1.25, n_tilt=0.1, mass_normalized=True)
+    u0, u1 = g.coordinates[..., 0], g.coordinates[..., 1]
+    f.phi = f.phi * np.exp(1j * u1) * (1.0 + 0.1 * u0)
+    geom = build_geometry(f, g)
+    other = f.phi * np.exp(0.5j * u0)
+    own = build_geometry(dataclasses.replace(f, phi=other), g)
+    assert j2_energy(other, geom, g) == j2_energy(other, own, g) != j2_energy(f.phi, geom, g)
+    for bad in (np.nan, np.inf):
+        phi = other.copy()
+        phi[2, 3] = bad
+        with pytest.raises(GeometryError, match=r"^phi is not finite at node \(2, 3\)$"):
+            j2_energy(phi, geom, g)
 
 
 def test_reduced_action_is_sum_of_parts():

@@ -1,9 +1,12 @@
+import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from worldsheet import (
+    FieldSet,
     GeometryError,
     GradientProbeError,
     PenaltyConfig,
@@ -435,3 +438,85 @@ def test_fit_loglog_slope_power_law():
     ks = [10.0, 100.0, 1000.0]
     rs = [0.5 / k for k in ks]
     assert abs(fit_loglog_slope(ks, rs) + 1.0) < 1e-12
+
+
+SUBSETS = [kinds for size in (1, 2, 3) for kinds in itertools.combinations(("r", "phi", "n"), size)]
+
+
+@pytest.mark.parametrize("kinds", SUBSETS, ids=["-".join(kinds) for kinds in SUBSETS])
+def test_packing_round_trips_every_subset(kinds):
+    # The descent's vector over a subset of the fields holds that subset's blocks of pack_interior's vector, in
+    # r, phi, n order whatever the order of kinds.  Stepping by it a copy whose blocks of the subset are zero
+    # restores them, and every field outside the subset keeps its bytes.
+    g, f = small_perturbed()
+    f.phi = f.phi * np.exp(0.3j * g.coordinates[..., 1])
+    interior = g.interior_mask
+    sizes = {"r": f.r[interior].size, "phi": 2 * f.phi[interior].size, "n": f.n[interior].size}
+    full = pack_interior(f, g)
+    starts = {"r": 0, "phi": sizes["r"], "n": sizes["r"] + sizes["phi"]}
+    want = np.concatenate([full[starts[k] : starts[k] + sizes[k]] for k in ("r", "phi", "n") if k in kinds])
+    for order in itertools.permutations(kinds):
+        packed = np.concatenate([block.ravel() for block in optimizer._interior((f.r, f.phi, f.n), g, order)])
+        assert packed.size == sum(sizes[k] for k in kinds)
+        assert packed.tobytes() == want.tobytes()
+        zeroed = f.copy()
+        for k in kinds:
+            getattr(zeroed, k)[interior] = 0.0
+        stepped = optimizer._add_scaled(zeroed, packed, 1.0, g, order)
+        for name in ("r", "phi", "n", "r_bc", "phi_bc"):
+            source = f if name in kinds else zeroed
+            assert getattr(stepped, name).tobytes() == getattr(source, name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "extents, counts, n_ambient, sizes",
+    [
+        ([(0, 2), (0, 1)], (3, 7), None, {("phi", "n"): 25, ("r", "phi", "n"): 40}),
+        ([(0, 2)] + [(0, 1)] * 5, (3, 4, 4, 4, 4, 4), 6, {("phi", "n"): 288, ("r", "phi", "n"): 512}),
+    ],
+    ids=["3x7", "3x4^5"],
+)
+def test_descent_vector_holds_only_the_optimised_fields(monkeypatch, extents, counts, n_ambient, sizes):
+    # Criterion 3's grid and theorem_range's: with r frozen the vector has no r block.
+    g = build_grid(extents, counts)
+    f = presets.perturbed_flat(g, n_ambient=n_ambient, bump_amp=0.12, shear_amp=0.06, n_scale=1.25, n_tilt=0.1,
+                               mass_normalized=True)
+    seen = []
+
+    def spy(grad, memory):
+        seen.append(grad.size)
+        return direction(grad, memory)
+
+    direction = optimizer._lbfgs_direction
+    monkeypatch.setattr(optimizer, "_lbfgs_direction", spy)
+    for kinds, size in sizes.items():
+        seen.clear()
+        minimize_fixed_K(f, g, 100.0, PenaltyConfig(max_iters=1, optimize_fields=kinds))
+        assert seen and set(seen) == {size}
+
+
+def test_field_order_in_the_config_moves_no_bit():
+    g, f = small_perturbed()
+    reports = [
+        penalty_continuation(f, g, PenaltyConfig(k_schedule=(10.0, 100.0), max_iters=200, optimize_fields=kinds))
+        for kinds in (("phi", "n"), ("n", "phi"))
+    ]
+    assert [dataclasses.asdict(rec) for rec in reports[0].records] == [
+        dataclasses.asdict(rec) for rec in reports[1].records
+    ]
+    assert reports[0].final_fields.phi.tobytes() == reports[1].final_fields.phi.tobytes()
+
+
+def test_fieldset_holds_phi_as_complex():
+    # A real phi is cast, so the descent can step its imaginary parts: the run equals that of phi + 0j.
+    g, f = small_perturbed()
+    real = FieldSet(f.r, f.phi.real, f.n, f.r_bc, f.phi_bc.real, f.eps)
+    cast = FieldSet(f.r, f.phi.real + 0j, f.n, f.r_bc, f.phi_bc.real + 0j, f.eps)
+    assert real.phi.dtype == real.phi_bc.dtype == np.complex128
+    assert FieldSet(f.r, f.phi, f.n, f.r_bc, f.phi_bc).phi is f.phi
+    assert assemble_JK(real, g, 10.0).total_JK == assemble_JK(cast, g, 10.0).total_JK
+    assert gradient_JK(real, g, 10.0).phi.tobytes() == gradient_JK(cast, g, 10.0).phi.tobytes()
+    cfg = PenaltyConfig(max_iters=20, optimize_fields=("phi", "n"))
+    (x, rec), (y, want) = minimize_fixed_K(real, g, 10.0, cfg), minimize_fixed_K(cast, g, 10.0, cfg)
+    assert dataclasses.asdict(rec) == dataclasses.asdict(want)
+    assert x.phi.tobytes() == y.phi.tobytes()
