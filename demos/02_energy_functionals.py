@@ -50,8 +50,7 @@ u[..., 1:] = chart_grid.coordinates[..., 1:]
 chart = ws.make_chart(chart_grid, u, c)
 param_grid = ws.build_grid([(0, 1), (0, 1), (0, 1), (0, 1)], [3, 3, 3, 3])
 sheet = presets.flat(param_grid, n_ambient=4, phi0=1.0)
-cm = ws.chart_metric(chart)
-kinetic = ws.kinetic_energy(sheet, param_grid, chart, cm, mass=mass, c=c)
-total = ws.full_action(sheet, param_grid, chart, mass=mass, c=c, E=2.0, lam_tangent=1.0, lam_unit=3.0)
+kinetic = ws.kinetic_energy(sheet, param_grid, chart, mass=mass)  # c and sqrt(U) are the chart's
+total = ws.full_action(sheet, param_grid, chart, mass=mass, E=2.0, lam_tangent=1.0, lam_unit=3.0)
 print(f"\nidentity chart: kinetic={kinetic:.4f}; full action with multipliers={total:.4f}")
 print("the multiplier terms vanish because the flat sheet satisfies every constraint.")

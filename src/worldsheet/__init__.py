@@ -63,7 +63,6 @@ from .energy import (
 )
 from .optimizer import (
     CoercivityReport,
-    GradientProbeError,
     KRecord,
     MinimizeReport,
     PenaltyConfig,
@@ -101,4 +100,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.3.18"
+__version__ = "0.3.19"

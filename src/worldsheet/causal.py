@@ -236,9 +236,12 @@ def _gather(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _indices(S: Iterable[int], n: int) -> np.ndarray:
-    """S as event indices; an index not an integer in 0..n-1 raises (numpy would cut 1.7, wrap -1)."""
+    """S as event indices; an index not an integer in 0..n-1 raises (numpy would cut 1.7, wrap -1), and so does
+    a boolean mask (its True and False would be read as the events 1 and 0)."""
     idx = np.asarray(list(S))
-    if idx.dtype.kind not in "biu":
+    if idx.dtype == bool:
+        raise ValueError("event indices must be integers, not a boolean mask")
+    if idx.dtype.kind not in "iu":
         cut = idx[np.trunc(idx) != idx]
         if cut.size:
             raise ValueError(f"event index {cut[0]} is not an integer")
@@ -473,7 +476,7 @@ def intercept_check(
     Exhaustive when samples is None (desk-scale graphs; paths in depth-first order), otherwise a seeded
     sample; one lockstep walk serves both.  Requires sigma to be a Cauchy surface.
     """
-    if samples is not None and not (isinstance(samples, (int, np.integer)) and samples >= 1):
+    if samples is not None and (isinstance(samples, bool) or not (isinstance(samples, (int, np.integer)) and samples >= 1)):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     s = _mask(sigma, len(graph))
     verdict, i_plus = _cauchy_verdict(s, graph)

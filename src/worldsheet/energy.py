@@ -372,29 +372,25 @@ def kinetic_energy(
     fields: FieldSet,
     grid: ParameterGrid,
     chart: ChartMap,
-    cmetric: ChartMetric,
     mass: float,
-    c: float,
 ) -> float:
     """m c int |phi|^2 sqrt(-g_jk du_j/dt du_k/dt) sqrt(-g) sqrt(U) over the chart.
 
+    c is the chart's and sqrt(U) its chart_metric's.
     The motion must be time-like: -g_jk udot_j udot_k > 0 at every chart node.
-    c must be the chart's own c.
     """
     geom = build_geometry(fields, grid)
     at = (interpolate(grid, x, chart.u) for x in (geom.g, np.abs(fields.phi) ** 2, geom.sqrt_neg_g))
-    return quadrature(_kinetic_integrand(chart, cmetric, *at, mass, c), chart.grid)
+    return quadrature(_kinetic_integrand(chart, chart_metric(chart), *at, mass), chart.grid)
 
 
-def _kinetic_integrand(chart: ChartMap, cmetric: ChartMetric, g, phi_sq, sqrt_neg_g, mass: float, c: float) -> np.ndarray:
+def _kinetic_integrand(chart: ChartMap, cmetric: ChartMetric, g, phi_sq, sqrt_neg_g, mass: float) -> np.ndarray:
     """The integrand of kinetic_energy on the chart nodes, from g, |phi|^2 and sqrt(-g) interpolated there."""
-    if c != chart.c:
-        raise ValueError(f"c = {c} is not the chart's c = {chart.c}")
     udot = chart.derivatives()[..., 0, :]
     speed_sq = -((g @ udot[..., None])[..., 0] * udot).sum(-1)
     _raise_at_first(speed_sq <= 0.0, SuperluminalMotionError,
                     "-g_jk udot_j udot_k <= 0 at chart node {node}: motion is not time-like")
-    return mass * c * phi_sq * np.sqrt(speed_sq) * sqrt_neg_g * cmetric.sqrt_U
+    return mass * chart.c * phi_sq * np.sqrt(speed_sq) * sqrt_neg_g * cmetric.sqrt_U
 
 
 def full_action(
@@ -402,7 +398,6 @@ def full_action(
     grid: ParameterGrid,
     chart: ChartMap,
     mass: float,
-    c: float,
     E: float | np.ndarray = 0.0,
     lam_tangent: float | np.ndarray = 0.0,
     lam_unit: float | np.ndarray = 0.0,
@@ -416,7 +411,7 @@ def full_action(
 
     E may be a scalar or a per-time-slice array; lam_tangent a scalar or a
     length m+1 vector; lam_unit a scalar or per-chart-node array.  None of the
-    multipliers are ever optimized over.  c must be the chart's own c.
+    multipliers are ever optimized over.  c and sqrt(U) are the chart's, as in kinetic_energy.
 
     |phi|^2, the curvature density, dr/du_j . n and n.n are _densities' node
     densities, interpolated; the Dirichlet and Christoffel densities are formed
@@ -433,7 +428,7 @@ def full_action(
     weight = sqrt_neg_g * cmetric.sqrt_U
     christoffel = _christoffel_density(phi, dphi, gamma, g_inv)[0]
     lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots.shape[-1:])
-    integrands = [_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass, c), phi_sq * curvature * weight,
+    integrands = [_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass), phi_sq * curvature * weight,
                   _dirichlet_density(g_inv, dphi) * weight, christoffel * weight, (dots @ lam_t) * weight,
                   np.asarray(lam_unit, dtype=float) * (nn - 1.0) * weight]
     kin, j1, j2d, j2c, orth_term, unit_term = _integrals(integrands, chart.grid)

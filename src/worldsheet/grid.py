@@ -221,12 +221,15 @@ def finite_difference_adjoint(values: np.ndarray, grid: ParameterGrid, axis: int
     return _along_axis(_axis_matrix(values, grid, axis, order).T, values, axis)
 
 
+_FIELD_DTYPES = {"r": float, "n": float, "r_bc": float, "phi": complex, "phi_bc": complex}
+
+
 @dataclass
 class FieldSet:
     """The unknowns (r, phi, n) on grid nodes plus their prescribed boundary data.
 
     r        -- position field, shape (*counts, N+1); first component is c*t
-    phi      -- complex amplitude, shape (*counts,); a real one is cast, as is phi_bc
+    phi      -- complex amplitude, shape (*counts,)
     n        -- candidate normal field, shape (*counts, N+1)
     r_bc     -- boundary values for r (consulted on boundary nodes only);
                 slice [0] along axis 0 is the initial-time data, slice [-1]
@@ -236,6 +239,8 @@ class FieldSet:
     eps      -- admissible-set lower bound for |phi|^2
 
     n carries no prescribed boundary data: apply_boundary never touches it.
+    Every assignment, the constructor's included, casts r, n and r_bc to float
+    and phi and phi_bc to complex; an array of that dtype is kept, not copied.
     """
 
     r: np.ndarray
@@ -245,8 +250,9 @@ class FieldSet:
     phi_bc: np.ndarray
     eps: float = 1e-4
 
-    def __post_init__(self):
-        self.phi, self.phi_bc = np.asarray(self.phi, dtype=complex), np.asarray(self.phi_bc, dtype=complex)
+    def __setattr__(self, name, value):
+        dtype = _FIELD_DTYPES.get(name)
+        super().__setattr__(name, value if dtype is None else np.asarray(value, dtype=dtype))
 
     @property
     def n_ambient(self) -> int:

@@ -41,10 +41,6 @@ MEMORY = 8
 CURVATURE_TOL = 1e-12
 
 
-class GradientProbeError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Knobs for the descent loop and the K continuation."""
@@ -187,12 +183,10 @@ def gradient_JK(
     Returned as a FieldSet-shaped object: boundary entries are zero, and the
     phi slot carries dJ/d(Re phi) + i dJ/d(Im phi).  ``kinds`` restricts the
     blocks; entries outside them stay zero.  A configuration where J_K cannot
-    be evaluated raises GradientProbeError naming the node.
+    be evaluated raises what assemble_JK raises, GeometryError or
+    NonFiniteValueError, naming the node.
     """
-    try:
-        _, grads = backward_JK(fields, grid, K, build_geometry(fields, grid), kinds)
-    except (GeometryError, NonFiniteValueError) as exc:
-        raise GradientProbeError(f"J_K not evaluable: {exc}") from exc
+    _, grads = backward_JK(fields, grid, K, build_geometry(fields, grid), kinds)
     for arr in grads:
         arr[grid.boundary_mask] = 0.0
     return FieldSet(*grads, r_bc=np.zeros_like(fields.r_bc), phi_bc=np.zeros_like(fields.phi_bc), eps=fields.eps)

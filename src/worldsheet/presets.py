@@ -160,5 +160,5 @@ def perturbed_flat(
     if mass_normalized:
         # Divide out the discrete volume element so the spatial mass density
         # is uniform at the start, to quadrature accuracy.
-        phi = phi / np.sqrt(md.sqrt_neg_g).astype(complex)
+        phi = phi / np.sqrt(md.sqrt_neg_g)
     return _assemble(grid, r, phi, n, eps)

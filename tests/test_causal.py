@@ -1117,7 +1117,17 @@ def test_queries_reject_event_index_out_of_range(query, bad):
         query([3, bad], g)
 
 
-@pytest.mark.parametrize("samples", [0, -1, 2.5, "50"])
+@pytest.mark.parametrize("query", OUT_OF_RANGE_QUERIES, ids=lambda f: f.__name__)
+def test_queries_reject_a_boolean_mask(query):
+    # read as indices, a mask holding only event 5 would be the events {0, 1}: its False and True
+    ev, g = covering_graph(4, 4)
+    mask = np.zeros(16, dtype=bool)
+    mask[5] = True
+    with pytest.raises(ValueError, match="^event indices must be integers, not a boolean mask$"):
+        query(mask, g)
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, "50", True])
 def test_intercept_rejects_samples_below_one(samples):
     # samples=0 would check no path and report ok; -1 would fail inside numpy
     ev, g = row_adjacent_graph(4, 3)

@@ -161,10 +161,10 @@ def einsum_s_tensor_contracted(phi, geom, grid, trace=TRACE_LI):
     return np.einsum("...jk,...jk->...", geom.g_inv, traced).real
 
 
-def einsum_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass, c):
+def einsum_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass):
     udot = chart.derivatives()[..., 0, :]
     speed_sq = -np.einsum("...jk,...j,...k->...", g, udot, udot)
-    return mass * c * phi_sq * np.sqrt(speed_sq) * sqrt_neg_g * cmetric.sqrt_U
+    return mass * chart.c * phi_sq * np.sqrt(speed_sq) * sqrt_neg_g * cmetric.sqrt_U
 
 
 def chart_fields(fields, grid, chart, geom):
@@ -479,17 +479,17 @@ def _chart_start():
 def test_chart_metric_kinetic_and_full_action_match_einsum(monkeypatch):
     chart, pg, f = _chart_start()
     got_metric = geometry.chart_metric(chart)
-    got_kin = energy.kinetic_energy(f, pg, chart, got_metric, mass=1.3, c=1.0)
+    got_kin = energy.kinetic_energy(f, pg, chart, mass=1.3)
     lam_t = np.array([0.7, -1.1, 0.4, 2.0])
-    got = energy.full_action(f, pg, chart, mass=1.3, c=1.0, E=0.8, lam_tangent=lam_t, lam_unit=-0.6)
-    got_no_lam_t = energy.full_action(f, pg, chart, mass=1.3, c=1.0, E=0.8, lam_unit=-0.6)
+    got = energy.full_action(f, pg, chart, mass=1.3, E=0.8, lam_tangent=lam_t, lam_unit=-0.6)
+    got_no_lam_t = energy.full_action(f, pg, chart, mass=1.3, E=0.8, lam_unit=-0.6)
     use_oracles(monkeypatch)
     want_metric = einsum_chart_metric(chart)
     _close(got_metric.U_ij, want_metric.U_ij)
     _close(got_metric.U, want_metric.U)
-    want_kin = energy.kinetic_energy(f, pg, chart, want_metric, mass=1.3, c=1.0)
+    want_kin = energy.kinetic_energy(f, pg, chart, mass=1.3)  # reads einsum_chart_metric through the patch
     assert abs(got_kin - want_kin) <= REL * abs(want_kin)
-    want = energy.full_action(f, pg, chart, mass=1.3, c=1.0, E=0.8, lam_unit=-0.6)
+    want = energy.full_action(f, pg, chart, mass=1.3, E=0.8, lam_unit=-0.6)
     geom = build_geometry(f, pg)
     at = chart_fields(f, pg, chart, geom)
     dots_c = energy.interpolate(pg, einsum_constraint_densities(np.abs(f.phi) ** 2, f.n, geom, pg)[1], chart.u)
@@ -565,13 +565,13 @@ def breakdown_oracle(d, geom, grid, K):
     return energy.EnergyBreakdown(j1, j2d, j2c, p_norm, p_orth, p_unit, total_J, total_JK, float(K))
 
 
-def full_action_oracle(fields, grid, chart, mass, c, E, lam_tangent, lam_unit):
+def full_action_oracle(fields, grid, chart, mass, E, lam_tangent, lam_unit):
     geom = build_geometry(fields, grid)
     cmetric = geometry.chart_metric(chart)
     at = chart_fields(fields, grid, chart, geom)
     udot = chart.derivatives()[..., 0, :]
     speed_sq = -((at["g"] @ udot[..., None])[..., 0] * udot).sum(-1)
-    kin = quadrature_oracle(mass * c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U, chart.grid)
+    kin = quadrature_oracle(mass * chart.c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U, chart.grid)
     pts, weight, phi_sq = chart.u, at["sqrt_neg_g"] * cmetric.sqrt_U, at["phi_sq"]
     curvature = energy.interpolate(grid, energy._curvature_density(geom.g_inv, geom.b, geom.b_up), pts)
     j1 = 0.5 * quadrature_oracle(phi_sq * curvature * weight, chart.grid)
@@ -620,7 +620,7 @@ def test_one_pass_breakdown_equals_per_integrand_quadrature(name):
 
 def test_one_pass_full_action_equals_per_integrand_quadrature():
     chart, pg, f = _chart_start()
-    args = dict(mass=1.3, c=1.0, E=0.8, lam_tangent=np.array([0.7, -1.1, 0.4, 2.0]), lam_unit=-0.6)
+    args = dict(mass=1.3, E=0.8, lam_tangent=np.array([0.7, -1.1, 0.4, 2.0]), lam_unit=-0.6)
     assert energy.full_action(f, pg, chart, **args) == full_action_oracle(f, pg, chart, **args)
 
 

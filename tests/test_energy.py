@@ -324,8 +324,7 @@ def test_kinetic_flat_identity_chart():
     c, mass = 2.0, 1.5
     chart, pg = identity_chart(c)
     f = presets.flat(pg, n_ambient=4, phi0=1.0)
-    cm = chart_metric(chart)
-    got = kinetic_energy(f, pg, chart, cm, mass=mass, c=c)
+    got = kinetic_energy(f, pg, chart, mass=mass)
     # integrand m c |phi|^2 sqrt(c^2) sqrt(-g) sqrt(U) = m c^3 over unit volume
     assert abs(got - mass * c**3) < 1e-12
 
@@ -334,17 +333,15 @@ def test_kinetic_zero_phi():
     c = 1.0
     chart, pg = identity_chart(c)
     f = presets.flat(pg, n_ambient=4, phi0=0.0)
-    cm = chart_metric(chart)
-    assert kinetic_energy(f, pg, chart, cm, mass=2.0, c=c) == 0.0
+    assert kinetic_energy(f, pg, chart, mass=2.0) == 0.0
 
 
 def test_kinetic_linear_in_mass():
     c = 1.0
     chart, pg = identity_chart(c)
     f = presets.flat(pg, n_ambient=4, phi0=0.8)
-    cm = chart_metric(chart)
-    k1 = kinetic_energy(f, pg, chart, cm, mass=1.0, c=c)
-    k2 = kinetic_energy(f, pg, chart, cm, mass=2.0, c=c)
+    k1 = kinetic_energy(f, pg, chart, mass=1.0)
+    k2 = kinetic_energy(f, pg, chart, mass=2.0)
     assert abs(k2 - 2.0 * k1) < 1e-12 * abs(k2)
 
 
@@ -357,20 +354,24 @@ def test_kinetic_superluminal_error():
     chart = make_chart(cg, u, c)
     pg = build_grid([(0, 1), (0, 2)], [3, 5])
     f = presets.flat(pg)
-    cm = chart_metric(chart)
     with pytest.raises(SuperluminalMotionError):
-        kinetic_energy(f, pg, chart, cm, mass=1.0, c=c)
+        kinetic_energy(f, pg, chart, mass=1.0)
 
 
-def test_kinetic_and_full_action_refuse_a_c_that_is_not_the_charts():
+def test_kinetic_and_full_action_read_the_charts_own_metric():
+    # Two charts on one chart grid: the identity, and the same with its spatial u halved,
+    # so sqrt(U) is 1/8 of the identity's.  Each call follows its own chart's U.
     chart, pg = identity_chart(1.0)
-    f = presets.flat(pg, n_ambient=4, phi0=0.8)
-    cm = chart_metric(chart)
-    assert kinetic_energy(f, pg, chart, cm, mass=1.0, c=1.0) > 0.0
-    with pytest.raises(ValueError, match=r"^c = 3.0 is not the chart's c = 1.0$"):
-        kinetic_energy(f, pg, chart, cm, mass=1.0, c=3.0)
-    with pytest.raises(ValueError, match=r"^c = 3.0 is not the chart's c = 1.0$"):
-        full_action(f, pg, chart, mass=1.0, c=3.0)
+    half_u = chart.u.copy()
+    half_u[..., 1:] *= 0.5
+    half = make_chart(chart.grid, half_u, 1.0)
+    f = presets.flat(pg, n_ambient=4, phi0=1.0)
+    assert chart_metric(half).sqrt_U == pytest.approx(0.125 * chart_metric(chart).sqrt_U, rel=1e-15)
+    assert kinetic_energy(f, pg, chart, mass=1.0) == 1.0
+    assert kinetic_energy(f, pg, half, mass=1.0) == 0.125
+    # A flat sheet at phi0 = 1: J_1 and J_2 vanish, and the multipliers default to zero.
+    assert full_action(f, pg, chart, mass=1.0) == kinetic_energy(f, pg, chart, mass=1.0)
+    assert full_action(f, pg, half, mass=1.0) == kinetic_energy(f, pg, half, mass=1.0)
 
 
 def test_full_action_zero_multipliers_composition():
@@ -378,14 +379,13 @@ def test_full_action_zero_multipliers_composition():
     chart, pg = identity_chart(c, counts=(3, 5, 3, 3))
     f = presets.flat(pg, n_ambient=4)
     f.phi = np.exp(1j * k * pg.coordinates[..., 1]).astype(complex)
-    cm = chart_metric(chart)
     geom = build_geometry(f, pg)
     want = (
-        kinetic_energy(f, pg, chart, cm, mass=mass, c=c)
+        kinetic_energy(f, pg, chart, mass=mass)
         + j1_curvature_energy(f, geom, pg)
         + sum(j2_energy(f.phi, geom, pg))
     )
-    got = full_action(f, pg, chart, mass=mass, c=c)
+    got = full_action(f, pg, chart, mass=mass)
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -394,8 +394,8 @@ def test_full_action_multiplier_terms_vanish_on_admissible():
     chart, pg = identity_chart(c)
     # sqrt(U) = 1 at c=1, so unit chart-weighted mass needs phi0 = 1.
     f = presets.flat(pg, n_ambient=4, phi0=1.0)
-    base = full_action(f, pg, chart, mass=mass, c=c)
-    loaded = full_action(f, pg, chart, mass=mass, c=c, E=3.7, lam_tangent=2.2, lam_unit=-4.1)
+    base = full_action(f, pg, chart, mass=mass)
+    loaded = full_action(f, pg, chart, mass=mass, E=3.7, lam_tangent=2.2, lam_unit=-4.1)
     assert abs(loaded - base) < 1e-12 * max(1.0, abs(base))
 
 
@@ -407,7 +407,7 @@ def test_full_action_multiplier_terms_off_admissible():
     lam_t = np.array([2.2, 0.5, -0.7, 1.1])
 
     def term(f, **multipliers):
-        return full_action(f, pg, chart, mass=1.0, c=1.0, **multipliers) - full_action(f, pg, chart, mass=1.0, c=1.0)
+        return full_action(f, pg, chart, mass=1.0, **multipliers) - full_action(f, pg, chart, mass=1.0)
 
     # Slice mass s^2 on every lab-time slice: -int E (s^2 - 1) dt.
     f = presets.flat(pg, n_ambient=4, phi0=s)
@@ -426,9 +426,8 @@ def test_full_action_zero_multipliers_default():
     c = 1.0
     chart, pg = identity_chart(c)
     f = presets.flat(pg, n_ambient=4, phi0=0.5)
-    got = full_action(f, pg, chart, mass=2.0, c=c)
-    cm = chart_metric(chart)
-    want = kinetic_energy(f, pg, chart, cm, mass=2.0, c=c)
+    got = full_action(f, pg, chart, mass=2.0)
+    want = kinetic_energy(f, pg, chart, mass=2.0)
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 

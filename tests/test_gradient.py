@@ -166,6 +166,28 @@ def test_backward_breakdown_equals_assemble(counts):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
+def test_real_phi_assigned_after_construction_keeps_the_gradient():
+    # An assignment casts phi to complex, as the constructor does.
+    g = build_grid([(0, 2), (0, 6)], (3, 7))
+    f = presets.perturbed_flat(g, bump_amp=0.12, shear_amp=0.06, n_scale=1.25, n_tilt=0.1)
+    f.phi = f.phi.real
+    want = presets.perturbed_flat(g, bump_amp=0.12, shear_amp=0.06, n_scale=1.25, n_tilt=0.1)
+    want.phi = want.phi.real + 0j
+    got, want = gradient_JK(f, g, 10.0), gradient_JK(want, g, 10.0)
+    for name in ("r", "phi", "n"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_integer_r_assigned_after_construction_descends_as_float_r():
+    # Packing an integer r as it is would reinterpret its bytes as floats: an assignment casts it.
+    g = build_grid([(0, 2), (0, 6)], (3, 7))
+    f, want = presets.flat(g, phi0=0.4), presets.flat(g, phi0=0.4)
+    f.r = f.r.astype(np.int64)
+    assert np.array_equal(pack_interior(f, g), pack_interior(want, g))
+    cfg = PenaltyConfig(max_iters=3)
+    assert minimize_fixed_K(f, g, 10.0, cfg)[1] == minimize_fixed_K(want, g, 10.0, cfg)[1]
+
+
 def _dense_bfgs_direction(grad, pairs):
     """-H grad with H from the dense BFGS inverse update over the pairs, oldest first.
 

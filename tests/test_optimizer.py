@@ -8,7 +8,6 @@ import pytest
 from worldsheet import (
     FieldSet,
     GeometryError,
-    GradientProbeError,
     PenaltyConfig,
     assemble_JK,
     build_geometry,
@@ -163,7 +162,7 @@ def _apply_direction(fields, grid, dvec, eps):
 def test_gradient_probe_error_names_dof():
     g, f = flat_admissible()
     f.phi[2, 2] = np.nan
-    with pytest.raises(GradientProbeError, match="node"):
+    with pytest.raises(GeometryError, match=r"^phi is not finite at node \(2, 2\)$"):
         gradient_JK(f, g, 10.0)
 
 
