@@ -237,10 +237,13 @@ def _gather(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _indices(S: Iterable[int], n: int) -> np.ndarray:
     """S as event indices; an index not an integer in 0..n-1 raises (numpy would cut 1.7, wrap -1), and so does
-    a boolean mask (its True and False would be read as the events 1 and 0)."""
-    idx = np.asarray(list(S))
+    a boolean mask or a bool among the indices (True and False would be read as the events 1 and 0)."""
+    items = list(S)
+    idx = np.asarray(items)
     if idx.dtype == bool:
         raise ValueError("event indices must be integers, not a boolean mask")
+    if not {bool, np.bool_}.isdisjoint(map(type, items)):
+        raise ValueError(f"event index {next(s for s in items if type(s) in (bool, np.bool_))} is a bool, not an integer")
     if idx.dtype.kind not in "iu":
         cut = idx[np.trunc(idx) != idx]
         if cut.size:

@@ -33,6 +33,8 @@ from .geometry import (
     GeometryCache,
     GeometryError,
     _christoffel_adjoint,
+    _contracted_christoffel,
+    _curvature_form_adjoint,
     _second_derivatives_adjoint,
     _signs,
     build_geometry,
@@ -133,9 +135,10 @@ class EnergyBreakdown:
 
 # Per-node contractions are batched matmuls over reshaped index pairs or
 # broadcast products, so the contraction order is fixed.
-def _curvature_density(g_inv: np.ndarray, b: np.ndarray, b_up: np.ndarray) -> np.ndarray:
-    """g^{jk} b_jl b^l_k per node."""
-    return (g_inv * (b @ b_up)).sum((-2, -1))
+def _curvature_density(q: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g^{jk} b_jl b^l_k per node as n^T Q n, with Q the geometry's curvature form, and its factor Q n."""
+    qn = (q @ n[..., None])[..., 0]
+    return (qn * n).sum(-1), qn
 
 
 def _re_im(z: np.ndarray) -> np.ndarray:
@@ -149,14 +152,11 @@ def _dirichlet_density(g_inv: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     return (xy * (g_inv @ xy)).sum((-2, -1))
 
 
-def _christoffel_density(phi, dphi, gamma, g_inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """re_pair_l gamma_c^l per node, with its factors re_pair_l = dphi_l phi* +
-    dphi*_l phi and gamma_c^l = Gamma^l_jk g^{jk}."""
+def _christoffel_density(phi, dphi, gamma_c) -> tuple[np.ndarray, np.ndarray]:
+    """re_pair_l gamma_c^l per node, with its factor re_pair_l = dphi_l phi* + dphi*_l phi;
+    gamma_c^l = Gamma^l_jk g^{jk} is the geometry's."""
     re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
-    nd = gamma.shape[-1]
-    pairs = gamma.reshape(gamma.shape[:-2] + (nd * nd,))  # [..., l, jk]
-    gamma_c = (pairs @ g_inv.reshape(g_inv.shape[:-2] + (nd * nd, 1)))[..., 0]
-    return (re_pair * gamma_c).sum(-1), re_pair, gamma_c
+    return (re_pair * gamma_c).sum(-1), re_pair
 
 
 def _constraint_densities(phi_sq, n, geom: GeometryCache, grid: ParameterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,15 +166,15 @@ def _constraint_densities(phi_sq, n, geom: GeometryCache, grid: ParameterGrid) -
 
 
 # Every per-node density of J_K on one configuration, formed once by _densities.
-_Densities = namedtuple("_Densities", "phi_sq curvature dirichlet christoffel re_pair gamma_c mass dots nn")
+_Densities = namedtuple("_Densities", "phi_sq curvature qn dirichlet christoffel re_pair mass dots nn")
 
 
 def _densities(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> _Densities:
     phi_sq = np.abs(fields.phi) ** 2
-    curvature = _curvature_density(geom.g_inv, geom.b, geom.b_up)
-    christoffel = _christoffel_density(fields.phi, geom.dphi, geom.gamma, geom.g_inv)
+    curvature = _curvature_density(geom.curvature_form, fields.n)
+    christoffel = _christoffel_density(fields.phi, geom.dphi, geom.gamma_c)
     penalty = _constraint_densities(phi_sq, fields.n, geom, grid)
-    return _Densities(phi_sq, curvature, _dirichlet_density(geom.g_inv, geom.dphi), *christoffel, *penalty)
+    return _Densities(phi_sq, *curvature, _dirichlet_density(geom.g_inv, geom.dphi), *christoffel, *penalty)
 
 
 # The densities are integrated against a volume weight w: sqrt(-g) on the parameter
@@ -220,7 +220,7 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
     """
     _raise_at_first(~np.isfinite(phi), GeometryError, "phi is not finite at node {node}")
     dphi, w = _gradient(phi, grid), geom.sqrt_neg_g
-    christoffel = _christoffel_density(phi, dphi, geom.gamma, geom.g_inv)[0]
+    christoffel = _christoffel_density(phi, dphi, geom.gamma_c)[0]
     dirichlet, christoffel = _integrals([_dirichlet_density(geom.g_inv, dphi) * w, christoffel * w], grid)
     return 0.5 * dirichlet, 0.25 * christoffel
 
@@ -270,51 +270,43 @@ def backward_JK(
     The densities are integrated first, as assemble_JK integrates them: the
     breakdown equals assemble_JK(..., geom=geom), and a non-finite integrand
     raises NonFiniteValueError naming the node.  The adjoints then run back
-    through the per-node algebra (Gamma, b, b^l_j, dphi, the penalty terms
-    and the slice masses), through g^{-1} and sqrt(-g), and to node fields
-    through the transposed stencils.  Returns (breakdown, (dJ/dr, dJ/dphi,
+    through the per-node algebra (n^T Q n, gamma_c, dphi, the penalty terms
+    and the slice masses), through Q, Gamma, g^{-1} and sqrt(-g), and to node
+    fields through the transposed stencils.  Returns (breakdown, (dJ/dr, dJ/dphi,
     dJ/dn)) in node-field shapes, boundary nodes included; the phi entry is
     dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and
     without "r" the r chain (bars of g^{-1}, Gamma and d2r) is skipped.
     """
     phi, n = fields.phi, fields.n
     signs = _signs(fields.r.shape[-1])
-    tangents, d2r, gamma = geom.tangents, geom.d2r, geom.gamma
-    g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, geom.dphi, geom.sqrt_neg_g
+    tangents, d2r, gamma, gamma_c = geom.tangents, geom.d2r, geom.gamma, geom.gamma_c
+    g_inv, dphi, sq = geom.g_inv, geom.dphi, geom.sqrt_neg_g
     d = _densities(fields, geom, grid)
     breakdown = _breakdown(d, geom, grid, K)
-    phi_sq, curv, re_pair, gamma_c, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.gamma_c, d.dots, d.nn
+    phi_sq, curv, re_pair, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
     rule = _rule(grid)
     w = rule.node_weights * sq
     # d[(K/2) norm] / d(|phi|^2 sqrt(-g)) per node.
     mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), rule.spatial_weights)
     bar_phi = 2.0 * (0.5 * curv * w + mass_w * sq) * phi
 
-    # curvature density g^{jk} b_jl b^l_k with b^l_k = b_km g^{ml}
-    bar_curv = 0.5 * phi_sq * w
-    g_inv_t = np.swapaxes(g_inv, -1, -2)
-    bar_b_up = bar_curv[..., None, None] * (np.swapaxes(b, -1, -2) @ g_inv)
-    bar_b = bar_curv[..., None, None] * (g_inv @ np.swapaxes(b_up, -1, -2))
-    bar_b += np.swapaxes(g_inv @ bar_b_up, -1, -2)
-
     # Dirichlet density Re g^{jk} dphi_j dphi*_k
     bar_d = 0.5 * w
     dphi_xy = _re_im(dphi)
-    bar_xy = bar_d[..., None, None] * ((g_inv + g_inv_t) @ dphi_xy)
+    bar_xy = bar_d[..., None, None] * ((g_inv + np.swapaxes(g_inv, -1, -2)) @ dphi_xy)
     bar_dphi = bar_xy[..., 0] + 1j * bar_xy[..., 1]
 
-    # Christoffel density re_pair_l Gamma^l_jk g^{jk}
+    # Christoffel density re_pair_l gamma_c^l
     bar_c = 0.25 * w
     bar_pair = bar_c[..., None] * gamma_c
     bar_dphi += 2.0 * bar_pair * phi[..., None]
     bar_phi += 2.0 * (bar_pair * dphi).sum(-1)
 
-    # b_jk = d2r_jk . n, and the orth and unit penalties
-    nd, dim = d2r.shape[-2:]
+    # The curvature density n^T Q n, and the orth and unit penalties
+    bar_curv = 0.5 * phi_sq * w
     bar_dots = K * w[..., None] * dots
-    bar_n = bar_b.reshape(bar_b.shape[:-2] + (1, nd * nd)) @ d2r.reshape(d2r.shape[:-3] + (nd * nd, dim))
-    bar_n += bar_dots[..., None, :] @ tangents
-    bar_n = (bar_n[..., 0, :] + (2.0 * K * w * (nn - 1.0))[..., None] * n) * signs
+    bar_n = (2.0 * bar_curv)[..., None] * d.qn * signs + (bar_dots[..., None, :] @ tangents)[..., 0, :]
+    bar_n = (bar_n + (2.0 * K * w * (nn - 1.0))[..., None] * n) * signs
 
     # Transposed stencils back to node fields.
     for j in range(grid.ndim):
@@ -328,21 +320,20 @@ def backward_JK(
     dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
     dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
     bar_sq = rule.node_weights * dens + mass_w * phi_sq
-    bar_g_inv = bar_curv[..., None, None] * (b @ b_up)
-    bar_g_inv += np.swapaxes(bar_b_up @ b, -1, -2)
+    bar_q = bar_curv[..., None, None] * (n[..., :, None] * n[..., None, :])
+    bar_g_inv, bar_d2r = _curvature_form_adjoint(bar_q, d2r, g_inv)
     bar_g_inv += bar_d[..., None, None] * (dphi_xy @ np.swapaxes(dphi_xy, -1, -2))
     bar_gamma_c = bar_c[..., None] * re_pair
     bar_gamma = bar_gamma_c[..., :, None, None] * g_inv[..., None, :, :]
-    bar_g_inv += (bar_gamma_c[..., None, :] @ gamma.reshape(gamma.shape[:-2] + (nd * nd,))).reshape(g_inv.shape)
+    bar_g_inv += (bar_gamma_c[..., None, :] @ gamma.reshape(gamma.shape[:-2] + (-1,))).reshape(g_inv.shape)
 
     # Gamma^l_jk = g^{ls} (d2r_jk . t_s)
-    bar_g_inv_gamma, bar_d2r, bar_t = _christoffel_adjoint(bar_gamma, d2r, geom.metric)
-    bar_g_inv += bar_g_inv_gamma
-    n_s = n * signs
-    bar_d2r += bar_b[..., None] * n_s[..., None, None, :]
-    bar_t += bar_dots[..., None] * n_s[..., None, :]
+    bar_g_inv_gamma, bar_d2r_gamma, bar_t = _christoffel_adjoint(bar_gamma, d2r, geom.metric)
+    bar_g_inv, bar_d2r = bar_g_inv + bar_g_inv_gamma, bar_d2r + bar_d2r_gamma
+    bar_t += bar_dots[..., None] * (n * signs)[..., None, :]
 
     # g^{-1}, sqrt(-g) back to g_jk = t_j . t_k: dg^{-1} = -g^{-1} dg g^{-1}, dsqrt(-g) = sqrt(-g) g^{jk} dg_jk / 2
+    g_inv_t = np.swapaxes(g_inv, -1, -2)
     bar_g = (0.5 * bar_sq * sq)[..., None, None] * g_inv_t - g_inv_t @ bar_g_inv @ g_inv_t
     bar_t += ((bar_g + np.swapaxes(bar_g, -1, -2)) @ tangents) * signs
     grads[0] = _second_derivatives_adjoint(bar_t, bar_d2r, grid)
@@ -426,7 +417,7 @@ def full_action(
     phi_sq, curvature, dots, nn, g, sqrt_neg_g, g_inv, dphi, phi, gamma = (
         interpolate(grid, x, chart.u) for x in node_fields)
     weight = sqrt_neg_g * cmetric.sqrt_U
-    christoffel = _christoffel_density(phi, dphi, gamma, g_inv)[0]
+    christoffel = _christoffel_density(phi, dphi, _contracted_christoffel(gamma, g_inv))[0]
     lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots.shape[-1:])
     integrands = [_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass), phi_sq * curvature * weight,
                   _dirichlet_density(g_inv, dphi) * weight, christoffel * weight, (dots @ lam_t) * weight,

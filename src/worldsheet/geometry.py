@@ -11,6 +11,7 @@ signature (-,+,...,+) Minkowski form.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -270,6 +271,37 @@ def _christoffel_adjoint(
     return bar_pairs @ proj, bar_d2r.reshape(d2r.shape), bar_t
 
 
+def _contracted_christoffel(gamma: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """gamma_c^l = Gamma^l_jk g^{jk} per node, by one matmul over the (j, k) pairs."""
+    nd = gamma.shape[-1]
+    pairs = gamma.reshape(gamma.shape[:-2] + (nd * nd,))  # [..., l, jk]
+    return (pairs @ g_inv.reshape(g_inv.shape[:-2] + (nd * nd, 1)))[..., 0]
+
+
+def _curvature_rows(d2r: np.ndarray, g_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M_a = g^{-1} D_a, D_a the (j, l) matrix of d2r's component a, by one matmul: M[..., j, l, a] as rows (j, l)
+    and as rows (l, j), shape [..., m^2, N+1] each, and the sign products S_a S_b."""
+    m = (g_inv @ d2r.reshape(g_inv.shape[:-1] + (-1,))).reshape(d2r.shape)
+    rows, signs = d2r.shape[:-3] + (-1, d2r.shape[-1]), _signs(d2r.shape[-1])
+    return m.reshape(rows), np.swapaxes(m, -3, -2).reshape(rows), np.multiply.outer(signs, signs)
+
+
+def _curvature_form(d2r: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Q = S C S per node, C_ab = g^{jk} g^{lm} d2r_{jl,a} d2r_{km,b} = tr(M_a M_b): the curvature density
+    g^{jk} b_jl b^l_k of a normal n is n^T Q n.  C is one (N+1, m^2) @ (m^2, N+1) matmul of M's rows."""
+    jl, lj, sign = _curvature_rows(d2r, g_inv)
+    return (np.swapaxes(jl, -1, -2) @ lj) * sign
+
+
+def _curvature_form_adjoint(bar_q: np.ndarray, d2r: np.ndarray, g_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse mode of _curvature_form: the bars of g^{-1} and d2r from Q's, by the same matmuls."""
+    _, lj, sign = _curvature_rows(d2r, g_inv)
+    bar_c = bar_q * sign
+    flat = d2r.reshape(g_inv.shape[:-1] + (-1,))  # [..., j, (l, a)], as M was formed
+    bar_m = (lj @ (bar_c + np.swapaxes(bar_c, -1, -2))).reshape(flat.shape)
+    return bar_m @ np.swapaxes(flat, -1, -2), (np.swapaxes(g_inv, -1, -2) @ bar_m).reshape(d2r.shape)
+
+
 def second_fundamental_form(
     d2r: np.ndarray, normal: np.ndarray, metric_data: MetricData
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -381,35 +413,32 @@ def chart_metric(chart: ChartMap) -> ChartMetric:
 class GeometryCache:
     """All per-node tensors needed by the energy functionals and identity checks.
 
-    The fundamental form is taken along the stored candidate normal fields.n
-    as-is; pass require_unit_normal=True to build_geometry to enforce the
-    unit-normal precondition of the standalone operation.
+    The r part (metric, d2r, Gamma and J_K's r-only factors, Q and gamma_c) is built once by build_geometry;
+    refresh_geometry shares it and rebuilds only dphi.  b and b^l_j are formed from d2r and the stored candidate
+    normal n, as-is, when first read; pass require_unit_normal=True to build_geometry to enforce the unit-normal
+    precondition of the standalone operation.
     """
 
     metric: MetricData
     d2r: np.ndarray
     gamma: np.ndarray
-    b: np.ndarray
-    b_up: np.ndarray
+    curvature_form: np.ndarray  # Q, (*counts, N+1, N+1)
+    gamma_c: np.ndarray         # (*counts, m+1)
+    n: np.ndarray
     dphi: np.ndarray
     riemann: Optional[np.ndarray] = None
     frame: Optional[NormalFrame] = None
 
-    @property
-    def tangents(self) -> np.ndarray:
-        return self.metric.tangents
+    @cached_property
+    def _fundamental_form(self) -> tuple[np.ndarray, np.ndarray]:
+        return _fundamental_form_raw(self.d2r, self.n, self.metric)
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.metric.g
-
-    @property
-    def g_inv(self) -> np.ndarray:
-        return self.metric.g_inv
-
-    @property
-    def sqrt_neg_g(self) -> np.ndarray:
-        return self.metric.sqrt_neg_g
+    b = property(lambda self: self._fundamental_form[0])
+    b_up = property(lambda self: self._fundamental_form[1])
+    tangents = property(lambda self: self.metric.tangents)
+    g = property(lambda self: self.metric.g)
+    g_inv = property(lambda self: self.metric.g_inv)
+    sqrt_neg_g = property(lambda self: self.metric.sqrt_neg_g)
 
 
 def build_geometry(
@@ -425,7 +454,9 @@ def build_geometry(
     gamma = christoffel(d2r, md)
     if require_unit_normal:
         _require_unit(fields.n)
-    cache = refresh_geometry(GeometryCache(md, d2r, gamma, b=None, b_up=None, dphi=None), fields, grid)
+    r_part = GeometryCache(md, d2r, gamma, _curvature_form(d2r, md.g_inv), _contracted_christoffel(gamma, md.g_inv),
+                           n=None, dphi=None)
+    cache = refresh_geometry(r_part, fields, grid)
     if with_riemann:
         cache.riemann = riemann(gamma, grid)
     if with_frame:
@@ -434,13 +465,11 @@ def build_geometry(
 
 
 def refresh_geometry(base: GeometryCache, fields: FieldSet, grid: ParameterGrid) -> GeometryCache:
-    """base with the entries that read n and phi rebuilt from fields: b, b^l_j and dphi.
+    """base with the entries that read n and phi taken from fields: n, and dphi rebuilt.
 
-    The r part of base (metric, d2r, Gamma, and riemann and frame if present)
-    is shared, not recomputed, so fields.r must be the r base was built from.
-    A non-finite phi is refused at its own node with GeometryError.
+    The r part of base (metric, d2r, Gamma, Q, gamma_c, and riemann and frame
+    if present) is shared, not recomputed, so fields.r must be the r base was
+    built from.  A non-finite phi is refused at its own node with GeometryError.
     """
     _raise_at_first(~np.isfinite(fields.phi), GeometryError, "phi is not finite at node {node}")
-    b, b_up = _fundamental_form_raw(base.d2r, fields.n, base.metric)
-    dphi = _gradient(fields.phi, grid)
-    return replace(base, b=b, b_up=b_up, dphi=dphi)
+    return replace(base, n=fields.n, dphi=_gradient(fields.phi, grid))

@@ -260,14 +260,11 @@ class FieldSet:
         return self.r.shape[-1] - 1
 
     def copy(self) -> "FieldSet":
-        return FieldSet(
-            r=self.r.copy(),
-            phi=self.phi.copy(),
-            n=self.n.copy(),
-            r_bc=self.r_bc.copy(),
-            phi_bc=self.phi_bc.copy(),
-            eps=self.eps,
-        )
+        """A copy of every array.  They are cast already, so the copy fills its attributes past __setattr__."""
+        out = object.__new__(FieldSet)
+        vars(out).update(r=self.r.copy(), phi=self.phi.copy(), n=self.n.copy(), r_bc=self.r_bc.copy(),
+                         phi_bc=self.phi_bc.copy(), eps=self.eps)
+        return out
 
 
 def apply_boundary(fields: FieldSet, grid: ParameterGrid) -> FieldSet:

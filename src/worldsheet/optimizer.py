@@ -228,7 +228,7 @@ def minimize_fixed_K(
     finite is rejected and the step halved.  Step underflow is recorded as a
     stall, not raised.
     With "r" optimised _base is None and every configuration gets its own build_geometry.
-    With r frozen each refreshes only b, b^l_j and dphi of one geometry of r: the start
+    With r frozen each refreshes only n and dphi of one geometry of r: the start
     refreshes _base (or is built, if _base is None) and every trial refreshes the start's.
     """
 

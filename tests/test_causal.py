@@ -1127,6 +1127,22 @@ def test_queries_reject_a_boolean_mask(query):
         query(mask, g)
 
 
+@pytest.mark.parametrize("query", OUT_OF_RANGE_QUERIES, ids=lambda f: f.__name__)
+def test_queries_reject_a_bool_among_indices(query):
+    # np.asarray([3, True]) is an integer array: the bool would be read as event 1
+    ev, g = covering_graph(4, 4)
+    with pytest.raises(ValueError, match="^event index True is a bool, not an integer$"):
+        query([3, True], g)
+
+
+def test_is_edge_rejects_a_bool_in_either_place():
+    ev, g = covering_graph(4, 4)
+    assert g.is_edge(1, 5)  # what a bool True would have answered
+    for i, j, named in ((True, 5, True), (5, True, True), (np.True_, 5, True), (5, False, False)):
+        with pytest.raises(ValueError, match=f"^event index {named} is a bool, not an integer$"):
+            g.is_edge(i, j)
+
+
 @pytest.mark.parametrize("samples", [0, -1, 2.5, "50", True])
 def test_intercept_rejects_samples_below_one(samples):
     # samples=0 would check no path and report ok; -1 would fail inside numpy

@@ -80,6 +80,16 @@ def einsum_fundamental_form(d2r, normal, metric_data):
     return b, np.einsum("...jk,...kl->...lj", b, metric_data.g_inv)
 
 
+def einsum_curvature_form(d2r, g_inv):
+    """Q_ab = s_a s_b g^{jk} g^{lm} d2r_{jl,a} d2r_{km,b}: g^{jk} b_jl b^l_k = n^T Q n."""
+    signs = _signs(d2r.shape[-1])
+    return np.einsum("...jk,...lm,...jla,...kmb,a,b->...ab", g_inv, g_inv, d2r, d2r, signs, signs, optimize=True)
+
+
+def einsum_contracted_christoffel(gamma, g_inv):
+    return np.einsum("...ljk,...jk->...l", gamma, g_inv)
+
+
 def einsum_riemann(gamma, grid):
     dgamma = np.stack([finite_difference(gamma, grid, axis=i) for i in range(grid.ndim)], axis=-4)
     half = np.swapaxes(dgamma, -4, -3) + np.einsum("...pjk,...lpi->...lijk", gamma, gamma)
@@ -122,18 +132,18 @@ def einsum_chart_metric(chart):
     return geometry.ChartMetric(U_ij=U_ij, U=U, sqrt_U=np.sqrt(U))
 
 
-def einsum_curvature_density(g_inv, b, b_up):
-    return np.einsum("...jk,...jl,...lk->...", g_inv, b, b_up)
+def einsum_curvature_density(q, n):
+    qn = np.einsum("...ab,...b->...a", q, n)
+    return np.einsum("...a,...a->...", n, qn), qn
 
 
 def einsum_dirichlet_density(g_inv, dphi):
     return np.einsum("...jk,...j,...k->...", g_inv, dphi, np.conj(dphi)).real
 
 
-def einsum_christoffel_density(phi, dphi, gamma, g_inv):
+def einsum_christoffel_density(phi, dphi, gamma_c):
     re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
-    gamma_c = np.einsum("...ljk,...jk->...l", gamma, g_inv)
-    return np.einsum("...l,...l->...", re_pair, gamma_c), re_pair, gamma_c
+    return np.einsum("...l,...l->...", re_pair, gamma_c), re_pair
 
 
 def einsum_constraint_densities(phi_sq, n, geom, grid):
@@ -175,22 +185,23 @@ def chart_fields(fields, grid, chart, geom):
 
 def einsum_densities(fields, geom, grid):
     phi_sq = np.abs(fields.phi) ** 2
-    curvature = einsum_curvature_density(geom.g_inv, geom.b, geom.b_up)
-    christoffel_parts = einsum_christoffel_density(fields.phi, geom.dphi, geom.gamma, geom.g_inv)
+    curvature = einsum_curvature_density(geom.curvature_form, fields.n)
+    christoffel_parts = einsum_christoffel_density(fields.phi, geom.dphi, geom.gamma_c)
     penalty = einsum_constraint_densities(phi_sq, fields.n, geom, grid)
     dirichlet = einsum_dirichlet_density(geom.g_inv, geom.dphi)
-    return energy._Densities(phi_sq, curvature, dirichlet, *christoffel_parts, *penalty)
+    return energy._Densities(phi_sq, *curvature, dirichlet, *christoffel_parts, *penalty)
 
 
 def einsum_backward_JK(fields, grid, K, geom):
-    """backward_JK's einsum form on all three blocks, on the einsum densities and Christoffel adjoint."""
+    """backward_JK's einsum form on all three blocks, on the einsum densities and Christoffel adjoint.  The
+    curvature density's adjoint runs through b_jk and b^l_j, not through the curvature form Q = S C S."""
     phi, n = fields.phi, fields.n
     signs = _signs(fields.r.shape[-1])
-    tangents, d2r, gamma = geom.tangents, geom.d2r, geom.gamma
+    tangents, d2r, gamma, gamma_c = geom.tangents, geom.d2r, geom.gamma, geom.gamma_c
     g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, geom.dphi, geom.sqrt_neg_g
     d = einsum_densities(fields, geom, grid)
     breakdown = energy._breakdown(d, geom, grid, K)
-    phi_sq, curv, re_pair, gamma_c, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.gamma_c, d.dots, d.nn
+    phi_sq, curv, re_pair, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
     rule = energy.QuadratureRule.from_grid(grid)
     w = rule.node_weights * sq
     spatial = np.ones(())
@@ -240,6 +251,9 @@ ORACLES = [
     (geometry, "metric", einsum_metric),
     (geometry, "christoffel", einsum_christoffel),
     (geometry, "_fundamental_form_raw", einsum_fundamental_form),
+    (geometry, "_curvature_form", einsum_curvature_form),
+    (geometry, "_contracted_christoffel", einsum_contracted_christoffel),
+    (energy, "_contracted_christoffel", einsum_contracted_christoffel),
     (energy, "chart_metric", einsum_chart_metric),
     (energy, "_curvature_density", einsum_curvature_density),
     (energy, "_dirichlet_density", einsum_dirichlet_density),
@@ -385,6 +399,17 @@ def test_christoffel_adjoint_matches_einsum(name):
         _close(a, b)
 
 
+@pytest.mark.parametrize("name", STARTS + ["sheet_eval_17^3"])
+def test_curvature_form_and_contracted_christoffel_match_einsum(name):
+    g, f = _sheet_eval_start() if name == "sheet_eval_17^3" else _start(name)
+    geom = build_geometry(f, g)
+    _close(geom.curvature_form, einsum_curvature_form(geom.d2r, geom.g_inv))
+    _close(geom.gamma_c, einsum_contracted_christoffel(geom.gamma, geom.g_inv))
+    # n^T Q n is the b form's g^{jk} b_jl b^l_k
+    b_form = np.einsum("...jk,...jl,...lk->...", geom.g_inv, geom.b, geom.b_up)
+    _close(energy._curvature_density(geom.curvature_form, f.n)[0], b_form)
+
+
 @pytest.mark.parametrize("name", STARTS)
 def test_fundamental_form_matches_einsum(name):
     g, f = _start(name)
@@ -505,7 +530,7 @@ def test_coercivity_check_matches_einsum(monkeypatch, name):
     got = optimizer.coercivity_check(f, g, c0=0.5, c1=0.3, c2=0.2)
     use_oracles(monkeypatch)
     geom = build_geometry(f, g)
-    lhs = np.abs(f.phi) ** 2 * einsum_curvature_density(geom.g_inv, geom.b, geom.b_up)
+    lhs = np.abs(f.phi) ** 2 * einsum_curvature_density(geom.curvature_form, f.n)[0]
     dn = np.stack([finite_difference(f.n, g, axis=j) for j in range(g.ndim)], axis=-2)
     dn_sq = np.einsum("...ja,...ja,a->...", dn, dn, _signs(f.n.shape[-1]))
     d2_sq = np.einsum("...ija,...ija->...ij", geom.d2r, geom.d2r)
@@ -573,11 +598,12 @@ def full_action_oracle(fields, grid, chart, mass, E, lam_tangent, lam_unit):
     speed_sq = -((at["g"] @ udot[..., None])[..., 0] * udot).sum(-1)
     kin = quadrature_oracle(mass * chart.c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U, chart.grid)
     pts, weight, phi_sq = chart.u, at["sqrt_neg_g"] * cmetric.sqrt_U, at["phi_sq"]
-    curvature = energy.interpolate(grid, energy._curvature_density(geom.g_inv, geom.b, geom.b_up), pts)
+    curvature = energy.interpolate(grid, energy._curvature_density(geom.curvature_form, fields.n)[0], pts)
     j1 = 0.5 * quadrature_oracle(phi_sq * curvature * weight, chart.grid)
     g_inv_c, dphi_c = energy.interpolate(grid, geom.g_inv, pts), energy.interpolate(grid, geom.dphi, pts)
     phi_c = energy.interpolate(grid, fields.phi, pts)
-    christoffel = energy._christoffel_density(phi_c, dphi_c, energy.interpolate(grid, geom.gamma, pts), g_inv_c)[0]
+    gamma_c = geometry._contracted_christoffel(energy.interpolate(grid, geom.gamma, pts), g_inv_c)
+    christoffel = energy._christoffel_density(phi_c, dphi_c, gamma_c)[0]
     j2d = 0.5 * quadrature_oracle(energy._dirichlet_density(g_inv_c, dphi_c) * weight, chart.grid)
     j2c = 0.25 * quadrature_oracle(christoffel * weight, chart.grid)
     mass_t = energy.slice_masses(phi_sq * weight, chart.grid)

@@ -1,0 +1,166 @@
+"""The curvature density as one quadratic form in n, against the b chain it replaced.
+
+build_geometry forms the curvature form Q = S C S once per geometry of r,
+with C_ab = g^{jk} g^{lm} d2r_{jl,a} d2r_{km,b}, and J_K reads the curvature
+density g^{jk} b_jl b^l_k as n^T Q n.  The b chain below is the code that
+formed the density and its adjoint from b_jk = d2r_jk . n and b^l_j on every
+evaluation: it stays here as the oracle of J_K and of the packed gradient,
+with r frozen and with r optimised.  Q's own adjoint is pinned by a
+dot-product test, and with r frozen J_K is a quartic along any phi/n line.
+"""
+
+from math import comb
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from worldsheet import backward_JK, build_geometry, cli, energy, geometry, optimizer, refresh_geometry
+from worldsheet.geometry import _christoffel_adjoint, _second_derivatives_adjoint, _signs
+from worldsheet.grid import finite_difference_adjoint
+
+from test_contractions import _one_pass_start, _start
+
+SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "theorem_range.scn"
+
+
+def b_chain_backward_JK(fields, grid, K, geom, kinds=("r", "phi", "n")):
+    """backward_JK as it ran through b_jk and b^l_j: the curvature density g^{jk} b_jl b^l_k is formed
+    from b, and its adjoint runs back through b^l_j, b and d2r . n to n, g^{-1} and d2r."""
+    phi, n = fields.phi, fields.n
+    signs = _signs(fields.r.shape[-1])
+    tangents, d2r, gamma, gamma_c = geom.tangents, geom.d2r, geom.gamma, geom.gamma_c
+    g_inv, dphi, sq = geom.g_inv, geom.dphi, geom.sqrt_neg_g
+    b, b_up = geometry._fundamental_form_raw(d2r, n, geom.metric)
+    d = energy._densities(fields, geom, grid)
+    d = d._replace(curvature=(g_inv * (b @ b_up)).sum((-2, -1)))
+    breakdown = energy._breakdown(d, geom, grid, K)
+    phi_sq, curv, re_pair, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
+    rule = energy._rule(grid)
+    w = rule.node_weights * sq
+    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), rule.spatial_weights)
+    bar_phi = 2.0 * (0.5 * curv * w + mass_w * sq) * phi
+
+    # curvature density g^{jk} b_jl b^l_k with b^l_k = b_km g^{ml}
+    bar_curv = 0.5 * phi_sq * w
+    g_inv_t = np.swapaxes(g_inv, -1, -2)
+    bar_b_up = bar_curv[..., None, None] * (np.swapaxes(b, -1, -2) @ g_inv)
+    bar_b = bar_curv[..., None, None] * (g_inv @ np.swapaxes(b_up, -1, -2))
+    bar_b += np.swapaxes(g_inv @ bar_b_up, -1, -2)
+
+    bar_d = 0.5 * w
+    dphi_xy = energy._re_im(dphi)
+    bar_xy = bar_d[..., None, None] * ((g_inv + g_inv_t) @ dphi_xy)
+    bar_dphi = bar_xy[..., 0] + 1j * bar_xy[..., 1]
+    bar_c = 0.25 * w
+    bar_pair = bar_c[..., None] * gamma_c
+    bar_dphi += 2.0 * bar_pair * phi[..., None]
+    bar_phi += 2.0 * (bar_pair * dphi).sum(-1)
+
+    # b_jk = d2r_jk . n, and the orth and unit penalties
+    nd, dim = d2r.shape[-2:]
+    bar_dots = K * w[..., None] * dots
+    bar_n = bar_b.reshape(bar_b.shape[:-2] + (1, nd * nd)) @ d2r.reshape(d2r.shape[:-3] + (nd * nd, dim))
+    bar_n += bar_dots[..., None, :] @ tangents
+    bar_n = (bar_n[..., 0, :] + (2.0 * K * w * (nn - 1.0))[..., None] * n) * signs
+
+    for j in range(grid.ndim):
+        bar_phi += finite_difference_adjoint(bar_dphi[..., j], grid, j)
+    grads = [np.zeros_like(fields.r), bar_phi if "phi" in kinds else np.zeros_like(phi)]
+    grads.append(bar_n if "n" in kinds else np.zeros_like(n))
+    if "r" not in kinds:
+        return breakdown, tuple(grads)
+
+    dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
+    dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
+    bar_sq = rule.node_weights * dens + mass_w * phi_sq
+    bar_g_inv = bar_curv[..., None, None] * (b @ b_up)
+    bar_g_inv += np.swapaxes(bar_b_up @ b, -1, -2)
+    bar_g_inv += bar_d[..., None, None] * (dphi_xy @ np.swapaxes(dphi_xy, -1, -2))
+    bar_gamma_c = bar_c[..., None] * re_pair
+    bar_gamma = bar_gamma_c[..., :, None, None] * g_inv[..., None, :, :]
+    bar_g_inv += (bar_gamma_c[..., None, :] @ gamma.reshape(gamma.shape[:-2] + (nd * nd,))).reshape(g_inv.shape)
+
+    bar_g_inv_gamma, bar_d2r, bar_t = _christoffel_adjoint(bar_gamma, d2r, geom.metric)
+    bar_g_inv += bar_g_inv_gamma
+    n_s = n * signs
+    bar_d2r += bar_b[..., None] * n_s[..., None, None, :]
+    bar_t += bar_dots[..., None] * n_s[..., None, :]
+    bar_g = (0.5 * bar_sq * sq)[..., None, None] * g_inv_t - g_inv_t @ bar_g_inv @ g_inv_t
+    bar_t += ((bar_g + np.swapaxes(bar_g, -1, -2)) @ tangents) * signs
+    grads[0] = _second_derivatives_adjoint(bar_t, bar_d2r, grid)
+    return breakdown, tuple(grads)
+
+
+def _scenario_start(name):
+    """Criterion 3's start, or theorem_range.scn's with m = 5 or 6 spatial axes in N = m + 1."""
+    if name == "criterion_3":
+        return _one_pass_start(name)
+    m = int(name[-1])
+    sets = [f"grid.extents=0:2{', 0:1' * m}", f"grid.counts=3{', 4' * m}", f"fields.n_ambient={m + 1}"]
+    inputs = cli._build_inputs(cli.load_scenario(SCENARIO, sets))
+    return inputs["grid"], inputs["fields"]
+
+
+def _noisy(name):
+    """The start with noise in phi and n on the interior nodes, where the descent moves them."""
+    g, f = _scenario_start(name)
+    rng = np.random.default_rng(17)
+    interior = g.interior_mask
+    f.n[interior] += 0.05 * rng.standard_normal(f.n[interior].shape)
+    shape = f.phi[interior].shape
+    f.phi[interior] *= 1.0 + 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return g, f
+
+
+def _packed(grads, grid, kinds):
+    return np.concatenate([block.ravel() for block in optimizer._interior(grads, grid, kinds)])
+
+
+@pytest.mark.parametrize("name", ["criterion_3", "theorem_range_m5", "theorem_range_m6"])
+def test_quadratic_form_equals_b_chain(name):
+    g, f = _noisy(name)
+    geom = build_geometry(f, g)
+    for kinds in (("phi", "n"), ("r", "phi", "n")):
+        for K in (100.0, 1e5):
+            got_jk, got = backward_JK(f, g, K, geom, kinds)
+            want_jk, want = b_chain_backward_JK(f, g, K, geom, kinds)
+            assert abs(got_jk.total_JK - want_jk.total_JK) <= 1e-12 * abs(want_jk.total_JK)
+            got, want = _packed(got, g, kinds), _packed(want, g, kinds)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (kinds, K)
+
+
+@pytest.mark.parametrize("name", ["cylinder_N3", "sphere_product", "m5_3^6"])
+def test_curvature_form_adjoint_dot_product(name):
+    # Q is a polynomial in (g^{-1}, d2r), so a complex step gives its directional derivative to rounding.
+    g, f = _start(name)
+    geom = build_geometry(f, g)
+    rng = np.random.default_rng(len(name))
+    d_g_inv, d_d2r = rng.standard_normal(geom.g_inv.shape), rng.standard_normal(geom.d2r.shape)
+    h = 1e-30
+    tangent = geometry._curvature_form(geom.d2r + 1j * h * d_d2r, geom.g_inv + 1j * h * d_g_inv).imag / h
+    for _ in range(3):
+        bar_q = rng.standard_normal(geom.curvature_form.shape)
+        bar_g_inv, bar_d2r = geometry._curvature_form_adjoint(bar_q, geom.d2r, geom.g_inv)
+        assert bar_g_inv.shape == geom.g_inv.shape and bar_d2r.shape == geom.d2r.shape
+        lhs, rhs = np.vdot(bar_q, tangent), np.vdot(bar_g_inv, d_g_inv) + np.vdot(bar_d2r, d_d2r)
+        pairs = ((bar_q, tangent), (bar_g_inv, d_g_inv), (bar_d2r, d_d2r))
+        assert abs(lhs - rhs) <= 1e-12 * sum(np.vdot(np.abs(a), np.abs(b)) for a, b in pairs)
+
+
+@pytest.mark.parametrize("name", ["criterion_3", "theorem_range_m5"])
+def test_frozen_r_JK_is_a_quartic_along_phi_and_n(name):
+    # With r frozen J_K is a polynomial of degree 4 in (phi, n): its fifth difference along a line
+    # vanishes to rounding, while its fourth, 24 h^4 times the quartic coefficient, does not.
+    g, f = _scenario_start(name)
+    base, kinds = build_geometry(f, g), ("phi", "n")
+    direction = np.random.default_rng(5).standard_normal(_packed((f.r, f.phi, f.n), g, kinds).size)
+    values = []
+    for k in range(6):
+        x = optimizer._add_scaled(f, direction, 0.1 * k, g, kinds)
+        values.append(backward_JK(x, g, 100.0, refresh_geometry(base, x, g), kinds)[0].total_JK)
+    fifth = sum((-1) ** (5 - k) * comb(5, k) * v for k, v in enumerate(values))
+    fourth = sum((-1) ** (4 - k) * comb(4, k) * v for k, v in enumerate(values[:5]))
+    bound = 1e-14 * sum(comb(5, k) * abs(v) for k, v in enumerate(values))
+    assert abs(fifth) <= bound
+    assert abs(fourth) > 1e6 * bound

@@ -2,7 +2,7 @@
 
 With r left out of optimize_fields, a continuation builds the geometry once,
 before the first leg, and every evaluation, the first leg's start included,
-refreshes only b, b^l_j and dphi (refresh_geometry).  The oracle is the
+refreshes only n and dphi (refresh_geometry).  The oracle is the
 same descent with that refresh replaced by a full build_geometry of the
 configuration; the two must agree bit for bit, and r must never move.
 """

@@ -425,3 +425,20 @@ def test_output_rules_live_only_in_grid():
         if token in line
     ]
     assert not found, found
+
+
+def test_fieldset_copy_keeps_dtypes_shares_no_memory_and_still_casts():
+    g = build_grid([(0, 2), (0, 1)], [3, 7])
+    f = presets.perturbed_flat(g, shear_amp=0.06)
+    c = f.copy()
+    names = ("r", "phi", "n", "r_bc", "phi_bc")
+    for name in names:
+        a, b = getattr(f, name), getattr(c, name)
+        assert b.dtype == a.dtype and b.tobytes() == a.tobytes() and not np.shares_memory(a, b), name
+    assert [getattr(c, name).dtype for name in names] == [float, complex, float, float, complex]
+    assert type(c) is type(f) and c.eps == f.eps
+    # An assignment made after the copy casts, as on the original.
+    c.phi = c.phi.real
+    c.r = c.r.astype(np.int64)
+    assert c.phi.dtype == complex and c.r.dtype == float
+    assert f.phi.dtype == complex and f.r.dtype == float
