@@ -100,4 +100,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.3.20"
+__version__ = "0.3.21"

@@ -32,8 +32,7 @@ from .geometry import (
     ChartMetric,
     GeometryCache,
     GeometryError,
-    _christoffel_adjoint,
-    _contracted_christoffel,
+    _contracted_christoffel_adjoint,
     _curvature_form_adjoint,
     _second_derivatives_adjoint,
     _signs,
@@ -271,15 +270,15 @@ def backward_JK(
     breakdown equals assemble_JK(..., geom=geom), and a non-finite integrand
     raises NonFiniteValueError naming the node.  The adjoints then run back
     through the per-node algebra (n^T Q n, gamma_c, dphi, the penalty terms
-    and the slice masses), through Q, Gamma, g^{-1} and sqrt(-g), and to node
+    and the slice masses), through Q, gamma_c, g^{-1} and sqrt(-g), and to node
     fields through the transposed stencils.  Returns (breakdown, (dJ/dr, dJ/dphi,
     dJ/dn)) in node-field shapes, boundary nodes included; the phi entry is
     dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and
-    without "r" the r chain (bars of g^{-1}, Gamma and d2r) is skipped.
+    without "r" the r chain (bars of g^{-1}, d2r and the tangents) is skipped.
     """
     phi, n = fields.phi, fields.n
     signs = _signs(fields.r.shape[-1])
-    tangents, d2r, gamma, gamma_c = geom.tangents, geom.d2r, geom.gamma, geom.gamma_c
+    tangents, d2r, gamma_c = geom.tangents, geom.d2r, geom.gamma_c
     g_inv, dphi, sq = geom.g_inv, geom.dphi, geom.sqrt_neg_g
     d = _densities(fields, geom, grid)
     breakdown = _breakdown(d, geom, grid, K)
@@ -323,13 +322,9 @@ def backward_JK(
     bar_q = bar_curv[..., None, None] * (n[..., :, None] * n[..., None, :])
     bar_g_inv, bar_d2r = _curvature_form_adjoint(bar_q, d2r, g_inv)
     bar_g_inv += bar_d[..., None, None] * (dphi_xy @ np.swapaxes(dphi_xy, -1, -2))
-    bar_gamma_c = bar_c[..., None] * re_pair
-    bar_gamma = bar_gamma_c[..., :, None, None] * g_inv[..., None, :, :]
-    bar_g_inv += (bar_gamma_c[..., None, :] @ gamma.reshape(gamma.shape[:-2] + (-1,))).reshape(g_inv.shape)
-
-    # Gamma^l_jk = g^{ls} (d2r_jk . t_s)
-    bar_g_inv_gamma, bar_d2r_gamma, bar_t = _christoffel_adjoint(bar_gamma, d2r, geom.metric)
-    bar_g_inv, bar_d2r = bar_g_inv + bar_g_inv_gamma, bar_d2r + bar_d2r_gamma
+    # gamma_c^l = g^{ls} (t_s . g^{jk} d2r_jk)
+    bar_g_inv_c, bar_d2r_c, bar_t = _contracted_christoffel_adjoint(bar_c[..., None] * re_pair, d2r, geom.metric)
+    bar_g_inv, bar_d2r = bar_g_inv + bar_g_inv_c, bar_d2r + bar_d2r_c
     bar_t += bar_dots[..., None] * (n * signs)[..., None, :]
 
     # g^{-1}, sqrt(-g) back to g_jk = t_j . t_k: dg^{-1} = -g^{-1} dg g^{-1}, dsqrt(-g) = sqrt(-g) g^{jk} dg_jk / 2
@@ -406,18 +401,18 @@ def full_action(
 
     |phi|^2, the curvature density, dr/du_j . n and n.n are _densities' node
     densities, interpolated; the Dirichlet and Christoffel densities are formed
-    from the interpolated g^{-1}, dphi, phi and Gamma.  The six chart integrands
+    from the interpolated g^{-1}, dphi, phi and gamma_c.  The six chart integrands
     are integrated in one pass.
     """
     geom = build_geometry(fields, grid)
     d = _densities(fields, geom, grid)
     cmetric = chart_metric(chart)
     node_fields = (d.phi_sq, d.curvature, d.dots, d.nn, geom.g, geom.sqrt_neg_g,
-                   geom.g_inv, geom.dphi, fields.phi, geom.gamma)
-    phi_sq, curvature, dots, nn, g, sqrt_neg_g, g_inv, dphi, phi, gamma = (
+                   geom.g_inv, geom.dphi, fields.phi, geom.gamma_c)
+    phi_sq, curvature, dots, nn, g, sqrt_neg_g, g_inv, dphi, phi, gamma_c = (
         interpolate(grid, x, chart.u) for x in node_fields)
     weight = sqrt_neg_g * cmetric.sqrt_U
-    christoffel = _christoffel_density(phi, dphi, _contracted_christoffel(gamma, g_inv))[0]
+    christoffel = _christoffel_density(phi, dphi, gamma_c)[0]
     lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots.shape[-1:])
     integrands = [_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass), phi_sq * curvature * weight,
                   _dirichlet_density(g_inv, dphi) * weight, christoffel * weight, (dots @ lam_t) * weight,

@@ -240,42 +240,42 @@ def _second_derivatives_adjoint(bar_t: np.ndarray, bar_d2r: np.ndarray, grid: Pa
     )
 
 
-def _tangential_projection(d2r: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    """d^2 r/du_j du_k . t_s per node as a batched matmul over the (j, k) pairs, shape [..., jk, s]."""
-    nd, dim = d2r.shape[-2:]
-    flat = d2r.reshape(d2r.shape[:-3] + (nd * nd, dim))
-    return flat @ np.swapaxes(tangents * _signs(dim), -1, -2)
-
-
 def christoffel(d2r: np.ndarray, metric_data: MetricData) -> np.ndarray:
     """Christoffel symbols as the tangential projection of d^2 r.
 
     Gamma^l_jk = g^{ls} (d^2 r/du_j du_k . g_s); returned with index order
     [..., l, j, k], symmetric in (j, k).  Matmuls fix the contraction order.
     """
-    proj = _tangential_projection(d2r, metric_data.tangents)
+    pairs = d2r.reshape(d2r.shape[:-3] + (-1, d2r.shape[-1]))
+    proj = pairs @ np.swapaxes(metric_data.tangents * _signs(d2r.shape[-1]), -1, -2)  # [..., jk, s]
     gamma = metric_data.g_inv @ np.swapaxes(proj, -1, -2)
     return gamma.reshape(gamma.shape[:-1] + d2r.shape[-3:-1])
 
 
-def _christoffel_adjoint(
-    bar_gamma: np.ndarray, d2r: np.ndarray, metric_data: MetricData
+def _beltrami(d2r: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """g^{jk} d^2 r/du_j du_k per node, shape [..., N+1], by one (1, m^2) @ (m^2, N+1) matmul."""
+    nd = g_inv.shape[-1]
+    return (g_inv.reshape(g_inv.shape[:-2] + (1, nd * nd)) @ d2r.reshape(d2r.shape[:-3] + (nd * nd, -1)))[..., 0, :]
+
+
+def _contracted_christoffel(d2r: np.ndarray, metric_data: MetricData) -> np.ndarray:
+    """gamma_c^l = Gamma^l_jk g^{jk} = g^{ls} (t_s . g^{jk} d2r_jk) per node, the tangential part of the
+    Beltrami operator g^{jk} d_j d_k r, shape [..., m+1]: Gamma, linear in d2r, is never formed."""
+    p = (metric_data.tangents * _signs(d2r.shape[-1])) @ _beltrami(d2r, metric_data.g_inv)[..., None]  # [..., s, 1]
+    return (metric_data.g_inv @ p)[..., 0]
+
+
+def _contracted_christoffel_adjoint(
+    bar_gamma_c: np.ndarray, d2r: np.ndarray, metric_data: MetricData
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse mode of christoffel: the bars of g^{-1}, d2r and the tangents from Gamma's, by the same matmuls."""
-    signs = _signs(d2r.shape[-1])
-    proj = _tangential_projection(d2r, metric_data.tangents)  # [..., jk, s]
-    bar_pairs = bar_gamma.reshape(bar_gamma.shape[:-2] + proj.shape[-2:-1])  # [..., l, jk]
-    bar_proj = np.swapaxes(bar_pairs, -1, -2) @ metric_data.g_inv  # [..., jk, s]
-    bar_d2r = bar_proj @ (metric_data.tangents * signs)
-    bar_t = (np.swapaxes(bar_proj, -1, -2) @ d2r.reshape(bar_d2r.shape)) * signs
-    return bar_pairs @ proj, bar_d2r.reshape(d2r.shape), bar_t
-
-
-def _contracted_christoffel(gamma: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """gamma_c^l = Gamma^l_jk g^{jk} per node, by one matmul over the (j, k) pairs."""
-    nd = gamma.shape[-1]
-    pairs = gamma.reshape(gamma.shape[:-2] + (nd * nd,))  # [..., l, jk]
-    return (pairs @ g_inv.reshape(g_inv.shape[:-2] + (nd * nd, 1)))[..., 0]
+    """Reverse mode of _contracted_christoffel: the bars of g^{-1}, d2r and the tangents from gamma_c's."""
+    tangents, g_inv, signs = metric_data.tangents, metric_data.g_inv, _signs(d2r.shape[-1])
+    w_s = _beltrami(d2r, g_inv) * signs
+    bar_p = (np.swapaxes(g_inv, -1, -2) @ bar_gamma_c[..., None])[..., 0]  # [..., s]
+    bar_w = (bar_p[..., None, :] @ tangents)[..., 0, :] * signs
+    bar_g_inv = bar_gamma_c[..., :, None] * (tangents @ w_s[..., None])[..., None, :, 0]
+    bar_g_inv += (d2r.reshape(d2r.shape[:-3] + (-1, d2r.shape[-1])) @ bar_w[..., None]).reshape(g_inv.shape)
+    return bar_g_inv, g_inv[..., None] * bar_w[..., None, None, :], bar_p[..., :, None] * w_s[..., None, :]
 
 
 def _curvature_rows(d2r: np.ndarray, g_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,21 +413,22 @@ def chart_metric(chart: ChartMap) -> ChartMetric:
 class GeometryCache:
     """All per-node tensors needed by the energy functionals and identity checks.
 
-    The r part (metric, d2r, Gamma and J_K's r-only factors, Q and gamma_c) is built once by build_geometry;
-    refresh_geometry shares it and rebuilds only dphi.  b and b^l_j are formed from d2r and the stored candidate
-    normal n, as-is, when first read; pass require_unit_normal=True to build_geometry to enforce the unit-normal
-    precondition of the standalone operation.
+    The r part (metric, d2r and J_K's r-only factors, Q and gamma_c) is built once by build_geometry;
+    refresh_geometry shares it and rebuilds only dphi.  Gamma is formed from d2r, and b and b^l_j from d2r and
+    the stored candidate normal n, as-is, when first read; pass require_unit_normal=True to build_geometry to
+    enforce the unit-normal precondition of the standalone operation.
     """
 
     metric: MetricData
     d2r: np.ndarray
-    gamma: np.ndarray
     curvature_form: np.ndarray  # Q, (*counts, N+1, N+1)
     gamma_c: np.ndarray         # (*counts, m+1)
     n: np.ndarray
     dphi: np.ndarray
     riemann: Optional[np.ndarray] = None
     frame: Optional[NormalFrame] = None
+
+    gamma = cached_property(lambda self: christoffel(self.d2r, self.metric))
 
     @cached_property
     def _fundamental_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -451,14 +452,12 @@ def build_geometry(
     """Assemble the immutable geometry cache for a field configuration."""
     md = metric(fields, grid)
     d2r = second_derivatives(fields.r, md.tangents, grid)
-    gamma = christoffel(d2r, md)
     if require_unit_normal:
         _require_unit(fields.n)
-    r_part = GeometryCache(md, d2r, gamma, _curvature_form(d2r, md.g_inv), _contracted_christoffel(gamma, md.g_inv),
-                           n=None, dphi=None)
+    r_part = GeometryCache(md, d2r, _curvature_form(d2r, md.g_inv), _contracted_christoffel(d2r, md), n=None, dphi=None)
     cache = refresh_geometry(r_part, fields, grid)
     if with_riemann:
-        cache.riemann = riemann(gamma, grid)
+        cache.riemann = riemann(cache.gamma, grid)
     if with_frame:
         cache.frame = normal_frame(md)
     return cache
@@ -467,7 +466,7 @@ def build_geometry(
 def refresh_geometry(base: GeometryCache, fields: FieldSet, grid: ParameterGrid) -> GeometryCache:
     """base with the entries that read n and phi taken from fields: n, and dphi rebuilt.
 
-    The r part of base (metric, d2r, Gamma, Q, gamma_c, and riemann and frame
+    The r part of base (metric, d2r, Q, gamma_c, and riemann and frame
     if present) is shared, not recomputed, so fields.r must be the r base was
     built from.  A non-finite phi is refused at its own node with GeometryError.
     """

@@ -124,14 +124,16 @@ class ParameterGrid:
 
 
 def build_grid(extents: Sequence[Sequence[float]], counts: Sequence[int]) -> ParameterGrid:
-    """Build a uniform grid; counts below 3 or degenerate extents are rejected."""
+    """Build a uniform grid; non-integral counts, counts below 3 and degenerate extents are rejected."""
     ext = tuple((float(lo), float(hi)) for lo, hi in extents)
-    cts = tuple(int(c) for c in counts)
+    cts = tuple(int(c) if float(c).is_integer() else c for c in counts)  # a non-integral count stays, to be named
     if len(ext) != len(cts) or not ext:
         raise GridError("extents and counts must be nonempty and of equal length")
     for axis, (lo, hi) in enumerate(ext):
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise GridError(f"axis {axis}: extent [{lo}, {hi}] is degenerate")
+        if not isinstance(cts[axis], int):
+            raise GridError(f"axis {axis}: count {cts[axis]} is not an integer")
         if cts[axis] < 3:
             raise GridError(f"axis {axis}: count {cts[axis]} < 3, central differences undefined")
     spacings = tuple((hi - lo) / (c - 1) for (lo, hi), c in zip(ext, cts))

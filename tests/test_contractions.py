@@ -21,7 +21,7 @@ import pytest
 from worldsheet import backward_JK, build_geometry, build_grid, christoffel, geometry, make_chart, presets
 from worldsheet import cli, energy, optimizer
 from worldsheet import grid as grid_mod
-from worldsheet.geometry import FRAME_SKIP_TOL, MetricData, _christoffel_adjoint, _second_derivatives_adjoint, _signs
+from worldsheet.geometry import FRAME_SKIP_TOL, MetricData, _second_derivatives_adjoint, _signs
 from worldsheet.grid import FieldSet, _node_str, finite_difference, finite_difference_adjoint
 
 REL = 1e-14
@@ -88,6 +88,20 @@ def einsum_curvature_form(d2r, g_inv):
 
 def einsum_contracted_christoffel(gamma, g_inv):
     return np.einsum("...ljk,...jk->...l", gamma, g_inv)
+
+
+def einsum_gamma_c(d2r, metric_data):
+    """gamma_c by the Gamma route: the einsum Gamma, then its einsum contraction with g^{-1}."""
+    return einsum_contracted_christoffel(einsum_christoffel(d2r, metric_data), metric_data.g_inv)
+
+
+def einsum_gamma_c_adjoint(bar_gamma_c, d2r, metric_data):
+    """The reverse mode of the Gamma route: bar_Gamma = bar_gamma_c (x) g^{-1} through Gamma's einsum
+    adjoint, plus bar_gamma_c . Gamma into the bar of g^{-1}."""
+    bar_gamma = np.einsum("...l,...jk->...ljk", bar_gamma_c, metric_data.g_inv)
+    bar_g_inv, bar_d2r, bar_t = einsum_christoffel_adjoint(bar_gamma, d2r, metric_data)
+    bar_g_inv += np.einsum("...l,...ljk->...jk", bar_gamma_c, einsum_christoffel(d2r, metric_data))
+    return bar_g_inv, bar_d2r, bar_t
 
 
 def einsum_riemann(gamma, grid):
@@ -252,8 +266,7 @@ ORACLES = [
     (geometry, "christoffel", einsum_christoffel),
     (geometry, "_fundamental_form_raw", einsum_fundamental_form),
     (geometry, "_curvature_form", einsum_curvature_form),
-    (geometry, "_contracted_christoffel", einsum_contracted_christoffel),
-    (energy, "_contracted_christoffel", einsum_contracted_christoffel),
+    (geometry, "_contracted_christoffel", einsum_gamma_c),
     (energy, "chart_metric", einsum_chart_metric),
     (energy, "_curvature_density", einsum_curvature_density),
     (energy, "_dirichlet_density", einsum_dirichlet_density),
@@ -391,11 +404,12 @@ def test_christoffel_matches_einsum(name):
 
 @pytest.mark.parametrize("name", STARTS)
 def test_christoffel_adjoint_matches_einsum(name):
+    # gamma_c's adjoint, which never forms Gamma, against the adjoint of the Gamma route it replaced.
     g, f = _start(name)
     geom = build_geometry(f, g)
-    bar_gamma = np.random.default_rng(5).standard_normal(geom.gamma.shape)
-    got = _christoffel_adjoint(bar_gamma, geom.d2r, geom.metric)
-    for a, b in zip(got, einsum_christoffel_adjoint(bar_gamma, geom.d2r, geom.metric)):
+    bar_gamma_c = np.random.default_rng(5).standard_normal(geom.gamma_c.shape)
+    got = geometry._contracted_christoffel_adjoint(bar_gamma_c, geom.d2r, geom.metric)
+    for a, b in zip(got, einsum_gamma_c_adjoint(bar_gamma_c, geom.d2r, geom.metric)):
         _close(a, b)
 
 
@@ -602,7 +616,7 @@ def full_action_oracle(fields, grid, chart, mass, E, lam_tangent, lam_unit):
     j1 = 0.5 * quadrature_oracle(phi_sq * curvature * weight, chart.grid)
     g_inv_c, dphi_c = energy.interpolate(grid, geom.g_inv, pts), energy.interpolate(grid, geom.dphi, pts)
     phi_c = energy.interpolate(grid, fields.phi, pts)
-    gamma_c = geometry._contracted_christoffel(energy.interpolate(grid, geom.gamma, pts), g_inv_c)
+    gamma_c = energy.interpolate(grid, geom.gamma_c, pts)
     christoffel = energy._christoffel_density(phi_c, dphi_c, gamma_c)[0]
     j2d = 0.5 * quadrature_oracle(energy._dirichlet_density(g_inv_c, dphi_c) * weight, chart.grid)
     j2c = 0.25 * quadrature_oracle(christoffel * weight, chart.grid)

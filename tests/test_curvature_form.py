@@ -5,10 +5,14 @@ with C_ab = g^{jk} g^{lm} d2r_{jl,a} d2r_{km,b}, and J_K reads the curvature
 density g^{jk} b_jl b^l_k as n^T Q n.  The b chain below is the code that
 formed the density and its adjoint from b_jk = d2r_jk . n and b^l_j on every
 evaluation: it stays here as the oracle of J_K and of the packed gradient,
-with r frozen and with r optimised.  Q's own adjoint is pinned by a
-dot-product test, and with r frozen J_K is a quartic along any phi/n line.
+with r frozen and with r optimised.  The adjoints of Q and of gamma_c, which
+is contracted from d2r without forming Gamma, are pinned by dot-product
+tests; with r frozen J_K is a quartic along any phi/n line; and no
+evaluation, gradient, residual, chart action or frozen-r continuation of J_K
+forms Gamma.
 """
 
+import dataclasses
 from math import comb
 from pathlib import Path
 
@@ -16,10 +20,10 @@ import numpy as np
 import pytest
 
 from worldsheet import backward_JK, build_geometry, cli, energy, geometry, optimizer, refresh_geometry
-from worldsheet.geometry import _christoffel_adjoint, _second_derivatives_adjoint, _signs
+from worldsheet.geometry import _second_derivatives_adjoint, _signs
 from worldsheet.grid import finite_difference_adjoint
 
-from test_contractions import _one_pass_start, _start
+from test_contractions import _chart_start, _one_pass_start, _start, einsum_christoffel_adjoint
 
 SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "theorem_range.scn"
 
@@ -81,7 +85,7 @@ def b_chain_backward_JK(fields, grid, K, geom, kinds=("r", "phi", "n")):
     bar_gamma = bar_gamma_c[..., :, None, None] * g_inv[..., None, :, :]
     bar_g_inv += (bar_gamma_c[..., None, :] @ gamma.reshape(gamma.shape[:-2] + (nd * nd,))).reshape(g_inv.shape)
 
-    bar_g_inv_gamma, bar_d2r, bar_t = _christoffel_adjoint(bar_gamma, d2r, geom.metric)
+    bar_g_inv_gamma, bar_d2r, bar_t = einsum_christoffel_adjoint(bar_gamma, d2r, geom.metric)
     bar_g_inv += bar_g_inv_gamma
     n_s = n * signs
     bar_d2r += bar_b[..., None] * n_s[..., None, None, :]
@@ -148,6 +152,26 @@ def test_curvature_form_adjoint_dot_product(name):
         assert abs(lhs - rhs) <= 1e-12 * sum(np.vdot(np.abs(a), np.abs(b)) for a, b in pairs)
 
 
+@pytest.mark.parametrize("name", ["cylinder_N3", "sphere_product", "m5_3^6"])
+def test_contracted_christoffel_adjoint_dot_product(name):
+    # gamma_c is trilinear in (g^{-1}, d2r, tangents): a complex step gives its directional derivative to rounding.
+    g, f = _start(name)
+    geom = build_geometry(f, g)
+    md = geom.metric
+    rng = np.random.default_rng(len(name))
+    dirs = [rng.standard_normal(x.shape) for x in (md.g_inv, geom.d2r, md.tangents)]
+    h = 1e-30
+    stepped = dataclasses.replace(md, g_inv=md.g_inv + 1j * h * dirs[0], tangents=md.tangents + 1j * h * dirs[2])
+    tangent = geometry._contracted_christoffel(geom.d2r + 1j * h * dirs[1], stepped).imag / h
+    for _ in range(3):
+        bar_gamma_c = rng.standard_normal(geom.gamma_c.shape)
+        bars = geometry._contracted_christoffel_adjoint(bar_gamma_c, geom.d2r, md)
+        assert [b.shape for b in bars] == [d.shape for d in dirs]
+        lhs, rhs = np.vdot(bar_gamma_c, tangent), sum(np.vdot(b, d) for b, d in zip(bars, dirs))
+        pairs = ((bar_gamma_c, tangent), *zip(bars, dirs))
+        assert abs(lhs - rhs) <= 1e-12 * sum(np.vdot(np.abs(a), np.abs(b)) for a, b in pairs)
+
+
 @pytest.mark.parametrize("name", ["criterion_3", "theorem_range_m5"])
 def test_frozen_r_JK_is_a_quartic_along_phi_and_n(name):
     # With r frozen J_K is a polynomial of degree 4 in (phi, n): its fifth difference along a line
@@ -164,3 +188,34 @@ def test_frozen_r_JK_is_a_quartic_along_phi_and_n(name):
     bound = 1e-14 * sum(comb(5, k) * abs(v) for k, v in enumerate(values))
     assert abs(fifth) <= bound
     assert abs(fourth) > 1e6 * bound
+
+
+class _GammaFormed(Exception):
+    pass
+
+
+def test_no_gamma_on_the_path_of_J_K(monkeypatch):
+    # J_K reads the connection only through gamma_c, which is contracted from d2r: its evaluations, gradients,
+    # residuals, chart action and frozen-r continuation never form Gamma, which only a reader of geom.gamma builds.
+    g, f = _one_pass_start("criterion_3")
+    unpatched = build_geometry(f, g)
+    assert unpatched.gamma.tobytes() == geometry.christoffel(unpatched.d2r, unpatched.metric).tobytes()
+
+    def refuse(*args):
+        raise _GammaFormed
+
+    monkeypatch.setattr(geometry, "christoffel", refuse)
+    geom = build_geometry(f, g)
+    energy.assemble_JK(f, g, 30.0, geom=geom)
+    for kinds in (("r", "phi", "n"), ("phi", "n")):
+        backward_JK(f, g, 30.0, geom, kinds)
+    energy.constraint_residuals(f, g, geom)
+    chart, pg, cf = _chart_start()
+    energy.full_action(cf, pg, chart, mass=1.3, E=0.8, lam_tangent=0.5, lam_unit=-0.6)
+    cfg = optimizer.PenaltyConfig(k_schedule=(10.0, 100.0, 1000.0, 10000.0), step_init=0.1, max_iters=800,
+                                  grad_tol=1e-6, optimize_fields=("phi", "n"))
+    assert all(r.converged for r in optimizer.penalty_continuation(f, g, cfg).records)
+    with pytest.raises(_GammaFormed):
+        build_geometry(f, g, with_riemann=True)
+    with pytest.raises(_GammaFormed):
+        geom.gamma

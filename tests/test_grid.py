@@ -41,6 +41,15 @@ def test_build_grid_rejects_small_counts():
         build_grid([(0, 1)], [2])
 
 
+def test_build_grid_rejects_a_non_integral_count():
+    # A fractional or non-finite count is refused, naming its axis, not truncated; an integral value is taken.
+    for counts, bad in (([3.7, 5], "axis 0: count 3.7"), ([5, np.float64(4.5)], "axis 1: count 4.5"),
+                        ([5, float("nan")], "axis 1: count nan"), ([float("inf"), 5], "axis 0: count inf")):
+        with pytest.raises(GridError, match=f"^{bad} is not an integer$"):
+            build_grid([(0, 1), (0, 1)], counts)
+    assert build_grid([(0, 1), (0, 1)], [np.int64(3), 5.0]).counts == (3, 5)
+
+
 def test_build_grid_rejects_degenerate_extent():
     with pytest.raises(GridError):
         build_grid([(1, 1), (0, 1)], [5, 5])
