@@ -39,7 +39,6 @@ from .geometry import (
     metric,
     minkowski_dot,
     normal_frame,
-    refresh_geometry,
     riemann,
     second_derivatives,
     second_fundamental_form,
@@ -100,4 +99,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.3.21"
+__version__ = "0.3.22"

@@ -41,6 +41,8 @@ from .geometry import (
     minkowski_dot,
 )
 
+_KINDS = ("r", "phi", "n")  # the fields, in the order every gradient and packed vector holds their blocks
+
 
 class NonFiniteValueError(ValueError):
     pass
@@ -140,6 +142,12 @@ def _curvature_density(q: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.nda
     return (qn * n).sum(-1), qn
 
 
+def _phi_gradient(phi: np.ndarray, grid: ParameterGrid) -> np.ndarray:
+    """dphi/du_j per node, J_K's one dphi; a non-finite phi is refused at its node with GeometryError first."""
+    _raise_at_first(~np.isfinite(phi), GeometryError, "phi is not finite at node {node}")
+    return _gradient(phi, grid)
+
+
 def _re_im(z: np.ndarray) -> np.ndarray:
     """z as real (Re, Im) columns, shape z.shape + (2,)."""
     return np.stack([z.real, z.imag], axis=-1)
@@ -164,16 +172,16 @@ def _constraint_densities(phi_sq, n, geom: GeometryCache, grid: ParameterGrid) -
     return slice_masses(phi_sq * geom.sqrt_neg_g, grid), dots, minkowski_dot(n, n)
 
 
-# Every per-node density of J_K on one configuration, formed once by _densities.
-_Densities = namedtuple("_Densities", "phi_sq curvature qn dirichlet christoffel re_pair mass dots nn")
+# Every per-node density of J_K on one configuration, formed once by _densities from its fields and geom's r part.
+_Densities = namedtuple("_Densities", "dphi phi_sq curvature qn dirichlet christoffel re_pair mass dots nn")
 
 
 def _densities(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> _Densities:
-    phi_sq = np.abs(fields.phi) ** 2
+    dphi, phi_sq = _phi_gradient(fields.phi, grid), np.abs(fields.phi) ** 2
     curvature = _curvature_density(geom.curvature_form, fields.n)
-    christoffel = _christoffel_density(fields.phi, geom.dphi, geom.gamma_c)
+    christoffel = _christoffel_density(fields.phi, dphi, geom.gamma_c)
     penalty = _constraint_densities(phi_sq, fields.n, geom, grid)
-    return _Densities(phi_sq, *curvature, _dirichlet_density(geom.g_inv, geom.dphi), *christoffel, *penalty)
+    return _Densities(dphi, phi_sq, *curvature, _dirichlet_density(geom.g_inv, dphi), *christoffel, *penalty)
 
 
 # The densities are integrated against a volume weight w: sqrt(-g) on the parameter
@@ -217,8 +225,7 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
     dphi is formed from phi, which is refused at its own node with GeometryError unless finite; geom
     supplies the r part only.  The one consumer that forms its densities itself: it has no n for _densities.
     """
-    _raise_at_first(~np.isfinite(phi), GeometryError, "phi is not finite at node {node}")
-    dphi, w = _gradient(phi, grid), geom.sqrt_neg_g
+    dphi, w = _phi_gradient(phi, grid), geom.sqrt_neg_g
     christoffel = _christoffel_density(phi, dphi, geom.gamma_c)[0]
     dirichlet, christoffel = _integrals([_dirichlet_density(geom.g_inv, dphi) * w, christoffel * w], grid)
     return 0.5 * dirichlet, 0.25 * christoffel
@@ -261,11 +268,11 @@ def backward_JK(
     grid: ParameterGrid,
     K: float,
     geom: GeometryCache,
-    kinds: tuple[str, ...] = ("r", "phi", "n"),
+    kinds: tuple[str, ...] = _KINDS,
 ) -> tuple[EnergyBreakdown, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """J_K and its reverse-mode derivative on every node: one value-and-gradient pass.
 
-    geom is the forward pass's cache for fields; it is read, never rebuilt.
+    geom is a geometry cache of fields.r, from any configuration with that r; it is read, never rebuilt.
     The densities are integrated first, as assemble_JK integrates them: the
     breakdown equals assemble_JK(..., geom=geom), and a non-finite integrand
     raises NonFiniteValueError naming the node.  The adjoints then run back
@@ -275,14 +282,17 @@ def backward_JK(
     dJ/dn)) in node-field shapes, boundary nodes included; the phi entry is
     dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and
     without "r" the r chain (bars of g^{-1}, d2r and the tangents) is skipped.
+    kinds is a sequence of r, phi and n, else ValueError: a str is refused, not read letter by letter.
     """
+    if isinstance(kinds, str) or not set(kinds) <= set(_KINDS):
+        raise ValueError(f"kinds must be a sequence of r, phi, n (got {kinds!r})")
     phi, n = fields.phi, fields.n
     signs = _signs(fields.r.shape[-1])
     tangents, d2r, gamma_c = geom.tangents, geom.d2r, geom.gamma_c
-    g_inv, dphi, sq = geom.g_inv, geom.dphi, geom.sqrt_neg_g
+    g_inv, sq = geom.g_inv, geom.sqrt_neg_g
     d = _densities(fields, geom, grid)
     breakdown = _breakdown(d, geom, grid, K)
-    phi_sq, curv, re_pair, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
+    dphi, phi_sq, curv, re_pair, dots, nn = d.dphi, d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
     rule = _rule(grid)
     w = rule.node_weights * sq
     # d[(K/2) norm] / d(|phi|^2 sqrt(-g)) per node.
@@ -408,7 +418,7 @@ def full_action(
     d = _densities(fields, geom, grid)
     cmetric = chart_metric(chart)
     node_fields = (d.phi_sq, d.curvature, d.dots, d.nn, geom.g, geom.sqrt_neg_g,
-                   geom.g_inv, geom.dphi, fields.phi, geom.gamma_c)
+                   geom.g_inv, d.dphi, fields.phi, geom.gamma_c)
     phi_sq, curvature, dots, nn, g, sqrt_neg_g, g_inv, dphi, phi, gamma_c = (
         interpolate(grid, x, chart.u) for x in node_fields)
     weight = sqrt_neg_g * cmetric.sqrt_U

@@ -10,7 +10,7 @@ signature (-,+,...,+) Minkowski form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -411,12 +411,12 @@ def chart_metric(chart: ChartMap) -> ChartMetric:
 
 @dataclass
 class GeometryCache:
-    """All per-node tensors needed by the energy functionals and identity checks.
+    """All per-node tensors of r needed by the energy functionals and identity checks.
 
-    The r part (metric, d2r and J_K's r-only factors, Q and gamma_c) is built once by build_geometry;
-    refresh_geometry shares it and rebuilds only dphi.  Gamma is formed from d2r, and b and b^l_j from d2r and
-    the stored candidate normal n, as-is, when first read; pass require_unit_normal=True to build_geometry to
-    enforce the unit-normal precondition of the standalone operation.
+    A function of r alone, so one build serves every configuration with that r: the metric, d2r and J_K's r-only
+    factors, Q and gamma_c.  Gamma is formed from d2r, and b and b^l_j from d2r and the build's candidate normal n,
+    as-is, when first read; pass require_unit_normal=True to build_geometry to enforce the unit-normal
+    precondition of the standalone operation.
     """
 
     metric: MetricData
@@ -424,7 +424,6 @@ class GeometryCache:
     curvature_form: np.ndarray  # Q, (*counts, N+1, N+1)
     gamma_c: np.ndarray         # (*counts, m+1)
     n: np.ndarray
-    dphi: np.ndarray
     riemann: Optional[np.ndarray] = None
     frame: Optional[NormalFrame] = None
 
@@ -449,26 +448,15 @@ def build_geometry(
     with_frame: bool = False,
     require_unit_normal: bool = False,
 ) -> GeometryCache:
-    """Assemble the immutable geometry cache for a field configuration."""
+    """The geometry cache of fields.r, with fields.n for b; a non-finite r, then phi, is refused at its node."""
     md = metric(fields, grid)
     d2r = second_derivatives(fields.r, md.tangents, grid)
     if require_unit_normal:
         _require_unit(fields.n)
-    r_part = GeometryCache(md, d2r, _curvature_form(d2r, md.g_inv), _contracted_christoffel(d2r, md), n=None, dphi=None)
-    cache = refresh_geometry(r_part, fields, grid)
+    _raise_at_first(~np.isfinite(fields.phi), GeometryError, "phi is not finite at node {node}")
+    cache = GeometryCache(md, d2r, _curvature_form(d2r, md.g_inv), _contracted_christoffel(d2r, md), fields.n)
     if with_riemann:
         cache.riemann = riemann(cache.gamma, grid)
     if with_frame:
         cache.frame = normal_frame(md)
     return cache
-
-
-def refresh_geometry(base: GeometryCache, fields: FieldSet, grid: ParameterGrid) -> GeometryCache:
-    """base with the entries that read n and phi taken from fields: n, and dphi rebuilt.
-
-    The r part of base (metric, d2r, Q, gamma_c, and riemann and frame
-    if present) is shared, not recomputed, so fields.r must be the r base was
-    built from.  A non-finite phi is refused at its own node with GeometryError.
-    """
-    _raise_at_first(~np.isfinite(fields.phi), GeometryError, "phi is not finite at node {node}")
-    return replace(base, n=fields.n, dphi=_gradient(fields.phi, grid))

@@ -312,7 +312,7 @@ def interpolate(grid: ParameterGrid, values: np.ndarray, points: np.ndarray) -> 
         idx[..., axis] = cell
         frac[..., axis] = s - cell
 
-    out = np.zeros(lead + extra, dtype=values.dtype)
+    out = np.zeros(lead + extra, dtype=np.result_type(values, float))  # an integer field interpolates to floats
     for corner in np.ndindex(*(2,) * grid.ndim):
         w = np.ones(lead, dtype=float)
         gather = []

@@ -18,13 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import FieldSet, ParameterGrid, _cell, _csv_row, _gradient, _worst_node, apply_boundary
-from .geometry import GeometryCache, GeometryError, build_geometry, refresh_geometry, _signs
-from .energy import NonFiniteValueError, _densities, backward_JK, constraint_residuals
+from .geometry import GeometryCache, GeometryError, build_geometry, _signs
+from .energy import _KINDS, NonFiniteValueError, _densities, backward_JK, constraint_residuals
 
 logger = logging.getLogger(__name__)
 
 THEOREM_M_RANGE = (5, 8)
-_KINDS = ("r", "phi", "n")  # the fields, in the order every packed vector holds their blocks
 
 # Backtracking line search along a descent direction d: a trial step alpha
 # is accepted on sufficient decrease J_K(x + alpha d) <= J_K(x) + ARMIJO_C
@@ -52,18 +51,19 @@ class PenaltyConfig:
     optimize_fields: tuple[str, ...] = _KINDS
 
     def __post_init__(self):
-        ks = self.k_schedule
-        if not ks or not all(0 < k < np.inf for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError("k_schedule must be finite, positive and strictly increasing")
+        # A bool is an int to Python, so True would run one iteration or step by 1: every numeric knob refuses one.
+        ks, is_bool = self.k_schedule, lambda v: isinstance(v, (bool, np.bool_))
+        if not ks or not all(0 < k < np.inf and not is_bool(k) for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValueError(f"k_schedule must be finite, positive, strictly increasing numbers (got {ks!r})")
         for name in ("step_init", "grad_tol"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+            if is_bool(getattr(self, name)) or not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a finite number > 0 (got {getattr(self, name)!r})")
         # minimize_fixed_K stops on iters == max_iters: a negative or fractional cap is never reached.
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+        if is_bool(self.max_iters) or not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
             raise ValueError(f"max_iters must be an integer >= 0 (got {self.max_iters!r})")
         bad = set(self.optimize_fields) - set(_KINDS)
-        if bad or not self.optimize_fields:
-            raise ValueError(f"optimize_fields must be a nonempty subset of r, phi, n (got {self.optimize_fields})")
+        if bad or not self.optimize_fields or isinstance(self.optimize_fields, str):  # "rn" is not r and n
+            raise ValueError(f"optimize_fields must be a nonempty subset of r, phi, n (got {self.optimize_fields!r})")
 
 
 @dataclass
@@ -228,12 +228,12 @@ def minimize_fixed_K(
     finite is rejected and the step halved.  Step underflow is recorded as a
     stall, not raised.
     With "r" optimised _base is None and every configuration gets its own build_geometry.
-    With r frozen each refreshes only n and dphi of one geometry of r: the start
-    refreshes _base (or is built, if _base is None) and every trial refreshes the start's.
+    With r frozen one geometry of r serves every configuration as it is: _base, or the start's
+    build if _base is None.
     """
 
     def evaluate(x, base):
-        geom = build_geometry(x, grid) if base is None else refresh_geometry(base, x, grid)
+        geom = build_geometry(x, grid) if base is None else base
         cur, grads = backward_JK(x, grid, K, geom, cfg.optimize_fields)
         return geom, cur, np.concatenate([block.ravel() for block in _interior(grads, grid, cfg.optimize_fields)])
 

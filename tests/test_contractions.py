@@ -22,7 +22,7 @@ from worldsheet import backward_JK, build_geometry, build_grid, christoffel, geo
 from worldsheet import cli, energy, optimizer
 from worldsheet import grid as grid_mod
 from worldsheet.geometry import FRAME_SKIP_TOL, MetricData, _second_derivatives_adjoint, _signs
-from worldsheet.grid import FieldSet, _node_str, finite_difference, finite_difference_adjoint
+from worldsheet.grid import FieldSet, _gradient, _node_str, finite_difference, finite_difference_adjoint
 
 REL = 1e-14
 
@@ -169,9 +169,9 @@ def einsum_constraint_densities(phi_sq, n, geom, grid):
 def einsum_s_tensor(phi, geom, grid):
     """The mixed amplitude/connection tensor, index order [..., l, i, j, k]:
     S^l_ijk = (dphi/du_j)(dphi*/du_i) delta_kl + (dphi/du_i) phi* Gamma^l_jk."""
-    eye = np.eye(grid.ndim)
-    term1 = np.einsum("...j,...i,kl->...lijk", geom.dphi, np.conj(geom.dphi), eye)
-    term2 = np.einsum("...i,...,...ljk->...lijk", geom.dphi, np.conj(phi), geom.gamma.astype(complex))
+    eye, dphi = np.eye(grid.ndim), _gradient(phi, grid)
+    term1 = np.einsum("...j,...i,kl->...lijk", dphi, np.conj(dphi), eye)
+    term2 = np.einsum("...i,...,...ljk->...lijk", dphi, np.conj(phi), geom.gamma.astype(complex))
     return term1 + term2
 
 
@@ -198,12 +198,12 @@ def chart_fields(fields, grid, chart, geom):
 
 
 def einsum_densities(fields, geom, grid):
-    phi_sq = np.abs(fields.phi) ** 2
+    dphi, phi_sq = _gradient(fields.phi, grid), np.abs(fields.phi) ** 2
     curvature = einsum_curvature_density(geom.curvature_form, fields.n)
-    christoffel_parts = einsum_christoffel_density(fields.phi, geom.dphi, geom.gamma_c)
+    christoffel_parts = einsum_christoffel_density(fields.phi, dphi, geom.gamma_c)
     penalty = einsum_constraint_densities(phi_sq, fields.n, geom, grid)
-    dirichlet = einsum_dirichlet_density(geom.g_inv, geom.dphi)
-    return energy._Densities(phi_sq, *curvature, dirichlet, *christoffel_parts, *penalty)
+    dirichlet = einsum_dirichlet_density(geom.g_inv, dphi)
+    return energy._Densities(dphi, phi_sq, *curvature, dirichlet, *christoffel_parts, *penalty)
 
 
 def einsum_backward_JK(fields, grid, K, geom):
@@ -212,7 +212,7 @@ def einsum_backward_JK(fields, grid, K, geom):
     phi, n = fields.phi, fields.n
     signs = _signs(fields.r.shape[-1])
     tangents, d2r, gamma, gamma_c = geom.tangents, geom.d2r, geom.gamma, geom.gamma_c
-    g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, geom.dphi, geom.sqrt_neg_g
+    g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, _gradient(phi, grid), geom.sqrt_neg_g
     d = einsum_densities(fields, geom, grid)
     breakdown = energy._breakdown(d, geom, grid, K)
     phi_sq, curv, re_pair, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
@@ -614,7 +614,7 @@ def full_action_oracle(fields, grid, chart, mass, E, lam_tangent, lam_unit):
     pts, weight, phi_sq = chart.u, at["sqrt_neg_g"] * cmetric.sqrt_U, at["phi_sq"]
     curvature = energy.interpolate(grid, energy._curvature_density(geom.curvature_form, fields.n)[0], pts)
     j1 = 0.5 * quadrature_oracle(phi_sq * curvature * weight, chart.grid)
-    g_inv_c, dphi_c = energy.interpolate(grid, geom.g_inv, pts), energy.interpolate(grid, geom.dphi, pts)
+    g_inv_c, dphi_c = energy.interpolate(grid, geom.g_inv, pts), energy.interpolate(grid, _gradient(fields.phi, grid), pts)
     phi_c = energy.interpolate(grid, fields.phi, pts)
     gamma_c = energy.interpolate(grid, geom.gamma_c, pts)
     christoffel = energy._christoffel_density(phi_c, dphi_c, gamma_c)[0]

@@ -1,26 +1,32 @@
 """The frozen-r descent against a descent that builds every trial's geometry.
 
-With r left out of optimize_fields, a continuation builds the geometry once,
-before the first leg, and every evaluation, the first leg's start included,
-refreshes only n and dphi (refresh_geometry).  The oracle is the
-same descent with that refresh replaced by a full build_geometry of the
+A geometry cache is a function of r alone: J_K reads phi, n and dphi from the
+fields.  So with r left out of optimize_fields, a continuation builds the
+geometry once, before the first leg, and hands that one cache to every
+evaluation, the first leg's start included.  The oracle is the same descent
+with each evaluation's cache replaced by a full build_geometry of the
 configuration; the two must agree bit for bit, and r must never move.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from worldsheet import (
+    GeometryError,
     PenaltyConfig,
+    assemble_JK,
+    backward_JK,
     build_geometry,
     build_grid,
     penalty_continuation,
     presets,
-    refresh_geometry,
 )
 from worldsheet import optimizer
+
+from test_curvature_form import _noisy, _scenario_start
 
 
 def _perturbed_flat(counts):
@@ -40,11 +46,12 @@ def _continuation(g, f):
 def test_frozen_r_descent_equals_per_trial_build(monkeypatch, counts):
     g, f = _perturbed_flat(counts)
     start_r = f.r.tobytes()
-    trial_rs = []
+    trial_rs, caches = [], []
 
-    def spy(base, x, grid):
+    def spy(x, grid, K, geom, kinds):
         trial_rs.append(x.r.tobytes())
-        return refresh_geometry(base, x, grid)
+        caches.append(geom)
+        return backward_JK(x, grid, K, geom, kinds)
 
     first_builds = []
 
@@ -52,17 +59,18 @@ def test_frozen_r_descent_equals_per_trial_build(monkeypatch, counts):
         first_builds.append(1)
         return build_geometry(x, grid)
 
-    monkeypatch.setattr(optimizer, "refresh_geometry", spy)
+    monkeypatch.setattr(optimizer, "backward_JK", spy)
     monkeypatch.setattr(optimizer, "build_geometry", counted_build)
     fast = _continuation(g, f.copy())
     assert len(first_builds) == 1
+    assert all(geom is caches[0] for geom in caches)
     builds = []
 
-    def per_trial_build(base, x, grid):
+    def per_trial_build(x, grid, K, geom, kinds):
         builds.append(1)
-        return build_geometry(x, grid)
+        return backward_JK(x, grid, K, build_geometry(x, grid), kinds)
 
-    monkeypatch.setattr(optimizer, "refresh_geometry", per_trial_build)
+    monkeypatch.setattr(optimizer, "backward_JK", per_trial_build)
     oracle = _continuation(g, f.copy())
 
     assert len(builds) == len(trial_rs) == sum(rec.evaluations for rec in fast.records) > 0
@@ -75,16 +83,33 @@ def test_frozen_r_descent_equals_per_trial_build(monkeypatch, counts):
     assert fast.final_fields.r.tobytes() == start_r
 
 
-def test_refresh_equals_build_on_new_phi_and_n():
-    g, f = _perturbed_flat((5, 9))
-    base = build_geometry(f, g, with_riemann=True, with_frame=True)
+def _moved(f):
+    """f with phi scaled and re-phased and n shifted on every node; r keeps its bytes."""
+    rng = np.random.default_rng(23)
     moved = f.copy()
-    rng = np.random.default_rng(7)
+    shape = moved.phi.shape
+    moved.phi *= (1.0 + 0.1 * rng.standard_normal(shape)) * np.exp(0.5j * rng.standard_normal(shape))
     moved.n += 0.1 * rng.standard_normal(moved.n.shape)
-    moved.phi *= np.exp(0.2j * rng.standard_normal(moved.phi.shape))
-    got = refresh_geometry(base, moved, g)
-    want = build_geometry(moved, g, with_riemann=True, with_frame=True)
-    for name in ("d2r", "gamma", "b", "b_up", "dphi", "riemann"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.metric is base.metric and got.frame is base.frame
-    assert np.array_equal(base.b, build_geometry(f, g).b)
+    return moved
+
+
+@pytest.mark.parametrize("start", [lambda: _scenario_start("criterion_3"), lambda: _noisy("theorem_range_m5")],
+                         ids=["criterion_3", "theorem_range_m5"])
+def test_a_cache_of_r_serves_every_phi_and_n(start):
+    # The start's cache, handed fields with other phi and n, gives what their own build gives, bit for bit:
+    # J_K and every gradient block, whichever blocks are asked for.  A non-finite phi is refused at its node.
+    g, f = start()
+    base, moved = build_geometry(f, g), _moved(f)
+    own = build_geometry(moved, g)
+    for K in (10.0, 1e5):
+        assert assemble_JK(moved, g, K, geom=base) == assemble_JK(moved, g, K, geom=own)
+        for size in range(4):
+            for kinds in itertools.combinations(("r", "phi", "n"), size):
+                got, want = backward_JK(moved, g, K, base, kinds), backward_JK(moved, g, K, own, kinds)
+                assert got[0] == want[0] == assemble_JK(moved, g, K, geom=own)
+                assert [a.tobytes() for a in got[1]] == [a.tobytes() for a in want[1]], kinds
+    node = (1,) * g.ndim
+    moved.phi[node] = np.nan
+    for evaluate in (lambda: assemble_JK(moved, g, 10.0, geom=base), lambda: backward_JK(moved, g, 10.0, base)):
+        with pytest.raises(GeometryError, match=rf"^phi is not finite at node \({', '.join(['1'] * g.ndim)}\)$"):
+            evaluate()

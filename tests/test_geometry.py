@@ -23,7 +23,7 @@ from worldsheet import (
     weingarten_residual,
 )
 from worldsheet import presets
-from worldsheet.geometry import _factor, _node_str, _second_derivatives_adjoint, oriented_normal, refresh_geometry
+from worldsheet.geometry import _factor, _node_str, _second_derivatives_adjoint, oriented_normal
 
 RHO = 1.5
 
@@ -143,8 +143,6 @@ def test_non_finite_r_and_phi_are_refused_at_their_node(value):
             build_geometry(bad_r, g)
         with pytest.raises(GeometryError, match=r"^phi is not finite at node \(3, 4\)$"):
             build_geometry(bad_phi, g)
-        with pytest.raises(GeometryError, match=r"^phi is not finite at node \(3, 4\)$"):
-            refresh_geometry(build_geometry(presets.flat(g), g), bad_phi, g)
 
 
 def test_singular_and_overflowing_metric_raise_without_warning():

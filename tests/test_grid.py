@@ -324,6 +324,18 @@ def test_interpolate_vector_components():
     assert abs(got[0, 0] - 0.3) < 1e-12
 
 
+def test_interpolate_of_an_integer_field_is_float():
+    # The node values are integers, their weighted sums are not: the result takes the float type, as a float
+    # field of the same values would give it, instead of raising on the cast.
+    g = build_grid([(0, 1), (0, 2)], [5, 9])
+    counts = np.arange(45).reshape(5, 9)
+    pts = np.array([[0.13, 0.77], [1.0, 2.0]])
+    got = interpolate(g, counts, pts)
+    assert got.dtype == np.float64
+    assert got.tobytes() == interpolate(g, counts.astype(float), pts).tobytes()
+    assert interpolate(g, counts.astype(np.complex128), pts).dtype == np.complex128
+
+
 def test_interpolate_rejects_outside_points():
     g = build_grid([(0, 1)], [5])
     f = g.coordinates[..., 0]

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,15 @@ def test_config_validation():
         {"k_schedule": (10.0, float("inf"))},
         {"max_iters": -1},
         {"max_iters": 2.5},
+        # A bool is an int to Python: max_iters=True would run one iteration, step_init=True step by 1.
+        {"max_iters": True},
+        {"max_iters": np.bool_(True)},
+        {"step_init": True},
+        {"grad_tol": True},
+        {"k_schedule": (True, 10.0)},
+        {"k_schedule": (np.bool_(True), 10.0)},
+        # A str of fields would be read letter by letter, "rn" as r and n.
+        {"optimize_fields": "rn"},
     ],
 )
 def test_config_rejects_non_finite_settings(kwargs):
@@ -174,6 +184,17 @@ def test_gradient_restricted_kinds():
     assert np.any(grad.n != 0.0)
 
 
+@pytest.mark.parametrize("kinds", ["rn", "phi", ("Phi",), ("r", "bogus")])
+def test_gradient_refuses_kinds_outside_r_phi_n(kinds):
+    # A str would be read letter by letter ("rn" as r and n), and an unknown name would give zero blocks.
+    g, f = small_perturbed()
+    geom, message = build_geometry(f, g), rf"^kinds must be a sequence of r, phi, n \(got {re.escape(repr(kinds))}\)$"
+    with pytest.raises(ValueError, match=message):
+        gradient_JK(f, g, 10.0, kinds=kinds)
+    with pytest.raises(ValueError, match=message):
+        energy.backward_JK(f, g, 10.0, geom, kinds)
+
+
 def test_minimize_admissible_start_terminates_immediately():
     g, f = flat_admissible()
     cfg = PenaltyConfig(max_iters=50)
@@ -257,7 +278,7 @@ def test_minimize_evaluates_each_configuration_once(monkeypatch):
     # Every configuration, start and trials alike, gets one geometry cache and,
     # unless its geometry is degenerate, one backward_JK, which returns J_K
     # with the gradient: no assemble_JK.  A phi/n leg builds the geometry once
-    # and every trial refreshes that cache; with r optimised each
+    # and hands that one cache to every trial; with r optimised each
     # configuration gets its own build_geometry.
     calls = {}
 
@@ -276,22 +297,19 @@ def test_minimize_evaluates_each_configuration_once(monkeypatch):
 
     for module in (energy, optimizer):
         counting(module, "build_geometry")
-    counting(optimizer, "refresh_geometry")
     counting(energy, "assemble_JK")
     counting(optimizer, "backward_JK")
     assert not hasattr(optimizer, "assemble_JK")
     g, f = small_perturbed()
     for fields in (("phi", "n"), ("r", "phi", "n")):
-        calls.update(build_geometry=0, refresh_geometry=0, assemble_JK=0, backward_JK=0, raised=0)
+        calls.update(build_geometry=0, assemble_JK=0, backward_JK=0, raised=0)
         _, rec = minimize_fixed_K(f, g, 30.0, PenaltyConfig(max_iters=12, optimize_fields=fields))
         assert rec.termination == "max_iters" and rec.iterations == 12
         assert calls["backward_JK"] == rec.evaluations - calls["raised"]
         if "r" in fields:
             assert calls["build_geometry"] == rec.evaluations > 12
-            assert calls["refresh_geometry"] == 0
         else:
-            assert calls["build_geometry"] == 1 and calls["raised"] == 0
-            assert calls["refresh_geometry"] == rec.evaluations - 1 > 12
+            assert calls["build_geometry"] == 1 and calls["raised"] == 0 and rec.evaluations > 12
         assert calls["assemble_JK"] == 0
 
 
