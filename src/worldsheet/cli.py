@@ -36,6 +36,7 @@ from .geometry import (
     metric,
     minkowski_dot,
     oriented_normal,
+    second_fundamental_form,
 )
 from .grid import FieldSet, GridError, ParameterGrid, _cell, _node_str, _raise_at_first, _worst_node, build_grid
 from .optimizer import PenaltyConfig, penalty_continuation
@@ -254,16 +255,17 @@ def _csv_text(rows: Sequence[tuple[str, str]]) -> str:
 
 def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) -> int:
     try:
-        geom = build_geometry(fields, grid, with_riemann=True, with_frame=True, require_unit_normal=True)
+        geom = build_geometry(fields, grid)
+        b, b_up = second_fundamental_form(geom.d2r, fields.n, geom.metric)  # the one unit-normal check
+        riemann_tensor, frame = geom.riemann, geom.frame.vectors  # formed on this first read: a frame error exits 2
     except GeometryError as exc:
         _write(out_dir / "geometry_report.csv", _csv_text([("error", str(exc))]))
         print(f"geometry_check failed: {exc}", file=sys.stderr)
         return 2
     # The terms that gauss_residual and weingarten_residual (squared) reduce, and the first node holding the worst.
-    g_res, g_node = _worst_node(grid.ndim, *_gauss_terms(geom.riemann, geom.b, geom.b_up))
-    w_squares, w_node = _worst_node(grid.ndim, _weingarten_terms(fields, grid, geom.b_up, geom.metric, geom.frame)[0])
+    g_res, g_node = _worst_node(grid.ndim, *_gauss_terms(riemann_tensor, b, b_up))
+    w_squares, w_node = _worst_node(grid.ndim, _weingarten_terms(fields, grid, b_up, geom.metric, geom.frame)[0])
     inv_res = float(np.max(np.abs(geom.g @ geom.g_inv - np.eye(grid.ndim))))
-    frame = geom.frame.vectors
     gram = (frame * _signs(fields.r.shape[-1])) @ np.swapaxes(frame, -1, -2)
     frame_orth = float(np.max(np.abs(gram - np.eye(frame.shape[-2]))))
     frame_tan = float(np.max(np.abs(minkowski_dot(frame[..., None, :, :], geom.tangents[..., :, None, :]))))

@@ -149,8 +149,8 @@ def _phi_gradient(phi: np.ndarray, grid: ParameterGrid) -> np.ndarray:
 
 
 def _re_im(z: np.ndarray) -> np.ndarray:
-    """z as real (Re, Im) columns, shape z.shape + (2,)."""
-    return np.stack([z.real, z.imag], axis=-1)
+    """z as real (Re, Im) columns, shape z.shape + (2,): a view of a contiguous complex z's bytes, not a copy."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(z.shape + (2,))
 
 
 def _dirichlet_density(g_inv: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -194,6 +194,8 @@ def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float
     """J_K from its densities, its five node integrals in one pass.  No value it returns is non-finite:
     NonFiniteValueError names the first node of a node integrand, the first u_0 slice of the norm
     penalty's, or else the piece whose sum overflowed."""
+    if isinstance(K, (bool, np.bool_)) or not np.isfinite(K):  # a bool is an int to Python: True would run as 1
+        raise ValueError(f"penalty weight K must be a finite number, got {K!r}")
     if K < 0:
         raise ValueError(f"penalty weight K must be >= 0, got {K}")
     w = geom.sqrt_neg_g
@@ -303,7 +305,7 @@ def backward_JK(
     bar_d = 0.5 * w
     dphi_xy = _re_im(dphi)
     bar_xy = bar_d[..., None, None] * ((g_inv + np.swapaxes(g_inv, -1, -2)) @ dphi_xy)
-    bar_dphi = bar_xy[..., 0] + 1j * bar_xy[..., 1]
+    bar_dphi = bar_xy.view(complex)[..., 0]
 
     # Christoffel density re_pair_l gamma_c^l
     bar_c = 0.25 * w

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -307,17 +306,13 @@ def second_fundamental_form(
 ) -> tuple[np.ndarray, np.ndarray]:
     """b_jk = d^2 r/du_j du_k . n and the raised form b^l_j = b_jk g^{kl}.
 
-    The normal must be unit to within UNIT_TOL in the Minkowski norm.
+    The normal must be unit to within UNIT_TOL in the Minkowski norm, else NonUnitNormalError names the node.
     """
-    _require_unit(normal)
-    return _fundamental_form_raw(d2r, normal, metric_data)
-
-
-def _require_unit(normal: np.ndarray) -> None:
     nn = minkowski_dot(normal, normal)
-    node = _first_node(np.abs(nn - 1.0) > UNIT_TOL)
+    node = _first_node(~(np.abs(nn - 1.0) <= UNIT_TOL))  # a NaN n.n is not unit either
     if node is not None:
         raise NonUnitNormalError(f"normal is not unit at node {_node_str(node)} (n.n = {nn[node]:.6g})")
+    return _fundamental_form_raw(d2r, normal, metric_data)
 
 
 def _fundamental_form_raw(
@@ -413,10 +408,10 @@ def chart_metric(chart: ChartMap) -> ChartMetric:
 class GeometryCache:
     """All per-node tensors of r needed by the energy functionals and identity checks.
 
-    A function of r alone, so one build serves every configuration with that r: the metric, d2r and J_K's r-only
-    factors, Q and gamma_c.  Gamma is formed from d2r, and b and b^l_j from d2r and the build's candidate normal n,
-    as-is, when first read; pass require_unit_normal=True to build_geometry to enforce the unit-normal
-    precondition of the standalone operation.
+    A function of r alone, so one build serves every configuration with that r.  The build forms what J_K reads:
+    the metric, d2r and J_K's r-only factors, Q and gamma_c.  Every other tensor is formed when first read and then
+    kept: Gamma, b and b^l_j (from d2r and the build's candidate normal n, as-is, with no unit check), the curvature
+    tensor and the normal frame.
     """
 
     metric: MetricData
@@ -424,15 +419,12 @@ class GeometryCache:
     curvature_form: np.ndarray  # Q, (*counts, N+1, N+1)
     gamma_c: np.ndarray         # (*counts, m+1)
     n: np.ndarray
-    riemann: Optional[np.ndarray] = None
-    frame: Optional[NormalFrame] = None
+    grid: ParameterGrid
 
     gamma = cached_property(lambda self: christoffel(self.d2r, self.metric))
-
-    @cached_property
-    def _fundamental_form(self) -> tuple[np.ndarray, np.ndarray]:
-        return _fundamental_form_raw(self.d2r, self.n, self.metric)
-
+    riemann = cached_property(lambda self: riemann(self.gamma, self.grid))
+    frame = cached_property(lambda self: normal_frame(self.metric))
+    _fundamental_form = cached_property(lambda self: _fundamental_form_raw(self.d2r, self.n, self.metric))
     b = property(lambda self: self._fundamental_form[0])
     b_up = property(lambda self: self._fundamental_form[1])
     tangents = property(lambda self: self.metric.tangents)
@@ -442,21 +434,16 @@ class GeometryCache:
 
 
 def build_geometry(
-    fields: FieldSet,
-    grid: ParameterGrid,
-    with_riemann: bool = False,
-    with_frame: bool = False,
-    require_unit_normal: bool = False,
+    fields: FieldSet, grid: ParameterGrid, with_riemann: bool = False, with_frame: bool = False
 ) -> GeometryCache:
-    """The geometry cache of fields.r, with fields.n for b; a non-finite r, then phi, is refused at its node."""
+    """The geometry cache of fields.r, with fields.n for b; a non-finite r, then phi, is refused at its node.
+    with_riemann and with_frame read the curvature tensor and then the frame during the build."""
     md = metric(fields, grid)
     d2r = second_derivatives(fields.r, md.tangents, grid)
-    if require_unit_normal:
-        _require_unit(fields.n)
     _raise_at_first(~np.isfinite(fields.phi), GeometryError, "phi is not finite at node {node}")
-    cache = GeometryCache(md, d2r, _curvature_form(d2r, md.g_inv), _contracted_christoffel(d2r, md), fields.n)
+    cache = GeometryCache(md, d2r, _curvature_form(d2r, md.g_inv), _contracted_christoffel(d2r, md), fields.n, grid)
     if with_riemann:
-        cache.riemann = riemann(cache.gamma, grid)
+        _ = cache.riemann
     if with_frame:
-        cache.frame = normal_frame(md)
+        _ = cache.frame
     return cache

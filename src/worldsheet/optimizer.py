@@ -133,10 +133,14 @@ class MinimizeReport:
 
 
 def fit_loglog_slope(params: Sequence[float], residuals: Sequence[float]) -> float:
-    """Least-squares slope of log residual against log parameter."""
-    x = np.log10(np.asarray(params, dtype=float))
-    y = np.log10(np.asarray(residuals, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    """Least-squares slope of log residual against log parameter.  ValueError unless there are two or more pairs,
+    every entry is finite and > 0 and the params are not all equal."""
+    x, y = np.asarray(params, dtype=float), np.asarray(residuals, dtype=float)
+    if (x.ndim != 1 or x.shape != y.shape or x.size < 2 or (x == x[0]).all()
+            or not ((0 < x) & (x < np.inf) & (0 < y) & (y < np.inf)).all()):
+        raise ValueError(f"params and residuals must be two or more pairs of finite numbers > 0, the params not all"
+                         f" equal (got {params!r}, {residuals!r})")
+    return float(np.polyfit(np.log10(x), np.log10(y), 1)[0])
 
 
 def _interior(arrays: Sequence[np.ndarray], grid: ParameterGrid, kinds: Sequence[str]) -> list[np.ndarray]:

@@ -58,7 +58,7 @@ def _geometry_refinement(preset):
         else:
             grid = build_grid([(0, 1), (1.0, np.pi - 1.0), (0.4, np.pi - 0.4)], [n, n, n])
             fields = presets.sphere_product(grid, radius=1.0)
-        geom = build_geometry(fields, grid, with_riemann=True, with_frame=True, require_unit_normal=True)
+        geom = build_geometry(fields, grid, with_riemann=True, with_frame=True)
         residuals_g.append(gauss_residual(geom.riemann, geom.b, geom.b_up))
         w, _ = weingarten_residual(fields, grid, geom.b_up, geom.metric, geom.frame)
         residuals_w.append(w)

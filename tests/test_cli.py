@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from worldsheet import cli, presets
+from worldsheet import DegenerateFrameError, cli, geometry, presets
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -202,6 +202,21 @@ def test_geometry_check_non_unit_normal_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
     message = err.strip().removeprefix("geometry_check failed: ")
     assert message.startswith("normal is not unit at node (1, 1)")
+    assert rows == [["quantity", "value"], ["error", message]]
+
+
+def test_geometry_check_frame_error_exits_2(tmp_path, capsys, monkeypatch):
+    # The frame is formed on first read, inside the same try as the build: its errors exit 2 too.
+    message = "null direction in the tangent complement at node (2, 2)"
+
+    def degenerate(metric_data):
+        raise DegenerateFrameError(message)
+
+    monkeypatch.setattr(geometry, "normal_frame", degenerate)
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "geometry_cylinder.scn", out) == 2
+    assert capsys.readouterr().err.splitlines() == [f"geometry_check failed: {message}"]
+    rows = list(csv.reader(io.StringIO((out / "geometry_report.csv").read_text())))
     assert rows == [["quantity", "value"], ["error", message]]
 
 

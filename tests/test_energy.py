@@ -7,6 +7,7 @@ from worldsheet import (
     EnergyBreakdown,
     GeometryError,
     NonFiniteValueError,
+    PenaltyConfig,
     QuadratureRule,
     SuperluminalMotionError,
     assemble_JK,
@@ -15,10 +16,12 @@ from worldsheet import (
     chart_metric,
     constraint_residuals,
     full_action,
+    gradient_JK,
     j1_curvature_energy,
     j2_energy,
     kinetic_energy,
     make_chart,
+    minimize_fixed_K,
     penalty_terms,
     quadrature,
     reduced_action,
@@ -293,6 +296,17 @@ def test_assemble_rejects_a_negative_K():
     g = unit_square()
     with pytest.raises(ValueError, match=r"^penalty weight K must be >= 0, got -1.0$"):
         assemble_JK(presets.flat(g), g, -1.0)
+
+
+@pytest.mark.parametrize("K", [np.nan, np.inf, -np.inf, True, False, np.bool_(True)])
+def test_penalty_weight_must_be_a_finite_number(K):
+    # NaN < 0 is False and a bool is an int, so a sign test alone lets each of these through.
+    g = unit_square()
+    f = presets.perturbed_flat(g, bump_amp=0.1, n_scale=1.2, n_tilt=0.1)
+    cfg = PenaltyConfig(k_schedule=(10.0,), max_iters=2)
+    for call in (lambda: assemble_JK(f, g, K), lambda: gradient_JK(f, g, K), lambda: minimize_fixed_K(f, g, K, cfg)):
+        with pytest.raises(ValueError, match=r"^penalty weight K must be a finite number, got "):
+            call()
 
 
 def test_assemble_linear_in_K():

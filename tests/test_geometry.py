@@ -8,6 +8,7 @@ from worldsheet import (
     DegenerateMetricError,
     GeometryError,
     MetricData,
+    NonUnitNormalError,
     SignatureError,
     build_geometry,
     build_grid,
@@ -114,7 +115,7 @@ def test_metric_degeneracy_test_is_scale_free(scale):
     f = presets.flat(g)
     f.r *= scale
     f.r_bc *= scale
-    geom = build_geometry(f, g, with_riemann=True, with_frame=True, require_unit_normal=True)
+    geom = build_geometry(f, g, with_riemann=True, with_frame=True)
     assert np.max(np.abs(geom.metric.det_g + scale**4)) <= 1e-14 * scale**4
     f.r[..., 1] = 0.0
     with pytest.raises(DegenerateMetricError, match=r"\(0, 0\)"):
@@ -442,13 +443,13 @@ def test_christoffel_sphere_analytic():
 def test_fundamental_form_flat_zero():
     g = build_grid([(0, 1), (0, 1)], [5, 5])
     f = presets.flat(g)
-    geom = build_geometry(f, g, require_unit_normal=True)
+    geom = build_geometry(f, g)
     assert np.max(np.abs(geom.b)) == 0.0
 
 
 def test_fundamental_form_cylinder():
     g, f = cylinder_setup(33)
-    geom = build_geometry(f, g, require_unit_normal=True)
+    geom = build_geometry(f, g)
     assert np.max(np.abs(geom.b[..., 1, 1] + 1.0 / RHO)) < 5e-3
     assert np.max(np.abs(geom.b[..., 0, 0])) < 1e-12
     assert np.max(np.abs(geom.b[..., 0, 1])) < 1e-12
@@ -456,7 +457,7 @@ def test_fundamental_form_cylinder():
 
 def test_fundamental_form_sphere_proportional_to_metric():
     g, f = sphere_setup(33)
-    geom = build_geometry(f, g, require_unit_normal=True)
+    geom = build_geometry(f, g)
     md = geom.metric
     want = -(1.0 / RHO) * md.g[..., 1:, 1:]
     assert np.max(np.abs(geom.b[..., 1:, 1:] - want)) < 2e-2
@@ -472,14 +473,33 @@ def test_fundamental_form_requires_unit_normal():
     d2r = geom.d2r
     with pytest.raises(ValueError, match="not unit"):
         second_fundamental_form(d2r, f.n, geom.metric)
+    f.n /= 2.0
+    f.n[2, 3, 1] = np.nan
+    with pytest.raises(NonUnitNormalError, match=r"^normal is not unit at node \(2, 3\) \(n.n = nan\)$"):
+        second_fundamental_form(d2r, f.n, geom.metric)
 
 
 @pytest.mark.parametrize("setup", [cylinder_setup, sphere_setup])
 def test_fundamental_form_of_a_unit_normal_is_the_cache_s(setup):
     g, f = setup(9)
-    geom = build_geometry(f, g, require_unit_normal=True)
+    geom = build_geometry(f, g)
     b, b_up = second_fundamental_form(geom.d2r, f.n, geom.metric)
     assert np.array_equal(b, geom.b) and np.array_equal(b_up, geom.b_up)
+
+
+@pytest.mark.parametrize("setup", [cylinder_setup, sphere_setup, perturbed_flat_setup])
+def test_a_cache_built_without_flags_forms_riemann_and_frame_on_first_read(setup):
+    g, f = setup()
+    flagged = build_geometry(f, g, with_riemann=True, with_frame=True)
+    plain = build_geometry(f, g)
+    assert "riemann" not in vars(plain) and "frame" not in vars(plain)
+    assert np.array_equal(plain.riemann, flagged.riemann) and plain.riemann is plain.riemann
+    assert np.array_equal(plain.frame.vectors, flagged.frame.vectors) and plain.frame is plain.frame
+    assert np.array_equal(plain.b, flagged.b) and np.array_equal(plain.b_up, flagged.b_up)
+    assert gauss_residual(plain.riemann, plain.b, plain.b_up) == gauss_residual(flagged.riemann, flagged.b, flagged.b_up)
+    got = weingarten_residual(f, g, plain.b_up, plain.metric, plain.frame)
+    want = weingarten_residual(f, g, flagged.b_up, flagged.metric, flagged.frame)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 def test_riemann_flat_zero():
@@ -504,7 +524,7 @@ def test_riemann_sphere_value_and_antisymmetry():
 def test_gauss_residual_flat_exact():
     g = build_grid([(0, 1), (0, 1)], [5, 5])
     f = presets.flat(g)
-    geom = build_geometry(f, g, with_riemann=True, require_unit_normal=True)
+    geom = build_geometry(f, g, with_riemann=True)
     assert gauss_residual(geom.riemann, geom.b, geom.b_up) == 0.0
 
 
@@ -512,7 +532,7 @@ def test_gauss_residual_cylinder_structurally_zero():
     # Static and intrinsically flat: both sides of the identity vanish to
     # rounding, independent of the spacing.
     g, f = cylinder_setup(17)
-    geom = build_geometry(f, g, with_riemann=True, require_unit_normal=True)
+    geom = build_geometry(f, g, with_riemann=True)
     assert gauss_residual(geom.riemann, geom.b, geom.b_up) < 1e-10
 
 
@@ -521,7 +541,7 @@ def test_gauss_residual_sphere_second_order():
     for n in (9, 17):
         g = build_grid([(0, 1), (1.0, np.pi - 1.0), (0.4, np.pi - 0.4)], [n, n, n])
         f = presets.sphere_product(g, radius=1.0)
-        geom = build_geometry(f, g, with_riemann=True, require_unit_normal=True)
+        geom = build_geometry(f, g, with_riemann=True)
         res.append(gauss_residual(geom.riemann, geom.b, geom.b_up))
     assert 2.8 < res[0] / res[1] < 5.0
 
@@ -529,7 +549,7 @@ def test_gauss_residual_sphere_second_order():
 def test_weingarten_flat_exact():
     g = build_grid([(0, 1), (0, 1)], [5, 5])
     f = presets.flat(g)
-    geom = build_geometry(f, g, with_frame=True, require_unit_normal=True)
+    geom = build_geometry(f, g, with_frame=True)
     res, e = weingarten_residual(f, g, geom.b_up, geom.metric, geom.frame)
     assert res == 0.0
     assert np.max(np.abs(e)) == 0.0
@@ -539,7 +559,7 @@ def test_weingarten_cylinder_second_order():
     res = []
     for n in (17, 33):
         g, f = cylinder_setup(n)
-        geom = build_geometry(f, g, with_frame=True, require_unit_normal=True)
+        geom = build_geometry(f, g, with_frame=True)
         r, _ = weingarten_residual(f, g, geom.b_up, geom.metric, geom.frame)
         res.append(r)
     assert 3.0 < res[0] / res[1] < 5.0

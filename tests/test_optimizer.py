@@ -457,6 +457,26 @@ def test_fit_loglog_slope_power_law():
     assert abs(fit_loglog_slope(ks, rs) + 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "params, residuals",
+    [
+        ([10.0], [0.1]),  # one point
+        ([10.0, 100.0], [0.1]),  # unequal lengths
+        ([10.0, 100.0], [0.1, 0.0]),
+        ([10.0, 100.0], [0.1, -0.01]),
+        ([10.0, 100.0], [0.1, np.nan]),
+        ([10.0, np.inf], [0.1, 0.01]),
+        ([0.0, 100.0], [0.1, 0.01]),
+        ([10.0, 10.0, 10.0], [0.1, 0.01, 0.001]),  # params all equal
+    ],
+)
+def test_fit_loglog_slope_refuses_what_it_cannot_fit(params, residuals, capfd):
+    # Each gave nan silently, or LinAlgError with a LAPACK line on stderr.
+    with pytest.raises(ValueError, match=r"^params and residuals must be two or more pairs of finite numbers > 0"):
+        fit_loglog_slope(params, residuals)
+    assert capfd.readouterr().err == ""
+
+
 SUBSETS = [kinds for size in (1, 2, 3) for kinds in itertools.combinations(("r", "phi", "n"), size)]
 
 
