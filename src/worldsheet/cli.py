@@ -315,7 +315,7 @@ def _run_minimize(
     lines += [f"termination K={_cell(rec.K)}: {rec.termination}" for rec in report.records]
     lines += [
         f"descent K={_cell(rec.K)}: iterations {rec.iterations}, evaluations {rec.evaluations}, "
-        f"resets {rec.resets}, fallbacks {rec.fallbacks}"
+        f"backtracked {rec.backtracked}, resets {rec.resets}, fallbacks {rec.fallbacks}"
         for rec in report.records
     ]
     if report.theorem_range_notice:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -184,6 +184,32 @@ def _densities(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> _D
     return _Densities(dphi, phi_sq, *curvature, _dirichlet_density(geom.g_inv, dphi), *christoffel, *penalty)
 
 
+# Row k - 1 sums the entries i + j = k of a flattened 3x3 outer product a_i b_j: the alpha^k coefficient of a b.
+_ANTI_DIAGONALS = np.equal.outer(np.arange(1, 5), np.add.outer(np.arange(3), np.arange(3)).ravel()).astype(float)
+
+
+def _step_polynomial(d: _Densities, fields: FieldSet, step: FieldSet, geom: GeometryCache, grid, K) -> list[float]:
+    """c_1..c_4 of J_K(x + alpha s) - J_K(x) = sum_k c_k alpha^k, with x = fields, d its densities, s a step in phi
+    and n, r frozen: each density is a quadratic in alpha and J_K's terms are products of two.  c_1 = grad . s."""
+    n, sn, sn_low, w, rule = fields.n, step.n, step.n * _signs(fields.n.shape[-1]), geom.sqrt_neg_g, _rule(grid)
+    sdphi, phi_bar, sphi_bar = _gradient(step.phi, grid), np.conj(fields.phi), np.conj(step.phi)
+    sdots, xy, sxy = (geom.tangents @ sn_low[..., None])[..., 0], _re_im(d.dphi), _re_im(sdphi)
+    sqn, gs = (geom.curvature_form @ sn[..., None])[..., 0], geom.g_inv @ sxy
+    dot, dot2 = partial(np.einsum, "...i,...i"), partial(np.einsum, "...ij,...ij")  # (a * b).sum, 4x faster at 3x4^5
+    phi_sq = np.array([d.phi_sq, 2.0 * (fields.phi * sphi_bar).real, (step.phi * sphi_bar).real])
+    curvature = np.array([d.curvature, 2.0 * dot(sn, d.qn), dot(sn, sqn)])  # Q is symmetric
+    unit = np.array([d.nn - 1.0, 2.0 * dot(n, sn_low), dot(sn, sn_low)])
+    # 1/2 |phi|^2 n^T Q n + K/2 unit; the alpha and alpha^2 terms of 1/2 Dirichlet + 1/4 Christoffel + K/2 orth
+    outer = 0.5 * phi_sq[:, None] * curvature[None] + 0.5 * K * unit[:, None] * unit[None]
+    pair, spair = (sdphi * phi_bar[..., None] + d.dphi * sphi_bar[..., None]).real, (sdphi * sphi_bar[..., None]).real
+    outer[0, 1] += dot2(xy, gs) + 0.5 * dot(pair, geom.gamma_c) + K * dot(d.dots, sdots)
+    outer[0, 2] += 0.5 * (dot2(sxy, gs) + dot(spair, geom.gamma_c) + K * dot(sdots, sdots))
+    nodes = (_ANTI_DIAGONALS @ outer.reshape(9, -1)).reshape(4, *grid.counts) * w
+    mass = np.array([d.mass - 1.0, *(phi_sq[1:] * (w * rule.spatial_weights)).sum(tuple(range(2, grid.ndim + 1)))])
+    norm = _ANTI_DIAGONALS @ (mass[:, None] * mass[None]).reshape(9, -1) @ rule.axis_weights[0]
+    return [c + float(0.5 * K * m) for c, m in zip(_integrals(nodes, grid), norm)]
+
+
 # The densities are integrated against a volume weight w: sqrt(-g) on the parameter
 # grid, sqrt(-g) sqrt(U) on a chart grid.  The integrands of the orth and unit penalties:
 def _penalties(dots, nn, w) -> list[np.ndarray]:
@@ -285,6 +311,7 @@ def backward_JK(
     dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and
     without "r" the r chain (bars of g^{-1}, d2r and the tangents) is skipped.
     kinds is a sequence of r, phi and n, else ValueError: a str is refused, not read letter by letter.
+    The breakdown carries the densities bundle as its attribute densities, outside its fields.
     """
     if isinstance(kinds, str) or not set(kinds) <= set(_KINDS):
         raise ValueError(f"kinds must be a sequence of r, phi, n (got {kinds!r})")
@@ -294,6 +321,7 @@ def backward_JK(
     g_inv, sq = geom.g_inv, geom.sqrt_neg_g
     d = _densities(fields, geom, grid)
     breakdown = _breakdown(d, geom, grid, K)
+    breakdown.densities = d
     dphi, phi_sq, curv, re_pair, dots, nn = d.dphi, d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
     rule = _rule(grid)
     w = rule.node_weights * sq

@@ -1,16 +1,18 @@
 """Penalty-method minimization of J_K over the interior field degrees of freedom.
 
-Descent is L-BFGS with Armijo backtracking (Nocedal & Wright, Numerical
-Optimization, Alg. 7.4); each configuration it tries gets one geometry cache and
-one value-and-gradient pass (energy.backward_JK), J_K and its exact gradient.
-With r frozen, the r part is built once, before a continuation's first leg.
+Descent is L-BFGS (Nocedal & Wright, Numerical Optimization, Alg. 7.4); each configuration it
+evaluates gets one geometry cache and one value-and-gradient pass (energy.backward_JK), J_K and its
+exact gradient.  With r frozen, the r part is built once, before a continuation's first leg, and a step
+goes to the exact minimiser of the quartic J_K along it (N & W 3.5); else, Armijo backtracking.
 A continuation sweep drives K upward with warm starts and fits the log-log
 slope of the constraint residuals against K, which should sit near -1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
@@ -19,20 +21,19 @@ import numpy as np
 
 from .grid import FieldSet, ParameterGrid, _cell, _csv_row, _gradient, _worst_node, apply_boundary
 from .geometry import GeometryCache, GeometryError, build_geometry, _signs
-from .energy import _KINDS, NonFiniteValueError, _densities, backward_JK, constraint_residuals
+from .energy import _KINDS, NonFiniteValueError, _densities, _step_polynomial, backward_JK, constraint_residuals
 
 logger = logging.getLogger(__name__)
 
 THEOREM_M_RANGE = (5, 8)
 
-# Backtracking line search along a descent direction d: a trial step alpha
-# is accepted on sufficient decrease J_K(x + alpha d) <= J_K(x) + ARMIJO_C
-# alpha grad.d (Nocedal & Wright, 3.1) that is also strict, J_K(x + alpha d)
-# < J_K(x): once ARMIJO_C alpha grad.d is below the rounding of J_K, an
-# unchanged J_K would pass the first test.  Otherwise alpha is shrunk by
-# BACKTRACK; below MIN_STEP the leg stops as line_search_underflow.  L-BFGS
-# keeps the last MEMORY pairs (s, y) of step and gradient change, and skips a
-# pair whose curvature s.y <= CURVATURE_TOL |s| |y|.
+# Backtracking line search along a descent direction d: a trial step alpha is accepted on sufficient decrease
+# J_K(x + alpha d) <= J_K(x) + ARMIJO_C alpha grad.d (Nocedal & Wright, 3.1) that is also strict, J_K(x + alpha d)
+# < J_K(x): once ARMIJO_C alpha grad.d is below the rounding of J_K, an unchanged J_K would pass the first test.
+# Otherwise alpha is shrunk by BACKTRACK; below MIN_STEP the leg stops as line_search_underflow.  An exact step
+# passes ARMIJO_C on the quartic's own difference, free of two totals' rounding (Hager & Zhang, SIAM J. Optim. 16
+# (2005) 170-192).  L-BFGS keeps the last MEMORY pairs (s, y) of step and gradient change, and skips a pair whose
+# curvature s.y <= CURVATURE_TOL |s| |y|.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MIN_STEP = 1e-14
@@ -72,8 +73,9 @@ class KRecord:
 
     termination says why the descent stopped: converged, max_iters or
     line_search_underflow; stalled and converged are read from it.
-    evaluations counts the start and every line-search trial; resets and
-    fallbacks count the L-BFGS memory clears (see minimize_fixed_K).
+    evaluations counts the start and every evaluated trial, backtracked the exact steps refused, resets and fallbacks
+    the L-BFGS memory clears (see minimize_fixed_K).  start_total_J is J at the leg's start: after two converged
+    legs, the extrapolated start's (see penalty_continuation).
     """
 
     K: float
@@ -88,6 +90,7 @@ class KRecord:
     evaluations: int
     resets: int
     fallbacks: int
+    backtracked: int
     start_total_J: float = float("nan")
     jk_trace: list[float] = dc_field(default_factory=list)
 
@@ -214,6 +217,25 @@ def _lbfgs_direction(grad: np.ndarray, memory: Sequence[tuple[np.ndarray, np.nda
     return -q
 
 
+def _exact_step(c: Sequence[float]) -> Optional[float]:
+    """The least alpha > 0 with Delta'(alpha) = 0, Delta = sum_k c_k alpha^k (k = 1..4), if c_1 < 0 and it passes
+    Armijo on Delta, else None.  1/alpha = t - b/3 for the greatest root t of t^3 + p t + q, the cubic
+    c_1 b^3 + 2c_2 b^2 + 3c_3 b + 4c_4 over c_1 (Cardano's one real root, or the greatest of three).  A nan disc
+    (overflow) takes Cardano's branch, which then gives None: the other needs p < 0, which only disc < 0 implies."""
+    c1, c2, c3, c4 = c
+    if not c1 < 0.0:
+        return None
+    b, e, f = 2.0 * c2 / c1, 3.0 * c3 / c1, 4.0 * c4 / c1
+    p, q = e - b * b / 3.0, 2.0 * b * b * b / 27.0 - b * e / 3.0 + f
+    disc, cbrt = 0.25 * q * q + p * p * p / 27.0, lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v)
+    t = (cbrt(-0.5 * q + math.sqrt(disc)) + cbrt(-0.5 * q - math.sqrt(disc)) if not disc < 0.0 else
+         2.0 * math.sqrt(-p / 3.0) * math.cos(math.acos(max(-1.0, min(1.0, 1.5 * q / p * math.sqrt(-3.0 / p)))) / 3))
+    alpha = 1.0 / (t - b / 3.0) if t > b / 3.0 else math.nan
+    curvature = 2.0 * c2 + alpha * (6.0 * c3 + 12.0 * c4 * alpha)  # one Newton step on Delta'
+    alpha -= (c1 + alpha * (2.0 * c2 + alpha * (3.0 * c3 + 4.0 * c4 * alpha))) / curvature if curvature else 0.0
+    return alpha if 0.0 < alpha < math.inf and c1 + alpha * (c2 + alpha * (c3 + alpha * c4)) <= ARMIJO_C * c1 else None
+
+
 def minimize_fixed_K(
     fields: FieldSet,
     grid: ParameterGrid,
@@ -221,19 +243,18 @@ def minimize_fixed_K(
     cfg: PenaltyConfig,
     _base: Optional[GeometryCache] = None,
 ) -> tuple[FieldSet, KRecord]:
-    """L-BFGS with Armijo backtracking on J_K at fixed K over the interior blocks of cfg.optimize_fields.
+    """L-BFGS on J_K at fixed K over the interior blocks of cfg.optimize_fields.
 
-    The line search starts at alpha = 1, or at cfg.step_init while the memory
-    is empty (a leg's first step, after a reset or a fallback).  Accepted
-    iterates strictly decrease J_K.  phi is clamped back to the admissible set
-    after every step; a clamp that moves a node clears the memory (a reset),
-    as does a direction that is not one of descent, replaced by -grad (a
-    fallback).  A trial whose geometry is degenerate or whose integrand is not
-    finite is rejected and the step halved.  Step underflow is recorded as a
-    stall, not raised.
-    With "r" optimised _base is None and every configuration gets its own build_geometry.
-    With r frozen one geometry of r serves every configuration as it is: _base, or the start's
-    build if _base is None.
+    With r frozen, J_K(x + alpha d) - J_K(x) is a quartic in alpha (energy._step_polynomial).  Its least positive
+    stationary point is tried first if it passes Armijo on the quartic, and accepted unless phi clamps there (it is
+    then not evaluated), its evaluation fails or the rounded J_K rises.  Else, and with r optimised, alpha halves
+    from 1, or from cfg.step_init while the memory is empty (a leg's first step, after a reset or a fallback),
+    until J_K strictly decreases by Armijo's margin.  phi is clamped back to the admissible set after every step;
+    a clamp that moves a node clears the memory (a reset), as does a direction that is not one of descent,
+    replaced by -grad (a fallback).  A trial whose geometry is degenerate or whose integrand is not finite is
+    rejected.  Step underflow is recorded as a stall.  With "r" optimised _base is None and every configuration
+    gets its own build_geometry.  With r frozen one geometry of r serves every configuration as it is: _base, or
+    the start's build if _base is None.
     """
 
     def evaluate(x, base):
@@ -248,7 +269,8 @@ def minimize_fixed_K(
     start_J, trace = cur.total_J, [cur.total_JK]
     memory: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)
     termination = "max_iters"
-    iters = resets = fallbacks = 0
+    iters = resets = fallbacks = backtracked = 0
+    zero = FieldSet(*(np.zeros_like(a) for a in (x.r, x.phi, x.n)), x.r_bc, x.phi_bc, x.eps)
     evaluations = 1
 
     while True:
@@ -264,26 +286,34 @@ def minimize_fixed_K(
             memory.clear()
             fallbacks += 1
             d, slope = -grad, -grad_norm * grad_norm
-        alpha = 1.0 if memory else cfg.step_init
-        while alpha >= MIN_STEP:
-            trial = _add_scaled(x, d, alpha, grid, cfg.optimize_fields)
+        alpha, exact, kinds = 1.0 if memory else cfg.step_init, None, cfg.optimize_fields
+        if base is not None:  # r frozen: J_K is a quartic along d
+            with contextlib.suppress(NonFiniteValueError):
+                direction = _add_scaled(zero, d, 1.0, grid, kinds)
+                exact = _exact_step(_step_polynomial(cur.densities, x, direction, base, grid, K))
+        while exact or alpha >= MIN_STEP:
+            trial = _add_scaled(x, d, step := exact or alpha, grid, kinds)
             clamped = _clamp_phi(trial)
-            evaluations += 1
-            try:
-                trial_geom, trial_cur, trial_grad = evaluate(trial, base)
-            except (GeometryError, NonFiniteValueError):
-                trial_cur = None
-            if trial_cur is not None and cur.total_JK > trial_cur.total_JK <= cur.total_JK + ARMIJO_C * alpha * slope:
-                break
-            alpha *= BACKTRACK
-        else:
-            termination = "line_search_underflow"
+            if not (exact and clamped):  # a clamp leaves the quartic: the exact step is refused unevaluated
+                evaluations += 1
+                try:
+                    trial_geom, trial_cur, trial_grad = evaluate(trial, base)
+                except (GeometryError, NonFiniteValueError):
+                    trial_cur = None
+                if trial_cur is not None and (
+                        trial_cur.total_JK <= cur.total_JK if exact
+                        else cur.total_JK > trial_cur.total_JK <= cur.total_JK + ARMIJO_C * alpha * slope):
+                    break
+            alpha, exact = alpha if exact else alpha * BACKTRACK, None
+        else:  # the last search, whose halving underflowed, counts as backtracked too
+            backtracked, termination = backtracked + (base is not None), "line_search_underflow"
             break
+        backtracked += base is not None and not exact
         if clamped:
             memory.clear()
             resets += 1
         else:
-            s, y = alpha * d, trial_grad - grad
+            s, y = step * d, trial_grad - grad
             if s @ y > CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
                 memory.append((s, y))
         x, geom, cur, grad = trial, trial_geom, trial_cur, trial_grad
@@ -304,6 +334,7 @@ def minimize_fixed_K(
         evaluations=evaluations,
         resets=resets,
         fallbacks=fallbacks,
+        backtracked=backtracked,
         start_total_J=start_J,
         jk_trace=trace,
     )
@@ -326,6 +357,8 @@ def penalty_continuation(
 ) -> MinimizeReport:
     """Sweep K upward with warm starts and fit the residual decay slopes.
 
+    A leg starts at the last one's end x_i; after two converged legs, at x_i + w (x_i - x_{i-1}) on the optimised
+    blocks, w = (1/K_{i+1} - 1/K_i) / (1/K_i - 1/K_{i-1}), as the residuals decay like 1/K.
     Slopes are fitted per constraint over the schedule points whose residual
     exceeds 1e-12; a residual at machine zero is skipped.
     """
@@ -334,8 +367,13 @@ def penalty_continuation(
         logger.info(notice)
     records: list[KRecord] = []
     base = None if "r" in cfg.optimize_fields else build_geometry(apply_boundary(fields, grid), grid)
-    for K in cfg.k_schedule:  # a warm start: each leg starts from the last leg's fields
-        fields, rec = minimize_fixed_K(fields, grid, K, cfg, base)
+    for K in cfg.k_schedule:
+        start = fields
+        if len(records) >= 2 and records[-1].converged and records[-2].converged:  # minimize_fixed_K clamps phi
+            w, start = (1.0 / K - 1.0 / records[-1].K) / (1.0 / records[-1].K - 1.0 / records[-2].K), fields.copy()
+            for new, old in zip(*(_interior((f.r, f.phi, f.n), grid, cfg.optimize_fields) for f in (start, last))):
+                new += w * (new - old)
+        last, (fields, rec) = fields, minimize_fixed_K(start, grid, K, cfg, base)
         records.append(rec)
 
     slopes: dict[str, Optional[float]] = {}

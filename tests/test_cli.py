@@ -187,6 +187,18 @@ def test_minimize_demo_converges_every_leg(tmp_path):
     assert summary[-1] == "exit: 0"
 
 
+@pytest.mark.parametrize("name", ["minimize_perturbed", "theorem_range"])
+def test_frozen_r_legs_take_the_exact_step(tmp_path, name):
+    # J_K is a quartic along each phi/n direction: nearly every iteration takes its exact step with one evaluation.
+    assert cli.run(SCENARIOS / f"{name}.scn", tmp_path) == 0
+    descents = [line for line in (tmp_path / "minimize_summary.txt").read_text().splitlines()
+                if line.startswith("descent K=")]
+    assert len(descents) == 4
+    for line in descents:
+        counts = dict(item.rsplit(" ", 1) for item in line.split(": ", 1)[1].split(", "))
+        assert int(counts["evaluations"]) <= int(counts["iterations"]) + 2, line
+
+
 def test_minimize_fd_step_key_removed(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.run(SCENARIOS / "minimize_perturbed.scn", out, overrides=["optimizer.fd_step=1e-6"]) == 1

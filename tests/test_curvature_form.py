@@ -190,6 +190,26 @@ def test_frozen_r_JK_is_a_quartic_along_phi_and_n(name):
     assert abs(fourth) > 1e6 * bound
 
 
+@pytest.mark.parametrize("K", [100.0, 1e5])
+@pytest.mark.parametrize("name", ["criterion_3", "theorem_range_m5"])
+def test_step_polynomial_reproduces_JK(name, K):
+    # The descent's coefficient pass: with r frozen, J_K(x + alpha s) - J_K(x) = sum_k c_k alpha^k, formed from
+    # x's densities and s alone, and c_1 is grad . s.  Criterion 3's start, and theorem_range's with noise.
+    g, f = _scenario_start(name) if name == "criterion_3" else _noisy(name)
+    base, kinds = build_geometry(f, g), ("phi", "n")
+    cur, grads = backward_JK(f, g, K, base, kinds)
+    grad = _packed(grads, g, kinds)
+    direction = np.random.default_rng(29).standard_normal(grad.size)
+    zero = type(f)(np.zeros_like(f.r), np.zeros_like(f.phi), np.zeros_like(f.n), f.r_bc, f.phi_bc, f.eps)
+    step = optimizer._add_scaled(zero, direction, 1.0, g, kinds)
+    c = energy._step_polynomial(cur.densities, f, step, base, g, K)
+    assert abs(c[0] - grad @ direction) <= 1e-12 * abs(grad @ direction)
+    for alpha in (1e-4, 1e-3, 0.01, 0.05, 0.2, 1.0):
+        moved = backward_JK(optimizer._add_scaled(f, direction, alpha, g, kinds), g, K, base, kinds)[0].total_JK
+        terms = [ck * alpha**k for k, ck in enumerate(c, 1)]
+        assert abs(sum(terms) - (moved - cur.total_JK)) <= 1e-12 * sum(map(abs, [moved, cur.total_JK, *terms]))
+
+
 class _GammaFormed(Exception):
     pass
 
