@@ -2,8 +2,8 @@
 
 Descent is L-BFGS (Nocedal & Wright, Numerical Optimization, Alg. 7.4); each configuration it
 evaluates gets one geometry cache and one value-and-gradient pass (energy.backward_JK), J_K and its
-exact gradient.  With r frozen, the r part is built once, before a continuation's first leg, and a step
-goes to the exact minimiser of the quartic J_K along it (N & W 3.5); else, Armijo backtracking.
+exact gradient.  With r frozen, the r part is built once, before a continuation's first leg, and a line search
+opens at the exact minimiser of the quartic J_K along its direction (N & W 3.5); every search halves from its start.
 A continuation sweep drives K upward with warm starts and fits the log-log
 slope of the constraint residuals against K, which should sit near -1.
 """
@@ -30,8 +30,8 @@ THEOREM_M_RANGE = (5, 8)
 # Backtracking line search along a descent direction d: a trial step alpha is accepted on sufficient decrease
 # J_K(x + alpha d) <= J_K(x) + ARMIJO_C alpha grad.d (Nocedal & Wright, 3.1) that is also strict, J_K(x + alpha d)
 # < J_K(x): once ARMIJO_C alpha grad.d is below the rounding of J_K, an unchanged J_K would pass the first test.
-# Otherwise alpha is shrunk by BACKTRACK; below MIN_STEP the leg stops as line_search_underflow.  An exact step
-# passes ARMIJO_C on the quartic's own difference, free of two totals' rounding (Hager & Zhang, SIAM J. Optim. 16
+# Otherwise alpha is shrunk by BACKTRACK; below MIN_STEP the leg stops as line_search_underflow.  A trial on the
+# quartic tests ARMIJO_C on its own difference, free of two totals' rounding (Hager & Zhang, SIAM J. Optim. 16
 # (2005) 170-192).  L-BFGS keeps the last MEMORY pairs (s, y) of step and gradient change, and skips a pair whose
 # curvature s.y <= CURVATURE_TOL |s| |y|.
 ARMIJO_C = 1e-4
@@ -73,9 +73,9 @@ class KRecord:
 
     termination says why the descent stopped: converged, max_iters or
     line_search_underflow; stalled and converged are read from it.
-    evaluations counts the start and every evaluated trial, backtracked the exact steps refused, resets and fallbacks
-    the L-BFGS memory clears (see minimize_fixed_K).  start_total_J is J at the leg's start: after two converged
-    legs, the extrapolated start's (see penalty_continuation).
+    evaluations counts the start and every evaluated trial, backtracked the line searches whose first trial was
+    refused, resets and fallbacks the L-BFGS memory clears (see minimize_fixed_K).  start_total_J is J at the leg's
+    start: after two converged legs, the extrapolated start's (see penalty_continuation).
     """
 
     K: float
@@ -218,8 +218,8 @@ def _lbfgs_direction(grad: np.ndarray, memory: Sequence[tuple[np.ndarray, np.nda
 
 
 def _exact_step(c: Sequence[float]) -> Optional[float]:
-    """The least alpha > 0 with Delta'(alpha) = 0, Delta = sum_k c_k alpha^k (k = 1..4), if c_1 < 0 and it passes
-    Armijo on Delta, else None.  1/alpha = t - b/3 for the greatest root t of t^3 + p t + q, the cubic
+    """The least alpha > 0 with Delta'(alpha) = 0, Delta = sum_k c_k alpha^k (k = 1..4), if c_1 < 0, else None; its
+    Armijo test is minimize_fixed_K's.  1/alpha = t - b/3 for the greatest root t of t^3 + p t + q, the cubic
     c_1 b^3 + 2c_2 b^2 + 3c_3 b + 4c_4 over c_1 (Cardano's one real root, or the greatest of three).  A nan disc
     (overflow) takes Cardano's branch, which then gives None: the other needs p < 0, which only disc < 0 implies."""
     c1, c2, c3, c4 = c
@@ -233,7 +233,7 @@ def _exact_step(c: Sequence[float]) -> Optional[float]:
     alpha = 1.0 / (t - b / 3.0) if t > b / 3.0 else math.nan
     curvature = 2.0 * c2 + alpha * (6.0 * c3 + 12.0 * c4 * alpha)  # one Newton step on Delta'
     alpha -= (c1 + alpha * (2.0 * c2 + alpha * (3.0 * c3 + 4.0 * c4 * alpha))) / curvature if curvature else 0.0
-    return alpha if 0.0 < alpha < math.inf and c1 + alpha * (c2 + alpha * (c3 + alpha * c4)) <= ARMIJO_C * c1 else None
+    return alpha if 0.0 < alpha < math.inf else None
 
 
 def minimize_fixed_K(
@@ -245,16 +245,16 @@ def minimize_fixed_K(
 ) -> tuple[FieldSet, KRecord]:
     """L-BFGS on J_K at fixed K over the interior blocks of cfg.optimize_fields.
 
-    With r frozen, J_K(x + alpha d) - J_K(x) is a quartic in alpha (energy._step_polynomial).  Its least positive
-    stationary point is tried first if it passes Armijo on the quartic, and accepted unless phi clamps there (it is
-    then not evaluated), its evaluation fails or the rounded J_K rises.  Else, and with r optimised, alpha halves
-    from 1, or from cfg.step_init while the memory is empty (a leg's first step, after a reset or a fallback),
-    until J_K strictly decreases by Armijo's margin.  phi is clamped back to the admissible set after every step;
-    a clamp that moves a node clears the memory (a reset), as does a direction that is not one of descent,
-    replaced by -grad (a fallback).  A trial whose geometry is degenerate or whose integrand is not finite is
-    rejected.  Step underflow is recorded as a stall.  With "r" optimised _base is None and every configuration
-    gets its own build_geometry.  With r frozen one geometry of r serves every configuration as it is: _base, or
-    the start's build if _base is None.
+    Each iteration's line search opens at the least positive stationary point of the quartic Delta(alpha) =
+    J_K(x + alpha d) - J_K(x) (energy._step_polynomial, r frozen), else at 1, or at cfg.step_init while the memory
+    is empty (a leg's first step, after a reset or a fallback), and halves alpha from there.  A trial on the quartic
+    (r frozen, no node of phi clamped) failing Armijo on Delta is halved unevaluated, one passing it is taken unless
+    its evaluation fails or the rounded J_K rises, and any other trial is taken if J_K strictly decreases by
+    Armijo's margin.  phi is clamped back to the admissible set after every step; a clamp that moves a node clears
+    the memory (a reset), as does a direction that is not one of descent, replaced by -grad (a fallback).  A trial
+    whose geometry is degenerate or whose integrand is not finite is rejected; underflow is recorded as a stall.
+    With "r" optimised _base is None and every configuration gets its own build_geometry.  With r frozen one
+    geometry of r serves every configuration as it is: _base, or the start's build if _base is None.
     """
 
     def evaluate(x, base):
@@ -286,34 +286,34 @@ def minimize_fixed_K(
             memory.clear()
             fallbacks += 1
             d, slope = -grad, -grad_norm * grad_norm
-        alpha, exact, kinds = 1.0 if memory else cfg.step_init, None, cfg.optimize_fields
-        if base is not None:  # r frozen: J_K is a quartic along d
+        alpha, c, kinds = 1.0 if memory else cfg.step_init, None, cfg.optimize_fields
+        if base is not None:  # r frozen: J_K is a quartic along d, and its exact step opens the search
             with contextlib.suppress(NonFiniteValueError):
-                direction = _add_scaled(zero, d, 1.0, grid, kinds)
-                exact = _exact_step(_step_polynomial(cur.densities, x, direction, base, grid, K))
-        while exact or alpha >= MIN_STEP:
-            trial = _add_scaled(x, d, step := exact or alpha, grid, kinds)
-            clamped = _clamp_phi(trial)
-            if not (exact and clamped):  # a clamp leaves the quartic: the exact step is refused unevaluated
+                c = _step_polynomial(cur.densities, x, _add_scaled(zero, d, 1.0, grid, kinds), base, grid, K)
+                alpha = _exact_step(c) or alpha
+        first = alpha
+        while alpha >= MIN_STEP:
+            clamped = _clamp_phi(trial := _add_scaled(x, d, alpha, grid, kinds))
+            quartic = c is not None and not clamped  # a clamp leaves the quartic
+            if not quartic or c[0] + alpha * (c[1] + alpha * (c[2] + alpha * c[3])) <= ARMIJO_C * c[0]:
                 evaluations += 1
                 try:
                     trial_geom, trial_cur, trial_grad = evaluate(trial, base)
                 except (GeometryError, NonFiniteValueError):
                     trial_cur = None
-                if trial_cur is not None and (
-                        trial_cur.total_JK <= cur.total_JK if exact
+                if trial_cur is not None and (trial_cur.total_JK <= cur.total_JK if quartic
                         else cur.total_JK > trial_cur.total_JK <= cur.total_JK + ARMIJO_C * alpha * slope):
                     break
-            alpha, exact = alpha if exact else alpha * BACKTRACK, None
+            alpha *= BACKTRACK
         else:  # the last search, whose halving underflowed, counts as backtracked too
-            backtracked, termination = backtracked + (base is not None), "line_search_underflow"
+            backtracked, termination = backtracked + 1, "line_search_underflow"
             break
-        backtracked += base is not None and not exact
+        backtracked += alpha != first
         if clamped:
             memory.clear()
             resets += 1
         else:
-            s, y = step * d, trial_grad - grad
+            s, y = alpha * d, trial_grad - grad
             if s @ y > CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
                 memory.append((s, y))
         x, geom, cur, grad = trial, trial_geom, trial_cur, trial_grad

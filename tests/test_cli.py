@@ -199,6 +199,18 @@ def test_frozen_r_legs_take_the_exact_step(tmp_path, name):
         assert int(counts["evaluations"]) <= int(counts["iterations"]) + 2, line
 
 
+def test_all_fields_legs_report_backtracked_searches(tmp_path):
+    # With r optimised no step is exact: the K = 10 leg halves some searches before it stalls, and each later leg's
+    # one search underflows at once.
+    overrides = ["optimizer.optimize_fields=r,phi,n", "optimizer.max_iters=300"]
+    assert cli.run(SCENARIOS / "minimize_perturbed.scn", tmp_path, overrides=overrides) == 2
+    lines = (tmp_path / "minimize_summary.txt").read_text().splitlines()
+    descents = [dict(item.rsplit(" ", 1) for item in s.split(": ", 1)[1].split(", "))
+                for s in lines if s.startswith("descent K=")]
+    assert len(descents) == 4 and int(descents[0]["backtracked"]) > 0
+    assert all((int(d["iterations"]), int(d["backtracked"])) == (0, 1) for d in descents[1:])
+
+
 def test_minimize_fd_step_key_removed(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.run(SCENARIOS / "minimize_perturbed.scn", out, overrides=["optimizer.fd_step=1e-6"]) == 1

@@ -315,20 +315,37 @@ def test_minimize_evaluates_each_configuration_once(monkeypatch):
 
 
 
-def test_a_clamped_exact_step_falls_back_to_halving():
-    # phi scaled by 1.1 and eps = 1.1: the first exact step, alpha* = 0.0375, takes |phi|^2 down to 1.075 and would
-    # clamp.  It is refused unevaluated; the halving from step_init clamps too, at 0.1 and at the accepted 0.05.
+def _steepest(f, g, kinds, K):
+    """-grad J_K over the interior blocks of kinds, packed: the direction of a leg's first step."""
+    gr = gradient_JK(f, g, K, kinds=kinds)
+    return -np.concatenate([b.ravel() for b in optimizer._interior((gr.r, gr.phi, gr.n), g, kinds)])
+
+
+def _spy_exact_step(monkeypatch, scale=1.0):
+    """Patch _exact_step to return scale times its step; the list it returns collects (c, step) per search."""
+    exact_step, seen = optimizer._exact_step, []
+
+    def spy(c):
+        seen.append((c, exact_step(c)))
+        return scale * seen[-1][1]
+
+    monkeypatch.setattr(optimizer, "_exact_step", spy)
+    return seen
+
+
+def test_a_clamped_exact_step_is_evaluated_and_taken(monkeypatch):
+    # phi scaled by 1.1 and eps = 1.1: the first exact step, alpha* = 0.0375, takes |phi|^2 down to 1.075 and
+    # clamps.  The clamp leaves the quartic, so the trial is evaluated and judged on totals; it lowers J_K and is taken.
     g, f = small_perturbed()
     f.phi, f.phi_bc = 1.1 * f.phi, 1.1 * f.phi_bc
     cfg = PenaltyConfig(max_iters=1, step_init=0.1, optimize_fields=("phi", "n"))
     _, free = minimize_fixed_K(f, g, 30.0, cfg)
     assert (free.evaluations, free.backtracked, free.resets) == (2, 0, 0)
     f.eps = 1.1
+    seen = _spy_exact_step(monkeypatch)
     x, rec = minimize_fixed_K(f, g, 30.0, cfg)
-    assert (rec.iterations, rec.evaluations, rec.backtracked, rec.resets) == (1, 3, 1, 1)
-    gr = gradient_JK(f, g, 30.0, kinds=cfg.optimize_fields)
-    grad = optimizer._interior((gr.r, gr.phi, gr.n), g, cfg.optimize_fields)
-    want = optimizer._add_scaled(f, -np.concatenate([b.ravel() for b in grad]), 0.05, g, cfg.optimize_fields)
+    assert (rec.iterations, rec.evaluations, rec.backtracked, rec.resets) == (1, 2, 0, 1)
+    want = optimizer._add_scaled(f, _steepest(f, g, cfg.optimize_fields, 30.0), seen[0][1], g, cfg.optimize_fields)
     assert optimizer._clamp_phi(want)
     assert x.phi.tobytes() == want.phi.tobytes() and x.n.tobytes() == want.n.tobytes()
 
@@ -343,24 +360,70 @@ def test_exact_step_is_the_least_positive_stationary_point():
 
 
 def test_a_refused_exact_step_backtracks_through_overflowing_trials(monkeypatch):
-    # Every exact step refused: a first step of 1e100 overflows the first trials' integrands.  Each such trial is
-    # rejected and the step halved, so the leg converges, and every iteration counts as backtracked.
+    # No exact step and a first step of 1e100, whose trials' integrands overflow: each such trial fails Armijo on
+    # the quartic and is halved unevaluated, so only the searches' accepted trials are evaluated.  With r optimised
+    # the same trials are evaluated, rejected and halved.
     monkeypatch.setattr(optimizer, "_exact_step", lambda c: None)
     g, f = small_perturbed()
     with np.errstate(all="ignore"):
         _, rec = minimize_fixed_K(f, g, 10.0, PenaltyConfig(step_init=1e100, optimize_fields=("phi", "n")))
-    assert rec.converged and rec.backtracked == rec.iterations > 0
-    assert rec.evaluations > rec.iterations + 300
+        _, r_leg = minimize_fixed_K(f, g, 10.0, PenaltyConfig(step_init=1e100, max_iters=1))
+    assert rec.converged and rec.iterations > 0 and rec.backtracked >= 1
+    assert rec.evaluations == rec.iterations + 1
+    assert (r_leg.iterations, r_leg.backtracked) == (1, 1) and r_leg.evaluations > 300
 
 
-def test_an_underflowing_search_counts_as_backtracked(monkeypatch):
-    # Every exact step refused and grad_tol below J_K's rounding: the leg halves until a search underflows, and that
-    # last search, which took no step, counts as backtracked beside every iteration's.
-    monkeypatch.setattr(optimizer, "_exact_step", lambda c: None)
+def test_a_refused_exact_step_halves_from_itself(monkeypatch):
+    # The exact step's evaluation reads J_K one ulp above the start's, a rounded rise, and is refused: the next
+    # trial is alpha* / 2, not 1 or step_init.
     g, f = small_perturbed()
-    _, rec = minimize_fixed_K(f, g, 30.0, PenaltyConfig(grad_tol=1e-300, max_iters=400, optimize_fields=("phi", "n")))
-    assert rec.termination == "line_search_underflow"
-    assert rec.backtracked == rec.iterations + 1
+    kinds, calls, backward = ("phi", "n"), [], optimizer.backward_JK
+
+    def spy(x, *args):
+        cur, grads = backward(x, *args)
+        calls.append((x, cur.total_JK))
+        if len(calls) == 2:
+            cur.total_JK = np.nextafter(calls[0][1], np.inf)
+        return cur, grads
+
+    seen = _spy_exact_step(monkeypatch)
+    monkeypatch.setattr(optimizer, "backward_JK", spy)
+    _, rec = minimize_fixed_K(f, g, 30.0, PenaltyConfig(max_iters=1, optimize_fields=kinds))
+    assert (rec.iterations, rec.evaluations, rec.backtracked) == (1, 3, 1)
+    d, alpha = _steepest(f, g, kinds, 30.0), seen[0][1]
+    for (x, _), step in zip(calls[1:], (alpha, alpha / 2)):
+        want = optimizer._add_scaled(calls[0][0], d, step, g, kinds)
+        assert x.phi.tobytes() == want.phi.tobytes() and x.n.tobytes() == want.n.tobytes()
+
+
+def test_a_trial_that_fails_armijo_on_the_quartic_is_not_evaluated(monkeypatch):
+    # The search opens at 100 alpha*, far up the quartic: every halving down to the first step that passes Armijo on
+    # Delta is free, and the leg's one step costs two backward_JK calls, the start's included.
+    g, f = small_perturbed()
+    kinds, calls, backward = ("phi", "n"), [], optimizer.backward_JK
+    seen = _spy_exact_step(monkeypatch, scale=100.0)
+    monkeypatch.setattr(optimizer, "backward_JK", lambda x, *args: calls.append(x) or backward(x, *args))
+    _, rec = minimize_fixed_K(f, g, 30.0, PenaltyConfig(max_iters=1, optimize_fields=kinds))
+    (c1, c2, c3, c4), alpha = seen[0][0], 100.0 * seen[0][1]
+    halvings = 0
+    while not c1 + alpha * (c2 + alpha * (c3 + alpha * c4)) <= optimizer.ARMIJO_C * c1:
+        alpha, halvings = alpha * optimizer.BACKTRACK, halvings + 1
+    assert halvings > 0
+    assert len(calls) == rec.evaluations == 2 and (rec.iterations, rec.backtracked) == (1, 1)
+    want = optimizer._add_scaled(calls[0], _steepest(f, g, kinds, 30.0), alpha, g, kinds)
+    assert calls[1].phi.tobytes() == want.phi.tobytes() and calls[1].n.tobytes() == want.n.tobytes()
+
+
+def test_an_underflowing_search_counts_as_backtracked():
+    # With r optimised J_K is unbounded below and the leg halves until a search underflows.  That last search took
+    # no step, yet counts as backtracked: the same leg stopped one search earlier counts one fewer.
+    g, f = small_perturbed()
+    cfg = PenaltyConfig(step_init=0.1, max_iters=200, optimize_fields=("r", "phi", "n"))
+    _, rec = minimize_fixed_K(f, g, 10.0, cfg)
+    assert rec.termination == "line_search_underflow" and rec.backtracked > 0
+    _, cut = minimize_fixed_K(f, g, 10.0, dataclasses.replace(cfg, max_iters=rec.iterations))
+    assert cut.termination == "max_iters" and cut.iterations == rec.iterations
+    assert cut.backtracked == rec.backtracked - 1
 
 
 def test_all_fields_leg_accepts_only_strict_decreases():
