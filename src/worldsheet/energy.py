@@ -38,7 +38,6 @@ from .geometry import (
     _signs,
     build_geometry,
     chart_metric,
-    minkowski_dot,
 )
 
 _KINDS = ("r", "phi", "n")  # the fields, in the order every gradient and packed vector holds their blocks
@@ -134,14 +133,6 @@ class EnergyBreakdown:
         return _csv_row(self, self.CSV_FIELDS, j1="j1_curvature")
 
 
-# Per-node contractions are batched matmuls over reshaped index pairs or
-# broadcast products, so the contraction order is fixed.
-def _curvature_density(q: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g^{jk} b_jl b^l_k per node as n^T Q n, with Q the geometry's curvature form, and its factor Q n."""
-    qn = (q @ n[..., None])[..., 0]
-    return (qn * n).sum(-1), qn
-
-
 def _phi_gradient(phi: np.ndarray, grid: ParameterGrid) -> np.ndarray:
     """dphi/du_j per node, J_K's one dphi; a non-finite phi is refused at its node with GeometryError first."""
     _raise_at_first(~np.isfinite(phi), GeometryError, "phi is not finite at node {node}")
@@ -153,67 +144,69 @@ def _re_im(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z, dtype=complex).view(float).reshape(z.shape + (2,))
 
 
-def _dirichlet_density(g_inv: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-    """Re g^{jk} dphi_j dphi*_k per node, as x.g^{-1}x + y.g^{-1}y for dphi = x + iy."""
+# With r frozen, each factor f of J_K is B_f(x, x) for a symmetric bilinear form B_f in (phi, n), defined once, by
+# _forms.  What the forms read of one configuration: phi, dphi, dphi's (Re, Im) view xy, g^{-1} xy and
+# gamma_c^l dphi_l; and if it has an n, n, S n (S the signature), Q n and the products t_j . S n.
+_Inputs = namedtuple("_Inputs", "phi dphi xy gxy cdphi n sn qn tsn", defaults=(None,) * 4)
+# B_f(a, b) per node: |phi|^2, the Dirichlet form Re g^{jk} dphi_j dphi*_k, the Christoffel form
+# Re(dphi_a,l phi*_b + dphi_b,l phi*_a) gamma_c^l, and with n, n^T Q n, n.n and |t . n|^2 = sum_j (t_j . S n)^2.
+_Forms = namedtuple("_Forms", "phi_sq dirichlet christoffel curvature nn orth", defaults=(None,) * 3)
+# Every pairing over an index is an einsum; the pairings of phi, complex scalars per node, are complex products.
+_dot, _dot2 = partial(np.einsum, "...i,...i"), partial(np.einsum, "...ij,...ij")
+
+
+def _inputs(phi, dphi, g_inv, gamma_c, n=None, geom: GeometryCache | None = None) -> _Inputs:
     xy = _re_im(dphi)
-    return (xy * (g_inv @ xy)).sum((-2, -1))
+    if n is None:
+        return _Inputs(phi, dphi, xy, g_inv @ xy, _dot(dphi, gamma_c))
+    sn = n * _signs(n.shape[-1])
+    qn, tsn = np.einsum("...ab,...b", geom.curvature_form, n), np.einsum("...ja,...a", geom.tangents, sn)
+    return _Inputs(phi, dphi, xy, g_inv @ xy, _dot(dphi, gamma_c), n, sn, qn, tsn)
 
 
-def _christoffel_density(phi, dphi, gamma_c) -> tuple[np.ndarray, np.ndarray]:
-    """re_pair_l gamma_c^l per node, with its factor re_pair_l = dphi_l phi* + dphi*_l phi;
-    gamma_c^l = Gamma^l_jk g^{jk} is the geometry's."""
-    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
-    return (re_pair * gamma_c).sum(-1), re_pair
+def _forms(a: _Inputs, b: _Inputs) -> _Forms:
+    """B_f(a, b) per node for every factor f, the n forms if a and b have an n."""
+    a_bar, b_bar = np.conj(a.phi), np.conj(b.phi)
+    forms = [(a.phi * b_bar).real, _dot2(a.xy, b.gxy), (a.cdphi * b_bar + b.cdphi * a_bar).real]
+    if a.n is not None:
+        forms += [_dot(a.n, b.qn), _dot(a.n, b.sn), _dot(a.tsn, b.tsn)]
+    return _Forms(*forms)
 
 
-def _constraint_densities(phi_sq, n, geom: GeometryCache, grid: ParameterGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slice masses int_{D_1} |phi|^2 sqrt(-g), dr/du_j . n and n.n: the penalty factors."""
-    dots = (geom.tangents @ (n * _signs(n.shape[-1]))[..., None])[..., 0]
-    return slice_masses(phi_sq * geom.sqrt_neg_g, grid), dots, minkowski_dot(n, n)
-
-
-# Every per-node density of J_K on one configuration, formed once by _densities from its fields and geom's r part.
-_Densities = namedtuple("_Densities", "dphi phi_sq curvature qn dirichlet christoffel re_pair mass dots nn")
+# One configuration x's densities, formed once by _densities from its fields and geom's r part: the forms
+# B_f(x, x), the slice masses int_{D_1} |phi|^2 sqrt(-g), and x's inputs.
+_Densities = namedtuple("_Densities", "forms mass x")
 
 
 def _densities(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> _Densities:
-    dphi, phi_sq = _phi_gradient(fields.phi, grid), np.abs(fields.phi) ** 2
-    curvature = _curvature_density(geom.curvature_form, fields.n)
-    christoffel = _christoffel_density(fields.phi, dphi, geom.gamma_c)
-    penalty = _constraint_densities(phi_sq, fields.n, geom, grid)
-    return _Densities(dphi, phi_sq, *curvature, _dirichlet_density(geom.g_inv, dphi), *christoffel, *penalty)
+    x = _inputs(fields.phi, _phi_gradient(fields.phi, grid), geom.g_inv, geom.gamma_c, fields.n, geom)
+    forms = _forms(x, x)
+    return _Densities(forms, slice_masses(forms.phi_sq * geom.sqrt_neg_g, grid), x)
 
 
 # Row k - 1 sums the entries i + j = k of a flattened 3x3 outer product a_i b_j: the alpha^k coefficient of a b.
 _ANTI_DIAGONALS = np.equal.outer(np.arange(1, 5), np.add.outer(np.arange(3), np.arange(3)).ravel()).astype(float)
 
 
-def _step_polynomial(d: _Densities, fields: FieldSet, step: FieldSet, geom: GeometryCache, grid, K) -> list[float]:
-    """c_1..c_4 of J_K(x + alpha s) - J_K(x) = sum_k c_k alpha^k, with x = fields, d its densities, s a step in phi
-    and n, r frozen: each density is a quadratic in alpha and J_K's terms are products of two.  c_1 = grad . s."""
-    n, sn, sn_low, w, rule = fields.n, step.n, step.n * _signs(fields.n.shape[-1]), geom.sqrt_neg_g, _rule(grid)
-    sdphi, phi_bar, sphi_bar = _gradient(step.phi, grid), np.conj(fields.phi), np.conj(step.phi)
-    sdots, xy, sxy = (geom.tangents @ sn_low[..., None])[..., 0], _re_im(d.dphi), _re_im(sdphi)
-    sqn, gs = (geom.curvature_form @ sn[..., None])[..., 0], geom.g_inv @ sxy
-    dot, dot2 = partial(np.einsum, "...i,...i"), partial(np.einsum, "...ij,...ij")  # (a * b).sum, 4x faster at 3x4^5
-    phi_sq = np.array([d.phi_sq, 2.0 * (fields.phi * sphi_bar).real, (step.phi * sphi_bar).real])
-    curvature = np.array([d.curvature, 2.0 * dot(sn, d.qn), dot(sn, sqn)])  # Q is symmetric
-    unit = np.array([d.nn - 1.0, 2.0 * dot(n, sn_low), dot(sn, sn_low)])
-    # 1/2 |phi|^2 n^T Q n + K/2 unit; the alpha and alpha^2 terms of 1/2 Dirichlet + 1/4 Christoffel + K/2 orth
+def _step_polynomial(d: _Densities, step: FieldSet, geom: GeometryCache, grid, K) -> list[float]:
+    """c_1..c_4 of J_K(x + alpha s) - J_K(x) = sum_k c_k alpha^k, with d the densities of x and s a step in phi
+    and n, r frozen: each factor is B_f(x, x) + 2 alpha B_f(x, s) + alpha^2 B_f(s, s), and J_K's terms are
+    products of two.  c_1 = grad . s."""
+    s = _inputs(step.phi, _gradient(step.phi, grid), geom.g_inv, geom.gamma_c, step.n, geom)
+    xx, xs, ss = d.forms, _forms(d.x, s), _forms(s, s)
+    phi_sq = np.array([xx.phi_sq, 2.0 * xs.phi_sq, ss.phi_sq])  # each factor's alpha^0, alpha^1, alpha^2 terms
+    curvature = np.array([xx.curvature, 2.0 * xs.curvature, ss.curvature])
+    unit = np.array([xx.nn - 1.0, 2.0 * xs.nn, ss.nn])
+    quadratic = lambda f: 0.5 * f.dirichlet + 0.25 * f.christoffel + 0.5 * K * f.orth
+    # 1/2 |phi|^2 n^T Q n + K/2 unit^2, and the alpha and alpha^2 terms of the quadratic factors
     outer = 0.5 * phi_sq[:, None] * curvature[None] + 0.5 * K * unit[:, None] * unit[None]
-    pair, spair = (sdphi * phi_bar[..., None] + d.dphi * sphi_bar[..., None]).real, (sdphi * sphi_bar[..., None]).real
-    outer[0, 1] += dot2(xy, gs) + 0.5 * dot(pair, geom.gamma_c) + K * dot(d.dots, sdots)
-    outer[0, 2] += 0.5 * (dot2(sxy, gs) + dot(spair, geom.gamma_c) + K * dot(sdots, sdots))
+    outer[0, 1] += 2.0 * quadratic(xs)
+    outer[0, 2] += quadratic(ss)
+    w, rule = geom.sqrt_neg_g, _rule(grid)
     nodes = (_ANTI_DIAGONALS @ outer.reshape(9, -1)).reshape(4, *grid.counts) * w
     mass = np.array([d.mass - 1.0, *(phi_sq[1:] * (w * rule.spatial_weights)).sum(tuple(range(2, grid.ndim + 1)))])
     norm = _ANTI_DIAGONALS @ (mass[:, None] * mass[None]).reshape(9, -1) @ rule.axis_weights[0]
     return [c + float(0.5 * K * m) for c, m in zip(_integrals(nodes, grid), norm)]
-
-
-# The densities are integrated against a volume weight w: sqrt(-g) on the parameter
-# grid, sqrt(-g) sqrt(U) on a chart grid.  The integrands of the orth and unit penalties:
-def _penalties(dots, nn, w) -> list[np.ndarray]:
-    return [np.sum(dots**2, axis=-1) * w, (nn - 1.0) ** 2 * w]
 
 
 def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float) -> EnergyBreakdown:
@@ -224,8 +217,8 @@ def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float
         raise ValueError(f"penalty weight K must be a finite number, got {K!r}")
     if K < 0:
         raise ValueError(f"penalty weight K must be >= 0, got {K}")
-    w = geom.sqrt_neg_g
-    integrands = [d.phi_sq * d.curvature * w, d.dirichlet * w, d.christoffel * w, *_penalties(d.dots, d.nn, w)]
+    f, w = d.forms, geom.sqrt_neg_g
+    integrands = [f.phi_sq * f.curvature * w, f.dirichlet * w, f.christoffel * w, f.orth * w, (f.nn - 1.0) ** 2 * w]
     j1, j2d, j2c, p_orth, p_unit = _integrals(integrands, grid)
     j1, j2d, j2c = 0.5 * j1, 0.5 * j2d, 0.25 * j2c
     p_norm, total_J = time_integral((d.mass - 1.0) ** 2, grid), j1 + j2d + j2c
@@ -251,11 +244,11 @@ def j2_energy(phi: np.ndarray, geom: GeometryCache, grid: ParameterGrid) -> tupl
     christoffel = (1/4) int (dphi/du_l phi* + dphi*/du_l phi) Gamma^l_jk g^{jk} sqrt(-g)
 
     dphi is formed from phi, which is refused at its own node with GeometryError unless finite; geom
-    supplies the r part only.  The one consumer that forms its densities itself: it has no n for _densities.
+    supplies the r part only.  With no n, it reads _forms' phi forms alone.
     """
-    dphi, w = _phi_gradient(phi, grid), geom.sqrt_neg_g
-    christoffel = _christoffel_density(phi, dphi, geom.gamma_c)[0]
-    dirichlet, christoffel = _integrals([_dirichlet_density(geom.g_inv, dphi) * w, christoffel * w], grid)
+    x, w = _inputs(phi, _phi_gradient(phi, grid), geom.g_inv, geom.gamma_c), geom.sqrt_neg_g
+    f = _forms(x, x)
+    dirichlet, christoffel = _integrals([f.dirichlet * w, f.christoffel * w], grid)
     return 0.5 * dirichlet, 0.25 * christoffel
 
 
@@ -311,18 +304,20 @@ def backward_JK(
     dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and
     without "r" the r chain (bars of g^{-1}, d2r and the tangents) is skipped.
     kinds is a sequence of r, phi and n, else ValueError: a str is refused, not read letter by letter.
-    The breakdown carries the densities bundle as its attribute densities, outside its fields.
+    The breakdown carries the densities bundle as its attribute densities, outside its fields: the forms
+    B_f(x, x), the slice masses and x's inputs (dphi, its (Re, Im) view, gamma_c^l dphi_l, Q n, t_j . S n),
+    which the adjoints read and the step polynomial takes as its x.
     """
     if isinstance(kinds, str) or not set(kinds) <= set(_KINDS):
         raise ValueError(f"kinds must be a sequence of r, phi, n (got {kinds!r})")
-    phi, n = fields.phi, fields.n
     signs = _signs(fields.r.shape[-1])
     tangents, d2r, gamma_c = geom.tangents, geom.d2r, geom.gamma_c
     g_inv, sq = geom.g_inv, geom.sqrt_neg_g
     d = _densities(fields, geom, grid)
     breakdown = _breakdown(d, geom, grid, K)
     breakdown.densities = d
-    dphi, phi_sq, curv, re_pair, dots, nn = d.dphi, d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
+    x, f = d.x, d.forms
+    phi, n, dphi, dots, phi_sq, curv, nn = x.phi, x.n, x.dphi, x.tsn, f.phi_sq, f.curvature, f.nn
     rule = _rule(grid)
     w = rule.node_weights * sq
     # d[(K/2) norm] / d(|phi|^2 sqrt(-g)) per node.
@@ -331,20 +326,19 @@ def backward_JK(
 
     # Dirichlet density Re g^{jk} dphi_j dphi*_k
     bar_d = 0.5 * w
-    dphi_xy = _re_im(dphi)
-    bar_xy = bar_d[..., None, None] * ((g_inv + np.swapaxes(g_inv, -1, -2)) @ dphi_xy)
+    bar_xy = bar_d[..., None, None] * ((g_inv + np.swapaxes(g_inv, -1, -2)) @ x.xy)
     bar_dphi = bar_xy.view(complex)[..., 0]
 
-    # Christoffel density re_pair_l gamma_c^l
+    # Christoffel density 2 Re(dphi_l phi*) gamma_c^l
     bar_c = 0.25 * w
     bar_pair = bar_c[..., None] * gamma_c
     bar_dphi += 2.0 * bar_pair * phi[..., None]
-    bar_phi += 2.0 * (bar_pair * dphi).sum(-1)
+    bar_phi += 2.0 * bar_c * x.cdphi
 
     # The curvature density n^T Q n, and the orth and unit penalties
     bar_curv = 0.5 * phi_sq * w
     bar_dots = K * w[..., None] * dots
-    bar_n = (2.0 * bar_curv)[..., None] * d.qn * signs + (bar_dots[..., None, :] @ tangents)[..., 0, :]
+    bar_n = (2.0 * bar_curv)[..., None] * x.qn * signs + (bar_dots[..., None, :] @ tangents)[..., 0, :]
     bar_n = (bar_n + (2.0 * K * w * (nn - 1.0))[..., None] * n) * signs
 
     # Transposed stencils back to node fields.
@@ -356,16 +350,16 @@ def backward_JK(
         return breakdown, tuple(grads)
 
     # The r chain: every density also reaches r through g^{-1}, sqrt(-g) and d2r.
-    dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
-    dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
+    dens = 0.5 * phi_sq * curv + 0.5 * f.dirichlet + 0.25 * f.christoffel + 0.5 * K * (f.orth + (nn - 1.0) ** 2)
     bar_sq = rule.node_weights * dens + mass_w * phi_sq
     bar_q = bar_curv[..., None, None] * (n[..., :, None] * n[..., None, :])
     bar_g_inv, bar_d2r = _curvature_form_adjoint(bar_q, d2r, g_inv)
-    bar_g_inv += bar_d[..., None, None] * (dphi_xy @ np.swapaxes(dphi_xy, -1, -2))
-    # gamma_c^l = g^{ls} (t_s . g^{jk} d2r_jk)
+    bar_g_inv += bar_d[..., None, None] * (x.xy @ np.swapaxes(x.xy, -1, -2))
+    # gamma_c^l = g^{ls} (t_s . g^{jk} d2r_jk), read by the Christoffel density as re_pair_l gamma_c^l
+    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
     bar_g_inv_c, bar_d2r_c, bar_t = _contracted_christoffel_adjoint(bar_c[..., None] * re_pair, d2r, geom.metric)
     bar_g_inv, bar_d2r = bar_g_inv + bar_g_inv_c, bar_d2r + bar_d2r_c
-    bar_t += bar_dots[..., None] * (n * signs)[..., None, :]
+    bar_t += bar_dots[..., None] * x.sn[..., None, :]
 
     # g^{-1}, sqrt(-g) back to g_jk = t_j . t_k: dg^{-1} = -g^{-1} dg g^{-1}, dsqrt(-g) = sqrt(-g) g^{jk} dg_jk / 2
     g_inv_t = np.swapaxes(g_inv, -1, -2)
@@ -382,14 +376,15 @@ def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCa
     orth residual -- L2 norm of dr/du_j . n over D
     unit residual -- L2 norm of (n.n - 1) over D
     None is non-finite: NonFiniteValueError names a penalty's first node, the norm's u_0 slice or an overflowed sum.
+    They are read from _densities, which refuses a non-finite phi with GeometryError naming its node.
     """
     if geom is None:
         geom = build_geometry(fields, grid)
-    mass, dots, nn = _constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
-    p_orth, p_unit = _integrals(_penalties(dots, nn, geom.sqrt_neg_g), grid)
-    residuals = time_integral(np.abs(mass - 1.0), grid), float(np.sqrt(p_orth)), float(np.sqrt(p_unit))
+    d, w = _densities(fields, geom, grid), geom.sqrt_neg_g
+    p_orth, p_unit = _integrals([d.forms.orth * w, (d.forms.nn - 1.0) ** 2 * w], grid)
+    residuals = time_integral(np.abs(d.mass - 1.0), grid), float(np.sqrt(p_orth)), float(np.sqrt(p_unit))
     if not np.isfinite(residuals).all():
-        _raise_at_first(~np.isfinite(mass), NonFiniteValueError, "non-finite norm residual at u_0 slice {node}")
+        _raise_at_first(~np.isfinite(d.mass), NonFiniteValueError, "non-finite norm residual at u_0 slice {node}")
         raise NonFiniteValueError(f"non-finite {('norm', 'orth', 'unit')[np.isfinite(residuals).argmin()]} residual")
     return residuals
 
@@ -440,22 +435,22 @@ def full_action(
     multipliers are ever optimized over.  c and sqrt(U) are the chart's, as in kinetic_energy.
 
     |phi|^2, the curvature density, dr/du_j . n and n.n are _densities' node
-    densities, interpolated; the Dirichlet and Christoffel densities are formed
-    from the interpolated g^{-1}, dphi, phi and gamma_c.  The six chart integrands
-    are integrated in one pass.
+    densities, interpolated; the Dirichlet and Christoffel densities are _forms'
+    phi forms of the interpolated g^{-1}, dphi, phi and gamma_c.  The six chart
+    integrands are integrated in one pass.
     """
     geom = build_geometry(fields, grid)
     d = _densities(fields, geom, grid)
     cmetric = chart_metric(chart)
-    node_fields = (d.phi_sq, d.curvature, d.dots, d.nn, geom.g, geom.sqrt_neg_g,
-                   geom.g_inv, d.dphi, fields.phi, geom.gamma_c)
+    node_fields = (d.forms.phi_sq, d.forms.curvature, d.x.tsn, d.forms.nn, geom.g, geom.sqrt_neg_g,
+                   geom.g_inv, d.x.dphi, fields.phi, geom.gamma_c)
     phi_sq, curvature, dots, nn, g, sqrt_neg_g, g_inv, dphi, phi, gamma_c = (
         interpolate(grid, x, chart.u) for x in node_fields)
-    weight = sqrt_neg_g * cmetric.sqrt_U
-    christoffel = _christoffel_density(phi, dphi, gamma_c)[0]
+    weight, at = sqrt_neg_g * cmetric.sqrt_U, _inputs(phi, dphi, g_inv, gamma_c)
+    f = _forms(at, at)
     lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots.shape[-1:])
     integrands = [_kinetic_integrand(chart, cmetric, g, phi_sq, sqrt_neg_g, mass), phi_sq * curvature * weight,
-                  _dirichlet_density(g_inv, dphi) * weight, christoffel * weight, (dots @ lam_t) * weight,
+                  f.dirichlet * weight, f.christoffel * weight, (dots @ lam_t) * weight,
                   np.asarray(lam_unit, dtype=float) * (nn - 1.0) * weight]
     kin, j1, j2d, j2c, orth_term, unit_term = _integrals(integrands, chart.grid)
 

@@ -289,7 +289,7 @@ def minimize_fixed_K(
         alpha, c, kinds = 1.0 if memory else cfg.step_init, None, cfg.optimize_fields
         if base is not None:  # r frozen: J_K is a quartic along d, and its exact step opens the search
             with contextlib.suppress(NonFiniteValueError):
-                c = _step_polynomial(cur.densities, x, _add_scaled(zero, d, 1.0, grid, kinds), base, grid, K)
+                c = _step_polynomial(cur.densities, _add_scaled(zero, d, 1.0, grid, kinds), base, grid, K)
                 alpha = _exact_step(c) or alpha
         first = alpha
         while alpha >= MIN_STEP:
@@ -425,8 +425,8 @@ def coercivity_check(
     geom = build_geometry(fields, grid)
     margin_a = _worst_node(grid.ndim, np.linalg.eigvalsh(geom.g_inv[..., 1:, 1:])[..., 0] - c0, least=True)
 
-    d = _densities(fields, geom, grid)
-    lhs = d.phi_sq * d.curvature
+    forms = _densities(fields, geom, grid).forms
+    lhs = forms.phi_sq * forms.curvature
     dn = _gradient(fields.n, grid)
     dn_sq = (dn * dn * _signs(fields.n.shape[-1])).sum((-2, -1))
     margin_b = _worst_node(grid.ndim, lhs - c1 * dn_sq, least=True)

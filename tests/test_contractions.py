@@ -1,8 +1,10 @@
 """The per-node contractions against their einsum forms.
 
 geometry, energy, optimizer and the CLI contract per node with batched
-matmuls over reshaped index pairs or with broadcast products.  The einsum
-code they replaced stays here as the oracle, one per rewritten function:
+matmuls over reshaped index pairs or with broadcast products, and energy's
+producer of bilinear forms with einsums and complex products.  The einsum
+code they replaced stays here as the oracle, one per rewritten function, and
+the producer's oracle forms each image and each form as one complex einsum:
 each result, and the full backward pass built on the oracles, must agree to
 rounding (1e-14 relative) on curved, noisy starts, one of them inside the
 existence theorem's range (m = 5, N = 6).  The one-pass evaluation paths
@@ -146,24 +148,28 @@ def einsum_chart_metric(chart):
     return geometry.ChartMetric(U_ij=U_ij, U=U, sqrt_U=np.sqrt(U))
 
 
-def einsum_curvature_density(q, n):
-    qn = np.einsum("...ab,...b->...a", q, n)
-    return np.einsum("...a,...a->...", n, qn), qn
+# The bilinear-form producer's einsum oracle, in its two parts: each input image, and each form B_f(a, b), one
+# complex einsum of a's and b's fields and images.
+def einsum_inputs(phi, dphi, g_inv, gamma_c, n=None, geom=None):
+    xy = np.stack([dphi.real, dphi.imag], axis=-1)
+    images = np.einsum("...jk,...kc->...jc", g_inv, xy), np.einsum("...l,...l->...", gamma_c, dphi)
+    if n is None:
+        return energy._Inputs(phi, dphi, xy, *images)
+    signs = _signs(n.shape[-1])
+    qn = np.einsum("...ab,...b->...a", geom.curvature_form, n)
+    tsn = np.einsum("...ja,...a,a->...j", geom.tangents, n, signs)
+    return energy._Inputs(phi, dphi, xy, *images, n, n * signs, qn, tsn)
 
 
-def einsum_dirichlet_density(g_inv, dphi):
-    return np.einsum("...jk,...j,...k->...", g_inv, dphi, np.conj(dphi)).real
-
-
-def einsum_christoffel_density(phi, dphi, gamma_c):
-    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
-    return np.einsum("...l,...l->...", re_pair, gamma_c), re_pair
-
-
-def einsum_constraint_densities(phi_sq, n, geom, grid):
-    dots = np.einsum("...ja,...a,a->...j", geom.tangents, n, _signs(n.shape[-1]))
-    nn = np.einsum("...a,...a,a->...", n, n, _signs(n.shape[-1]))
-    return energy.slice_masses(phi_sq * geom.sqrt_neg_g, grid), dots, nn
+def einsum_forms(a, b):
+    g_inv_dphi_b = b.gxy[..., 0] + 1j * b.gxy[..., 1]
+    pair = np.einsum("...,...->...", a.cdphi, np.conj(b.phi)) + np.einsum("...,...->...", b.cdphi, np.conj(a.phi))
+    forms = [np.einsum("...,...->...", a.phi, np.conj(b.phi)).real,
+             np.einsum("...j,...j->...", a.dphi, np.conj(g_inv_dphi_b)).real, pair.real]
+    if a.n is not None:
+        forms += [np.einsum("...a,...a->...", a.n, b.qn), np.einsum("...a,...a->...", a.n, b.sn),
+                  np.einsum("...j,...j->...", a.tsn, b.tsn)]
+    return energy._Forms(*forms)
 
 
 def einsum_s_tensor(phi, geom, grid):
@@ -198,12 +204,17 @@ def chart_fields(fields, grid, chart, geom):
 
 
 def einsum_densities(fields, geom, grid):
-    dphi, phi_sq = _gradient(fields.phi, grid), np.abs(fields.phi) ** 2
-    curvature = einsum_curvature_density(geom.curvature_form, fields.n)
-    christoffel_parts = einsum_christoffel_density(fields.phi, dphi, geom.gamma_c)
-    penalty = einsum_constraint_densities(phi_sq, fields.n, geom, grid)
-    dirichlet = einsum_dirichlet_density(geom.g_inv, dphi)
-    return energy._Densities(dphi, phi_sq, *curvature, dirichlet, *christoffel_parts, *penalty)
+    """energy._densities with each factor of J_K at x one einsum of x's fields and the r part, and x's inputs
+    from einsum_inputs."""
+    phi, n, signs, dphi = fields.phi, fields.n, _signs(fields.n.shape[-1]), _gradient(fields.phi, grid)
+    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
+    dots = np.einsum("...ja,...a,a->...j", geom.tangents, n, signs)
+    forms = energy._Forms(np.abs(phi) ** 2, np.einsum("...jk,...j,...k->...", geom.g_inv, dphi, np.conj(dphi)).real,
+                          np.einsum("...l,...l->...", re_pair, geom.gamma_c),
+                          np.einsum("...a,...ab,...b->...", n, geom.curvature_form, n),
+                          np.einsum("...a,...a,a->...", n, n, signs), np.einsum("...j,...j->...", dots, dots))
+    mass = energy.slice_masses(forms.phi_sq * geom.sqrt_neg_g, grid)
+    return energy._Densities(forms, mass, einsum_inputs(phi, dphi, geom.g_inv, geom.gamma_c, n, geom))
 
 
 def einsum_backward_JK(fields, grid, K, geom):
@@ -215,7 +226,8 @@ def einsum_backward_JK(fields, grid, K, geom):
     g_inv, b, b_up, dphi, sq = geom.g_inv, geom.b, geom.b_up, _gradient(phi, grid), geom.sqrt_neg_g
     d = einsum_densities(fields, geom, grid)
     breakdown = energy._breakdown(d, geom, grid, K)
-    phi_sq, curv, re_pair, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
+    phi_sq, curv, dots, nn = d.forms.phi_sq, d.forms.curvature, d.x.tsn, d.forms.nn
+    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
     rule = energy.QuadratureRule.from_grid(grid)
     w = rule.node_weights * sq
     spatial = np.ones(())
@@ -241,7 +253,7 @@ def einsum_backward_JK(fields, grid, K, geom):
     for j in range(grid.ndim):
         bar_phi += finite_difference_adjoint(bar_dphi[..., j], grid, j)
 
-    dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
+    dens = 0.5 * phi_sq * curv + 0.5 * d.forms.dirichlet + 0.25 * d.forms.christoffel
     dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
     bar_sq = rule.node_weights * dens + mass_w * phi_sq
     bar_g_inv = np.einsum("...,...jl,...lk->...jk", bar_curv, b, b_up)
@@ -268,10 +280,8 @@ ORACLES = [
     (geometry, "_curvature_form", einsum_curvature_form),
     (geometry, "_contracted_christoffel", einsum_gamma_c),
     (energy, "chart_metric", einsum_chart_metric),
-    (energy, "_curvature_density", einsum_curvature_density),
-    (energy, "_dirichlet_density", einsum_dirichlet_density),
-    (energy, "_christoffel_density", einsum_christoffel_density),
-    (energy, "_constraint_densities", einsum_constraint_densities),
+    (energy, "_inputs", einsum_inputs),
+    (energy, "_forms", einsum_forms),
     (energy, "_kinetic_integrand", einsum_kinetic_integrand),
 ]
 
@@ -421,7 +431,7 @@ def test_curvature_form_and_contracted_christoffel_match_einsum(name):
     _close(geom.gamma_c, einsum_contracted_christoffel(geom.gamma, geom.g_inv))
     # n^T Q n is the b form's g^{jk} b_jl b^l_k
     b_form = np.einsum("...jk,...jl,...lk->...", geom.g_inv, geom.b, geom.b_up)
-    _close(energy._curvature_density(geom.curvature_form, f.n)[0], b_form)
+    _close(energy._densities(f, geom, g).forms.curvature, b_form)
 
 
 @pytest.mark.parametrize("name", STARTS)
@@ -464,8 +474,8 @@ def test_densities_match_einsum(name):
     g, f = _start(name)
     geom = build_geometry(f, g)
     got, want = energy._densities(f, geom, g), einsum_densities(f, geom, g)
-    assert got._fields == want._fields
-    for a, b in zip(got, want):
+    assert got.forms._fields == want.forms._fields and got.x._fields == want.x._fields
+    for a, b in zip((*got.forms, got.mass, *got.x), (*want.forms, want.mass, *want.x)):
         _close(a, b)
 
 
@@ -531,7 +541,8 @@ def test_chart_metric_kinetic_and_full_action_match_einsum(monkeypatch):
     want = energy.full_action(f, pg, chart, mass=1.3, E=0.8, lam_unit=-0.6)
     geom = build_geometry(f, pg)
     at = chart_fields(f, pg, chart, geom)
-    dots_c = energy.interpolate(pg, einsum_constraint_densities(np.abs(f.phi) ** 2, f.n, geom, pg)[1], chart.u)
+    dots = np.einsum("...ja,...a,a->...j", geom.tangents, f.n, _signs(f.n.shape[-1]))
+    dots_c = energy.interpolate(pg, dots, chart.u)
     weight = at["sqrt_neg_g"] * want_metric.sqrt_U
     want += energy.quadrature(np.einsum("...j,j->...", dots_c, lam_t) * weight, chart.grid)
     assert abs(got_no_lam_t - got) > 1e-6
@@ -544,7 +555,7 @@ def test_coercivity_check_matches_einsum(monkeypatch, name):
     got = optimizer.coercivity_check(f, g, c0=0.5, c1=0.3, c2=0.2)
     use_oracles(monkeypatch)
     geom = build_geometry(f, g)
-    lhs = np.abs(f.phi) ** 2 * einsum_curvature_density(geom.curvature_form, f.n)[0]
+    lhs = np.abs(f.phi) ** 2 * np.einsum("...a,...ab,...b->...", f.n, geom.curvature_form, f.n)
     dn = np.stack([finite_difference(f.n, g, axis=j) for j in range(g.ndim)], axis=-2)
     dn_sq = np.einsum("...ja,...ja,a->...", dn, dn, _signs(f.n.shape[-1]))
     d2_sq = np.einsum("...ija,...ija->...ij", geom.d2r, geom.d2r)
@@ -592,13 +603,13 @@ def quadrature_oracle(values, grid):
 
 
 def breakdown_oracle(d, geom, grid, K):
-    w = geom.sqrt_neg_g
-    j1 = 0.5 * quadrature_oracle(d.phi_sq * d.curvature * w, grid)
-    j2d = 0.5 * quadrature_oracle(d.dirichlet * w, grid)
-    j2c = 0.25 * quadrature_oracle(d.christoffel * w, grid)
+    w, f = geom.sqrt_neg_g, d.forms
+    j1 = 0.5 * quadrature_oracle(f.phi_sq * f.curvature * w, grid)
+    j2d = 0.5 * quadrature_oracle(f.dirichlet * w, grid)
+    j2c = 0.25 * quadrature_oracle(f.christoffel * w, grid)
     p_norm = energy.time_integral((d.mass - 1.0) ** 2, grid)
-    p_orth = quadrature_oracle(np.sum(d.dots**2, axis=-1) * w, grid)
-    p_unit = quadrature_oracle((d.nn - 1.0) ** 2 * w, grid)
+    p_orth = quadrature_oracle(f.orth * w, grid)
+    p_unit = quadrature_oracle((f.nn - 1.0) ** 2 * w, grid)
     total_J = j1 + j2d + j2c
     total_JK = total_J + 0.5 * K * (p_norm + p_orth + p_unit)
     return energy.EnergyBreakdown(j1, j2d, j2c, p_norm, p_orth, p_unit, total_J, total_JK, float(K))
@@ -606,27 +617,27 @@ def breakdown_oracle(d, geom, grid, K):
 
 def full_action_oracle(fields, grid, chart, mass, E, lam_tangent, lam_unit):
     geom = build_geometry(fields, grid)
+    d = energy._densities(fields, geom, grid)
     cmetric = geometry.chart_metric(chart)
-    at = chart_fields(fields, grid, chart, geom)
+    pts = chart.u
+    g, sqrt_neg_g, phi_sq, curvature, dots_c, nn_c = (energy.interpolate(grid, v, pts) for v in (
+        geom.g, geom.sqrt_neg_g, d.forms.phi_sq, d.forms.curvature, d.x.tsn, d.forms.nn))
     udot = chart.derivatives()[..., 0, :]
-    speed_sq = -((at["g"] @ udot[..., None])[..., 0] * udot).sum(-1)
-    kin = quadrature_oracle(mass * chart.c * at["phi_sq"] * np.sqrt(speed_sq) * at["sqrt_neg_g"] * cmetric.sqrt_U, chart.grid)
-    pts, weight, phi_sq = chart.u, at["sqrt_neg_g"] * cmetric.sqrt_U, at["phi_sq"]
-    curvature = energy.interpolate(grid, energy._curvature_density(geom.curvature_form, fields.n)[0], pts)
+    speed_sq = -((g @ udot[..., None])[..., 0] * udot).sum(-1)
+    kin = quadrature_oracle(mass * chart.c * phi_sq * np.sqrt(speed_sq) * sqrt_neg_g * cmetric.sqrt_U, chart.grid)
+    weight = sqrt_neg_g * cmetric.sqrt_U
     j1 = 0.5 * quadrature_oracle(phi_sq * curvature * weight, chart.grid)
     g_inv_c, dphi_c = energy.interpolate(grid, geom.g_inv, pts), energy.interpolate(grid, _gradient(fields.phi, grid), pts)
     phi_c = energy.interpolate(grid, fields.phi, pts)
     gamma_c = energy.interpolate(grid, geom.gamma_c, pts)
-    christoffel = energy._christoffel_density(phi_c, dphi_c, gamma_c)[0]
-    j2d = 0.5 * quadrature_oracle(energy._dirichlet_density(g_inv_c, dphi_c) * weight, chart.grid)
-    j2c = 0.25 * quadrature_oracle(christoffel * weight, chart.grid)
+    at = energy._inputs(phi_c, dphi_c, g_inv_c, gamma_c)
+    forms = energy._forms(at, at)
+    j2d = 0.5 * quadrature_oracle(forms.dirichlet * weight, chart.grid)
+    j2c = 0.25 * quadrature_oracle(forms.christoffel * weight, chart.grid)
     mass_t = energy.slice_masses(phi_sq * weight, chart.grid)
     e_term = -energy.time_integral(np.broadcast_to(np.asarray(E, dtype=float), mass_t.shape) * (mass_t - 1.0), chart.grid)
-    _, dots, nn = energy._constraint_densities(np.abs(fields.phi) ** 2, fields.n, geom, grid)
-    dots_c = energy.interpolate(grid, dots, pts)
     lam_t = np.broadcast_to(np.asarray(lam_tangent, dtype=float), dots_c.shape[-1:])
     orth_term = quadrature_oracle((dots_c @ lam_t) * weight, chart.grid)
-    nn_c = energy.interpolate(grid, np.asarray(nn), pts)
     unit_term = quadrature_oracle(np.asarray(lam_unit, dtype=float) * (nn_c - 1.0) * weight, chart.grid)
     return kin + j1 + j2d + j2c + e_term + orth_term + unit_term
 
@@ -665,13 +676,13 @@ def test_one_pass_full_action_equals_per_integrand_quadrature():
 
 
 # Each integrand of _breakdown, in its order, and the density that poisons it.
-INTEGRANDS = [("j1", "curvature"), ("j2_dirichlet", "dirichlet"), ("j2_christoffel", "christoffel"), ("orth", "dots"), ("unit", "nn")]
+INTEGRANDS = [("j1", "curvature"), ("j2_dirichlet", "dirichlet"), ("j2_christoffel", "christoffel"), ("orth", "orth"), ("unit", "nn")]
 
 
 def _poisoned(d, density, node):
-    arr = getattr(d, density).copy()
+    arr = getattr(d.forms, density).copy()
     arr[node] = np.nan
-    return d._replace(**{density: arr})
+    return d._replace(forms=d.forms._replace(**{density: arr}))
 
 
 def _raised(fn, *args):

@@ -37,9 +37,10 @@ def b_chain_backward_JK(fields, grid, K, geom, kinds=("r", "phi", "n")):
     g_inv, dphi, sq = geom.g_inv, _gradient(phi, grid), geom.sqrt_neg_g
     b, b_up = geometry._fundamental_form_raw(d2r, n, geom.metric)
     d = energy._densities(fields, geom, grid)
-    d = d._replace(curvature=(g_inv * (b @ b_up)).sum((-2, -1)))
+    d = d._replace(forms=d.forms._replace(curvature=(g_inv * (b @ b_up)).sum((-2, -1))))
     breakdown = energy._breakdown(d, geom, grid, K)
-    phi_sq, curv, re_pair, dots, nn = d.phi_sq, d.curvature, d.re_pair, d.dots, d.nn
+    phi_sq, curv, dots, nn = d.forms.phi_sq, d.forms.curvature, d.x.tsn, d.forms.nn
+    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
     rule = energy._rule(grid)
     w = rule.node_weights * sq
     mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), rule.spatial_weights)
@@ -75,7 +76,7 @@ def b_chain_backward_JK(fields, grid, K, geom, kinds=("r", "phi", "n")):
     if "r" not in kinds:
         return breakdown, tuple(grads)
 
-    dens = 0.5 * phi_sq * curv + 0.5 * d.dirichlet + 0.25 * d.christoffel
+    dens = 0.5 * phi_sq * curv + 0.5 * d.forms.dirichlet + 0.25 * d.forms.christoffel
     dens += 0.5 * K * (np.sum(dots**2, axis=-1) + (nn - 1.0) ** 2)
     bar_sq = rule.node_weights * dens + mass_w * phi_sq
     bar_g_inv = bar_curv[..., None, None] * (b @ b_up)
@@ -202,12 +203,57 @@ def test_step_polynomial_reproduces_JK(name, K):
     direction = np.random.default_rng(29).standard_normal(grad.size)
     zero = type(f)(np.zeros_like(f.r), np.zeros_like(f.phi), np.zeros_like(f.n), f.r_bc, f.phi_bc, f.eps)
     step = optimizer._add_scaled(zero, direction, 1.0, g, kinds)
-    c = energy._step_polynomial(cur.densities, f, step, base, g, K)
+    c = energy._step_polynomial(cur.densities, step, base, g, K)
     assert abs(c[0] - grad @ direction) <= 1e-12 * abs(grad @ direction)
     for alpha in (1e-4, 1e-3, 0.01, 0.05, 0.2, 1.0):
         moved = backward_JK(optimizer._add_scaled(f, direction, alpha, g, kinds), g, K, base, kinds)[0].total_JK
         terms = [ck * alpha**k for k, ck in enumerate(c, 1)]
         assert abs(sum(terms) - (moved - cur.total_JK)) <= 1e-12 * sum(map(abs, [moved, cur.total_JK, *terms]))
+
+
+def _inputs_of(f, g, geom):
+    return energy._inputs(f.phi, _gradient(f.phi, g), geom.g_inv, geom.gamma_c, f.n, geom)
+
+
+def _step(f, g, direction):
+    """The phi and n step along a packed direction, zero elsewhere."""
+    zero = type(f)(np.zeros_like(f.r), np.zeros_like(f.phi), np.zeros_like(f.n), f.r_bc, f.phi_bc, f.eps)
+    return optimizer._add_scaled(zero, direction, 1.0, g, ("phi", "n"))
+
+
+@pytest.mark.parametrize("name", ["criterion_3", "theorem_range_m5"])
+def test_factor_forms_are_symmetric_and_bilinear(name):
+    # With r frozen each factor of J_K is B_f(x, x) for one symmetric bilinear form B_f, which _forms defines for
+    # the evaluation and the step polynomial alike: B_f(x, s) = B_f(s, x), and along x + alpha s every factor is
+    # B_f(x, x) + 2 alpha B_f(x, s) + alpha^2 B_f(s, s), node by node.
+    g, f = _scenario_start(name) if name == "criterion_3" else _noisy(name)
+    base, kinds = build_geometry(f, g), ("phi", "n")
+    direction = np.random.default_rng(31).standard_normal(_packed((f.r, f.phi, f.n), g, kinds).size)
+    x, s = _inputs_of(f, g, base), _inputs_of(_step(f, g, direction), g, base)
+    xx, xs, sx, ss = energy._forms(x, x), energy._forms(x, s), energy._forms(s, x), energy._forms(s, s)
+    for field in energy._Forms._fields:
+        a, b = getattr(xs, field), getattr(sx, field)
+        assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(np.abs(a), np.abs(b))), field
+    for alpha in (0.01, 0.3, 1.0):
+        moved = energy._forms(*[_inputs_of(optimizer._add_scaled(f, direction, alpha, g, kinds), g, base)] * 2)
+        for field in energy._Forms._fields:
+            terms = [getattr(xx, field), 2.0 * alpha * getattr(xs, field), alpha**2 * getattr(ss, field)]
+            got = getattr(moved, field)
+            scale = np.abs(got) + sum(map(np.abs, terms))
+            assert np.all(np.abs(got - sum(terms)) <= 1e-13 * scale), (field, alpha)
+
+
+@pytest.mark.parametrize("field", ["phi", "n"])
+def test_a_non_finite_step_raises_what_the_line_search_suppresses(field):
+    # The descent suppresses NonFiniteValueError around the step polynomial, not GeometryError: a NaN in the
+    # step's phi or n must surface as the former, whichever factor it reaches first.
+    g, f = _scenario_start("criterion_3")
+    base, kinds = build_geometry(f, g), ("phi", "n")
+    cur = backward_JK(f, g, 100.0, base, kinds)[0]
+    step = _step(f, g, np.ones(_packed((f.r, f.phi, f.n), g, kinds).size))
+    getattr(step, field)[1, 3] = np.nan
+    with pytest.raises(energy.NonFiniteValueError, match=r"^non-finite integrand at node \(\d+, \d+\)$"):
+        energy._step_polynomial(cur.densities, step, base, g, 100.0)
 
 
 class _GammaFormed(Exception):
