@@ -99,4 +99,4 @@ from .causal import (
 )
 from . import cli, presets
 
-__version__ = "0.3.26"
+__version__ = "0.3.27"

@@ -80,16 +80,16 @@ def _rule(grid: ParameterGrid) -> QuadratureRule:
     return QuadratureRule.from_grid(grid)
 
 
-def _integrals(integrands: list[np.ndarray], grid: ParameterGrid) -> list[float]:
-    """quadrature of each integrand in one pass.  One scan for non-finite values names the first
-    node of the first integrand that has one; each weighted sum is summed alone, in quadrature's order."""
+def _integrals(integrands: list[np.ndarray], grid: ParameterGrid, weighted=True) -> list[float]:
+    """quadrature of each integrand in one pass, or its plain sum if not weighted.  One scan for non-finite values
+    names the first node of the first integrand that has one; each sum is summed alone, in quadrature's order."""
     values = np.array(integrands)
     if values.shape[1:] != grid.counts:
         raise ValueError("integrand shape does not match grid counts")
     if not np.isfinite(values).all():
         node = _first_node(~np.isfinite(values))[1:]
         raise NonFiniteValueError(f"non-finite integrand at node {_node_str(node)}")
-    return [float(v.sum()) for v in values * _rule(grid).node_weights]
+    return (values * _rule(grid).node_weights if weighted else values).reshape(len(values), -1).sum(1).tolist()
 
 
 def quadrature(values: np.ndarray, grid: ParameterGrid) -> float:
@@ -98,8 +98,8 @@ def quadrature(values: np.ndarray, grid: ParameterGrid) -> float:
 
 
 def slice_masses(values: np.ndarray, grid: ParameterGrid) -> np.ndarray:
-    """Spatial integral over D_1 per u_0 slice; returns shape (counts[0],)."""
-    return np.sum(values * _rule(grid).spatial_weights, axis=tuple(range(1, grid.ndim)))
+    """Spatial integral over D_1 per u_0 slice, of each leading entry: shape values.shape[:-ndim] + (counts[0],)."""
+    return np.sum(values * _rule(grid).spatial_weights, axis=tuple(range(1 - grid.ndim, 0)))
 
 
 def time_integral(values_t: np.ndarray, grid: ParameterGrid) -> float:
@@ -174,8 +174,8 @@ def _forms(a: _Inputs, b: _Inputs) -> _Forms:
 
 
 # One configuration x's densities, formed once by _densities from its fields and geom's r part: the forms
-# B_f(x, x), the slice masses int_{D_1} |phi|^2 sqrt(-g), and x's inputs.
-_Densities = namedtuple("_Densities", "forms mass x")
+# B_f(x, x), the slice masses int_{D_1} |phi|^2 sqrt(-g), and x's inputs; backward_JK adds J_K's bars.
+_Densities = namedtuple("_Densities", "forms mass x bars", defaults=(None, None))
 
 
 def _densities(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> _Densities:
@@ -184,29 +184,32 @@ def _densities(fields: FieldSet, geom: GeometryCache, grid: ParameterGrid) -> _D
     return _Densities(forms, slice_masses(forms.phi_sq * geom.sqrt_neg_g, grid), x)
 
 
-# Row k - 1 sums the entries i + j = k of a flattened 3x3 outer product a_i b_j: the alpha^k coefficient of a b.
-_ANTI_DIAGONALS = np.equal.outer(np.arange(1, 5), np.add.outer(np.arange(3), np.arange(3)).ravel()).astype(float)
+def _bars(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K, target=1.0) -> _Forms:
+    """dJ_K/dB_f at every node for every factor f, the quadrature weight and sqrt(-g) included: J_K moves by
+    sum_f bar_f . delta B_f to first order.  The norm penalty's K (mass - 1) is folded into |phi|^2's bar.
+    target is what the unit and norm penalties hold n.n and each slice mass to; at 0 the bars are linear in d's
+    forms and masses, the Hessian of J_K in its factors applied to them in its nonzero rows |phi|^2, n^T Q n, n.n."""
+    f, rule, sq = d.forms, _rule(grid), geom.sqrt_neg_g
+    w = rule.node_weights * sq
+    half_w, mass_w = 0.5 * w, np.multiply.outer(K * rule.axis_weights[0] * (d.mass - target), rule.spatial_weights)
+    return _Forms(f.curvature * half_w + mass_w * sq, half_w, 0.25 * w, f.phi_sq * half_w, K * w * (f.nn - target),
+                  K * half_w)
 
 
 def _step_polynomial(d: _Densities, step: FieldSet, geom: GeometryCache, grid, K) -> list[float]:
-    """c_1..c_4 of J_K(x + alpha s) - J_K(x) = sum_k c_k alpha^k, with d the densities of x and s a step in phi
-    and n, r frozen: each factor is B_f(x, x) + 2 alpha B_f(x, s) + alpha^2 B_f(s, s), and J_K's terms are
-    products of two.  c_1 = grad . s."""
+    """c_1..c_4 of J_K(x + alpha s) - J_K(x) = sum_k c_k alpha^k, with d the densities of x and their bars, and s
+    a step in phi and n, r frozen.  Each factor moves by delta_f = 2 alpha B_f(x, s) + alpha^2 B_f(s, s), and J_K,
+    quadratic in its factors, by sum_f bar_f delta_f + 1/2 delta . H delta, H its Hessian in the factors.  _bars at
+    target 0 applies H to each term of delta; H is nonzero only on the factors of J_K's three products,
+    |phi|^2 n^T Q n, (n.n - 1)^2 and (mass - 1)^2.  c_1 = grad . s by construction."""
     s = _inputs(step.phi, _gradient(step.phi, grid), geom.g_inv, geom.gamma_c, step.n, geom)
-    xx, xs, ss = d.forms, _forms(d.x, s), _forms(s, s)
-    phi_sq = np.array([xx.phi_sq, 2.0 * xs.phi_sq, ss.phi_sq])  # each factor's alpha^0, alpha^1, alpha^2 terms
-    curvature = np.array([xx.curvature, 2.0 * xs.curvature, ss.curvature])
-    unit = np.array([xx.nn - 1.0, 2.0 * xs.nn, ss.nn])
-    quadratic = lambda f: 0.5 * f.dirichlet + 0.25 * f.christoffel + 0.5 * K * f.orth
-    # 1/2 |phi|^2 n^T Q n + K/2 unit^2, and the alpha and alpha^2 terms of the quadratic factors
-    outer = 0.5 * phi_sq[:, None] * curvature[None] + 0.5 * K * unit[:, None] * unit[None]
-    outer[0, 1] += 2.0 * quadratic(xs)
-    outer[0, 2] += quadratic(ss)
-    w, rule = geom.sqrt_neg_g, _rule(grid)
-    nodes = (_ANTI_DIAGONALS @ outer.reshape(9, -1)).reshape(4, *grid.counts) * w
-    mass = np.array([d.mass - 1.0, *(phi_sq[1:] * (w * rule.spatial_weights)).sum(tuple(range(2, grid.ndim + 1)))])
-    norm = _ANTI_DIAGONALS @ (mass[:, None] * mass[None]).reshape(9, -1) @ rule.axis_weights[0]
-    return [c + float(0.5 * K * m) for c, m in zip(_integrals(nodes, grid), norm)]
+    terms = np.array([_forms(d.x, s), _forms(s, s)])  # (2, 6, *counts)
+    terms[0] *= 2.0  # each factor's alpha and alpha^2 terms
+    delta = _Forms(*np.swapaxes(terms, 0, 1))
+    h = _bars(_Densities(delta, slice_masses(delta.phi_sq * geom.sqrt_neg_g, grid)), geom, grid, K, target=0.0)
+    first = np.einsum("kf...,f...->k...", terms, np.array(d.bars))  # bars . delta_k per node
+    second = np.einsum("fk...,fl...->kl...", *(np.array([f.phi_sq, f.curvature, f.nn]) for f in (delta, h)))
+    return _integrals([first[0], first[1] + 0.5 * second[0, 0], second[0, 1], 0.5 * second[1, 1]], grid, weighted=False)
 
 
 def _breakdown(d: _Densities, geom: GeometryCache, grid: ParameterGrid, K: float) -> EnergyBreakdown:
@@ -294,72 +297,59 @@ def backward_JK(
     """J_K and its reverse-mode derivative on every node: one value-and-gradient pass.
 
     geom is a geometry cache of fields.r, from any configuration with that r; it is read, never rebuilt.
-    The densities are integrated first, as assemble_JK integrates them: the
-    breakdown equals assemble_JK(..., geom=geom), and a non-finite integrand
-    raises NonFiniteValueError naming the node.  The adjoints then run back
-    through the per-node algebra (n^T Q n, gamma_c, dphi, the penalty terms
-    and the slice masses), through Q, gamma_c, g^{-1} and sqrt(-g), and to node
-    fields through the transposed stencils.  Returns (breakdown, (dJ/dr, dJ/dphi,
-    dJ/dn)) in node-field shapes, boundary nodes included; the phi entry is
-    dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and
-    without "r" the r chain (bars of g^{-1}, d2r and the tangents) is skipped.
+    The densities are integrated first, as assemble_JK integrates them: the breakdown equals
+    assemble_JK(..., geom=geom), and a non-finite integrand raises NonFiniteValueError naming the node.  The
+    adjoints start from the bars dJ_K/dB_f of J_K's factors (_bars) and run back through the forms to phi, dphi
+    and n, through Q, gamma_c, g^{-1} and sqrt(-g), and to node fields through the transposed stencils.  Returns
+    (breakdown, (dJ/dr, dJ/dphi, dJ/dn)) in node-field shapes, boundary nodes included; the phi entry is
+    dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and without "r" the r chain (bars of g^{-1},
+    d2r and the tangents), the only reader of geom.d2r, is skipped.
     kinds is a sequence of r, phi and n, else ValueError: a str is refused, not read letter by letter.
     The breakdown carries the densities bundle as its attribute densities, outside its fields: the forms
-    B_f(x, x), the slice masses and x's inputs (dphi, its (Re, Im) view, gamma_c^l dphi_l, Q n, t_j . S n),
-    which the adjoints read and the step polynomial takes as its x.
+    B_f(x, x), the slice masses, x's inputs (dphi, its (Re, Im) view, gamma_c^l dphi_l, Q n, t_j . S n) and the
+    bars, which the adjoints read and the step polynomial takes as its x.
     """
     if isinstance(kinds, str) or not set(kinds) <= set(_KINDS):
         raise ValueError(f"kinds must be a sequence of r, phi, n (got {kinds!r})")
     signs = _signs(fields.r.shape[-1])
-    tangents, d2r, gamma_c = geom.tangents, geom.d2r, geom.gamma_c
-    g_inv, sq = geom.g_inv, geom.sqrt_neg_g
+    tangents, gamma_c, g_inv = geom.tangents, geom.gamma_c, geom.g_inv
     d = _densities(fields, geom, grid)
     breakdown = _breakdown(d, geom, grid, K)
-    breakdown.densities = d
-    x, f = d.x, d.forms
-    phi, n, dphi, dots, phi_sq, curv, nn = x.phi, x.n, x.dphi, x.tsn, f.phi_sq, f.curvature, f.nn
-    rule = _rule(grid)
-    w = rule.node_weights * sq
-    # d[(K/2) norm] / d(|phi|^2 sqrt(-g)) per node.
-    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), rule.spatial_weights)
-    bar_phi = 2.0 * (0.5 * curv * w + mass_w * sq) * phi
+    breakdown.densities = d = d._replace(bars=_bars(d, geom, grid, K))
+    x, f, bars = d.x, d.forms, d.bars
 
-    # Dirichlet density Re g^{jk} dphi_j dphi*_k
-    bar_d = 0.5 * w
-    bar_xy = bar_d[..., None, None] * ((g_inv + np.swapaxes(g_inv, -1, -2)) @ x.xy)
+    # Each form's adjoint in x is twice the form with x in one slot: the phi forms, then the n forms.
+    bar_xy = bars.dirichlet[..., None, None] * ((g_inv + np.swapaxes(g_inv, -1, -2)) @ x.xy)
     bar_dphi = bar_xy.view(complex)[..., 0]
-
-    # Christoffel density 2 Re(dphi_l phi*) gamma_c^l
-    bar_c = 0.25 * w
-    bar_pair = bar_c[..., None] * gamma_c
-    bar_dphi += 2.0 * bar_pair * phi[..., None]
-    bar_phi += 2.0 * bar_c * x.cdphi
-
-    # The curvature density n^T Q n, and the orth and unit penalties
-    bar_curv = 0.5 * phi_sq * w
-    bar_dots = K * w[..., None] * dots
-    bar_n = (2.0 * bar_curv)[..., None] * x.qn * signs + (bar_dots[..., None, :] @ tangents)[..., 0, :]
-    bar_n = (bar_n + (2.0 * K * w * (nn - 1.0))[..., None] * n) * signs
+    bar_pair = bars.christoffel[..., None] * gamma_c
+    bar_dphi += 2.0 * bar_pair * x.phi[..., None]
+    bar_phi = 2.0 * (bars.phi_sq * x.phi + bars.christoffel * x.cdphi)
+    half_tsn = bars.orth[..., None] * x.tsn
+    bar_n = bars.curvature[..., None] * x.qn * signs + (half_tsn[..., None, :] @ tangents)[..., 0, :]
+    bar_n = (bar_n + bars.nn[..., None] * x.n) * (2.0 * signs)
 
     # Transposed stencils back to node fields.
     for j in range(grid.ndim):
         bar_phi += finite_difference_adjoint(bar_dphi[..., j], grid, j)
-    grads = [np.zeros_like(fields.r), bar_phi if "phi" in kinds else np.zeros_like(phi)]
-    grads.append(bar_n if "n" in kinds else np.zeros_like(n))
+    grads = [np.zeros_like(fields.r), bar_phi if "phi" in kinds else np.zeros_like(fields.phi)]
+    grads.append(bar_n if "n" in kinds else np.zeros_like(fields.n))
     if "r" not in kinds:
         return breakdown, tuple(grads)
 
     # The r chain: every density also reaches r through g^{-1}, sqrt(-g) and d2r.
-    dens = 0.5 * phi_sq * curv + 0.5 * f.dirichlet + 0.25 * f.christoffel + 0.5 * K * (f.orth + (nn - 1.0) ** 2)
-    bar_sq = rule.node_weights * dens + mass_w * phi_sq
-    bar_q = bar_curv[..., None, None] * (n[..., :, None] * n[..., None, :])
+    d2r, rule, sq = geom.d2r, _rule(grid), geom.sqrt_neg_g
+    # dJ_K/dsqrt(-g) per node: J_K's node integrand over sqrt(-g), and the norm penalty's share through the mass.
+    dens = 0.5 * f.phi_sq * f.curvature + 0.5 * f.dirichlet + 0.25 * f.christoffel + 0.5 * K * (f.orth + (f.nn - 1.0) ** 2)
+    mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), rule.spatial_weights)
+    bar_sq = rule.node_weights * dens + mass_w * f.phi_sq
+    bar_q = bars.curvature[..., None, None] * (x.n[..., :, None] * x.n[..., None, :])
     bar_g_inv, bar_d2r = _curvature_form_adjoint(bar_q, d2r, g_inv)
-    bar_g_inv += bar_d[..., None, None] * (x.xy @ np.swapaxes(x.xy, -1, -2))
-    # gamma_c^l = g^{ls} (t_s . g^{jk} d2r_jk), read by the Christoffel density as re_pair_l gamma_c^l
-    re_pair = 2.0 * (dphi * np.conj(phi)[..., None]).real
-    bar_g_inv_c, bar_d2r_c, bar_t = _contracted_christoffel_adjoint(bar_c[..., None] * re_pair, d2r, geom.metric)
+    bar_g_inv += bars.dirichlet[..., None, None] * (x.xy @ np.swapaxes(x.xy, -1, -2))
+    # gamma_c^l = g^{ls} (t_s . g^{jk} d2r_jk), read by the Christoffel density as 2 Re(dphi_l phi*) gamma_c^l
+    bar_gamma_c = (2.0 * bars.christoffel)[..., None] * (x.dphi * np.conj(x.phi)[..., None]).real
+    bar_g_inv_c, bar_d2r_c, bar_t = _contracted_christoffel_adjoint(bar_gamma_c, d2r, geom.metric)
     bar_g_inv, bar_d2r = bar_g_inv + bar_g_inv_c, bar_d2r + bar_d2r_c
-    bar_t += bar_dots[..., None] * x.sn[..., None, :]
+    bar_t += (2.0 * half_tsn)[..., None] * x.sn[..., None, :]
 
     # g^{-1}, sqrt(-g) back to g_jk = t_j . t_k: dg^{-1} = -g^{-1} dg g^{-1}, dsqrt(-g) = sqrt(-g) g^{jk} dg_jk / 2
     g_inv_t = np.swapaxes(g_inv, -1, -2)
@@ -380,7 +370,12 @@ def constraint_residuals(fields: FieldSet, grid: ParameterGrid, geom: GeometryCa
     """
     if geom is None:
         geom = build_geometry(fields, grid)
-    d, w = _densities(fields, geom, grid), geom.sqrt_neg_g
+    return _residuals(_densities(fields, geom, grid), geom, grid)
+
+
+def _residuals(d: _Densities, geom: GeometryCache, grid: ParameterGrid) -> tuple[float, float, float]:
+    """constraint_residuals of the configuration whose densities d are."""
+    w = geom.sqrt_neg_g
     p_orth, p_unit = _integrals([d.forms.orth * w, (d.forms.nn - 1.0) ** 2 * w], grid)
     residuals = time_integral(np.abs(d.mass - 1.0), grid), float(np.sqrt(p_orth)), float(np.sqrt(p_unit))
     if not np.isfinite(residuals).all():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import FieldSet, ParameterGrid, _cell, _csv_row, _gradient, _worst_node, apply_boundary
 from .geometry import GeometryCache, GeometryError, build_geometry, _signs
-from .energy import _KINDS, NonFiniteValueError, _densities, _step_polynomial, backward_JK, constraint_residuals
+from .energy import _KINDS, NonFiniteValueError, _densities, _residuals, _step_polynomial, backward_JK
 
 logger = logging.getLogger(__name__)
 
@@ -320,7 +320,7 @@ def minimize_fixed_K(
         trace.append(cur.total_JK)
         iters += 1
 
-    res_norm, res_orth, res_unit = constraint_residuals(x, grid, geom)
+    res_norm, res_orth, res_unit = _residuals(cur.densities, geom, grid)
     return x, KRecord(
         K=float(K),
         iterations=iters,

@@ -7,9 +7,11 @@ formed the density and its adjoint from b_jk = d2r_jk . n and b^l_j on every
 evaluation: it stays here as the oracle of J_K and of the packed gradient,
 with r frozen and with r optimised.  The adjoints of Q and of gamma_c, which
 is contracted from d2r without forming Gamma, are pinned by dot-product
-tests; with r frozen J_K is a quartic along any phi/n line; and no
-evaluation, gradient, residual, chart action or frozen-r continuation of J_K
-forms Gamma.
+tests; with r frozen J_K is a quartic along any phi/n line; the bars
+dJ_K/dB_f, which the gradient and the step polynomial read, are the
+derivatives of _breakdown's J_K in its factors; only the r chain reads d2r;
+and no evaluation, gradient, residual, chart action or frozen-r continuation
+of J_K forms Gamma.
 """
 
 import dataclasses
@@ -254,6 +256,60 @@ def test_a_non_finite_step_raises_what_the_line_search_suppresses(field):
     getattr(step, field)[1, 3] = np.nan
     with pytest.raises(energy.NonFiniteValueError, match=r"^non-finite integrand at node \(\d+, \d+\)$"):
         energy._step_polynomial(cur.densities, step, base, g, 100.0)
+
+
+@pytest.mark.parametrize("K", [10.0, 1e5])
+@pytest.mark.parametrize("name", ["criterion_3", "theorem_range_m5"])
+def test_bars_are_the_derivatives_of_the_breakdown(name, K):
+    # _bars holds dJ_K/dB_f per node; _breakdown states J_K from the same factors.  J_K is at most quadratic in each
+    # factor, so a central difference of total_JK in one factor at one node is its bar there, to rounding of the
+    # totals; a change in |phi|^2 changes its slice's mass with it.
+    g, f = _scenario_start(name) if name == "criterion_3" else _noisy(name)
+    geom = build_geometry(f, g)
+    d = energy._densities(f, geom, g)
+    bars = energy._bars(d, geom, g, K)
+    nodes = [(0,) * g.ndim, (1,) * g.ndim, (2,) + (1,) * (g.ndim - 1), tuple(c - 1 for c in g.counts)]
+    for field in energy._Forms._fields:
+        for node in nodes:
+            totals = []
+            for eps in (1.0, -1.0):
+                moved = getattr(d.forms, field).copy()
+                moved[node] += eps
+                forms = d.forms._replace(**{field: moved})
+                at = energy._Densities(forms, energy.slice_masses(forms.phi_sq * geom.sqrt_neg_g, g), d.x)
+                totals.append(energy._breakdown(at, geom, g, K).total_JK)
+            got, want = (totals[0] - totals[1]) / 2.0, getattr(bars, field)[node]
+            assert abs(got - want) <= 1e-14 * (abs(totals[0]) + abs(totals[1])), (field, node)
+
+
+class _D2rRead(Exception):
+    pass
+
+
+class _D2rRefused(geometry.GeometryCache):
+    """A geometry cache whose d2r raises when read."""
+
+    @property
+    def d2r(self):
+        raise _D2rRead
+
+
+def test_only_the_r_chain_reads_d2r():
+    # With r frozen J_K reads g^{-1}, sqrt(-g), the tangents, Q and gamma_c of the r part, never d2r: the evaluation,
+    # its gradient over every kinds without r, the step polynomial and the residuals run on a cache whose d2r raises.
+    g, f = _noisy("theorem_range_m5")
+    geom = build_geometry(f, g)
+    geom.__class__ = _D2rRefused
+    with pytest.raises(_D2rRead):
+        geom.d2r
+    energy.assemble_JK(f, g, 100.0, geom=geom)
+    for kinds in ((), ("phi",), ("n",), ("phi", "n")):
+        cur = backward_JK(f, g, 100.0, geom, kinds)[0]
+    step = _step(f, g, np.random.default_rng(3).standard_normal(_packed((f.r, f.phi, f.n), g, ("phi", "n")).size))
+    energy._step_polynomial(cur.densities, step, geom, g, 100.0)
+    energy.constraint_residuals(f, g, geom)
+    with pytest.raises(_D2rRead):
+        backward_JK(f, g, 100.0, geom, ("r", "phi", "n"))
 
 
 class _GammaFormed(Exception):

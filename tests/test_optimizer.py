@@ -228,6 +228,15 @@ def test_record_residuals_are_constraint_residuals_of_the_leg_end(kinds):
     assert (rec.res_norm, rec.res_orth, rec.res_unit) == constraint_residuals(x, g)
 
 
+def test_a_frozen_r_leg_forms_densities_once_per_evaluation(monkeypatch):
+    # The leg's end reads its residuals from its last evaluation's densities instead of forming them again.
+    calls, densities = [], energy._densities
+    monkeypatch.setattr(energy, "_densities", lambda *args: calls.append(1) or densities(*args))
+    g, f = small_perturbed()
+    _, rec = minimize_fixed_K(f, g, 100.0, PenaltyConfig(max_iters=5, optimize_fields=("phi", "n")))
+    assert len(calls) == rec.evaluations > 1
+
+
 def test_minimize_jk_trace_monotone():
     g, f = small_perturbed()
     cfg = PenaltyConfig(max_iters=40, step_init=0.1, optimize_fields=("phi", "n"))
