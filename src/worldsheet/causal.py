@@ -60,7 +60,9 @@ class EventSet:
         if not np.isfinite(ev).all():
             raise ValueError("event coordinates must be finite")
         _speed(self.c)
-        srt = ev[np.lexsort(ev.T)]  # equal rows, -0.0 and 0.0 alike, end up neighbours
+        t = np.sort(ev[:, 0])  # only events that share their time with another can be duplicates
+        tied = ev[np.isin(ev[:, 0], t[1:][t[1:] == t[:-1]])]
+        srt = tied[np.lexsort(tied.T)]  # equal rows, -0.0 and 0.0 alike, end up neighbours
         if (srt[1:] == srt[:-1]).all(axis=1).any():
             raise ValueError("duplicate events are not allowed")
         object.__setattr__(self, "events", ev)
@@ -70,9 +72,9 @@ class EventSet:
 
 
 NULL_TOL = 1e-10
-# build_graph's cost model, in edge tests of one candidate pair (about 65 ns on a shared 2-core Xeon): a neighbour-cell
-# offset pays a fixed numpy overhead and a lookup per event.
-_OFFSET_COST, _LOOKUP_COST = 500.0, 0.9
+# build_graph's cost model, in edge tests of one candidate pair (about 21 ns on a shared 2-core Xeon): a neighbour-cell
+# offset pays a fixed numpy overhead (about 45 us) and, per event, a share of its cell's lookup and its range's take.
+_OFFSET_COST, _LOOKUP_COST = 2100.0, 1.2
 
 
 def _speed(c: float) -> float:
@@ -179,8 +181,9 @@ def build_graph(events: EventSet, radius: float) -> CausalGraph:
     Candidates come from a cell list (Allen & Tildesley), never an n x n array: memory O(n + edges).  A cell spans
     radius along t and, along each space axis, the cone's reach radius * c / sqrt(1 + c^2), as far as a causal step
     within radius goes.  Only the first b coordinates are binned, and the edge test filters the rest: per call a cost
-    model picks b, weighing (3^b + 1) / 2 neighbour-cell lookups per event against the binned axes' candidates.
-    On 2 shared cores 300 uniform events at 9 columns build in 3.5-8 ms (b = 2), 0.74-0.78 s with cubic cells on all 9.
+    model picks b, weighing (3^b + 1) / 2 neighbour-cell offsets, each a fixed cost and a take per event, against the
+    binned axes' candidates.  On 2 shared cores 300 uniform events at 9 columns build in 1.7-3.8 ms (b = 1), 0.46-0.58 s
+    with cubic cells on all 9.
     """
     if not 0 < radius < np.inf:
         raise ValueError("neighbor radius must be finite and > 0")
@@ -206,18 +209,26 @@ def _build_graph(events: EventSet, radius: float, depth: Optional[int]) -> Causa
     strides = np.cumprod(np.r_[shape[1:], 1][::-1])[::-1]
     key = cell @ strides
     order = np.argsort(key, kind="stable")
-    key, ev = key[order], ev[order]  # events in cell order: a cell's candidates are contiguous
-    found = []
+    key, first, own = np.unique(key[order], return_index=True, return_inverse=True)
+    stop = np.r_[first[1:], n]  # events in cell order: occupied cell k holds first[k] .. stop[k] - 1
+    t, x, r2, found = ev[order, 0], ev[order, 1:], radius * radius, []
     # Children are later, so only neighbour cells at time offset 0 or +1 are searched.  Offsets o and -o see the same pairs
-    # swapped, so only the (3^b + 1) / 2 offsets o >= 0 are, and dt orients each pair (o = 0 sees both: keep dt > 0).
+    # swapped, so only the (3^b + 1) / 2 offsets o >= 0 are, and dt orients each pair (o = 0 pairs each event with the
+    # later ones of its own cell, so once).  An offset looks its neighbour up once per occupied cell (an empty range if
+    # none), and the columns are tested cheapest first: dt, then |dx|^2 and the cone on the survivors.
     for off in np.array([o for o in itertools.product((0, 1), *[(-1, 0, 1)] * (depth - 1)) if o >= (0,) * depth]) @ strides:
-        i, j = _gather(np.searchsorted(key, key + off, "left"), np.searchsorted(key, key + off, "right"))
-        d = ev.take(j, axis=0) - ev.take(i, axis=0)
-        dt, xpart = d[:, 0], np.einsum("ik,ik->i", d[:, 1:], d[:, 1:])
+        at = np.searchsorted(key, key + off).clip(max=key.size - 1)
+        upto = np.where(key[at] == key + off, stop[at], first[at])[own]
+        i, j = _gather(first[at][own] if off else np.arange(1, n + 1), upto)
+        dt = t.take(j) - t.take(i)
+        near = np.flatnonzero((dt != 0) & (dt * dt <= r2))  # positions, then takes: faster than boolean indexing
+        i, j, dt = i.take(near), j.take(near), dt.take(near)
+        d = x.take(j, axis=0) - x.take(i, axis=0)
+        xpart = np.einsum("ik,ik->i", d, d)  # on a contiguous block, as ever: a column-by-column sum rounds differently
         causal, is_null = _cone(dt, xpart, c)
-        edge = (dt**2 + xpart <= radius * radius) & ((dt > 0) | (off > 0) & (dt < 0)) & causal
-        i, j, later = i[edge], j[edge], dt[edge] > 0
-        found.append((order[np.where(later, i, j)], order[np.where(later, j, i)], is_null[edge]))
+        edge = np.flatnonzero((dt * dt + xpart <= r2) & causal)
+        i, j, later = i.take(edge), j.take(edge), dt.take(edge) > 0
+        found.append((order[np.where(later, i, j)], order[np.where(later, j, i)], is_null.take(edge)))
     src, dst, null = (np.concatenate(a) for a in zip(*found))
     return CausalGraph(events, radius, _csr(src, dst, null, n), _csr(dst, src, null, n))
 

@@ -163,6 +163,36 @@ def test_event_set_refuses_duplicates_only():
     assert len(EventSet(rows)) == 4  # each row differs from [0.5, 0.5, 0.5] in one column
 
 
+def _lattice_rows():
+    return flat_grid_events((0.0, 29.0), (0.0, 49.0), 30, 50).events
+
+
+# Events of which only those that share a time with another are compared: each set goes through EventSet and an event file.
+TIED_TIMES = {
+    "five_at_one_time_duplicate_apart": np.array(
+        [[0.0, 0.3, 0.3], [1.0, 0.5, 0.0], [1.0, 0.2, 0.1], [1.0, 0.9, 0.4], [1.0, 0.5, 0.0], [1.0, 0.3, 0.3], [2.0, 0.5, 0.0]]
+    ),
+    "lattice_with_a_row_again": np.vstack([_lattice_rows(), _lattice_rows()[777]]),
+    "signed_zero_time": np.array([[0.0, 1.0, 2.0], [0.5, 1.0, 2.0], [-0.0, 1.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIED_TIMES))
+def test_event_set_refuses_duplicates_among_tied_times(case, tmp_path):
+    rows = TIED_TIMES[case]
+    np.savetxt(tmp_path / "events.txt", rows, fmt="%.17g")
+    with pytest.raises(ValueError, match="^duplicate events are not allowed$"):
+        EventSet(rows)
+    with pytest.raises(ValueError, match="^duplicate events are not allowed$"):
+        load_events(tmp_path / "events.txt")
+
+
+def test_event_set_accepts_a_lattice_whose_times_are_all_tied(tmp_path):
+    rows = _lattice_rows()
+    np.savetxt(tmp_path / "events.txt", rows, fmt="%.17g")
+    assert len(EventSet(rows)) == len(load_events(tmp_path / "events.txt")) == 1500
+
+
 @pytest.mark.parametrize("c", [np.nan, np.inf])
 def test_event_set_rejects_non_finite_c(c):
     # nan gave a graph without edges and inf one of null edges only, so an empty I+.
@@ -566,6 +596,16 @@ ORACLE_CASES = {
         EventSet(np.array([[-14.924557170706166, 0.0], [50.82972618594669, 0.0], [51.62194646735214, 0.0]])),
         0.7922202814054561,
     ),
+    # Pairs whose |dx|^2 by einsum is one ulp below a sum of the space columns one by one, with the square of the
+    # radius between the two (found by a search over floats): a build that sums the columns one by one loses the edge.
+    "pair_split_by_summation_order_4_columns": lambda: (
+        EventSet(np.array([np.zeros(4), [0.755154, 0.205447, 0.041977, 0.257747]])),
+        0.8250221924669663,
+    ),
+    "pair_split_by_summation_order_9_columns": lambda: (
+        EventSet(np.array([np.zeros(9), [0.829918, 0.257674, 0.146617, 0.063289, -0.008138, -0.136458, 0.038001, 0.143151, 0.036728]])),
+        0.9069917655657079,
+    ),
     "single_event": lambda: (EventSet(np.array([[0.5, 0.5, 0.5]])), 1.0),
     "no_events": lambda: (EventSet(np.zeros((0, 3))), 1.0),
     "equal_times": lambda: (EventSet(np.column_stack([np.zeros(50), np.linspace(0.0, 1.0, 50)])), 0.3),
@@ -585,10 +625,20 @@ def test_build_graph_matches_dense_oracle(case):
     edges = sum(r.size for r in want.children)
     if case in ("pair_at_radius_across_cells", "null_pair_at_radius"):
         assert edges == 2
-    if case == "pair_split_by_rounding":
+    if case == "pair_split_by_rounding" or case.startswith("pair_split_by_summation_order"):
         assert edges == 1
     if case in ("single_event", "no_events", "equal_times"):
         assert edges == 0
+
+
+@pytest.mark.parametrize("case", ["pair_split_by_summation_order_4_columns", "pair_split_by_summation_order_9_columns"])
+def test_summation_order_cases_put_the_radius_between_the_two_sums(case):
+    events, radius = ORACLE_CASES[case]()
+    d = np.diff(events.events, axis=0)
+    columnwise = 0.0
+    for v in d[0, 1:]:
+        columnwise += v * v
+    assert d[0, 0] ** 2 + np.einsum("ik,ik->i", d[:, 1:], d[:, 1:])[0] <= radius * radius < d[0, 0] ** 2 + columnwise
 
 
 # The edges each reach case is built for: null steps at (or, by NULL_TOL, past) the reach along space.
