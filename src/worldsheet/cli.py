@@ -507,12 +507,15 @@ def emit_convergence_table(params: Sequence[float], residuals: dict[str, Sequenc
     """CSV of residuals against a refinement or penalty parameter.
 
     Adds an observed-order column per residual:
-    order_i = log(r_{i-1}/r_i) / log(p_{i-1}/p_i), blank on the first row and
-    where r_{i-1} or r_i is not finite and > 0.
+    order_i = log(r_{i-1}/r_i) / log(p_{i-1}/p_i), blank on the first row, where
+    r_{i-1} or r_i is not finite and > 0, and where p_{i-1} = p_i (no step to
+    take an order over).  ValueError unless every param is finite and > 0.
     """
     n = len(params)
     if n < 2:
         raise ValueError("need >= 2 rows for a convergence table")
+    if not all(0 < p < np.inf for p in params):
+        raise ValueError(f"params must be finite numbers > 0 (got {params!r})")
     names = list(residuals)
     for name in names:
         if len(residuals[name]) != n:
@@ -523,7 +526,8 @@ def emit_convergence_table(params: Sequence[float], residuals: dict[str, Sequenc
         row = [_cell(params[i])] + [_cell(residuals[name][i]) for name in names]
         for name in names:
             r0, r1 = (residuals[name][i - 1], residuals[name][i]) if i else (0.0, 0.0)
-            order = np.log(r0 / r1) / np.log(params[i - 1] / params[i]) if 0 < r0 < np.inf and 0 < r1 < np.inf else ""
+            known = 0 < r0 < np.inf and 0 < r1 < np.inf and params[i - 1] != params[i]
+            order = np.log(r0 / r1) / np.log(params[i - 1] / params[i]) if known else ""
             row.append(_cell(order))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

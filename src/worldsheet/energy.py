@@ -300,10 +300,10 @@ def backward_JK(
     The densities are integrated first, as assemble_JK integrates them: the breakdown equals
     assemble_JK(..., geom=geom), and a non-finite integrand raises NonFiniteValueError naming the node.  The
     adjoints start from the bars dJ_K/dB_f of J_K's factors (_bars) and run back through the forms to phi, dphi
-    and n, through Q, gamma_c, g^{-1} and sqrt(-g), and to node fields through the transposed stencils.  Returns
-    (breakdown, (dJ/dr, dJ/dphi, dJ/dn)) in node-field shapes, boundary nodes included; the phi entry is
-    dJ/d(Re phi) + i dJ/d(Im phi).  A block outside kinds is zero, and without "r" the r chain (bars of g^{-1},
-    d2r and the tangents), the only reader of geom.d2r, is skipped.
+    and n, and to node fields through the transposed stencils.  Returns (breakdown, (dJ/dr, dJ/dphi, dJ/dn)) in
+    node-field shapes, boundary nodes included; the phi entry is dJ/d(Re phi) + i dJ/d(Im phi).  A block outside
+    kinds is zero.  The r chain, the only reader of geom.d2r and skipped without "r", runs through sqrt(-g),
+    g^{-1}, gamma_c and the curvature density tr(g^{-1} b g^{-1} b), b = d2r . S n of the evaluated n, not Q.
     kinds is a sequence of r, phi and n, else ValueError: a str is refused, not read letter by letter.
     The breakdown carries the densities bundle as its attribute densities, outside its fields: the forms
     B_f(x, x), the slice masses, x's inputs (dphi, its (Re, Im) view, gamma_c^l dphi_l, Q n, t_j . S n) and the
@@ -342,8 +342,7 @@ def backward_JK(
     dens = 0.5 * f.phi_sq * f.curvature + 0.5 * f.dirichlet + 0.25 * f.christoffel + 0.5 * K * (f.orth + (f.nn - 1.0) ** 2)
     mass_w = np.multiply.outer(K * rule.axis_weights[0] * (d.mass - 1.0), rule.spatial_weights)
     bar_sq = rule.node_weights * dens + mass_w * f.phi_sq
-    bar_q = bars.curvature[..., None, None] * (x.n[..., :, None] * x.n[..., None, :])
-    bar_g_inv, bar_d2r = _curvature_form_adjoint(bar_q, d2r, g_inv)
+    bar_g_inv, bar_d2r = _curvature_form_adjoint(bars.curvature, d2r, x.n, geom.metric)
     bar_g_inv += bars.dirichlet[..., None, None] * (x.xy @ np.swapaxes(x.xy, -1, -2))
     # gamma_c^l = g^{ls} (t_s . g^{jk} d2r_jk), read by the Christoffel density as 2 Re(dphi_l phi*) gamma_c^l
     bar_gamma_c = (2.0 * bars.christoffel)[..., None] * (x.dphi * np.conj(x.phi)[..., None]).real

@@ -277,28 +277,21 @@ def _contracted_christoffel_adjoint(
     return bar_g_inv, g_inv[..., None] * bar_w[..., None, None, :], bar_p[..., :, None] * w_s[..., None, :]
 
 
-def _curvature_rows(d2r: np.ndarray, g_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M_a = g^{-1} D_a, D_a the (j, l) matrix of d2r's component a, by one matmul: M[..., j, l, a] as rows (j, l)
-    and as rows (l, j), shape [..., m^2, N+1] each, and the sign products S_a S_b."""
+def _curvature_form(d2r: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Q = S C S per node, C_ab = g^{jk} g^{lm} d2r_{jl,a} d2r_{km,b} = tr(M_a M_b), M_a = g^{-1} D_a for D_a the
+    (j, l) matrix of d2r's component a: n^T Q n is the curvature density of n.  C is one matmul of M's rows."""
     m = (g_inv @ d2r.reshape(g_inv.shape[:-1] + (-1,))).reshape(d2r.shape)
     rows, signs = d2r.shape[:-3] + (-1, d2r.shape[-1]), _signs(d2r.shape[-1])
-    return m.reshape(rows), np.swapaxes(m, -3, -2).reshape(rows), np.multiply.outer(signs, signs)
+    return (np.swapaxes(m.reshape(rows), -1, -2) @ np.swapaxes(m, -3, -2).reshape(rows)) * np.outer(signs, signs)
 
 
-def _curvature_form(d2r: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Q = S C S per node, C_ab = g^{jk} g^{lm} d2r_{jl,a} d2r_{km,b} = tr(M_a M_b): the curvature density
-    g^{jk} b_jl b^l_k of a normal n is n^T Q n.  C is one (N+1, m^2) @ (m^2, N+1) matmul of M's rows."""
-    jl, lj, sign = _curvature_rows(d2r, g_inv)
-    return (np.swapaxes(jl, -1, -2) @ lj) * sign
-
-
-def _curvature_form_adjoint(bar_q: np.ndarray, d2r: np.ndarray, g_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse mode of _curvature_form: the bars of g^{-1} and d2r from Q's, by the same matmuls."""
-    _, lj, sign = _curvature_rows(d2r, g_inv)
-    bar_c = bar_q * sign
-    flat = d2r.reshape(g_inv.shape[:-1] + (-1,))  # [..., j, (l, a)], as M was formed
-    bar_m = (lj @ (bar_c + np.swapaxes(bar_c, -1, -2))).reshape(flat.shape)
-    return bar_m @ np.swapaxes(flat, -1, -2), (np.swapaxes(g_inv, -1, -2) @ bar_m).reshape(d2r.shape)
+def _curvature_form_adjoint(c, d2r, n, md: MetricData) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse mode of the curvature density c n^T Q n = c tr(g^{-1} b g^{-1} b), b_jl = d2r_jl . S n, in g^{-1} and
+    d2r: the bars 2c (b g^{-1} b)^T and 2c (g^{-1} b g^{-1})^T (x) S n, by two (m+1, m+1) matmuls after b and b^l_j."""
+    b, b_up = _fundamental_form_raw(d2r, n, md)  # b_up = (b g^{-1})^T
+    two_c = 2.0 * c[..., None, None]
+    bar_b = two_c * (b_up @ np.swapaxes(md.g_inv, -1, -2))
+    return two_c * (np.swapaxes(b, -1, -2) @ b_up), bar_b[..., None] * (n * _signs(n.shape[-1]))[..., None, None, :]
 
 
 def second_fundamental_form(

@@ -131,6 +131,8 @@ def perturbed_flat(
     |phi|^2 sqrt(-g) starts uniform.  N defaults to m + 1.
     """
     m = grid.m
+    if m < 1:
+        raise GridError("perturbed_flat scenario needs at least one spatial parameter (m >= 1)")
     N = _ambient_dimension("perturbed_flat scenario", grid, n_ambient)
     coords = grid.coordinates
     lo, hi = np.array(grid.extents[1:]).T

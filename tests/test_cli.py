@@ -303,6 +303,7 @@ BAD_INPUTS = {
     "n_ambient_text_on_table": (TABLE_GEOMETRY, ["fields.n_ambient=abc"], None),
     "cylinder_on_m_2_grid": ("geometry_cylinder.scn", ["grid.extents=0:1,0:1,0:1", "grid.counts=3,5,5"], None),
     "sphere_product_on_m_1_grid": ("energy_flat.scn", ["fields.embedding=sphere_product"], None),
+    "perturbed_flat_on_m_0_grid": ("minimize_perturbed.scn", ["grid.counts=5", "grid.extents=0:1"], None),
     # A key that is set is parsed even where the scenario's kind does not read it.
     "radius_text_unread": ("minimize_perturbed.scn", ["fields.radius=abc"], None),
     "K_negative_unread": ("minimize_perturbed.scn", ["energy.K=-5"], None),
@@ -601,6 +602,19 @@ def test_emit_convergence_table_blanks_an_order_whose_log_is_not_finite(zero):
     # a numpy one.  Gauss residuals at rounding level can be exactly zero.
     csv = cli.emit_convergence_table([1, 2, 4, 8, 16], {"res": [1.0, zero, 0.25, np.inf, 0.0625]})
     assert csv.splitlines()[1:] == ["1,1,", "2,0,", "4,0.25,", "8,inf,", "16,0.0625,"]
+
+
+@pytest.mark.parametrize("params", [[0, 1], [-1, 1], [1.0, np.nan], [np.inf, 1.0]])
+def test_emit_convergence_table_refuses_a_param_not_finite_and_positive(params):
+    # A zero param gave an order of -0 and a negative one nan, with no error.
+    with pytest.raises(ValueError, match=r"params must be finite numbers > 0 \(got \["):
+        cli.emit_convergence_table(params, {"res": [1e-2, 2.5e-3]})
+
+
+def test_emit_convergence_table_blanks_the_order_between_equal_params():
+    # Equal adjacent params divided by zero in the order's log: inf, with a numpy warning.
+    csv = cli.emit_convergence_table([1.0, 2.0, 2.0, 4.0], {"res": [1.0, 4.0, 2.0, 8.0]})
+    assert csv.splitlines()[1:] == ["1,1,", "2,4,2", "2,2,", "4,8,2"]
 
 
 def test_emit_convergence_table_k_sweep_matches_fit():

@@ -5,13 +5,13 @@ with C_ab = g^{jk} g^{lm} d2r_{jl,a} d2r_{km,b}, and J_K reads the curvature
 density g^{jk} b_jl b^l_k as n^T Q n.  The b chain below is the code that
 formed the density and its adjoint from b_jk = d2r_jk . n and b^l_j on every
 evaluation: it stays here as the oracle of J_K and of the packed gradient,
-with r frozen and with r optimised.  The adjoints of Q and of gamma_c, which
-is contracted from d2r without forming Gamma, are pinned by dot-product
-tests; with r frozen J_K is a quartic along any phi/n line; the bars
-dJ_K/dB_f, which the gradient and the step polynomial read, are the
-derivatives of _breakdown's J_K in its factors; only the r chain reads d2r;
-and no evaluation, gradient, residual, chart action or frozen-r continuation
-of J_K forms Gamma.
+with r frozen and with r optimised.  The adjoints of the curvature density
+n^T Q n, formed from b, and of gamma_c, which is contracted from d2r without
+forming Gamma, are pinned by dot-product tests; with r frozen J_K is a
+quartic along any phi/n line; the bars dJ_K/dB_f, which the gradient and the
+step polynomial read, are the derivatives of _breakdown's J_K in its
+factors; only the r chain reads d2r; and no evaluation, gradient, residual,
+chart action or frozen-r continuation of J_K forms Gamma.
 """
 
 import dataclasses
@@ -109,14 +109,16 @@ def _scenario_start(name):
     return inputs["grid"], inputs["fields"]
 
 
-def _noisy(name):
-    """The start with noise in phi and n on the interior nodes, where the descent moves them."""
+def _noisy(name, r_noise=0.0):
+    """The start with noise in phi and n on the interior nodes, where the descent moves them, and r_noise times
+    a standard normal added to r there."""
     g, f = _scenario_start(name)
     rng = np.random.default_rng(17)
     interior = g.interior_mask
     f.n[interior] += 0.05 * rng.standard_normal(f.n[interior].shape)
     shape = f.phi[interior].shape
     f.phi[interior] *= 1.0 + 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    f.r[interior] += r_noise * rng.standard_normal(f.r[interior].shape)
     return g, f
 
 
@@ -124,9 +126,11 @@ def _packed(grads, grid, kinds):
     return np.concatenate([block.ravel() for block in optimizer._interior(grads, grid, kinds)])
 
 
-@pytest.mark.parametrize("name", ["criterion_3", "theorem_range_m5", "theorem_range_m6"])
-def test_quadratic_form_equals_b_chain(name):
-    g, f = _noisy(name)
+@pytest.mark.parametrize(
+    "name, r_noise", [("criterion_3", 0.0), ("theorem_range_m5", 0.0), ("theorem_range_m6", 0.0), ("criterion_3", 0.01)],
+    ids=["criterion_3", "theorem_range_m5", "theorem_range_m6", "criterion_3_noisy_r"])
+def test_quadratic_form_equals_b_chain(name, r_noise):
+    g, f = _noisy(name, r_noise)
     geom = build_geometry(f, g)
     for kinds in (("phi", "n"), ("r", "phi", "n")):
         for K in (100.0, 1e5):
@@ -139,7 +143,8 @@ def test_quadratic_form_equals_b_chain(name):
 
 @pytest.mark.parametrize("name", ["cylinder_N3", "sphere_product", "m5_3^6"])
 def test_curvature_form_adjoint_dot_product(name):
-    # Q is a polynomial in (g^{-1}, d2r), so a complex step gives its directional derivative to rounding.
+    # The curvature density c n^T Q n is a polynomial in (g^{-1}, d2r), so a complex step of it through
+    # _curvature_form gives its directional derivative to rounding; the adjoint forms its bars from b instead.
     g, f = _start(name)
     geom = build_geometry(f, g)
     rng = np.random.default_rng(len(name))
@@ -147,12 +152,13 @@ def test_curvature_form_adjoint_dot_product(name):
     h = 1e-30
     tangent = geometry._curvature_form(geom.d2r + 1j * h * d_d2r, geom.g_inv + 1j * h * d_g_inv).imag / h
     for _ in range(3):
-        bar_q = rng.standard_normal(geom.curvature_form.shape)
-        bar_g_inv, bar_d2r = geometry._curvature_form_adjoint(bar_q, geom.d2r, geom.g_inv)
+        c = rng.standard_normal(geom.sqrt_neg_g.shape)
+        bar_g_inv, bar_d2r = geometry._curvature_form_adjoint(c, geom.d2r, f.n, geom.metric)
         assert bar_g_inv.shape == geom.g_inv.shape and bar_d2r.shape == geom.d2r.shape
-        lhs, rhs = np.vdot(bar_q, tangent), np.vdot(bar_g_inv, d_g_inv) + np.vdot(bar_d2r, d_d2r)
-        pairs = ((bar_q, tangent), (bar_g_inv, d_g_inv), (bar_d2r, d_d2r))
-        assert abs(lhs - rhs) <= 1e-12 * sum(np.vdot(np.abs(a), np.abs(b)) for a, b in pairs)
+        step = c[..., None, None] * (f.n[..., :, None] * tangent * f.n[..., None, :])
+        lhs, rhs = step.sum(), np.vdot(bar_g_inv, d_g_inv) + np.vdot(bar_d2r, d_d2r)
+        pairs = ((bar_g_inv, d_g_inv), (bar_d2r, d_d2r))
+        assert abs(lhs - rhs) <= 1e-12 * (np.abs(step).sum() + sum(np.vdot(np.abs(a), np.abs(b)) for a, b in pairs))
 
 
 @pytest.mark.parametrize("name", ["cylinder_N3", "sphere_product", "m5_3^6"])
