@@ -96,8 +96,14 @@ def _cone(dt, xpart, c: float):
 
 
 def classify_interval(p: Sequence[float], q: Sequence[float], c: float) -> IntervalKind:
-    """Classify the displacement p -> q by the sign of its Minkowski interval -(c dt)^2 + |dx|^2, by _cone's rule."""
-    c, d = _speed(c), np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+    """Classify the displacement p -> q by the sign of its Minkowski interval -(c dt)^2 + |dx|^2, by _cone's rule.
+    ValueError unless p and q are vectors of one length >= 2 (time and a space axis) with finite coordinates."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.ndim != 1 or p.shape != q.shape or p.size < 2:
+        raise ValueError(f"p and q must be vectors of one length >= 2 (got shapes {p.shape} and {q.shape})")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("event coordinates must be finite")
+    c, d = _speed(c), q - p
     if not d.any():
         return IntervalKind.COINCIDENT
     causal, null = _cone(d[0], float(np.dot(d[1:], d[1:])), c)

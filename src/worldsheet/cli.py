@@ -258,10 +258,9 @@ def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) ->
         geom = build_geometry(fields, grid)
         b, b_up = second_fundamental_form(geom.d2r, fields.n, geom.metric)  # the one unit-normal check
         riemann_tensor, frame = geom.riemann, geom.frame.vectors  # formed on this first read: a frame error exits 2
-    except GeometryError as exc:
+    except GeometryError as exc:  # the error row is the report; run prints the message and exits 2
         _write(out_dir / "geometry_report.csv", _csv_text([("error", str(exc))]))
-        print(f"geometry_check failed: {exc}", file=sys.stderr)
-        return 2
+        raise
     # The terms that gauss_residual and weingarten_residual (squared) reduce, and the first node holding the worst.
     g_res, g_node = _worst_node(grid.ndim, *_gauss_terms(riemann_tensor, b, b_up))
     w_squares, w_node = _worst_node(grid.ndim, _weingarten_terms(fields, grid, b_up, geom.metric, geom.frame)[0])
@@ -278,11 +277,7 @@ def _run_geometry_check(out_dir: Path, grid: ParameterGrid, fields: FieldSet) ->
 
 
 def _run_energy_eval(out_dir: Path, grid: ParameterGrid, fields: FieldSet, K: float) -> int:
-    try:
-        breakdown = assemble_JK(fields, grid, K)
-    except (GeometryError, NonFiniteValueError) as exc:
-        print(f"energy_eval failed: {exc}", file=sys.stderr)
-        return 2
+    breakdown = assemble_JK(fields, grid, K)
     text = EnergyBreakdown.csv_header() + "\n" + breakdown.csv_row() + "\n"
     _write(out_dir / "energy_report.csv", text)
     return 0
@@ -303,11 +298,7 @@ def _run_minimize(
     out_dir: Path, grid: ParameterGrid, fields: FieldSet, cfg: PenaltyConfig, slope_band: Optional[list[float]]
 ) -> int:
     """slope_band is set when optimizer.check_slope is on; its least and largest values bound the slopes."""
-    try:
-        report = penalty_continuation(fields, grid, cfg)
-    except (GeometryError, NonFiniteValueError) as exc:
-        print(f"minimize failed: {exc}", file=sys.stderr)
-        return 2
+    report = penalty_continuation(fields, grid, cfg)
     csv_text = report.csv_header() + "\n" + "\n".join(report.csv_rows()) + "\n"
     _write(out_dir / "minimize_report.csv", csv_text)
 
@@ -483,15 +474,19 @@ def _quiet():
 def run(scenario_path: str | Path, out_dir: str | Path, overrides: Sequence[str] = ()) -> int:
     """Execute a scenario; returns the process exit code.
 
-    0 on success, 2 on validation failures (degenerate geometry, a non-finite
-    energy integrand, stalled or out-of-band slope fits), 1 on usage or I/O
-    errors.  Inputs are built and checked before any computation starts.
+    0 on success, 2 on validation failures, 1 on usage or I/O errors; inputs are checked before any computation.
+    A runner's GeometryError or NonFiniteValueError ends here, as exit 2 and one stderr line "<kind> failed: <message>";
+    stalled or out-of-band slope fits and failed causal queries exit 2 in their runners.
     """
     loaded = _load(scenario_path, overrides)
     if loaded is None:
         return 1
     kind, inputs = loaded
-    return _RUNNERS[kind](Path(out_dir), **inputs)
+    try:
+        return _RUNNERS[kind](Path(out_dir), **inputs)
+    except (GeometryError, NonFiniteValueError) as exc:
+        print(f"{kind} failed: {exc}", file=sys.stderr)
+        return 2
 
 
 @_quiet()

@@ -89,12 +89,17 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
     Cauchy-Binet and Hadamard bound on |det g| (so a zero tangent raises too).
     GeometryError when a tangent's square is not finite, SignatureError when
     det g > 0 (the sheet lost its time-like direction); each names the node.
+    Then DegenerateMetricError when some |t_j|_E <= eps * max_nodes |r|_E / h_j
+    (eps the float epsilon): a tangent no longer than the rounding of the
+    differences that form it, as where a stencil spans a full turn, is noise
+    that the relative Hadamard test cannot tell from a direction.
     A non-finite r entry is refused first, at its own node, before the stencils spread it.
     """
     _raise_at_first(~np.isfinite(fields.r).all(-1), GeometryError, "r is not finite at node {node}")
     tangents = _gradient(fields.r, grid)
     g = (tangents * _signs(fields.r.shape[-1])) @ np.swapaxes(tangents, -1, -2)
-    hadamard = (tangents * tangents).sum(-1).prod(-1)
+    lengths = (tangents * tangents).sum(-1)  # |t_j|_E^2
+    hadamard = lengths.prod(-1)
     det, g_inv = _factor(g)
     sound = np.abs(det) > SINGULAR_TOL * hadamard  # False on the NaN of an overflowed tangent too
     node = _first_node(~sound)
@@ -103,6 +108,9 @@ def metric(fields: FieldSet, grid: ParameterGrid) -> MetricData:
             raise GeometryError(f"metric is not finite at node {_node_str(node)}")
         raise DegenerateMetricError(f"|det g| <= {SINGULAR_TOL} x its Hadamard bound at node {_node_str(node)}")
     _raise_at_first(det > 0, SignatureError, "det g > 0 at node {node}: no time-like direction")
+    rounding = np.finfo(float).eps ** 2 * np.einsum("...i,...i", fields.r, fields.r).max() / np.square(grid.spacings)
+    _raise_at_first((lengths <= rounding).any(-1), DegenerateMetricError,
+                    "a tangent is at the rounding level of r at node {node}: |t_j|_E <= eps x max |r|_E / h_j")
     return MetricData(
         tangents=tangents,
         g=g,

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 from collections import deque
 from typing import Optional
 
@@ -115,6 +117,27 @@ def test_classify_extreme_speed_constants():
     for c in (5e-324, 1e-310, 0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="speed constant"):
             classify_interval([0, 0], [1, 0], c)
+
+
+@pytest.mark.parametrize("q", [[np.nan, 0.0], [np.inf, 0.0], [np.inf, np.inf], [0.0, -np.inf]])
+def test_classify_refuses_non_finite_coordinates(q):
+    # NaN read as SPACELIKE and inf as NULL_FUTURE; (inf, inf) warned in the subtraction, then read as SPACELIKE.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, r in (([0.0, 0.0], q), (q, [0.0, 0.0])):
+            with pytest.raises(ValueError, match=r"^event coordinates must be finite$"):
+                classify_interval(p, r, 1.0)
+
+
+@pytest.mark.parametrize(
+    "p, q, shapes",
+    [([0, 0], [1, 0, 0], "(2,) and (3,)"), ([0, 0, 0], [1, 0], "(3,) and (2,)"), ([0], [1], "(1,) and (1,)"),
+     (0.0, 1.0, "() and ()"), ([[0, 0]], [[1, 0]], "(1, 2) and (1, 2)")],
+)
+def test_classify_refuses_points_that_are_not_events_of_one_length(p, q, shapes):
+    message = rf"^p and q must be vectors of one length >= 2 \(got shapes {re.escape(shapes)}\)$"
+    with pytest.raises(ValueError, match=message):
+        classify_interval(p, q, 1.0)
 
 
 # _cone's scale balances c against 1 only, so a step whose squares leave the float range once scaled is misread as null.

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from worldsheet import DegenerateFrameError, cli, geometry, presets
+from worldsheet import DegenerateFrameError, GeometryError, NonFiniteValueError, cli, geometry, presets
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -250,6 +250,38 @@ def test_energy_eval_non_finite_integrand_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["energy_eval failed: non-finite integrand at node (0, 0)"]
+
+
+ROUNDING_TANGENT = "a tangent is at the rounding level of r at node (0, 1): |t_j|_E <= eps x max |r|_E / h_j"
+
+
+def test_geometry_check_tangent_at_the_rounding_level_exits_2(tmp_path, capsys):
+    # Three nodes span a full turn of the cylinder, so the middle column's t_1 is only the rounding of sin 2 pi.
+    # It passed the relative Hadamard test, and the run wrote a weingarten_residual of 6.9e15 with exit 0.
+    out = tmp_path / "out"
+    assert cli.run(SCENARIOS / "geometry_cylinder.scn", out, overrides=["grid.counts=3,3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"geometry_check failed: {ROUNDING_TANGENT}"]
+    rows = list(csv.reader(io.StringIO((out / "geometry_report.csv").read_text())))
+    assert rows == [["quantity", "value"], ["error", ROUNDING_TANGENT]]
+
+
+@pytest.mark.parametrize("error", [GeometryError, NonFiniteValueError])
+@pytest.mark.parametrize(
+    "kind, scenario, computation",
+    [
+        ("geometry_check", "geometry_cylinder.scn", "build_geometry"),
+        ("energy_eval", "energy_flat.scn", "assemble_JK"),
+        ("minimize", "minimize_perturbed.scn", "penalty_continuation"),
+    ],
+)
+def test_every_runner_failure_exits_2_through_run(tmp_path, capsys, monkeypatch, kind, scenario, computation, error):
+    # run holds the one handler: either error, raised by any runner's computation, ends as exit 2 and one line.
+    def fail(*args, **kwargs):
+        raise error("failure at node (1, 2)")
+
+    monkeypatch.setattr(cli, computation, fail)
+    assert cli.run(SCENARIOS / scenario, tmp_path / "out") == 2
+    assert capsys.readouterr() == ("", f"{kind} failed: failure at node (1, 2)\n")
 
 
 TABLE_GEOMETRY = MINIMAL_GEOMETRY.replace("embedding = flat", "embedding = table")

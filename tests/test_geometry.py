@@ -178,6 +178,40 @@ def test_metric_signature_error():
         metric(f, g)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-4])
+def test_metric_refuses_a_tangent_at_the_rounding_level(scale):
+    # Three nodes span a full turn of the cylinder, so the middle column's t_1 = (r(2 pi) - r(0)) / 2h is only the
+    # rounding of sin 2 pi (3.9e-17, bound 8.5e-17 at scale 1), and g_11 ~ 1.5e-33 still passes the relative
+    # Hadamard test.  The bound scales with r, so the same sheet in small units is refused at the same node.
+    g = build_grid([(0, 1), (0, 9.42477796076938)], [3, 3])
+    f = presets.cylinder(g, radius=RHO)
+    f.r *= scale
+    t1 = np.sqrt((((f.r[:, 2] - f.r[:, 0]) / (2 * g.spacings[1])) ** 2).sum(-1))
+    assert np.all(0.0 < t1) and np.all(t1 < np.finfo(float).eps * np.sqrt((f.r**2).sum(-1).max()) / g.spacings[1])
+    with pytest.raises(DegenerateMetricError, match=r"^a tangent is at the rounding level of r at node \(0, 1\): "):
+        metric(f, g)
+
+
+@pytest.mark.parametrize(
+    "scale, shift", [(1e-4, 0.0), (1.0, 1e6), (1e-4, 1e6)], ids=["small_units", "translated", "small_and_translated"]
+)
+def test_metric_rounding_refusal_accepts_resolved_sheets(scale, shift):
+    # A resolved sheet in small units, or far from the origin, keeps tangents well above eps max |r|_E / h_j.
+    for g, f in (cylinder_setup(), sphere_setup(9)):
+        f.r = f.r * scale + shift
+        md = metric(f, g)
+        assert np.all(np.abs(md.det_g) > 0.0)
+
+
+def test_normal_frame_refuses_a_sheet_with_no_normal_direction():
+    # N = m: the m + 1 tangents of a flat sheet in 1+1 dimensions span the whole ambient space.
+    g = build_grid([(0, 1), (0, 1)], [5, 5])
+    f = presets.flat(g)
+    f.r = f.r[..., :2]
+    with pytest.raises(DegenerateFrameError, match=r"^no normal directions: ambient dimension too small$"):
+        normal_frame(metric(f, g))
+
+
 def test_normal_frame_flat():
     g = build_grid([(0, 1), (0, 1)], [5, 5])
     f = presets.flat(g)
